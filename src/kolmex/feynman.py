@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
 from typing import Optional
 
 from .graphs import (
@@ -296,7 +297,7 @@ def gaussian_oracle(theory: Theory, order: int,
         for idx, coeff in entries:
             sym = Fraction(1)
             for c in set(idx):
-                sym *= _factorial(idx.count(c))
+                sym *= factorial(idx.count(c))
             options.append((valence, idx, coeff / sym))
     if max_vertices is None:
         if options and min(k for k, _, _ in options) <= 2:
@@ -328,13 +329,6 @@ def gaussian_oracle(theory: Theory, order: int,
             if moment:
                 coeffs[n] += factor * moment
     return LambdaSeries(tuple(coeffs))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ edges, loops and same-label tails are freely interchangeable.  Canonical
 labels take the lexicographic minimum of a pinned serialization over all
 vertex permutations -- fine at desk scale (the documented boundary), and
 cross-checked against explicit flag-level relabeling search in the tests.
+
+An individualization-refinement search (McKay & Piperno, arXiv:1301.1493)
+yields a second complete invariant, the certificate, together with the
+number of vertex automorphisms.  Vacuum enumeration deduplicates raw
+multigraphs on certificates and computes the pinned lexmin label once per
+class; automorphism counts come from the same search.  Label bytes are
+unchanged.
 """
 
 from __future__ import annotations
@@ -88,9 +95,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges())
 
-    def is_oriented(self) -> bool:
-        return self.orientation is not None
-
     def flags_at(self, v: int) -> list[int]:
         return [f for f, w in enumerate(self.incidence) if w == v]
 
@@ -133,9 +137,6 @@ class Graph:
         for v in range(self.n_vertices):
             groups.setdefault(find(v), set()).add(v)
         return [frozenset(g) for g in groups.values()]
-
-    def is_connected(self) -> bool:
-        return self.n_vertices > 0 and len(self.connected_components()) == 1
 
 
 EMPTY_GRAPH = Graph(0, (), ())
@@ -253,11 +254,82 @@ def _min_serialization(data: MultigraphData) -> str:
     return best if best is not None else _serialize_under(data, ())
 
 
+def _refinement_search(data: MultigraphData) -> tuple[str, int]:
+    """(certificate, number of vertex automorphisms) by individualization-
+    refinement.
+
+    Cells start from the per-vertex invariant and split by the multiset of
+    (neighbour cell, edge direction, multiplicity) until stable; the first
+    non-singleton cell then has each of its vertices individualized in turn.
+    Cells are ordered by invariant data only, so the tree of leaves is
+    isomorphism-invariant: the least leaf serialization is a complete
+    invariant, and the leaves reaching it are the automorphism orbit of one
+    leaf.  The certificate is not the pinned label, which stays the lexmin
+    over all permutations.
+    """
+    n = data.n_vertices
+    direction = 1 if data.oriented else 0
+    bundles: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, v), m in data.edge_mult.items():
+        bundles[u].append((v, direction, m))
+        bundles[v].append((u, -direction, m))
+    start: dict = {}
+    for v in range(n):
+        key = (data.decorations[v] or "", data.loops[v], data.tails_in[v], data.tails_out[v])
+        start.setdefault(key, []).append(v)
+    best = None
+    count = 0
+
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        while True:
+            cell_of = [0] * n
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = i
+            split: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                parts: dict = {}
+                for v in cell:
+                    sig = sorted((cell_of[w], d, m) for w, d, m in bundles[v])
+                    parts.setdefault(tuple(sig), []).append(v)
+                split.extend(parts[sig] for sig in sorted(parts))
+            if len(split) == len(cells):
+                return cells
+            cells = split
+
+    def search(cells: list[list[int]]) -> None:
+        nonlocal best, count
+        cells = refine(cells)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in cell:
+                    rest = [w for w in cell if w != v]
+                    search(cells[:i] + [[v], rest] + cells[i + 1:])
+                return
+        perm = [0] * n
+        for position, (v,) in enumerate(cells):
+            perm[v] = position
+        s = _serialize_under(data, perm)
+        if best is None or s < best:
+            best, count = s, 1
+        elif s == best:
+            count += 1
+
+    search([start[k] for k in sorted(start)])
+    return best, count
+
+
 def canonical_label(g: Graph, max_vertices: int = 10) -> str:
     """Lexicographically minimal serialization over vertex relabelings.
 
     Equal labels  <=>  isomorphic (as flag graphs with orientation and
-    decorations, when present).
+    decorations, when present).  This brute-force lexmin is the pinned
+    label; vacuum enumeration computes it once per class, after
+    deduplicating on the refinement-search certificate, so label bytes do
+    not depend on which search found the class.
     """
     if g.n_vertices > max_vertices:
         raise BudgetError(
@@ -331,10 +403,11 @@ def automorphism_order(g: Graph, max_flags: int = 16) -> int:
     """Number of (vertex permutation, flag permutation) pairs commuting with
     the involution and incidence and preserving decorations/orientation.
 
-    Counts exactly: for each structure-preserving vertex permutation the
-    compatible flag permutations factor into per-bundle choices (parallel
-    edges m!, loops l! with a factor 2 per loop flip when unoriented, tails
-    t! per label).  The flag-level search in the tests confirms the count.
+    Counts exactly: the refinement search counts the structure-preserving
+    vertex permutations, and for each of them the compatible flag
+    permutations factor into per-bundle choices (parallel edges m!, loops
+    l! with a factor 2 per loop flip when unoriented, tails t! per label).
+    The flag-level search in the tests confirms the count.
     """
     if g.n_flags > max_flags:
         raise BudgetError(f"{g.n_flags} flags exceed the bound {max_flags}")
@@ -342,42 +415,15 @@ def automorphism_order(g: Graph, max_flags: int = 16) -> int:
 
 
 def _automorphism_order_unbounded(g: Graph) -> int:
-    from itertools import product as iproduct
-
     data = multigraph_data(g)
-    n = data.n_vertices
-    per_vertex_key = [
-        (data.decorations[v], data.loops[v], data.tails_in[v], data.tails_out[v])
-        for v in range(n)
-    ]
     flag_choices = 1
-    for v in range(n):
+    for v in range(data.n_vertices):
         l, ti, to = data.loops[v], data.tails_in[v], data.tails_out[v]
         loop_factor = factorial(l) if data.oriented else factorial(l) * 2**l
         flag_choices *= loop_factor * factorial(ti) * factorial(to)
     for m in data.edge_mult.values():
         flag_choices *= factorial(m)
-    groups: dict = {}
-    for v in range(n):
-        groups.setdefault(per_vertex_key[v], []).append(v)
-    members = list(groups.values())
-    total = 0
-    for arrangement in iproduct(*(permutations(grp) for grp in members)):
-        perm = [0] * n
-        for grp, images in zip(members, arrangement):
-            for v, w in zip(grp, images):
-                perm[v] = w
-        ok = True
-        for (u, v), m in data.edge_mult.items():
-            a, b = perm[u], perm[v]
-            if not data.oriented and a > b:
-                a, b = b, a
-            if data.edge_mult.get((a, b), 0) != m:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total * flag_choices
+    return _refinement_search(data)[1] * flag_choices
 
 
 def automorphism_order_flag_search(g: Graph) -> int:
@@ -594,29 +640,24 @@ def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
     valences = sorted(set(valences))
     if any(v < 1 for v in valences):
         raise GraphError("valences must be >= 1")
-    graphs = [EMPTY_GRAPH]
     if not valences or max_order < 0:
-        return graphs
+        return [EMPTY_GRAPH]
     if max_vertices is None:
         if min(valences) <= 2:
             raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
         max_vertices = 2 * max_order
-    seen = {canonical_label(EMPTY_GRAPH)}
+    found = [(canonical_label(EMPTY_GRAPH), EMPTY_GRAPH)]
+    certificates = set()
     spent = [0]
     for degree_seq in _degree_sequences(valences, max_order, max_vertices):
         for data in _multigraphs_with_degrees(degree_seq, spent, budget):
-            label = _label_of_data(data)
-            if label not in seen:
-                g = graph_from_label(label)
-                if euler_characteristic(g) >= -max_order:
-                    seen.add(label)
-                    graphs.append(g)
-    graphs.sort(key=lambda gr: (gr.n_flags, canonical_label(gr, max_vertices)))
-    return graphs
-
-
-def _label_of_data(data: MultigraphData) -> str:
-    return _min_serialization(data)
+            certificate = _refinement_search(data)[0]
+            if certificate not in certificates:
+                certificates.add(certificate)
+                label = _min_serialization(data)
+                found.append((label, graph_from_label(label)))
+    found.sort(key=lambda pair: (pair[1].n_flags, pair[0]))
+    return [g for _, g in found]
 
 
 def _degree_sequences(valences, max_order, max_vertices):
@@ -650,14 +691,13 @@ def _degree_sequences(valences, max_order, max_vertices):
 def _multigraphs_with_degrees(degrees, spent, budget):
     """All loop/multiplicity assignments matching the degree sequence."""
     n = len(degrees)
-    pair_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def rec(v_idx, remaining, loops, mult):
-        if spent[0] > budget:
-            raise BudgetError(f"vacuum enumeration exceeded budget {budget}")
         if v_idx == n:
             if all(r == 0 for r in remaining):
                 spent[0] += 1
+                if spent[0] > budget:
+                    raise BudgetError(f"vacuum enumeration exceeded budget {budget}")
                 yield MultigraphData(
                     n, False, tuple(loops), (0,) * n, (0,) * n,
                     {k: m for k, m in mult.items() if m}, (None,) * n,

@@ -1,5 +1,9 @@
+import hashlib
+from dataclasses import replace
+from random import Random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from kolmex import graphs as G
@@ -26,6 +30,29 @@ THETA = Graph(2, (3, 4, 5, 0, 1, 2), (0, 0, 0, 1, 1, 1))
 DUMBBELL = Graph(2, (1, 0, 3, 2, 5, 4), (0, 0, 0, 1, 1, 1))
 EDGE = Graph(2, (1, 0), (0, 1), orientation=("out", "in"))
 CYCLE2 = Graph(2, (1, 0, 3, 2), (0, 1, 1, 0), orientation=("out", "in", "out", "in"))
+
+
+def _cycles(*lengths, oriented=False):
+    """Disjoint union of cycles: every vertex looks alike to refinement."""
+    involution, incidence = [], []
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            a = len(involution)
+            involution += [a + 1, a]
+            incidence += [start + i, start + (i + 1) % length]
+        start += length
+    orientation = ("out", "in") * (len(incidence) // 2) if oriented else None
+    return Graph(start, tuple(involution), tuple(incidence), orientation=orientation)
+
+
+# the search has to individualize: refinement cannot split these cells
+SQUARE = _cycles(4)
+DIRECTED_SQUARE = _cycles(4, oriented=True)
+DECORATED_SQUARE = replace(SQUARE, decorations=("x", None, "x", None))
+# ... and here cells also mix orbits, so some leaves miss the minimum
+TRIANGLE_AND_SQUARE = _cycles(3, 4)
+DIRECTED_TRIANGLE_AND_SQUARE = _cycles(3, 4, oriented=True)
 
 
 def test_construction_validation():
@@ -60,7 +87,8 @@ def test_automorphism_examples():
     assert automorphism_order(DUMBBELL) == 8
 
 
-@pytest.mark.parametrize("g", [BARE, LOOP, TWO_LOOPS, THETA, DUMBBELL, EDGE, CYCLE2])
+@pytest.mark.parametrize("g", [BARE, LOOP, TWO_LOOPS, THETA, DUMBBELL, EDGE, CYCLE2,
+                               SQUARE, DIRECTED_SQUARE, DECORATED_SQUARE])
 def test_automorphisms_match_flag_level_search(g):
     assert automorphism_order(g) == automorphism_order_flag_search(g)
 
@@ -121,10 +149,11 @@ def test_decorations_respected():
 
 
 @st.composite
-def random_small_graph(draw):
-    n_vertices = draw(st.integers(1, 3))
-    n_edges = draw(st.integers(0, 3))
-    n_tails = draw(st.integers(0, 2))
+def random_graph(draw, vertices=(1, 3), max_edges=3, max_tails=2):
+    """Random flag graph, oriented and decorated or not."""
+    n_vertices = draw(st.integers(*vertices))
+    n_edges = draw(st.integers(0, max_edges))
+    n_tails = draw(st.integers(0, max_tails))
     involution = []
     incidence = []
     for _ in range(n_edges):
@@ -137,18 +166,34 @@ def random_small_graph(draw):
     for _ in range(n_tails):
         involution.append(len(involution))
         incidence.append(draw(st.integers(0, n_vertices - 1)))
-    return Graph(n_vertices, tuple(involution), tuple(incidence))
+    orientation = None
+    if draw(st.booleans()):
+        orientation = []
+        for _ in range(n_edges):
+            orientation += draw(st.sampled_from([["out", "in"], ["in", "out"]]))
+        orientation += [draw(st.sampled_from(["in", "out"])) for _ in range(n_tails)]
+        orientation = tuple(orientation)
+    decorations = None
+    if draw(st.booleans()):
+        decorations = tuple(
+            draw(st.sampled_from([None, "x", "y"])) for _ in range(n_vertices)
+        )
+    return Graph(n_vertices, tuple(involution), tuple(incidence),
+                 orientation=orientation, decorations=decorations)
 
 
-@given(random_small_graph(), st.randoms(use_true_random=False))
-def test_canonical_complete_against_flag_search(g, rnd):
-    # relabel vertices and flags at random: label must be preserved,
-    # and equal labels must certify isomorphism at the flag level
+# 4-7 vertices with few edges: large cells of equivalent vertices that only
+# individualization separates
+WIDE_GRAPHS = random_graph(vertices=(4, 7), max_edges=6, max_tails=3)
+
+
+def _relabeled(g, rnd):
+    """The same graph under random vertex and flag renamings."""
     vperm = list(range(g.n_vertices))
     rnd.shuffle(vperm)
-    edges = g.edges()
-    tails = g.tails()
-    pieces = [list(e) for e in edges] + [[t] for t in tails]
+    pieces = [list(e) for e in g.edges()] + [[t] for t in g.tails()]
+    for piece in pieces:
+        rnd.shuffle(piece)
     rnd.shuffle(pieces)
     flat = [f for piece in pieces for f in piece]
     fmap = {old: new for new, old in enumerate(flat)}
@@ -157,9 +202,73 @@ def test_canonical_complete_against_flag_search(g, rnd):
     for old in range(g.n_flags):
         involution[fmap[old]] = fmap[g.involution[old]]
         incidence[fmap[old]] = vperm[g.incidence[old]]
-    relabeled = Graph(g.n_vertices, tuple(involution), tuple(incidence))
+    orientation = None
+    if g.orientation is not None:
+        orientation = [None] * g.n_flags
+        for old in range(g.n_flags):
+            orientation[fmap[old]] = g.orientation[old]
+        orientation = tuple(orientation)
+    decorations = None
+    if g.decorations is not None:
+        decorations = [None] * g.n_vertices
+        for v in range(g.n_vertices):
+            decorations[vperm[v]] = g.decorations[v]
+        decorations = tuple(decorations)
+    return Graph(g.n_vertices, tuple(involution), tuple(incidence),
+                 orientation=orientation, decorations=decorations)
+
+
+def _certificate(g):
+    return G._refinement_search(G.multigraph_data(g))[0]
+
+
+@settings(deadline=None)
+@given(st.one_of(random_graph(), WIDE_GRAPHS), st.randoms(use_true_random=False))
+def test_canonical_complete_against_flag_search(g, rnd):
+    # relabel vertices and flags at random: label, certificate and |Aut|
+    # must be preserved
+    relabeled = _relabeled(g, rnd)
     assert canonical_label(relabeled) == canonical_label(g)
+    assert _certificate(relabeled) == _certificate(g)
     assert automorphism_order(relabeled) == automorphism_order(g)
+
+
+@settings(deadline=None)
+@given(WIDE_GRAPHS)
+@example(TRIANGLE_AND_SQUARE)
+@example(DIRECTED_TRIANGLE_AND_SQUARE)
+@example(replace(TRIANGLE_AND_SQUARE, decorations=("x",) * 7))
+def test_refinement_count_matches_permutation_oracle(g):
+    # the search's leaf count against the vertex permutations that reach
+    # the brute-force lexmin: both are |Aut| on vertices
+    data = G.multigraph_data(g)
+    best = G._min_serialization(data)
+    oracle = sum(
+        1 for perm in G._candidate_permutations(data)
+        if G._serialize_under(data, perm) == best
+    )
+    assert G._refinement_search(data)[1] == oracle
+
+
+@settings(deadline=None)
+@given(WIDE_GRAPHS, st.randoms(use_true_random=False), st.booleans())
+@example(TRIANGLE_AND_SQUARE, Random(0), False)
+@example(TRIANGLE_AND_SQUARE, Random(0), True)
+@example(DIRECTED_TRIANGLE_AND_SQUARE, Random(1), True)
+def test_certificate_equal_iff_lexmin_equal(g, rnd, rewire):
+    # a relabeled copy, optionally with two flags trading vertices: that
+    # keeps every valence, so non-isomorphic pairs are hard to tell apart
+    h = _relabeled(g, rnd)
+    if rewire and h.n_flags >= 2:
+        f1, f2 = rnd.sample(range(h.n_flags), 2)
+        incidence = list(h.incidence)
+        incidence[f1], incidence[f2] = incidence[f2], incidence[f1]
+        h = Graph(h.n_vertices, h.involution, tuple(incidence),
+                  orientation=h.orientation, decorations=h.decorations)
+    same_lexmin = canonical_label(g) == canonical_label(h)
+    assert (_certificate(g) == _certificate(h)) == same_lexmin
+    if not rewire:
+        assert same_lexmin
 
 
 # -- orientation and cuts -----------------------------------------------------
@@ -339,6 +448,44 @@ def test_labels_complete_at_flag_level():
     assert checked >= 15
 
 
+def test_raw_vacuum_certificates_match_labels():
+    # every raw multigraph at order 2: certificates group exactly as labels
+    by_certificate: dict = {}
+    by_label: dict = {}
+    spent = [0]
+    for degrees in G._degree_sequences([4, 3], 2, 4):
+        for i, data in enumerate(G._multigraphs_with_degrees(degrees, spent, 10**6)):
+            key = (degrees, i)
+            by_certificate.setdefault(G._refinement_search(data)[0], set()).add(key)
+            by_label.setdefault(G._min_serialization(data), set()).add(key)
+    assert spent[0] == 62
+    assert sorted(map(sorted, by_certificate.values())) == sorted(
+        map(sorted, by_label.values())
+    )
+    assert len(by_label) == 21
+
+
+def test_vacuum_classes_and_symmetry_factors_pinned():
+    from kolmex import feynman
+
+    classes = feynman._vacuum_classes(3, (3, 4), None, 200_000)
+    text = "\n".join(f"{canonical_label(g)} {aut}" for g, aut in classes)
+    assert len(classes) == 141
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "638f2e115b389a8d8bc570d606664c068994333a12092366e3ff8740e3b9cfc3"
+    )
+
+
+def test_hopf_generator_labels_pinned():
+    from kolmex import hopf
+
+    labels = hopf.enumerate_connected_oriented(3, 6)
+    assert len(labels) == 261
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == (
+        "c228c91818e29efab7db5ac00fe97100060f94ba2f5fd71e4e3c95a54b3e5e02"
+    )
+
+
 def test_vacuum_requires_cap_for_low_valence():
     with pytest.raises(GraphError):
         enumerate_vacuum_graphs(1, {2})
@@ -350,6 +497,13 @@ def test_vacuum_requires_cap_for_low_valence():
 def test_vacuum_enumeration_budget():
     with pytest.raises(G.BudgetError):
         enumerate_vacuum_graphs(3, {3, 4}, budget=5)
+
+
+def test_vacuum_budget_counts_the_last_candidate():
+    # order 2 has exactly 62 raw candidates
+    assert len(enumerate_vacuum_graphs(2, {3, 4}, budget=62)) == 22
+    with pytest.raises(G.BudgetError):
+        enumerate_vacuum_graphs(2, {3, 4}, budget=61)
 
 
 def test_canonical_label_bound():
