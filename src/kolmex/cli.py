@@ -451,7 +451,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (codes_mod.CodeError, OSError, json.JSONDecodeError,
-            halting_mod.HaltingError, renorm_mod.RenormError, ValueError) as exc:
+            halting_mod.HaltingError, renorm_mod.RenormError,
+            renorm_mod.TruncationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

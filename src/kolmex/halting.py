@@ -25,6 +25,7 @@ the proxy order; every probe report carries its version stamp.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -65,9 +66,11 @@ def cantor_pair(m: int, n: int) -> int:
 
 
 def cantor_unpair(c: int) -> tuple[int, int]:
-    w = 0
-    while (w + 1) * (w + 2) // 2 <= c:
-        w += 1
+    """Inverse of cantor_pair: w = m + n is the largest w with
+    w(w+1)/2 <= c, i.e. 2w + 1 <= isqrt(8c + 1)."""
+    if c < 0:
+        raise HaltingError(f"Cantor codes are non-negative, got {c}")
+    w = (math.isqrt(8 * c + 1) - 1) // 2
     n = c - w * (w + 1) // 2
     return w - n, n
 

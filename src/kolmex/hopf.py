@@ -127,9 +127,6 @@ class HopfElement:
     def counit(self) -> Fraction:
         return self.terms.get(UNIT_MONOMIAL, Fraction(0))
 
-    def max_degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
-
     def __repr__(self):
         if not self.terms:
             return "<0>"

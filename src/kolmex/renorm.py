@@ -7,22 +7,36 @@ a pinned order (default 16), all coefficients exact rationals.  The single
 variable t covers both interpretations -- germs at zero (t = z) and the
 disc-algebra coordinates (t = 1 - z); only documentation differs.
 
+An element stores its coefficients as integer numerators over one shared
+positive denominator, lowest power first, reduced by a single gcd per
+element, so sums and products run on plain ints; `Fraction` values are
+built only at the boundary (`polar`, `regular`, `coeff`, JSON, repr).
+
 Truncation is a hard contract: every element tracks the regular order up
 to which its coefficients are exact, operations propagate that window
-(a polar factor of depth P consumes P orders of its partner's window),
-and comparisons beyond the window raise TruncationError instead of
-answering from garbage.
+(a polar factor of depth P consumes P orders of its partner's window:
+a product of windows Vx, Vy and depths Px, Py is valid through
+min(Vx - Py, Vy - Px)), and comparisons beyond the window raise
+TruncationError instead of answering from garbage.  Only declared exact
+zeros -- `MSElement.zero()`, a `polar_part()` with no polar terms, and
+the `regular_part()` of an element whose regular side is declared zero --
+are known at every order, so only they may give a product the wider
+window max(Vx, Vy); a value that merely reads zero within its window gets
+the rule above.
 
 Characters are multiplicative maps from the graph bialgebra into this
-algebra, stored on connected generators; convolution, the geometric-series
+algebra, stored on connected generators; convolution, the recursive
 inverse and the BPHZ recursion work on arbitrary unit-preserving linear
-maps, evaluated monomial by monomial with per-object caches.
+maps, evaluated monomial by monomial with per-object caches.  The inverse
+and the BPHZ bracket share one recursion over the reduced coproduct.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Optional
 
 from .hopf import (
@@ -30,7 +44,6 @@ from .hopf import (
     Monomial,
     coproduct_of_monomial,
     monomial_degree,
-    monomial_vertices,
     reduced_coproduct_of_monomial,
 )
 
@@ -46,35 +59,46 @@ class RenormError(ValueError):
 
 
 class MSElement:
-    """polar + regular with an explicit validity window on the regular part."""
+    """polar + regular with an explicit validity window on the regular part.
 
-    __slots__ = ("polar", "regular")
+    `_nums[k] / _den` is the coefficient of t^(k - _depth): the polar part
+    (depth `_depth`, deepest power first) followed by the regular part
+    through t^valid_order.  `_den` is positive with gcd(_den, *_nums) == 1,
+    and the deepest polar numerator is nonzero.  `_rzero`
+    declares the regular side exactly zero at every order, beyond the
+    window too.  Elements are immutable.
+    """
+
+    __slots__ = ("_nums", "_den", "_depth", "_rzero")
 
     def __init__(self, polar: Iterable = (), regular: Iterable = ()):
-        polar = [Fraction(c) for c in polar]
-        while polar and polar[-1] == 0:
-            polar.pop()
-        self.polar = tuple(polar)  # index i -> coefficient of t^-(i+1)
-        self.regular = tuple(Fraction(c) for c in regular)  # index j -> t^j
-        if not self.regular:
+        polar = [_rational(c) for c in polar]  # index i -> t^-(i+1)
+        regular = [_rational(c) for c in regular]  # index j -> t^j
+        if not regular:
             raise TruncationError("element carries no valid regular window")
+        coeffs = polar[::-1] + regular
+        den = lcm(*(c.denominator for c in coeffs))
+        self._nums, self._den, self._depth = _reduced(
+            [c.numerator * (den // c.denominator) for c in coeffs], den, len(polar))
+        self._rzero = False
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, trunc: int = DEFAULT_TRUNC) -> "MSElement":
-        return cls((), (Fraction(0),) * (trunc + 1))
+        """The declared exact zero, valid through t^trunc."""
+        return _new((0,) * (trunc + 1), 1, 0, True)
 
     @classmethod
     def one(cls, trunc: int = DEFAULT_TRUNC) -> "MSElement":
-        return cls((), (Fraction(1),) + (Fraction(0),) * trunc)
+        return _new((1,) + (0,) * trunc, 1, 0, False)
 
     @classmethod
     def from_coeffs(cls, coeffs: dict, trunc: int = DEFAULT_TRUNC) -> "MSElement":
         """Build from {power: coefficient}; negative powers are polar."""
         depth = max((-p for p in coeffs if p < 0), default=0)
-        polar = [coeffs.get(-(i + 1), Fraction(0)) for i in range(depth)]
-        regular = [coeffs.get(j, Fraction(0)) for j in range(trunc + 1)]
+        polar = [coeffs.get(-(i + 1), 0) for i in range(depth)]
+        regular = [coeffs.get(j, 0) for j in range(trunc + 1)]
         if any(p > trunc for p in coeffs):
             raise TruncationError("coefficient beyond the truncation order")
         return cls(polar, regular)
@@ -82,95 +106,122 @@ class MSElement:
     # -- inspection -----------------------------------------------------------
 
     @property
+    def polar(self) -> tuple:
+        """Coefficients of t^-1, t^-2, ... down to the polar depth."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in reversed(self._nums[:self._depth]))
+
+    @property
+    def regular(self) -> tuple:
+        """Coefficients of t^0 .. t^valid_order."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums[self._depth:])
+
+    @property
     def polar_depth(self) -> int:
-        return len(self.polar)
+        return self._depth
 
     @property
     def valid_order(self) -> int:
-        return len(self.regular) - 1
+        return len(self._nums) - self._depth - 1
 
     def coeff(self, power: int) -> Fraction:
-        if power < 0:
-            idx = -power - 1
-            return self.polar[idx] if idx < len(self.polar) else Fraction(0)
         if power > self.valid_order:
             raise TruncationError(
                 f"t^{power} lies beyond the valid window (order {self.valid_order})"
             )
-        return self.regular[power]
+        if power < -self._depth:
+            return Fraction(0)
+        return Fraction(self._nums[self._depth + power], self._den)
 
     def augmentation(self) -> Fraction:
-        return self.regular[0]
+        return self.coeff(0)
 
     def is_polar_only(self) -> bool:
-        return not any(self.regular)
+        return not any(self._nums[self._depth:])
 
     def is_regular_only(self) -> bool:
-        return not self.polar
+        return not self._depth
+
+    def _is_exact_zero(self) -> bool:
+        return self._rzero and not self._depth
 
     # -- the minimal-subtraction split ---------------------------------------
 
     def polar_part(self) -> "MSElement":
-        return MSElement(self.polar, (Fraction(0),) * len(self.regular))
+        """The polar side; its regular side is an exact zero."""
+        depth = self._depth
+        nums = self._nums[:depth] + (0,) * (len(self._nums) - depth)
+        return _new(*_reduced(nums, self._den, depth), True)
 
     def regular_part(self) -> "MSElement":
-        return MSElement((), self.regular)
+        return _new(*_reduced(self._nums[self._depth:], self._den, 0), self._rzero)
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "MSElement") -> "MSElement":
-        depth = max(len(self.polar), len(other.polar))
-        polar = [
-            (self.polar[i] if i < len(self.polar) else 0)
-            + (other.polar[i] if i < len(other.polar) else 0)
-            for i in range(depth)
-        ]
-        window = min(len(self.regular), len(other.regular))
-        regular = [self.regular[j] + other.regular[j] for j in range(window)]
-        return MSElement(polar, regular)
+        xs, ys = self._nums, other._nums
+        px, py = self._depth, other._depth
+        depth = max(px, py)
+        window = min(len(xs) - px, len(ys) - py)  # regular orders kept
+        dx, dy = self._den, other._den
+        if dx != dy:
+            g = gcd(dx, dy)
+            mx, my = dy // g, dx // g
+            xs = [n * mx for n in xs[:px + window]]
+            ys = [n * my for n in ys[:py + window]]
+            dx *= mx
+        else:
+            xs, ys = xs[:px + window], ys[:py + window]
+        if px != depth:
+            xs = [0] * (depth - px) + list(xs)
+        if py != depth:
+            ys = [0] * (depth - py) + list(ys)
+        return _new(*_reduced(list(map(add, xs, ys)), dx, depth),
+                    self._rzero and other._rzero)
 
     def __neg__(self) -> "MSElement":
-        return MSElement([-c for c in self.polar], [-c for c in self.regular])
+        return _new(tuple(-n for n in self._nums), self._den, self._depth,
+                    self._rzero)
 
     def __sub__(self, other: "MSElement") -> "MSElement":
         return self + (-other)
 
-    def _is_zero(self) -> bool:
-        return not self.polar and not any(self.regular)
-
     def __mul__(self, other: "MSElement") -> "MSElement":
-        """Laurent convolution; the result window is
-        min(Vx - Py, Vy - Px) as in the module docstring."""
+        """Laurent convolution; the result window is min(Vx - Py, Vy - Px),
+        or max(Vx, Vy) when a factor is a declared exact zero (see the
+        module docstring)."""
         if not isinstance(other, MSElement):
             return NotImplemented
-        if self._is_zero() or other._is_zero():
-            # an exact zero factor gives an exact zero at every order
+        if self._is_exact_zero() or other._is_exact_zero():
             return MSElement.zero(max(self.valid_order, other.valid_order))
-        px, py = self.polar_depth, other.polar_depth
-        window = min(self.valid_order - py, other.valid_order - px)
+        xs, ys = self._nums, other._nums
+        px, py = self._depth, other._depth
+        window = min(len(xs) - 1 - px - py, len(ys) - 1 - py - px)
         if window < 0:
             raise TruncationError("truncated windows too short for this product")
-        acc: dict = {}
-        for i, ci in self._items():
-            if ci:
-                for j, cj in other._items():
-                    if cj:
-                        acc[i + j] = acc.get(i + j, Fraction(0)) + ci * cj
-        polar = [acc.get(-(i + 1), Fraction(0)) for i in range(px + py)]
-        regular = [acc.get(j, Fraction(0)) for j in range(window + 1)]
-        return MSElement(polar, regular)
+        size = px + py + window + 1
+        out = [0] * size
+        # most numerators are zero (polar-only factors, short regular
+        # parts), so pair only the nonzero ones
+        ys = [(j, b) for j, b in enumerate(ys[:size]) if b]
+        for i, a in enumerate(xs[:size]):
+            if a:
+                room = size - i
+                for j, b in ys:
+                    if j >= room:
+                        break
+                    out[i + j] += a * b
+        return _new(*_reduced(out, self._den * other._den, px + py), False)
 
     def __rmul__(self, scalar) -> "MSElement":
-        scalar = Fraction(scalar)
-        return MSElement(
-            [scalar * c for c in self.polar], [scalar * c for c in self.regular]
-        )
-
-    def _items(self):
-        for i, c in enumerate(self.polar):
-            yield -(i + 1), c
-        for j, c in enumerate(self.regular):
-            yield j, c
+        scalar = _rational(scalar)
+        if scalar == 1:
+            return self
+        num = scalar.numerator
+        return _new(*_reduced([num * n for n in self._nums],
+                              self._den * scalar.denominator, self._depth),
+                    self._rzero)
 
     # -- comparison -----------------------------------------------------------
 
@@ -181,11 +232,14 @@ class MSElement:
                 f"cannot compare through t^{order}: windows are "
                 f"{self.valid_order} and {other.valid_order}"
             )
-        if self.polar != other.polar:
+        if self._depth != other._depth:
             return False
-        return all(
-            self.regular[j] == other.regular[j] for j in range(order + 1)
-        )
+        size = self._depth + max(order + 1, 0)
+        xs, ys = self._nums[:size], other._nums[:size]
+        dx, dy = self._den, other._den
+        if dx == dy:
+            return xs == ys
+        return all(a * dy == b * dx for a, b in zip(xs, ys))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MSElement):
@@ -193,10 +247,41 @@ class MSElement:
         return self.eq_through(other, min(self.valid_order, other.valid_order))
 
     def __repr__(self):
-        bits = [
-            f"{c}*t^{p}" for p, c in self._items() if c
-        ]
+        depth = self._depth
+        powers = list(range(-1, -depth - 1, -1)) + list(range(self.valid_order + 1))
+        bits = [f"{c}*t^{p}" for p in powers if (c := self.coeff(p))]
         return "MS(" + (" + ".join(bits) if bits else "0") + f" |{self.valid_order})"
+
+
+def _rational(c):
+    """c as an exact rational with .numerator and .denominator."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
+def _reduced(nums, den: int, depth: int) -> tuple[tuple, int, int]:
+    """(numerators, denominator, depth) in the stored form: zero deepest
+    polar terms trimmed and the common gcd divided out."""
+    lead = 0
+    while lead < depth and not nums[lead]:
+        lead += 1
+    if lead:
+        nums = nums[lead:]
+        depth -= lead
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return tuple(nums), den, depth
+
+
+def _new(nums: tuple, den: int, depth: int, rzero: bool) -> MSElement:
+    """An element from numerators that already satisfy the invariants."""
+    x = object.__new__(MSElement)
+    x._nums = nums
+    x._den = den
+    x._depth = depth
+    x._rzero = rzero
+    return x
 
 
 def polar_split(x: MSElement) -> tuple[MSElement, MSElement]:
@@ -213,7 +298,7 @@ class GMap:
 
     Values get cached per map; `degree_bound` guards against silently
     running past the region the map was built for.  The function decides
-    its own unit value (intermediate maps like e - phi vanish there).
+    its own unit value.
     """
 
     def __init__(self, fn: Callable[[Monomial], MSElement], degree_bound: int,
@@ -233,9 +318,6 @@ class GMap:
         if mono not in self._cache:
             self._cache[mono] = self._fn(mono)
         return self._cache[mono]
-
-    def preserves_unit(self) -> bool:
-        return self(UNIT_MONOMIAL) == MSElement.one(self.trunc)
 
 
 def identity_map(degree_bound: int, trunc: int = DEFAULT_TRUNC) -> GMap:
@@ -283,28 +365,39 @@ def convolution(phi: GMap, psi: GMap, degree_bound: Optional[int] = None) -> GMa
     return GMap(fn, bound, trunc, f"({phi.name}*{psi.name})")
 
 
-def conv_inverse(phi: GMap) -> GMap:
-    """phi^(*-1)(x) = e(x) + sum_{m>=1} (e - phi)^(*m)(x).
+def _cut_sum(mono: Monomial, first: MSElement, rec: Callable, psi: Callable) -> MSElement:
+    """first + sum c * (rec(x') * psi(x'')) over the reduced coproduct
+    c x' (x) x'' of mono: the recursion step of the inverse and of BPHZ.
+    Every x' has fewer vertices than mono, so the recursion terminates."""
+    acc = first
+    for (left, right), c in reduced_coproduct_of_monomial(mono).items():
+        acc = acc + c * (rec(left) * psi(right))
+    return acc
 
-    On a fixed x the sum is finite: (e - phi) vanishes on the unit, so the
-    m-th convolution power involves m-fold reduced coproducts and dies once
-    m exceeds the vertex count of x.
+
+def conv_inverse(phi: GMap) -> GMap:
+    """phi^(*-1)(1) = 1 and phi^(*-1)(x) = -phi(x) - sum phi^(*-1)(x') phi(x'')
+    over the reduced coproduct, for a unit-preserving phi.
+
+    This is (phi^(*-1) * phi)(x) = 0 solved for the x (x) 1 term.  A
+    unit-preserving phi is invertible (e - phi vanishes on the unit, so
+    its convolution powers die on each x) and convolution is associative,
+    so this left inverse is the two-sided one.  For a character it equals
+    phi o S.
+
+    No convolution powers are built: values are memoized per inverse, so
+    each monomial costs one reduced-coproduct sum of integer-numerator
+    products, with the windows those products carry.
     """
     trunc = phi.trunc
-    e = identity_map(phi.degree_bound, trunc)
-    diff = GMap(lambda m: e(m) - phi(m), phi.degree_bound, trunc, "(e-phi)")
-    powers = [diff]  # powers[i] = (e - phi)^(*(i+1))
+    memo = {UNIT_MONOMIAL: MSElement.one(trunc)}
 
-    def fn(mono: Monomial) -> MSElement:
-        acc = e(mono)
-        need = monomial_vertices(mono)
-        while len(powers) < need:
-            powers.append(convolution(powers[-1], diff))
-        for m in range(need):
-            acc = acc + powers[m](mono)
-        return acc
+    def inverse(mono: Monomial) -> MSElement:
+        if mono not in memo:
+            memo[mono] = -_cut_sum(mono, phi(mono), inverse, phi)
+        return memo[mono]
 
-    return GMap(fn, phi.degree_bound, trunc, f"{phi.name}^-1")
+    return GMap(inverse, phi.degree_bound, trunc, f"{phi.name}^-1")
 
 
 def birkhoff(phi: Character) -> tuple[GMap, GMap]:
@@ -323,17 +416,15 @@ def birkhoff(phi: Character) -> tuple[GMap, GMap]:
     if not isinstance(phi, Character):
         raise RenormError("birkhoff needs a character (multiplicative map)")
     trunc = phi.trunc
-    minus_cache: dict = {}
+    brackets: dict = {}
+    minus_cache = {UNIT_MONOMIAL: MSElement.one(trunc)}
 
     def bracket(mono: Monomial) -> MSElement:
-        acc = phi(mono)
-        for (left, right), c in reduced_coproduct_of_monomial(mono).items():
-            acc = acc + c * (minus_value(left) * phi(right))
-        return acc
+        if mono not in brackets:
+            brackets[mono] = _cut_sum(mono, phi(mono), minus_value, phi)
+        return brackets[mono]
 
     def minus_value(mono: Monomial) -> MSElement:
-        if mono == UNIT_MONOMIAL:
-            return MSElement.one(trunc)
         if mono not in minus_cache:
             minus_cache[mono] = -(bracket(mono).polar_part())
         return minus_cache[mono]
@@ -371,14 +462,58 @@ def character_to_json(chi: Character) -> str:
 
 
 def character_from_json(text: str) -> Character:
-    doc = json.loads(text)
-    trunc = doc.get("truncation", DEFAULT_TRUNC)
+    """Parse character JSON; malformed input raises RenormError naming the
+    entry and key at fault."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RenormError(f"bad character JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise RenormError("character JSON must be an object")
+    degree_bound = _count(doc, "degree_bound")
+    trunc = _count(doc, "truncation") if "truncation" in doc else DEFAULT_TRUNC
+    entries = _field(doc, "values", list, "character JSON")
     values = {}
-    for entry in doc["values"]:
-        val = entry["value"]
-        regular = [Fraction(c) for c in val["regular"]]
+    for i, entry in enumerate(entries):
+        where = f"values[{i}]"
+        if not isinstance(entry, dict):
+            raise RenormError(f"{where} must be an object")
+        label = _field(entry, "graph", str, where)
+        val = _field(entry, "value", dict, where)
+        polar = _coeffs(val, "polar", f"{where}.value")
+        regular = _coeffs(val, "regular", f"{where}.value")
         regular += [Fraction(0)] * (trunc + 1 - len(regular))
-        values[entry["graph"]] = MSElement(
-            [Fraction(c) for c in val["polar"]], regular
+        values[label] = MSElement(polar, regular)
+    return Character(values, degree_bound, trunc)
+
+
+_KIND_NAMES = {list: "list", dict: "object", str: "string"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    if key not in obj:
+        raise RenormError(f"{where} lacks {key!r}")
+    if not isinstance(obj[key], kind):
+        raise RenormError(f"{where}: {key} must be a {_KIND_NAMES[kind]}")
+    return obj[key]
+
+
+def _count(doc: dict, key: str) -> int:
+    if key not in doc:
+        raise RenormError(f"character JSON lacks {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RenormError(
+            f"character JSON: {key} must be a non-negative integer, got {value!r}"
         )
-    return Character(values, doc["degree_bound"], trunc)
+    return value
+
+
+def _coeffs(val: dict, key: str, where: str) -> list:
+    out = []
+    for j, c in enumerate(_field(val, key, list, where)):
+        try:
+            out.append(Fraction(c))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise RenormError(f"{where}.{key}[{j}]: bad coefficient {c!r}") from None
+    return out

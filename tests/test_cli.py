@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from kolmex.cli import main
 from kolmex.hopf import enumerate_connected_oriented
 from kolmex.renorm import Character, MSElement, character_to_json
@@ -215,3 +217,42 @@ def test_verbose_echoes_config(tmp_path, capsys):
     err = capsys.readouterr().err
     config = json.loads(err.strip().splitlines()[0])
     assert config["cmd"] == "codes cloud" and config["seed"] == 1
+
+
+MALFORMED_CHARACTERS = {
+    "no_values": ('{"degree_bound": 4}', "lacks 'values'"),
+    "values_not_list": ('{"degree_bound": 4, "values": "x"}', "values must be a list"),
+    "no_value": ('{"degree_bound": 4, "values": [{"graph": "g"}]}',
+                 "values[0] lacks 'value'"),
+    "no_polar": ('{"degree_bound": 4, "values": [{"graph": "g", '
+                 '"value": {"regular": ["1"]}}]}', "values[0].value lacks 'polar'"),
+    "no_regular": ('{"degree_bound": 4, "values": [{"graph": "g", '
+                   '"value": {"polar": []}}]}', "values[0].value lacks 'regular'"),
+    "negative_truncation": ('{"degree_bound": 4, "truncation": -2, "values": []}',
+                            "truncation must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHARACTERS))
+def test_birkhoff_malformed_character_exits_2(tmp_path, capsys, name):
+    text, message = MALFORMED_CHARACTERS[name]
+    src = tmp_path / "char.json"
+    src.write_text(text)
+    out = tmp_path / "factors.json"
+    assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_birkhoff_exhausted_window_exits_2(tmp_path, capsys):
+    # a pole of order 2 on every generator and a window of one regular
+    # order: the first cut product runs out of window
+    family = enumerate_connected_oriented(2, 3)
+    values = {label: MSElement.from_coeffs({-2: F(1), 0: F(1)}, trunc=1)
+              for label in family}
+    src = tmp_path / "char.json"
+    src.write_text(character_to_json(Character(values, 3, trunc=1)))
+    out = tmp_path / "factors.json"
+    assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "window" in capsys.readouterr().err

@@ -306,3 +306,29 @@ def test_report_json_fields():
     assert set(doc) == {"point", "verdict", "certificate", "budget_used",
                         "proxy_version"}
     assert doc["proxy_version"] == "proxy-v1"
+
+
+def _cantor_unpair_by_search(c):
+    """The linear search cantor_unpair replaced, kept as its oracle."""
+    w = 0
+    while (w + 1) * (w + 2) // 2 <= c:
+        w += 1
+    n = c - w * (w + 1) // 2
+    return w - n, n
+
+
+def test_cantor_unpair_matches_search():
+    for c in range(100_001):
+        assert cantor_unpair(c) == _cantor_unpair_by_search(c), c
+
+
+@given(st.integers(0, 10**20), st.integers(0, 10**20))
+def test_cantor_round_trip_near_1e40(m, n):
+    assert cantor_unpair(cantor_pair(m, n)) == (m, n)
+    c = 10**40 + m
+    assert cantor_pair(*cantor_unpair(c)) == c
+
+
+def test_cantor_unpair_rejects_negative():
+    with pytest.raises(HaltingError):
+        cantor_unpair(-1)

@@ -1,10 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kolmex.hopf import UNIT_MONOMIAL, enumerate_connected_oriented, is_primitive
+from kolmex.hopf import (
+    UNIT_MONOMIAL,
+    HopfElement,
+    antipode,
+    coproduct_of_monomial,
+    enumerate_connected_oriented,
+    is_primitive,
+    monomial_vertices,
+)
 from kolmex.renorm import (
     Character,
     GMap,
@@ -303,3 +312,298 @@ def test_character_json_round_trip():
     assert back.degree_bound == phi.degree_bound
     for l in FAMILY:
         assert back((l,)) == phi((l,))
+
+
+# -- the integer-numerator kernel against the Fraction reference -------------------
+
+class RefMS:
+    """The Fraction-per-coefficient MSElement arithmetic, kept as the oracle
+    for the integer-numerator kernel.  `rzero` declares the regular side
+    exactly zero at every order (zero(), polar_part(), and what keeps it)."""
+
+    def __init__(self, polar=(), regular=(), rzero=False):
+        polar = [F(c) for c in polar]
+        while polar and polar[-1] == 0:
+            polar.pop()
+        self.polar = tuple(polar)
+        self.regular = tuple(F(c) for c in regular)
+        self.rzero = rzero
+        if not self.regular:
+            raise TruncationError("element carries no valid regular window")
+
+    @classmethod
+    def zero(cls, trunc):
+        return cls((), (F(0),) * (trunc + 1), rzero=True)
+
+    @property
+    def valid_order(self):
+        return len(self.regular) - 1
+
+    def polar_part(self):
+        return RefMS(self.polar, (F(0),) * len(self.regular), rzero=True)
+
+    def regular_part(self):
+        return RefMS((), self.regular, rzero=self.rzero)
+
+    def __add__(self, other):
+        depth = max(len(self.polar), len(other.polar))
+        polar = [
+            (self.polar[i] if i < len(self.polar) else 0)
+            + (other.polar[i] if i < len(other.polar) else 0)
+            for i in range(depth)
+        ]
+        window = min(len(self.regular), len(other.regular))
+        regular = [self.regular[j] + other.regular[j] for j in range(window)]
+        return RefMS(polar, regular, rzero=self.rzero and other.rzero)
+
+    def __neg__(self):
+        return RefMS([-c for c in self.polar], [-c for c in self.regular],
+                     rzero=self.rzero)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if (self.rzero and not self.polar) or (other.rzero and not other.polar):
+            return RefMS.zero(max(self.valid_order, other.valid_order))
+        px, py = len(self.polar), len(other.polar)
+        window = min(self.valid_order - py, other.valid_order - px)
+        if window < 0:
+            raise TruncationError("truncated windows too short for this product")
+        acc: dict = {}
+        for i, ci in self._items():
+            for j, cj in other._items():
+                acc[i + j] = acc.get(i + j, F(0)) + ci * cj
+        polar = [acc.get(-(i + 1), F(0)) for i in range(px + py)]
+        regular = [acc.get(j, F(0)) for j in range(window + 1)]
+        return RefMS(polar, regular)
+
+    def __rmul__(self, scalar):
+        scalar = F(scalar)
+        return RefMS([scalar * c for c in self.polar],
+                     [scalar * c for c in self.regular], rzero=self.rzero)
+
+    def _items(self):
+        for i, c in enumerate(self.polar):
+            yield -(i + 1), c
+        for j, c in enumerate(self.regular):
+            yield j, c
+
+
+def same(x: MSElement, ref: RefMS) -> bool:
+    """Identical coefficients and identical window, with x in stored form:
+    a positive denominator sharing no factor with all numerators, and a
+    nonzero deepest polar numerator."""
+    stored = (x._den > 0 and gcd(x._den, *x._nums) == 1
+              and (x.polar_depth == 0 or x._nums[0] != 0))
+    return (stored and x.polar == ref.polar and x.regular == ref.regular
+            and x.valid_order == ref.valid_order)
+
+
+# mostly small numerators with many zeros, so cancellation, trailing polar
+# zeros and zero-within-window values all occur
+coeff = st.one_of(st.just(F(0)), st.fractions(-6, 6, max_denominator=12))
+
+
+@st.composite
+def element_pairs(draw):
+    """(MSElement, RefMS) over the same coefficients; or a declared zero."""
+    if draw(st.integers(0, 9)) == 0:
+        trunc = draw(st.integers(0, 8))
+        return MSElement.zero(trunc), RefMS.zero(trunc)
+    depth = draw(st.integers(0, 4))
+    trunc = draw(st.integers(0, 8))
+    polar = draw(st.lists(coeff, min_size=depth, max_size=depth))
+    regular = draw(st.lists(coeff, min_size=trunc + 1, max_size=trunc + 1))
+    return MSElement(polar, regular), RefMS(polar, regular)
+
+
+def _apply(op, x, y, scalar):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    if op == "scale":
+        return scalar * x
+    if op == "neg":
+        return -x
+    if op == "polar":
+        return x.polar_part()
+    return x.regular_part()
+
+
+OPS = ["+", "-", "*", "scale", "neg", "polar", "regular"]
+
+
+@settings(max_examples=200)
+@given(st.lists(element_pairs(), min_size=2, max_size=4),
+       st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 20),
+                          st.integers(0, 20), st.fractions(-3, 3, max_denominator=5)),
+                min_size=1, max_size=8))
+def test_integer_kernel_matches_fraction_reference(pool, program):
+    """Random programs over elements with mixed windows and polar depths:
+    every intermediate has the reference's coefficients and window, and
+    the two raise TruncationError on the same steps."""
+    for x, ref in pool:
+        assert same(x, ref)
+    for op, i, j, scalar in program:
+        (x, rx), (y, ry) = pool[i % len(pool)], pool[j % len(pool)]
+        try:
+            want = _apply(op, rx, ry, scalar)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                _apply(op, x, y, scalar)
+            continue
+        got = _apply(op, x, y, scalar)
+        assert same(got, want), (op, got, want.polar, want.regular)
+        pool.append((got, want))
+
+
+@settings(max_examples=100)
+@given(element_pairs(), element_pairs())
+def test_equality_matches_fraction_reference(a, b):
+    (x, rx), (y, ry) = a, b
+    order = min(x.valid_order, y.valid_order)
+    want = rx.polar == ry.polar and rx.regular[:order + 1] == ry.regular[:order + 1]
+    assert x.eq_through(y, order) == want
+    assert (x == y) == want
+    assert x.eq_through(x - y + y, min(order, x.valid_order))
+
+
+@settings(max_examples=100)
+@given(element_pairs(), element_pairs())
+def test_product_window_rule(a, b):
+    """Every product is valid through min(Vx - Py, Vy - Px); only a declared
+    exact zero factor gives max(Vx, Vy)."""
+    (x, _), (y, _) = a, b
+    vx, vy = x.valid_order, y.valid_order
+    declared = [z for z in (x, y) if z._is_exact_zero()]
+    if declared:
+        assert (x * y).valid_order == max(vx, vy)
+        return
+    window = min(vx - y.polar_depth, vy - x.polar_depth)
+    if window < 0:
+        with pytest.raises(TruncationError):
+            x * y
+    else:
+        assert (x * y).valid_order == window
+
+
+def test_zero_within_window_does_not_extend_product_window():
+    # a and b agree only through t^2 (a's window), so a - b is zero there
+    # but unknown beyond; times t^-1 it is known only through t^1
+    a = MSElement.from_coeffs({0: F(1), 1: F(2), 2: F(3)}, trunc=2)
+    b = MSElement.from_coeffs({0: F(1), 1: F(2), 2: F(3), 3: F(5)}, trunc=16)
+    pole = MSElement.from_coeffs({-1: F(1)}, trunc=16)
+    diff = a - b
+    assert diff.is_polar_only() and diff.valid_order == 2
+    prod = diff * pole
+    assert prod.valid_order == 1
+    assert prod.eq_through(MSElement.zero(), 1)
+    assert (pole * diff).valid_order == 1
+
+
+def test_declared_exact_zeros():
+    pole = MSElement.from_coeffs({-2: F(1)}, trunc=4)
+    regular = MSElement.from_coeffs({0: F(3)}, trunc=16)
+    for zero in (MSElement.zero(16), regular.polar_part(), -regular.polar_part(),
+                 pole.polar_part().regular_part()):
+        assert (zero * pole).valid_order == zero.valid_order
+        assert (zero * pole).eq_through(MSElement.zero(), zero.valid_order)
+    # a regular part is known only through its window, even when it reads 0
+    assert (pole.regular_part() * pole).valid_order == 2
+
+
+# -- the recursive inverse against phi o S and the geometric series ---------------
+
+def geometric_inverse(phi):
+    """phi^(*-1) = e + sum_{m>=1} (e - phi)^(*m): the explicit series of
+    convolution powers, kept as the oracle for the recursive inverse."""
+    trunc = phi.trunc
+    e = identity_map(phi.degree_bound, trunc)
+    diff = GMap(lambda m: e(m) - phi(m), phi.degree_bound, trunc, "(e-phi)")
+    powers = [diff]
+
+    def fn(mono):
+        acc = e(mono)
+        need = monomial_vertices(mono)
+        while len(powers) < need:
+            powers.append(convolution(powers[-1], diff))
+        for m in range(need):
+            acc = acc + powers[m](mono)
+        return acc
+
+    return GMap(fn, phi.degree_bound, trunc, f"{phi.name}^-1 (series)")
+
+
+def agree(got, want):
+    order = min(got.valid_order, want.valid_order)
+    return got.polar == want.polar and got.eq_through(want, order)
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_inverse_of_character_is_phi_after_antipode(seed):
+    phi = random_character(seed)
+    inv = conv_inverse(phi)
+    for mono in MONOMIALS:
+        acc = None
+        for term, c in antipode(HopfElement({mono: F(1)})).terms.items():
+            value = c * phi(term)
+            acc = value if acc is None else acc + value
+        assert agree(inv(mono), acc), mono
+
+
+def random_linear_map(seed):
+    """Unit-preserving but not multiplicative: an independent random value
+    on every monomial, drawn in a fixed order."""
+    gen = SplitMix64(seed)
+    values = {mono: random_ms(gen, polar_depth=2, regular_degree=3)
+              for mono in MONOMIALS if mono != UNIT_MONOMIAL}
+    for mono in MONOMIALS:
+        for (left, right) in coproduct_of_monomial(mono):
+            for part in (left, right):
+                if part != UNIT_MONOMIAL and part not in values:
+                    values[part] = random_ms(gen, polar_depth=2, regular_degree=3)
+    values[UNIT_MONOMIAL] = MSElement.one()
+    return GMap(values.__getitem__, 4, name="psi")
+
+
+@pytest.mark.parametrize("seed", [50, 51])
+def test_recursive_inverse_matches_geometric_series(seed):
+    psi = random_linear_map(seed)
+    with pytest.raises(RenormError):
+        birkhoff(psi)  # not a character: the recursion alone applies
+    inv, series = conv_inverse(psi), geometric_inverse(psi)
+    for mono in MONOMIALS:
+        assert agree(inv(mono), series(mono)), mono
+        got = convolution(inv, psi)(mono)
+        assert agree(got, identity_map(4)(mono)), mono
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("[]", "must be an object"),
+    ('{"values": []}', "lacks 'degree_bound'"),
+    ('{"degree_bound": 4}', "lacks 'values'"),
+    ('{"degree_bound": 4, "values": {}}', "values must be a list"),
+    ('{"degree_bound": 4, "truncation": -1, "values": []}',
+     "truncation must be a non-negative integer"),
+    ('{"degree_bound": 4, "values": [3]}', "values[0] must be an object"),
+    ('{"degree_bound": 4, "values": [{"value": {"polar": [], "regular": []}}]}',
+     "values[0] lacks 'graph'"),
+    ('{"degree_bound": 4, "values": [{"graph": "g"}]}', "values[0] lacks 'value'"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"regular": []}}]}',
+     "values[0].value lacks 'polar'"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": []}}]}',
+     "values[0].value lacks 'regular'"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": "1", '
+     '"regular": []}}]}', "values[0].value: polar must be a list"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [], '
+     '"regular": ["1/0"]}}]}', "values[0].value.regular[0]: bad coefficient"),
+    ("{", "bad character JSON"),
+])
+def test_malformed_character_json_is_positioned(doc, message):
+    with pytest.raises(RenormError) as info:
+        character_from_json(doc)
+    assert message in str(info.value)
