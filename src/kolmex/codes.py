@@ -10,7 +10,11 @@ Conventions:
   minimum over distinct pairs and would be undefined);
 * for linear codes the minimum distance is computed as the minimum nonzero
   codeword weight, which equals the pairwise minimum and keeps large
-  Reed-Solomon checks tractable; unstructured codes use the pairwise scan.
+  Reed-Solomon checks tractable;
+* unstructured codes pack each word into an int, (q-1).bit_length() bits
+  per symbol: d = 1 iff masking one position makes two words collide,
+  else d is the pairwise minimum of bit_count(fold(a ^ b)), each symbol
+  field folded onto one bit.  `hamming_distance` is the plain reference.
 
 Everything here is exact except partition sums, which are evaluated in
 binary64 with compensated summation (the exponents are real numbers).
@@ -29,11 +33,10 @@ from .complexity import (
     CodeWords,
     ComplexityProxy,
     RsCode,
+    WORD_SYMBOLS,
     word_string,
 )
 from .rng import SplitMix64
-
-WORD_SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class CodeError(ValueError):
@@ -62,9 +65,6 @@ class Alphabet:
     def field(self) -> fields.Field:
         return fields.field(self.q)
 
-    def has_field(self) -> bool:
-        return fields.has_field(self.q)
-
 
 def hamming_distance(a: Sequence, b: Sequence) -> int:
     """Number of positions where two equal-length words differ."""
@@ -75,29 +75,33 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
 
 @dataclass(frozen=True)
 class Code:
-    """A finite set of equal-length words over a q-ary alphabet."""
+    """A finite set of equal-length words over a q-ary alphabet.  With a
+    generator, `words=None` means its row space; given words are checked."""
 
     alphabet: Alphabet
     n: int
-    words: frozenset
+    words: Optional[frozenset]
     generator: Optional[tuple] = None  # rows over the field, for linear codes
     rs_params: Optional[tuple] = None  # (q, n, k, points) when built as RS
 
     def __post_init__(self):
         if self.n < 1:
             raise CodeError("block length must be >= 1")
+        if self.generator is not None:
+            span = fields.row_space(self.alphabet.field, self.generator, self.n)
+            if self.words is None:
+                object.__setattr__(self, "words", span)
+            elif span != self.words:
+                raise CodeError("words are not the row space of the generator")
         if len(self.words) < 2:
             raise CodeError("codes need at least 2 words (d is a pairwise minimum)")
         q = self.alphabet.q
+        symbols = frozenset(range(q))
         for w in self.words:
             if len(w) != self.n:
                 raise CodeError(f"word {w} has length {len(w)}, expected {self.n}")
-            if any(not 0 <= s < q for s in w):
+            if not symbols.issuperset(w):
                 raise CodeError(f"word {w} has symbols outside range({q})")
-        if self.generator is not None:
-            span = _row_space(self.alphabet.field, self.generator, self.n)
-            if span != self.words:
-                raise CodeError("words are not the row space of the generator")
 
     @property
     def q(self) -> int:
@@ -110,45 +114,17 @@ class Code:
         return sorted(self.words)
 
     def canonical_string(self) -> str:
-        return f"{self.q},{self.n}," + ",".join(
-            word_string(w) for w in self.sorted_words()
-        )
+        return self.to_code_words().canonical_string()
 
     def to_code_words(self) -> CodeWords:
-        return CodeWords(
-            self.q, self.n, tuple(word_string(w) for w in self.sorted_words())
-        )
+        """Value form with the sorted words as symbol strings."""
+        return CodeWords(self.q, self.n, tuple(map(word_string, self.sorted_words())))
 
     def description_hints(self) -> tuple:
         if self.rs_params is not None:
             q, n, k, points = self.rs_params
             return (RsCode(q, n, k, points),)
         return ()
-
-
-def _row_space(f: fields.Field, rows, n: int) -> frozenset:
-    words = set()
-    k = len(rows)
-    coeffs = [0] * k
-    while True:
-        word = []
-        for j in range(n):
-            acc = 0
-            for c, row in zip(coeffs, rows):
-                if c:
-                    acc = f.add(acc, f.mul(c, row[j]))
-            word.append(acc)
-        words.add(tuple(word))
-        i = 0
-        while i < k:
-            coeffs[i] += 1
-            if coeffs[i] < f.q:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            break
-    return frozenset(words)
 
 
 @dataclass(frozen=True)
@@ -182,20 +158,8 @@ def code_params(code: Code) -> CodeParams:
     k = floor_log(q, code.card())
     if code.generator is not None:
         d = fields.min_weight_of_rowspace(code.alphabet.field, code.generator, n)
-    elif q == 2:
-        packed = [_pack_binary(w) for w in code.words]
-        d = min(
-            (a ^ b).bit_count()
-            for i, a in enumerate(packed)
-            for b in packed[i + 1 :]
-        )
     else:
-        ws = code.sorted_words()
-        d = min(
-            hamming_distance(a, b)
-            for i, a in enumerate(ws)
-            for b in ws[i + 1 :]
-        )
+        d = _min_distance(code.words, q, n)
     params = CodeParams(n, k, d, Fraction(k, n), Fraction(d, n))
     # Singleton bound holds for every code; treat violation as corruption.
     if params.rate + params.delta > 1 + Fraction(1, n):
@@ -203,11 +167,37 @@ def code_params(code: Code) -> CodeParams:
     return params
 
 
-def _pack_binary(word) -> int:
-    v = 0
-    for s in word:
-        v = (v << 1) | s
-    return v
+def _min_distance(words, q: int, n: int) -> int:
+    """Minimum Hamming distance of at least two distinct words."""
+    w = (q - 1).bit_length()
+    packed = []
+    for word in words:
+        v = 0
+        for s in word:
+            v = (v << w) | s
+        packed.append(v)
+    # d = 1 iff two words agree once some one position j is masked out
+    symbol = (1 << w) - 1
+    for j in range(n):
+        keep = ~(symbol << (j * w))
+        if len({v & keep for v in packed}) < len(packed):
+            return 1
+    # A field of x = a ^ b is nonzero iff its top bit is set in
+    # ((x & rest) + rest) | x: adding `rest` carries out of any nonzero
+    # lower bits, and never out of the field.
+    ones = sum(1 << (j * w) for j in range(n))
+    top = ones << (w - 1)
+    rest = top - ones
+    best = n
+    for i, a in enumerate(packed):
+        for b in packed[i + 1 :]:
+            x = a ^ b
+            dist = ((((x & rest) + rest) | x) & top).bit_count()
+            if dist < best:
+                if dist == 2:  # the least distance left once d = 1 is ruled out
+                    return 2
+                best = dist
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +252,10 @@ def reed_solomon(q: int, n: int, k: int, points: Optional[Sequence[int]] = None)
         points = tuple(range(n))
     points = tuple(points)
     rows = fields.rs_evaluation_rows(f, n, k, points)
-    words = fields.rs_wordset(f, n, k, points)
     return Code(
         alphabet=Alphabet(q),
         n=n,
-        words=words,
+        words=None,
         generator=tuple(rows),
         rs_params=(q, n, k, points),
     )
@@ -275,7 +264,7 @@ def reed_solomon(q: int, n: int, k: int, points: Optional[Sequence[int]] = None)
 def reed_solomon_min_distance(q: int, n: int, k: int,
                               points: Optional[Sequence[int]] = None) -> int:
     """Exhaustive minimum distance of the evaluation code, one projective
-    representative per codeword, without materializing the word set."""
+    representative per codeword, never materializing the whole word set."""
     f = fields.field(q)
     if points is None:
         points = tuple(range(n))
@@ -301,8 +290,7 @@ def enumerate_linear_codes(q: int, n: int, dims: Optional[Iterable[int]] = None,
     codes = []
     for k in dims:
         for rows in _rref_matrices(f, n, k):
-            words = _row_space(f, rows, n)
-            codes.append(Code(Alphabet(q), n, words, generator=rows))
+            codes.append(Code(Alphabet(q), n, None, generator=rows))
     provenance = {"kind": "enumerate_linear", "q": q, "n": n, "dims": dims}
     return CodeEnsemble.build(codes, provenance, proxy)
 
@@ -400,18 +388,18 @@ class CodeEnsemble:
     @classmethod
     def build(cls, codes: Iterable[Code], provenance: dict,
               proxy: ComplexityProxy = DEFAULT_PROXY) -> "CodeEnsemble":
-        entries = []
+        ranked = []  # ((K, canonical string), entry)
         q = None
         for code in codes:
             q = code.q if q is None else q
             if code.q != q:
                 raise CodeError("mixed alphabets in one ensemble")
-            k_hat = proxy.proxy_complexity(
-                code.to_code_words(), hints=code.description_hints()
-            )
-            entries.append(EnsembleEntry(code, code_params(code), k_hat))
-        entries.sort(key=lambda e: (e.complexity, e.code.canonical_string()))
-        return cls(q or 0, tuple(entries), provenance, proxy.version)
+            words = code.to_code_words()
+            k_hat = proxy.proxy_complexity(words, hints=code.description_hints())
+            entry = EnsembleEntry(code, code_params(code), k_hat)
+            ranked.append(((k_hat, words.canonical_string()), entry))
+        ranked.sort(key=lambda pair: pair[0])
+        return cls(q or 0, tuple(e for _, e in ranked), provenance, proxy.version)
 
     def __len__(self):
         return len(self.entries)

@@ -35,13 +35,23 @@ convention is 8 bits per character, so bits = 8 * len(serialization).
 The LZW compressor (initial dictionary = 256 byte values, output codes at
 the width of the current dictionary size, MSB first, zero-padded) is part
 of the contract and never changes without a PROXY_VERSION bump.
+
+The search spends one budget unit per candidate in a pinned order.  The
+integer node grants its exponent loop (2..bit_length) and tower loop (bases
+2..36) in one step each: roots come from x's maximal perfect-power exponent,
+found from prime exponents (float prefilter, exact check), and towers from
+the same decomposition.  Nodes are immutable and serialize once, so ranking
+candidates re-encodes nothing.  `search` reports budget exhaustion.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from statistics import StatisticsError, correlation, linear_regression
 from typing import Iterable, Optional, Union
 
@@ -96,12 +106,17 @@ def word_string(word: Iterable[int]) -> str:
     return "".join(WORD_SYMBOLS[s] for s in word)
 
 
+def _decimal(x: int) -> str:
+    """Decimal form of an int, free of the interpreter's digit-count limit."""
+    return str(decimal.Decimal(x))
+
+
 def object_key(x: Obj) -> str:
     """Canonical serialization of a described object (used for tie-breaks)."""
     if isinstance(x, bool):
         raise DescriptionError("booleans are not describable objects")
     if isinstance(x, int):
-        return str(x)
+        return _decimal(x)
     if isinstance(x, str):
         return x
     if isinstance(x, CodeWords):
@@ -113,23 +128,35 @@ def object_key(x: Obj) -> str:
 # pinned LZW compressor
 # ---------------------------------------------------------------------------
 
-def lzw_compress(data: bytes) -> bytes:
-    codes: list[tuple[int, int]] = []  # (code, width at emission)
-    table: dict[bytes, int] = {bytes([i]): i for i in range(256)}
-    w = b""
-    for byte in data:
-        wc = w + bytes([byte])
-        if wc in table:
-            w = wc
-        else:
-            codes.append((table[w], (len(table) - 1).bit_length()))
+_LZW_TABLE = {bytes([i]): i for i in range(256)}
+
+
+def lzw_compress(data: bytes) -> tuple[bytes, int]:
+    """Pinned LZW: the zero-padded MSB-first payload and its code count."""
+    table = dict(_LZW_TABLE)
+    acc = n_bits = 0
+    start = 0  # data[start:end - 1] is the current match, with code `code`
+    code = None
+    for end in range(1, len(data) + 1):
+        wc = data[start:end]
+        c = table.get(wc)
+        if c is None:
+            width = (len(table) - 1).bit_length()
+            acc = (acc << width) | code
+            n_bits += width
             table[wc] = len(table)
-            w = bytes([byte])
-    if w:
-        codes.append((table[w], (len(table) - 1).bit_length()))
-    bits = "".join(format(code, f"0{width}b") for code, width in codes)
-    bits += "0" * (-len(bits) % 8)
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+            start = end - 1
+            code = data[start]
+        else:
+            code = c
+    n_codes = len(table) - len(_LZW_TABLE)  # one code per table entry added
+    if data:
+        width = (len(table) - 1).bit_length()
+        acc = (acc << width) | code
+        n_bits += width
+        n_codes += 1
+    pad = -n_bits % 8
+    return (acc << pad).to_bytes((n_bits + pad) // 8, "big"), n_codes
 
 
 def lzw_decompress(payload: bytes, n_codes: int) -> bytes:
@@ -183,10 +210,18 @@ _EVAL_BIT_LIMIT = 1 << 20  # evaluation refuses to materialize anything larger
 
 
 class Description:
-    """Base class; concrete nodes implement _serialize and value()."""
+    """Base class; concrete nodes implement _serialize and value().
+
+    Nodes are immutable, so each one serializes once and keeps the text.
+    """
+
+    _text: Optional[str] = None
 
     def serialize(self) -> str:
-        return self._serialize()
+        text = self._text
+        if text is None:
+            text = self._text = self._serialize()
+        return text
 
     def bits(self) -> int:
         return BITS_PER_CHAR * len(self.serialize())
@@ -199,7 +234,7 @@ class Description:
 
     def _wrapped(self) -> str:
         """Serialization as a child: compound nodes get parentheses."""
-        s = self._serialize()
+        s = self._text or self.serialize()
         return s if isinstance(self, Lit) else f"({s})"
 
     def __repr__(self):
@@ -214,7 +249,8 @@ class Description:
 
 class Lit(Description):
     def __init__(self, digits: Union[str, int]):
-        digits = str(digits)
+        if isinstance(digits, int):
+            digits = _decimal(digits)
         if not digits.isdigit() or (digits != "0" and digits[0] == "0"):
             raise DescriptionError(f"bad literal {digits!r}")
         self.digits = digits
@@ -223,7 +259,7 @@ class Lit(Description):
         return self.digits
 
     def value(self):
-        return int(self.digits)
+        return int(decimal.Decimal(self.digits))
 
 
 class _Binary(Description):
@@ -308,7 +344,7 @@ class Rep(Description):
         self.count = count
 
     def _serialize(self):
-        return f"r({self.block},{self.count._serialize()})"
+        return f"r({self.block},{self.count.serialize()})"
 
     def value(self):
         n = self.count.value()
@@ -324,33 +360,11 @@ class Blob(Description):
         self.payload = payload
         self.n_codes = n_codes
 
-    @classmethod
-    def of_text(cls, text: str) -> "Blob":
-        data = text.encode("ascii")
-        compressed = lzw_compress(data)
-        n_codes = _lzw_code_count(data)
-        return cls(compressed, n_codes)
-
     def _serialize(self):
         return f"b({len(self.payload)},{self.n_codes},{_b58_encode(self.payload)})"
 
     def value(self):
         return lzw_decompress(self.payload, self.n_codes).decode("ascii")
-
-
-def _lzw_code_count(data: bytes) -> int:
-    table = {bytes([i]) for i in range(256)}
-    count = 0
-    w = b""
-    for byte in data:
-        wc = w + bytes([byte])
-        if wc in table:
-            w = wc
-        else:
-            count += 1
-            table.add(wc)
-            w = bytes([byte])
-    return count + (1 if w else 0)
 
 
 class CodeLit(Description):
@@ -372,11 +386,6 @@ class CodeBlob(Description):
         self.n = n
         self.payload = payload
         self.n_codes = n_codes
-
-    @classmethod
-    def of_code(cls, code: CodeWords) -> "CodeBlob":
-        data = "".join(code.words).encode("ascii")
-        return cls(code.q, code.n, lzw_compress(data), _lzw_code_count(data))
 
     def _serialize(self):
         return (
@@ -511,8 +520,78 @@ def _iroot(x: int, b: int) -> int:
         a = nxt
 
 
+@lru_cache(maxsize=8)
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Primes below n; callers pass powers of two, so few tables are kept."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+def _exact_root(y: int, p: int) -> Optional[int]:
+    """r with r**p == y, or None (y >= 2, p >= 2; r = 1 never qualifies)."""
+    if y.bit_length() <= 32 * p:
+        # the root is below 2**32, where 2**(log2(y)/p) is off by < 1e-4:
+        # a float far from every integer rules y out before any big power
+        f = 2.0 ** (math.log2(y) / p)
+        r = round(f)
+        if abs(f - r) > 1e-3:
+            return None
+    else:
+        r = _iroot(y, p)
+    return r if r**p == y else None
+
+
+def _perfect_power(x: int, top: int) -> tuple[int, int]:
+    """(m, e) with m**e == x and e the largest exponent whose prime factors
+    are all <= top.  x is a perfect b-th power, for b <= top, iff b | e."""
+    e = 1
+    for p in _primes_below(1 << top.bit_length()):
+        if p > top or p >= x.bit_length():  # m**p == x needs m >= 2
+            break
+        while (r := _exact_root(x, p)) is not None:
+            x, e = r, e * p
+    return x, e
+
+
+def _tower_pairs(m: int, e: int, top: int) -> list[tuple[int, int]]:
+    """(base, height >= 2) of every tower base^^height equal to m**e with
+    base <= top; m is not a perfect power, so every such base is a power m**j."""
+    pairs = []
+    base, j = m, 1
+    while base <= top:
+        acc, height = base, 2  # base^^height == base**acc == m**(j * acc)
+        while j * acc < e:
+            acc, height = base**acc, height + 1
+        if j * acc == e:
+            pairs.append((base, height))
+        base, j = base * m, j + 1
+    return pairs
+
+
 def _desc_sort_key(d: Description):
-    return (d.bits(), d.serialize())
+    s = d.serialize()
+    return (BITS_PER_CHAR * len(s), s)
+
+
+class _Budget:
+    """Candidates left to generate, and whether a request was ever cut."""
+
+    __slots__ = ("left", "cut")
+
+    def __init__(self, left: int):
+        self.left = left
+        self.cut = False
+
+    def spend(self, n: int) -> int:
+        """Grant up to n candidates; returns how many were granted."""
+        if n > self.left:
+            n, self.cut = self.left, True
+        self.left -= n
+        return n
 
 
 @dataclass(frozen=True)
@@ -522,24 +601,27 @@ class ComplexityProxy:
     budget: int = 4096
     version: str = PROXY_VERSION
 
-    def shortest_description(self, x: Obj, hints: tuple = ()) -> Description:
-        """Minimum-bit description among all candidates the search generates.
+    def search(self, x: Obj, hints: tuple = ()) -> tuple[Description, bool]:
+        """Minimum-bit description among all candidates the search generates,
+        and whether the budget cut the search short.
 
         Ties break on lexicographic serialization.  `hints` are extra
         candidate descriptions (verified against x before use).
         """
         if self.budget <= 0:
             raise BudgetExhausted("search budget is 0")
-        remaining = [self.budget]
-        memo: dict = {}
-        best = self._search(x, remaining, memo, depth=0)
+        budget = _Budget(self.budget)
+        best = self._search(x, budget, {}, depth=0)
         for hint in hints:
             if hint.value() == x:
                 best = min(best, hint, key=_desc_sort_key)
-        return best
+        return best, budget.cut
+
+    def shortest_description(self, x: Obj, hints: tuple = ()) -> Description:
+        return self.search(x, hints)[0]
 
     def complexity_bits(self, x: Obj, hints: tuple = ()) -> int:
-        return self.shortest_description(x, hints).bits()
+        return self.search(x, hints)[0].bits()
 
     def proxy_complexity(self, x: Obj, prefix: bool = False, hints: tuple = ()) -> int:
         """K(x) = 2**bits, or the prefix form 2**(bits + gamma header)."""
@@ -550,102 +632,72 @@ class ComplexityProxy:
 
     # -- search internals ---------------------------------------------------
 
-    def _search(self, x: Obj, remaining, memo, depth) -> Description:
+    def _search(self, x: Obj, budget: _Budget, memo, depth) -> Description:
         key = (type(x).__name__, x)
         if key in memo:
             return memo[key]
         if isinstance(x, int):
-            best = self._search_int(x, remaining, memo, depth)
+            best = self._search_int(x, budget, memo, depth)
         elif isinstance(x, str):
-            best = self._search_word(x, remaining, memo, depth)
+            best = self._search_word(x, budget, memo, depth)
         elif isinstance(x, CodeWords):
-            best = self._search_code(x, remaining, memo, depth)
+            best = self._search_code(x, budget, memo, depth)
         else:
             raise DescriptionError(f"not describable: {x!r}")
         memo[key] = best
         return best
 
-    def _spend(self, remaining) -> bool:
-        if remaining[0] <= 0:
-            return False
-        remaining[0] -= 1
-        return True
-
-    def _search_int(self, x: int, remaining, memo, depth) -> Description:
+    def _search_int(self, x: int, budget: _Budget, memo, depth) -> Description:
         if x < 0:
             raise DescriptionError("negative integers are not in the grammar")
-        candidates = [Lit(str(x))]
+        candidates = [Lit(x)]
+
+        def sub(v: int) -> Description:
+            return self._search(v, budget, memo, depth + 1)
+
         if depth < 12 and x >= 16:
             # collect cheap structural facts before any recursion, so deep
-            # refinement of one candidate cannot starve the listing of others
-            root_pairs = []
-            for b in range(2, x.bit_length() + 1):
-                if not self._spend(remaining):
-                    break
-                a = _iroot(x, b)
-                if a >= 2 and a**b == x:
-                    root_pairs.append((a, b))
-            tower_pairs = []
-            for base in range(2, 37):
-                if not self._spend(remaining):
-                    break
-                acc, height = base, 1
-                while acc < x:
-                    if acc > x.bit_length() + 1:  # base**acc would exceed x
-                        break
-                    acc = base**acc
-                    height += 1
-                if acc == x and height >= 2:
-                    tower_pairs.append((base, height))
+            # refinement of one candidate cannot starve the listing of others;
+            # exponents 2..bit_length, then tower bases 2..36, cost one each
+            top = 1 + budget.spend(x.bit_length() - 1)
+            m, e = _perfect_power(x, top)
+            root_pairs = [(m ** (e // b), b)
+                          for b in range(2, min(e, top) + 1) if e % b == 0]
+            # bases get budget only after every exponent did, so e is maximal
+            bases = budget.spend(35)
+            tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
             for a, b in root_pairs:
-                candidates.append(
-                    Pow(
-                        self._search(a, remaining, memo, depth + 1),
-                        self._search(b, remaining, memo, depth + 1),
-                    )
-                )
+                candidates.append(Pow(sub(a), sub(b)))
             for base, height in tower_pairs:
-                candidates.append(
-                    Tower(
-                        self._search(base, remaining, memo, depth + 1),
-                        self._search(height, remaining, memo, depth + 1),
-                    )
-                )
+                candidates.append(Tower(sub(base), sub(height)))
         if depth < 2 and x >= 16:
             # x = a^e + r with a small base and small remainder
+            log2_x = math.log2(x)
             for a in range(2, 11):
-                if not self._spend(remaining):
+                if not budget.spend(1):
                     break
-                e = 1
-                while a ** (e + 1) <= x:
+                e = int(log2_x / math.log2(a))  # floor(log_a x), corrected below
+                power = a**e
+                while power > x:
+                    power //= a
+                    e -= 1
+                while power * a <= x:
+                    power *= a
                     e += 1
-                r = x - a**e
+                r = x - power
                 if e >= 2 and 0 < r <= 1_000_000:
-                    candidates.append(
-                        Add(
-                            Pow(
-                                self._search(a, remaining, memo, depth + 1),
-                                self._search(e, remaining, memo, depth + 1),
-                            ),
-                            self._search(r, remaining, memo, depth + 1),
-                        )
-                    )
+                    candidates.append(Add(Pow(sub(a), sub(e)), sub(r)))
             # small-divisor factorizations
             for d in range(2, 65):
                 if d * d > x:
                     break
-                if not self._spend(remaining):
+                if not budget.spend(1):
                     break
                 if x % d == 0:
-                    candidates.append(
-                        Mul(
-                            self._search(d, remaining, memo, depth + 1),
-                            self._search(x // d, remaining, memo, depth + 1),
-                        )
-                    )
+                    candidates.append(Mul(sub(d), sub(x // d)))
         return min(candidates, key=_desc_sort_key)
 
-    def _search_word(self, x: str, remaining, memo, depth) -> Description:
+    def _search_word(self, x: str, budget: _Budget, memo, depth) -> Description:
         candidates: list[Description] = [WordLit(x)] if x else []
         if not x:
             raise DescriptionError("empty words are not describable")
@@ -653,19 +705,20 @@ class ComplexityProxy:
         for period in range(1, n // 2 + 1):
             if n % period:
                 continue
-            if not self._spend(remaining):
+            if not budget.spend(1):
                 break
             if x == x[:period] * (n // period):
-                count = self._search(n // period, remaining, memo, depth + 1)
+                count = self._search(n // period, budget, memo, depth + 1)
                 candidates.append(Rep(x[:period], count))
-        if self._spend(remaining):
-            candidates.append(Blob.of_text(x))
+        if budget.spend(1):
+            candidates.append(Blob(*lzw_compress(x.encode("ascii"))))
         return min(candidates, key=_desc_sort_key)
 
-    def _search_code(self, x: CodeWords, remaining, memo, depth) -> Description:
+    def _search_code(self, x: CodeWords, budget: _Budget, memo, depth) -> Description:
         candidates: list[Description] = [CodeLit(x.q, x.n, x.words)]
-        if self._spend(remaining):
-            candidates.append(CodeBlob.of_code(x))
+        if budget.spend(1):
+            data = "".join(x.words).encode("ascii")
+            candidates.append(CodeBlob(x.q, x.n, *lzw_compress(data)))
         return min(candidates, key=_desc_sort_key)
 
 
@@ -818,13 +871,6 @@ def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int,
     gen = SplitMix64(seed)
     out = []
     for _ in range(n_tokens):
-        u = gen.uniform()
-        lo, hi = 0, n_types - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u <= cumulative[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.append(names[lo])
+        # the first type whose cumulative weight reaches u
+        out.append(names[bisect_left(cumulative, gen.uniform())])
     return out

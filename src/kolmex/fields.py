@@ -54,13 +54,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
-
-    def neg(self, a: int) -> int:
-        row = self._add[a]
-        return row.index(0)
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -161,10 +154,6 @@ def field(q: int) -> Field:
     raise FieldError(f"q={q} is not prime and has no pinned table")
 
 
-def has_field(q: int) -> bool:
-    return _is_prime(q) or q in _PINNED_POLYS
-
-
 def rs_evaluation_rows(f: Field, n: int, k: int, points) -> list[tuple[int, ...]]:
     """Generator rows (points^i)_i=0..k-1 of the evaluation code."""
     points = tuple(points)
@@ -180,73 +169,33 @@ def rs_evaluation_rows(f: Field, n: int, k: int, points) -> list[tuple[int, ...]
     return rows
 
 
-def rs_wordset(f: Field, n: int, k: int, points) -> frozenset[tuple[int, ...]]:
-    """All evaluation vectors (f(x_1)..f(x_n)) of polynomials of degree < k."""
-    rows = rs_evaluation_rows(f, n, k, points)
-    words = set()
-    coeffs = [0] * k
-    while True:
-        word = tuple(
-            _dot(f, coeffs, [row[j] for row in rows]) for j in range(n)
-        )
-        words.add(word)
-        # odometer over coefficient vectors
-        i = 0
-        while i < k:
-            coeffs[i] += 1
-            if coeffs[i] < f.q:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            break
+def row_space(f: Field, rows, n: int) -> frozenset[tuple[int, ...]]:
+    """Every F_q-linear combination of the rows, as length-n tuples; each
+    word is one vector addition of a multiple of a row to an earlier word."""
+    add, mul = f._add, f._mul
+    words = [(0,) * n]
+    for row in rows:
+        multiples = [tuple(mul[c][s] for s in row) for c in range(1, f.q)]
+        words += [tuple(add[a][b] for a, b in zip(w, m)) for m in multiples for w in words]
     return frozenset(words)
 
 
-def _dot(f: Field, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
+def rs_wordset(f: Field, n: int, k: int, points) -> frozenset[tuple[int, ...]]:
+    """All evaluation vectors (f(x_1)..f(x_n)) of polynomials of degree < k."""
+    return row_space(f, rs_evaluation_rows(f, n, k, points), n)
 
 
 def min_weight_of_rowspace(f: Field, rows, n: int) -> int:
     """Minimum Hamming weight over nonzero row-space combinations.
 
-    Scans one representative per projective class (first nonzero
-    coefficient = 1); weight is scaling-invariant, so the scan is exhaustive.
+    Scans one representative per projective class: rows[lead] plus the span
+    of the rows after it (first nonzero coefficient = 1); weight is
+    scaling-invariant, so the scan is exhaustive.
     """
-    k = len(rows)
-    q = f.q
-    best = n
-    mul = f.mul
-    add = f.add
-    # leading index = position of the first nonzero coefficient (fixed to 1)
-    for lead in range(k):
-        free = k - lead - 1
-        tail = [0] * free
-        while True:
-            weight = 0
-            for j in range(n):
-                acc = rows[lead][j]
-                for i, c in enumerate(tail):
-                    if c:
-                        acc = add(acc, mul(c, rows[lead + 1 + i][j]))
-                if acc:
-                    weight += 1
-                    if weight >= best:
-                        break
-            if weight < best:
-                best = weight
-                if best == 1:
-                    return 1
-            i = 0
-            while i < free:
-                tail[i] += 1
-                if tail[i] < q:
-                    break
-                tail[i] = 0
-                i += 1
-            else:
-                break
-    return best
+    add = f._add
+    return min(
+        (sum(1 for a, b in zip(row, w) if add[a][b])
+         for lead, row in enumerate(rows)
+         for w in row_space(f, rows[lead + 1 :], n)),
+        default=n,
+    )

@@ -452,7 +452,7 @@ def character_to_json(chi: Character) -> str:
                 "graph": label,
                 "value": {
                     "polar": [str(c) for c in val.polar],
-                    "regular": [str(c) for c in val.regular],
+                    "regular": [str(c) for c in val.regular[: chi.trunc + 1]],
                 },
             }
             for label, val in sorted(chi.generator_values.items())
@@ -473,15 +473,22 @@ def character_from_json(text: str) -> Character:
     degree_bound = _count(doc, "degree_bound")
     trunc = _count(doc, "truncation") if "truncation" in doc else DEFAULT_TRUNC
     entries = _field(doc, "values", list, "character JSON")
-    values = {}
+    values, first = {}, {}
     for i, entry in enumerate(entries):
         where = f"values[{i}]"
         if not isinstance(entry, dict):
             raise RenormError(f"{where} must be an object")
         label = _field(entry, "graph", str, where)
+        if label in first:
+            raise RenormError(f"{where}: graph {label!r} repeats values[{first[label]}]")
+        first[label] = i
         val = _field(entry, "value", dict, where)
         polar = _coeffs(val, "polar", f"{where}.value")
         regular = _coeffs(val, "regular", f"{where}.value")
+        if len(regular) > trunc + 1:
+            raise RenormError(
+                f"{where}.value.regular has {len(regular)} coefficients, more than "
+                f"truncation + 1 = {trunc + 1}")
         regular += [Fraction(0)] * (trunc + 1 - len(regular))
         values[label] = MSElement(polar, regular)
     return Character(values, degree_bound, trunc)

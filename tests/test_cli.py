@@ -210,6 +210,14 @@ def test_zipf_missing_corpus(tmp_path):
                 "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def test_failed_write_leaves_no_tmp_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()  # the final rename onto a directory fails
+    assert run(["zipf", "fit", "--types", "10", "--tokens", "100",
+                "--out", str(taken)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_verbose_echoes_config(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert run(["--verbose", "codes", "cloud", "--n", "4", "--size", "4",

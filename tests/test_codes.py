@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kolmex import codes
@@ -73,6 +73,75 @@ def test_params_reed_solomon_brute_force():
     assert min(
         hamming_distance(a, b) for i, a in enumerate(ws) for b in ws[i + 1 :]
     ) == 5
+
+
+def pairwise_ref(words):
+    """Minimum distance by the tuple-by-tuple pairwise scan."""
+    ws = sorted(words)
+    return min(
+        hamming_distance(a, b) for i, a in enumerate(ws) for b in ws[i + 1 :]
+    )
+
+
+@st.composite
+def unstructured_codes(draw):
+    """(q, n, words): random words, single-parity words (d >= 2) or words of
+    repeated symbols padded with zeros (d >= r)."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 8, 16, 36]))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "parity", "repeat"]))
+    r = draw(st.integers(2, min(4, n))) if kind == "repeat" and n >= 2 else 1
+    m = n - 1 if kind == "parity" and n >= 2 else n // r
+    base = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * m),
+                         min_size=2, max_size=min(q**m, 40), unique=True))
+    if m < n and kind == "parity":
+        words = [w + ((-sum(w)) % q,) for w in base]
+    else:
+        words = [tuple(s for s in w for _ in range(r)) + (0,) * (n - m * r)
+                 for w in base]
+    return q, n, frozenset(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(unstructured_codes())
+def test_packed_distance_matches_pairwise_scan(case):
+    q, n, words = case
+    want = pairwise_ref(words)
+    assert codes._min_distance(words, q, n) == want
+    assert code_params(Code(Alphabet(q), n, words)).d == want
+
+
+def test_packed_distance_beyond_one_and_two():
+    # q = 7, n = 7: single-parity words, and doubled symbols padded with a zero
+    parity = frozenset(w + ((-sum(w)) % 7,) for w in [
+        (0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6), (6, 6, 6, 6, 6, 6)])
+    assert codes._min_distance(parity, 7, 7) == pairwise_ref(parity) == 6
+    doubled = frozenset(tuple(s for s in w for _ in range(2)) + (0,)
+                        for w in [(0, 1, 2), (3, 4, 5), (6, 0, 1)])
+    assert codes._min_distance(doubled, 7, 7) == pairwise_ref(doubled) == 6
+    binary = frozenset([(0,) * 8, (1,) * 3 + (0,) * 5, (0,) * 4 + (1,) * 4])
+    assert codes._min_distance(binary, 2, 8) == pairwise_ref(binary) == 3
+
+
+def test_linear_codes_enumerate_their_span_once(monkeypatch):
+    calls = []
+    row_space = codes.fields.row_space
+
+    def counted(*args):
+        calls.append(args)
+        return row_space(*args)
+
+    monkeypatch.setattr(codes.fields, "row_space", counted)
+    rs = reed_solomon(7, 7, 3)
+    assert rs.card() == 343 and len(calls) == 1
+    calls.clear()
+    ensemble = enumerate_linear_codes(2, 3)
+    gens = [e.code.generator for e in ensemble.entries]
+    spans = [rows for _, rows, _ in calls if any(rows is g for g in gens)]
+    assert len(spans) == len(ensemble) == 15
+    # words given next to a generator are still checked against its span
+    with pytest.raises(CodeError):
+        Code(Alphabet(2), 2, frozenset({(0, 0), (1, 0)}), generator=((1, 1),))
 
 
 def test_singleton_code_rejected():

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kolmex import complexity as cx
@@ -86,8 +87,50 @@ def test_periodic_word_uses_repetition():
 
 @given(st.binary(max_size=300))
 def test_lzw_round_trip(data):
-    compressed = cx.lzw_compress(data)
-    assert cx.lzw_decompress(compressed, cx._lzw_code_count(data)) == data
+    payload, n_codes = cx.lzw_compress(data)
+    assert cx.lzw_decompress(payload, n_codes) == data
+
+
+def lzw_compress_ref(data):
+    """The pinned LZW as a bit string: (code, width) pairs, then zero padding."""
+    codes = []
+    table = {bytes([i]): i for i in range(256)}
+    w = b""
+    for byte in data:
+        wc = w + bytes([byte])
+        if wc in table:
+            w = wc
+        else:
+            codes.append((table[w], (len(table) - 1).bit_length()))
+            table[wc] = len(table)
+            w = bytes([byte])
+    if w:
+        codes.append((table[w], (len(table) - 1).bit_length()))
+    bits = "".join(format(code, f"0{width}b") for code, width in codes)
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def lzw_code_count_ref(data):
+    """Code count of the pinned LZW, from a second pass over the data."""
+    table = {bytes([i]) for i in range(256)}
+    count = 0
+    w = b""
+    for byte in data:
+        wc = w + bytes([byte])
+        if wc in table:
+            w = wc
+        else:
+            count += 1
+            table.add(wc)
+            w = bytes([byte])
+    return count + (1 if w else 0)
+
+
+@given(st.one_of(st.binary(max_size=1200),
+                 st.text(alphabet="0126", max_size=3000).map(str.encode)))
+def test_lzw_matches_reference(data):
+    assert cx.lzw_compress(data) == (lzw_compress_ref(data), lzw_code_count_ref(data))
 
 
 @given(st.text(alphabet="0123456789abcdef", min_size=1, max_size=120))
@@ -231,3 +274,161 @@ def test_synthetic_corpus_deterministic():
     a = cx.synthetic_zipf_corpus(50, 2000, seed=3)
     b = cx.synthetic_zipf_corpus(50, 2000, seed=3)
     assert a == b
+
+
+# -- budget exhaustion --------------------------------------------------------
+
+def _searched(p, x, budget):
+    """(serialization, spends left, cut) of one search with a fresh budget."""
+    b = cx._Budget(budget)
+    d = p._search(x, b, {}, depth=0)
+    return d.serialize(), b.left, b.cut
+
+
+def test_search_reports_budget_exhaustion():
+    assert proxy.search(1024) == (proxy.shortest_description(1024), False)
+    assert _searched(proxy, 1024, 4096) == ("4^5", 1686, False)
+    for x, text in [(10**100, "100^50"), (999983, "999983")]:
+        desc, exhausted = proxy.search(x)
+        assert (desc.serialize(), exhausted) == (text, True)
+        assert _searched(proxy, x, 4096) == (text, 0, True)
+    assert proxy.complexity_bits(10**100) == proxy.search(10**100)[0].bits()
+
+
+# -- the integer search against its reference --------------------------------
+
+def _iroot_ref(x, b):
+    if b == 1:
+        return x
+    a = 1 << (x.bit_length() // b + 1)
+    while True:
+        nxt = ((b - 1) * a + x // a ** (b - 1)) // b
+        if nxt >= a:
+            return a
+        a = nxt
+
+
+class LoopSearch(cx.ComplexityProxy):
+    """The integer search as one budget unit per loop step: an iroot per
+    exponent, a tower climb per base and a power loop per small base."""
+
+    def _search_int(self, x, budget, memo, depth):
+        if x < 0:
+            raise cx.DescriptionError("negative integers are not in the grammar")
+        candidates = [cx.Lit(str(x))]
+        if depth < 12 and x >= 16:
+            root_pairs = []
+            for b in range(2, x.bit_length() + 1):
+                if not budget.spend(1):
+                    break
+                a = _iroot_ref(x, b)
+                if a >= 2 and a**b == x:
+                    root_pairs.append((a, b))
+            tower_pairs = []
+            for base in range(2, 37):
+                if not budget.spend(1):
+                    break
+                acc, height = base, 1
+                while acc < x:
+                    if acc > x.bit_length() + 1:
+                        break
+                    acc = base**acc
+                    height += 1
+                if acc == x and height >= 2:
+                    tower_pairs.append((base, height))
+            for a, b in root_pairs:
+                candidates.append(cx.Pow(
+                    self._search(a, budget, memo, depth + 1),
+                    self._search(b, budget, memo, depth + 1)))
+            for base, height in tower_pairs:
+                candidates.append(cx.Tower(
+                    self._search(base, budget, memo, depth + 1),
+                    self._search(height, budget, memo, depth + 1)))
+        if depth < 2 and x >= 16:
+            for a in range(2, 11):
+                if not budget.spend(1):
+                    break
+                e = 1
+                while a ** (e + 1) <= x:
+                    e += 1
+                r = x - a**e
+                if e >= 2 and 0 < r <= 1_000_000:
+                    candidates.append(cx.Add(
+                        cx.Pow(self._search(a, budget, memo, depth + 1),
+                               self._search(e, budget, memo, depth + 1)),
+                        self._search(r, budget, memo, depth + 1)))
+            for d in range(2, 65):
+                if d * d > x:
+                    break
+                if not budget.spend(1):
+                    break
+                if x % d == 0:
+                    candidates.append(cx.Mul(
+                        self._search(d, budget, memo, depth + 1),
+                        self._search(x // d, budget, memo, depth + 1)))
+        return min(candidates, key=cx._desc_sort_key)
+
+
+loop_proxy = LoopSearch()
+
+
+def _tower(base, height):
+    value = base
+    for _ in range(height - 1):
+        value = base**value
+    return value
+
+
+TOWERS = [_tower(b, 2) for b in range(2, 37)] + [
+    _tower(2, 3), _tower(2, 4), _tower(3, 3), _tower(4, 3), _tower(2, 4) ** 3,
+    _tower(3, 3) ** 2, 4**128, 3 * _tower(2, 4)]
+
+# one strategy per branch class of the integer search
+branch_ints = st.one_of(
+    st.integers(0, 10**4),
+    st.integers(0, 10**12),
+    st.builds(pow, st.integers(2, 200), st.integers(2, 40)),
+    st.builds(lambda a, e, r: a**e + r,
+              st.integers(2, 10), st.integers(2, 60), st.integers(1, 10**6)),
+    st.sampled_from(TOWERS),
+    st.builds(lambda a, b, c: 2**a * 3**b * c,
+              st.integers(0, 40), st.integers(0, 40), st.integers(1, 64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_ints, st.one_of(st.integers(1, 300), st.just(4096)))
+def test_int_search_matches_loop_reference(x, budget):
+    assert _searched(proxy, x, budget) == _searched(loop_proxy, x, budget)
+
+
+def test_int_search_matches_loop_reference_on_every_budget():
+    xs = [9973, 65536, 10**9 + 7, 2**60, 6**24, 3**27, 4**256, 7**15 + 5,
+          12 * 2**30, 999983]
+    for x in xs:
+        for budget in [*range(1, 301), 4096]:
+            assert _searched(proxy, x, budget) == _searched(loop_proxy, x, budget), (x, budget)
+
+
+def test_int_search_matches_loop_reference_on_small_base_powers():
+    # exact powers a^k, where a float estimate of log_a x may land below k
+    for a in range(2, 11):
+        for k in range(2, 31):
+            for budget in (60, 4096):
+                x = a**k
+                assert _searched(proxy, x, budget) == _searched(loop_proxy, x, budget), (a, k)
+
+
+def test_huge_integers_need_no_digit_limit():
+    x = 7**5200  # 4395 decimal digits, past the default conversion limit
+    got = [_searched(proxy, x, budget) for budget in (1, 40)]
+    big = cx.DEFAULT_PROXY.search(2**65536)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert got == [_searched(loop_proxy, x, budget) for budget in (1, 40)]
+        assert big == (cx.parse("65536^4096"), True)
+        assert cx.object_key(x) == str(x)
+        assert cx.Lit(x).value() == x
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -312,6 +312,10 @@ def test_character_json_round_trip():
     assert back.degree_bound == phi.degree_bound
     for l in FAMILY:
         assert back((l,)) == phi((l,))
+    # values known past the declared truncation are written up to it
+    long = Character({"g": MSElement([1], [1] * 20)}, 4, trunc=4)
+    back = character_from_json(character_to_json(long)).generator_values["g"]
+    assert (back.polar, back.regular) == ((1,), (1,) * 5)
 
 
 # -- the integer-numerator kernel against the Fraction reference -------------------
@@ -602,6 +606,12 @@ def test_recursive_inverse_matches_geometric_series(seed):
     ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [], '
      '"regular": ["1/0"]}}]}', "values[0].value.regular[0]: bad coefficient"),
     ("{", "bad character JSON"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [], '
+     '"regular": ["1"]}}, {"graph": "g", "value": {"polar": [], "regular": ["2"]}}]}',
+     "values[1]: graph 'g' repeats values[0]"),
+    ('{"degree_bound": 4, "truncation": 1, "values": [{"graph": "g", "value": '
+     '{"polar": [], "regular": ["1", "0", "5"]}}]}',
+     "values[0].value.regular has 3 coefficients, more than truncation + 1 = 2"),
 ])
 def test_malformed_character_json_is_positioned(doc, message):
     with pytest.raises(RenormError) as info:

@@ -66,6 +66,114 @@ def test_rs_wordset_counts_and_distance():
             assert sum(1 for x, y in zip(a, b) if x != y) == 5
 
 
+def rs_wordset_ref(f, n, k, points):
+    """Evaluation vectors by an odometer over coefficient vectors."""
+    rows = fields.rs_evaluation_rows(f, n, k, points)
+    words = set()
+    coeffs = [0] * k
+    while True:
+        words.add(tuple(_dot_ref(f, coeffs, [row[j] for row in rows]) for j in range(n)))
+        i = 0
+        while i < k:
+            coeffs[i] += 1
+            if coeffs[i] < f.q:
+                break
+            coeffs[i] = 0
+            i += 1
+        else:
+            break
+    return frozenset(words)
+
+
+def _dot_ref(f, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
+def row_space_ref(f, rows, n):
+    """Row space by an odometer over coefficient vectors of arbitrary rows."""
+    words = set()
+    k = len(rows)
+    coeffs = [0] * k
+    while True:
+        word = []
+        for j in range(n):
+            acc = 0
+            for c, row in zip(coeffs, rows):
+                if c:
+                    acc = f.add(acc, f.mul(c, row[j]))
+            word.append(acc)
+        words.add(tuple(word))
+        i = 0
+        while i < k:
+            coeffs[i] += 1
+            if coeffs[i] < f.q:
+                break
+            coeffs[i] = 0
+            i += 1
+        else:
+            break
+    return frozenset(words)
+
+
+@st.composite
+def row_sets(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=k, max_size=k))
+    return q, n, tuple(rows)
+
+
+def min_weight_ref(f, rows, n):
+    """Least weight over combinations with first nonzero coefficient 1, by an
+    odometer over the coefficients after the leading row."""
+    k = len(rows)
+    best = n
+    for lead in range(k):
+        free = k - lead - 1
+        tail = [0] * free
+        while True:
+            weight = 0
+            for j in range(n):
+                acc = rows[lead][j]
+                for i, c in enumerate(tail):
+                    if c:
+                        acc = f.add(acc, f.mul(c, rows[lead + 1 + i][j]))
+                if acc:
+                    weight += 1
+            best = min(best, weight)
+            i = 0
+            while i < free:
+                tail[i] += 1
+                if tail[i] < f.q:
+                    break
+                tail[i] = 0
+                i += 1
+            else:
+                break
+    return best
+
+
+@given(row_sets())
+def test_row_space_matches_reference(case):
+    q, n, rows = case
+    f = fields.field(q)
+    assert fields.row_space(f, rows, n) == row_space_ref(f, rows, n)
+    assert fields.min_weight_of_rowspace(f, rows, n) == min_weight_ref(f, rows, n)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_rs_wordset_matches_reference(q):
+    f = fields.field(q)
+    for n in range(1, min(q, 6) + 1):
+        for k in range(1, min(n, 3) + 1):
+            points = tuple(range(q - n, q))
+            assert fields.rs_wordset(f, n, k, points) == rs_wordset_ref(f, n, k, points)
+
+
 def test_min_weight_matches_direct_scan():
     f = fields.field(7)
     rows = fields.rs_evaluation_rows(f, 7, 3, range(7))
