@@ -167,6 +167,8 @@ def lzw_decompress(payload: bytes, n_codes: int) -> bytes:
     prev: Optional[bytes] = None
     for _ in range(n_codes):
         width = (len(table) - 1 + (prev is not None)).bit_length()
+        if pos + width > len(bits):
+            raise DescriptionError("truncated LZW stream")
         code = int(bits[pos : pos + width], 2)
         pos += width
         if prev is None:

@@ -5,18 +5,28 @@ A theory is a finite color set, an invertible symmetric metric g_{ab} and
 symmetric interaction tensors C_{a1..ak}, all with exact rational entries.
 The expansion sums lambda^(E-V) * weight / |Aut| over isomorphism classes
 of tail-free graphs whose valences carry tensors; the weight of a class is
+the full contraction of its tensor network,
 
     w = sum over flag colorings of  prod_edges g^{color pair}
-                                  * prod_vertices C_{colors at the vertex}.
+                                  * prod_vertices C_{colors at the vertex},
+
+computed by vertex elimination rather than by listing the colorings: the
+vertices are contracted one at a time in a fixed order, and a frontier
+maps the colors of the flags still open to an integer partial sum.  Each
+theory scales g^{-1} and each valence's tensor to integers over one
+denominator apiece, so the contraction runs on ints and divides once at
+the end.
 
 The oracle never touches graphs: it expands exp(S_1 / lambda) in the
 interaction tensors and evaluates every Gaussian moment as a sum over Wick
-pairings with propagator lambda * g^{ab}.  Pairings are aggregated by the
-color multiset of the remaining slots (interchangeable slots collapse into
-counts), which is exact; the literal pairing enumeration cross-checks it in
-the tests.  Both routes drop orders outside [0, N]; theories with valence
-1 or 2 tensors generate such orders and unbounded fixed-order families, so
-they additionally require an explicit vertex cap applied to both routes.
+pairings with propagator lambda * g^{ab}.  Products of vertices are
+visited as multisets with multinomial weights, and pairings are
+aggregated by the color multiset of the remaining slots (interchangeable
+slots collapse into counts), which is exact; the literal pairing
+enumeration cross-checks it in the tests.  Both routes drop orders
+outside [0, N]; theories with valence 1 or 2 tensors generate such orders
+and unbounded fixed-order families, so they additionally require an
+explicit vertex cap applied to both routes.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -24,11 +34,12 @@ Everything here is exact rational arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import factorial
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
+from math import factorial, lcm
 from typing import Optional
 
 from .graphs import (
@@ -42,9 +53,12 @@ from .graphs import (
 
 @lru_cache(maxsize=64)
 def _vacuum_classes(max_order: int, valences: tuple, max_vertices, budget: int):
-    """Classes with their symmetry factors; theory-independent, so cached."""
+    """Classes with their symmetry factors and contraction plans;
+    theory-independent, so cached."""
     classes = enumerate_vacuum_graphs(max_order, valences, max_vertices, budget)
-    return tuple((g, _automorphism_order_unbounded(g)) for g in classes)
+    return tuple(
+        (g, _automorphism_order_unbounded(g), _contraction_plan(g)) for g in classes
+    )
 
 
 class TheoryError(ValueError):
@@ -70,6 +84,18 @@ def invert_matrix(rows: tuple) -> tuple:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def _orderings(idx: tuple) -> list[tuple]:
+    """The distinct orderings of a multiset of colors, in ascending order."""
+    if not idx:
+        return [()]
+    out = []
+    for c in sorted(set(idx)):
+        rest = list(idx)
+        rest.remove(c)
+        out.extend((c,) + tail for tail in _orderings(tuple(rest)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,9 +134,30 @@ class Theory:
                 canon.append((valence, kept))
         return cls(n_colors, m, tuple(canon))
 
-    @property
+    @cached_property
     def metric_inverse(self) -> tuple:
         return invert_matrix(self.metric)
+
+    @cached_property
+    def _integer_tables(self) -> tuple:
+        """(dg, G, {valence: (d_k, ((colors, numerator), ...))}).
+
+        G = dg * g^{-1} and numerator = d_k * C_{colors} are integers; each
+        valence lists every ordering of its nonzero index multisets, so a
+        vertex's flags can take the colors in any order.
+        """
+        g_inv = self.metric_inverse
+        dg = lcm(*(x.denominator for row in g_inv for x in row))
+        G = tuple(tuple(x.numerator * (dg // x.denominator) for x in row) for row in g_inv)
+        tensors = {}
+        for valence, entries in self.tensors:
+            d = lcm(*(c.denominator for _, c in entries))
+            tensors[valence] = (d, tuple(
+                (colors, c.numerator * (d // c.denominator))
+                for idx, c in entries
+                for colors in _orderings(idx)
+            ))
+        return dg, G, tensors
 
     def tensor(self, valence: int) -> dict:
         for k, entries in self.tensors:
@@ -164,7 +211,11 @@ class LambdaSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "LambdaSeries":
-        return cls(tuple(Fraction(s) for s in json.loads(text)))
+        doc = _json_document(text, "series")
+        return cls(tuple(
+            _fraction_at(c, f"coeffs[{i}]")
+            for i, c in enumerate(_list_at(doc, "series JSON"))
+        ))
 
     def pretty(self) -> str:
         parts = []
@@ -180,31 +231,85 @@ class LambdaSeries:
 # weights and the graph expansion
 # ---------------------------------------------------------------------------
 
-def graph_weight(g: Graph, theory: Theory) -> Fraction:
-    """Sum over all flag colorings of the edge/vertex factor product."""
+def _contraction_plan(g: Graph) -> tuple:
+    """Theory-independent elimination order for a tail-free graph.
+
+    Returns (steps, n_edges).  Vertices are taken greedily: the one that
+    closes the most open flags, then the one that opens the fewest, then
+    the lowest index.  A step is (valence, keep, closes, n_loops); the
+    vertex's flags are taken in the order
+
+      the flags that close an edge against frontier positions `closes`,
+      then `n_loops` self-loops as adjacent flag pairs,
+      then the flags that open, appended to the frontier in that order,
+
+    and `keep` lists the frontier positions that stay open.  Tensors are
+    symmetric, so any order of a vertex's flags gives the same weight.
+    """
+    inv, inc = g.involution, g.incidence
+    flags_at = [g.flags_at(v) for v in range(g.n_vertices)]
+    done = [False] * g.n_vertices
+
+    def cost(v):
+        closes = sum(1 for f in flags_at[v] if done[inc[inv[f]]])
+        opens = sum(1 for f in flags_at[v] if inc[inv[f]] != v and not done[inc[inv[f]]])
+        return -closes, opens, v
+
+    frontier: list[int] = []  # open flags, by id
+    steps = []
+    for _ in range(g.n_vertices):
+        v = min((w for w in range(g.n_vertices) if not done[w]), key=cost)
+        closes = tuple(sorted(frontier.index(inv[f]) for f in flags_at[v] if done[inc[inv[f]]]))
+        n_loops = sum(1 for f in flags_at[v] if inc[inv[f]] == v) // 2
+        opened = [f for f in flags_at[v] if inc[inv[f]] != v and not done[inc[inv[f]]]]
+        keep = tuple(p for p in range(len(frontier)) if p not in closes)
+        frontier = [frontier[p] for p in keep] + opened
+        done[v] = True
+        steps.append((len(flags_at[v]), keep, closes, n_loops))
+    return tuple(steps), g.n_flags // 2
+
+
+def graph_weight(g: Graph, theory: Theory, plan: Optional[tuple] = None) -> Fraction:
+    """Full contraction of the graph's tensor network: the sum over flag
+    colorings of prod_edges g^{ab} * prod_vertices C, by vertex elimination.
+
+    The frontier maps the colors of the open flags to an integer partial
+    sum over G = dg * g^{-1} and the scaled tensors d_k * C; the weight is
+    the final sum over dg^E * prod_vertices d_k.  `plan` is the graph's
+    `_contraction_plan`, built here when not given.
+    """
     if g.tails():
         raise GraphError("weights are defined for tail-free graphs")
-    g_inv = theory.metric_inverse
-    tensors = {k: theory.tensor(k) for k in set(g.valence(v) for v in range(g.n_vertices))}
-    edges = g.edges()
-    vertex_flags = [g.flags_at(v) for v in range(g.n_vertices)]
-    total = Fraction(0)
-    for coloring in product(range(theory.n_colors), repeat=g.n_flags):
-        term = Fraction(1)
-        for f1, f2 in edges:
-            term *= g_inv[coloring[f1]][coloring[f2]]
-            if not term:
-                break
-        else:
-            for flags in vertex_flags:
-                idx = tuple(sorted(coloring[f] for f in flags))
-                coeff = tensors[len(idx)].get(idx)
-                if not coeff:
-                    term = Fraction(0)
-                    break
-                term *= coeff
-        total += term
-    return total
+    steps, n_edges = plan if plan is not None else _contraction_plan(g)
+    dg, G, tensors = theory._integer_tables
+    den = dg**n_edges
+    frontier = {(): 1}
+    for valence, keep, closes, n_loops in steps:
+        if valence not in tensors:
+            return Fraction(0)
+        d, entries = tensors[valence]
+        den *= d
+        first_open = len(closes) + 2 * n_loops
+        local = []
+        for colors, c in entries:
+            for i in range(len(closes), first_open, 2):
+                c *= G[colors[i]][colors[i + 1]]
+            if c:
+                local.append((colors, colors[first_open:], c))
+        nxt: dict = {}
+        for state, value in frontier.items():
+            kept = tuple(map(state.__getitem__, keep))
+            for colors, new, c in local:
+                term = value * c
+                for p, a in zip(closes, colors):
+                    term *= G[state[p]][a]
+                    if not term:
+                        break
+                else:
+                    key = kept + new
+                    nxt[key] = nxt.get(key, 0) + term
+        frontier = nxt
+    return Fraction(sum(frontier.values()), den)
 
 
 def graph_expansion(theory: Theory, order: int,
@@ -213,11 +318,11 @@ def graph_expansion(theory: Theory, order: int,
     """Sum lambda^(E-V) * weight / |Aut| over tail-free classes."""
     coeffs = [Fraction(0)] * (order + 1)
     valences = tuple(theory.valences())
-    for g, aut in _vacuum_classes(order, valences, max_vertices, budget):
+    for g, aut, plan in _vacuum_classes(order, valences, max_vertices, budget):
         n = -euler_characteristic(g)
         if not 0 <= n <= order:
             continue
-        w = graph_weight(g, theory)
+        w = graph_weight(g, theory, plan)
         if w:
             coeffs[n] += w / aut
     return LambdaSeries(tuple(coeffs))
@@ -278,15 +383,16 @@ def gaussian_oracle(theory: Theory, order: int,
                     max_colors: int = 4) -> LambdaSeries:
     """exp(S_1/lambda) expanded term-wise against Gaussian moments.
 
-    Independent of the graphs module: each product of p interaction
-    vertices contributes
+    Independent of the graphs module: each multiset of p interaction
+    vertices, option i taken m_i times, contributes
 
-        (1/p!) * prod_i C_{alpha_i} / sym(alpha_i) * lambda^(M/2 - p)
+        (1/prod_i m_i!) * prod C_alpha / sym(alpha) * lambda^(M/2 - p)
               * (pairing sum of the combined color multiset),
 
-    where sym(alpha) is the product of color-multiplicity factorials and
-    M the total slot count.  Orders outside [0, N] are dropped to match
-    the expansion's truncation window.
+    which is the (1/p!)-weighted sum over its p!/prod_i m_i! orderings;
+    sym(alpha) is the product of color-multiplicity factorials and M the
+    total slot count.  Orders outside [0, N] are dropped to match the
+    expansion's truncation window.
     """
     if theory.n_colors > max_colors:
         raise TheoryError(
@@ -309,10 +415,8 @@ def gaussian_oracle(theory: Theory, order: int,
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[0] = Fraction(1)  # the empty product
     memo: dict = {}
-    p_fact = 1
     for p in range(1, max_vertices + 1):
-        p_fact *= p
-        for combo in product(options, repeat=p):
+        for combo in combinations_with_replacement(options, p):
             slots = sum(k for k, _, _ in combo)
             if slots % 2:
                 continue
@@ -320,11 +424,13 @@ def gaussian_oracle(theory: Theory, order: int,
             if not 0 <= n <= order:
                 continue
             counts = [0] * theory.n_colors
-            factor = Fraction(1, p_fact)
+            factor = Fraction(1)
             for _, idx, coeff in combo:
                 factor *= coeff
                 for c in idx:
                     counts[c] += 1
+            for m in Counter(combo).values():
+                factor /= factorial(m)
             moment = wick_pairing_sum(tuple(counts), g_inv, memo)
             if moment:
                 coeffs[n] += factor * moment
@@ -348,11 +454,63 @@ def theory_to_json(theory: Theory) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _json_document(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TheoryError(f"bad {what} JSON: {exc}") from None
+
+
+def _list_at(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise TheoryError(f"{where} is not a list")
+    return value
+
+
+def _int_at(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TheoryError(f"{where} is not an integer: {value!r}")
+    return value
+
+
+def _fraction_at(value, where: str) -> Fraction:
+    """An exact coefficient: a JSON integer or a string such as "-7/2"."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise TheoryError(f"{where} is not a fraction: {value!r}")
+
+
 def theory_from_json(text: str) -> Theory:
-    doc = json.loads(text)
+    """Parse `theory_to_json` output; malformed input raises TheoryError
+    naming the position, e.g. "tensors[2] lacks 'value'"."""
+    doc = _json_document(text, "theory")
+    if not isinstance(doc, dict):
+        raise TheoryError("theory JSON is not an object")
+    for key in ("colors", "metric", "tensors"):
+        if key not in doc:
+            raise TheoryError(f"theory JSON lacks {key!r}")
+    metric = [
+        [_fraction_at(x, f"metric[{i}][{j}]")
+         for j, x in enumerate(_list_at(row, f"metric[{i}]"))]
+        for i, row in enumerate(_list_at(doc["metric"], "metric"))
+    ]
     tensors: dict = {}
-    for entry in doc["tensors"]:
-        idx = tuple(entry["indices"])
-        tensors.setdefault(len(idx), {})[idx] = Fraction(entry["value"])
-    metric = [[Fraction(x) for x in row] for row in doc["metric"]]
-    return Theory.build(doc["colors"], metric, tensors)
+    for t, entry in enumerate(_list_at(doc["tensors"], "tensors")):
+        where = f"tensors[{t}]"
+        if not isinstance(entry, dict):
+            raise TheoryError(f"{where} is not an object")
+        for key in ("indices", "value"):
+            if key not in entry:
+                raise TheoryError(f"{where} lacks {key!r}")
+        idx = tuple(
+            _int_at(i, f"{where}.indices[{k}]")
+            for k, i in enumerate(_list_at(entry["indices"], f"{where}.indices"))
+        )
+        same_valence = tensors.setdefault(len(idx), {})
+        if idx in same_valence:
+            raise TheoryError(f"{where} repeats indices {list(idx)}")
+        same_valence[idx] = _fraction_at(entry["value"], f"{where}.value")
+    return Theory.build(_int_at(doc["colors"], "colors"), metric, tensors)

@@ -74,8 +74,19 @@ class Graph:
                     raise GraphError(
                         f"edge flags {f},{g} carry the same label {lab!r}"
                     )
-        if self.decorations is not None and len(self.decorations) != self.n_vertices:
-            raise GraphError("decorations must cover every vertex")
+        if self.decorations is not None:
+            if len(self.decorations) != self.n_vertices:
+                raise GraphError("decorations must cover every vertex")
+            for v, deco in enumerate(self.decorations):
+                if deco is not None and (
+                    not isinstance(deco, str)
+                    or deco in ("", "-")
+                    or any(ch in deco for ch in ".;|")
+                ):
+                    raise GraphError(
+                        f"decoration {deco!r} of vertex {v} is not a label token "
+                        "(a nonempty string other than '-', without '.', ';' or '|')"
+                    )
 
     # -- derived structure ---------------------------------------------------
 
@@ -343,14 +354,23 @@ def graph_from_label(label: str) -> Graph:
 
     Per vertex ascending: loop flag pairs, then 'in' tails, then 'out'
     tails; then edge bundles in serialization order (out-flag first when
-    oriented).
+    oriented).  A malformed label raises GraphError naming it.
     """
+    try:
+        return _graph_from_label(label)
+    except (ValueError, IndexError) as exc:  # GraphError included
+        raise GraphError(f"malformed label {label!r}: {exc}") from None
+
+
+def _graph_from_label(label: str) -> Graph:
     head, nstr, verts, edges = (
         label.split(":", 1)[0],
         label.split(":", 1)[1].split("|")[0],
         label.split("|")[1],
         label.split("|")[2],
     )
+    if head not in ("ug", "og"):
+        raise GraphError(f"unknown label head {head!r}")
     oriented = head == "og"
     n = int(nstr)
     involution: list[int] = []

@@ -91,6 +91,21 @@ def test_lzw_round_trip(data):
     assert cx.lzw_decompress(payload, n_codes) == data
 
 
+def test_lzw_empty_blob_payload_is_truncated():
+    with pytest.raises(cx.DescriptionError, match="truncated LZW stream"):
+        cx.parse("b(1,2,0)").value()
+
+
+def test_lzw_short_tail_is_truncated():
+    # 6 codes fill 53 of the 56 payload bits: a 7th would read the 3 padding bits
+    payload, n_codes = cx.lzw_compress(b"abcabcabc")
+    assert (len(payload), n_codes) == (7, 6)
+    with pytest.raises(cx.DescriptionError, match="truncated LZW stream"):
+        cx.lzw_decompress(payload, n_codes + 1)
+    with pytest.raises(cx.DescriptionError, match="truncated LZW stream"):
+        cx.lzw_decompress(payload[:-1], n_codes)
+
+
 def lzw_compress_ref(data):
     """The pinned LZW as a bit string: (code, width) pairs, then zero padding."""
     codes = []

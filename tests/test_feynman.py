@@ -1,9 +1,13 @@
+import json
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from kolmex import feynman
 from kolmex.feynman import (
     LambdaSeries,
     Theory,
@@ -17,7 +21,7 @@ from kolmex.feynman import (
     wick_pairing_sum,
     wick_pairings_naive,
 )
-from kolmex.graphs import Graph, GraphError
+from kolmex.graphs import EMPTY_GRAPH, Graph, GraphError
 
 F = Fraction
 
@@ -99,6 +103,121 @@ def test_weight_multiplicative_over_disjoint_union():
         assert graph_weight(double, t) == graph_weight(g, t) ** 2
 
 
+# -- contraction against the colouring sum ----------------------------------------
+
+def brute_force_weight(g: Graph, theory: Theory) -> Fraction:
+    """Reference: sum over all n_colors ** n_flags flag colorings of the
+    edge/vertex factor product."""
+    if g.tails():
+        raise GraphError("weights are defined for tail-free graphs")
+    g_inv = theory.metric_inverse
+    tensors = {k: theory.tensor(k) for k in set(g.valence(v) for v in range(g.n_vertices))}
+    edges = g.edges()
+    vertex_flags = [g.flags_at(v) for v in range(g.n_vertices)]
+    total = Fraction(0)
+    for coloring in product(range(theory.n_colors), repeat=g.n_flags):
+        term = Fraction(1)
+        for f1, f2 in edges:
+            term *= g_inv[coloring[f1]][coloring[f2]]
+            if not term:
+                break
+        else:
+            for flags in vertex_flags:
+                idx = tuple(sorted(coloring[f] for f in flags))
+                coeff = tensors[len(idx)].get(idx)
+                if not coeff:
+                    term = Fraction(0)
+                    break
+                term *= coeff
+        total += term
+    return total
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def theories(draw, colors=(1, 3), valences=(1, 2, 3, 4), max_entries=None):
+    """Random theory: non-diagonal invertible metric, symmetric tensors,
+    dense or sparse, whose drawn entries may be zero (then dropped by
+    `build`)."""
+    n = draw(st.integers(*colors))
+    metric = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            metric[i][j] = metric[j][i] = draw(SMALL_FRACTIONS)
+    try:
+        invert_matrix(metric)
+    except TheoryError:
+        assume(False)
+    dense = max_entries is None and draw(st.booleans())
+    tensors = {}
+    for k in valences:
+        idxs = list(combinations_with_replacement(range(n), k))
+        chosen = idxs if dense else draw(
+            st.lists(st.sampled_from(idxs), unique=True, max_size=max_entries))
+        tensors[k] = {idx: draw(SMALL_FRACTIONS) for idx in chosen}
+    return Theory.build(n, metric, tensors)
+
+
+@st.composite
+def tail_free_graphs(draw, max_vertices=4, max_flags=8):
+    """Vertices of valence 1-4, flags paired at random: loops, multi-edges
+    and several components all occur."""
+    valences = draw(st.lists(st.integers(1, 4), max_size=max_vertices))
+    incidence = [v for v, k in enumerate(valences) for _ in range(k)][:max_flags]
+    if len(incidence) % 2:
+        incidence.pop()
+    order = draw(st.permutations(range(len(incidence))))
+    involution = [0] * len(incidence)
+    for a, b in zip(order[::2], order[1::2]):
+        involution[a], involution[b] = b, a
+    return Graph(len(valences), tuple(involution), tuple(incidence))
+
+
+@settings(max_examples=80, deadline=None)
+@given(theories(colors=(2, 3)), tail_free_graphs())
+def test_contraction_matches_brute_force_on_random_graphs(theory, g):
+    assert graph_weight(g, theory) == brute_force_weight(g, theory)
+
+
+@settings(max_examples=6, deadline=None)
+@given(theories(colors=(1, 2), valences=(3, 4)))
+def test_contraction_matches_brute_force_on_cubic_quartic_classes(theory):
+    for g, _, plan in feynman._vacuum_classes(2, (3, 4), None, 200_000):
+        w = brute_force_weight(g, theory)
+        assert graph_weight(g, theory, plan) == w
+        assert graph_weight(g, theory) == w
+
+
+@settings(max_examples=10, deadline=None)
+@given(theories(valences=(1, 2)))
+def test_contraction_matches_brute_force_on_capped_low_valence_classes(theory):
+    for g, _, plan in feynman._vacuum_classes(2, (1, 2), 4, 200_000):
+        assert graph_weight(g, theory, plan) == brute_force_weight(g, theory)
+
+
+def test_contraction_edge_cases():
+    t = Theory.build(2, ((F(2), F(1, 2)), (F(1, 2), F(3))), {3: {(0, 0, 1): F(1, 3)}})
+    assert graph_weight(EMPTY_GRAPH, t) == 1
+    assert graph_weight(TWO_LOOPS, t) == 0  # no valence-4 tensor
+    assert graph_weight(Graph(1, (), ()), t) == 0  # nor a valence-0 one
+    with pytest.raises(GraphError):
+        graph_weight(Graph(2, (0, 2, 1), (0, 1, 1)), t)
+
+
+def test_expansion_equals_oracle_two_colors_order_three():
+    t = Theory.build(
+        2,
+        ((F(2), F(1, 2)), (F(1, 2), F(3))),
+        {
+            3: {(0, 0, 0): F(1), (0, 0, 1): F(1, 2), (1, 1, 1): F(2)},
+            4: {(0, 0, 1, 1): F(1, 3), (1, 1, 1, 1): F(-2, 5)},
+        },
+    )
+    assert graph_expansion(t, 3).coeffs == gaussian_oracle(t, 3).coeffs
+
+
 # -- expansion ------------------------------------------------------------------
 
 def test_expansion_trivial_theory():
@@ -168,6 +287,43 @@ def test_single_color_moments_are_double_factorials():
     expected = {0: 1, 2: 1, 4: 3, 6: 15, 8: 105}
     for m, val in expected.items():
         assert wick_pairing_sum((m,), g_inv, {}) == val
+
+
+def ordered_tuple_oracle(theory, order, max_vertices):
+    """Reference: gaussian_oracle over ordered p-tuples of vertices, each
+    weighted 1/p!, instead of over multisets."""
+    options = []
+    for valence, entries in theory.tensors:
+        for idx, coeff in entries:
+            sym = Fraction(1)
+            for c in set(idx):
+                sym *= factorial(idx.count(c))
+            options.append((valence, idx, coeff / sym))
+    g_inv = theory.metric_inverse
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)
+    memo: dict = {}
+    for p in range(1, max_vertices + 1):
+        for combo in product(options, repeat=p):
+            slots = sum(k for k, _, _ in combo)
+            n = slots // 2 - p
+            if slots % 2 or not 0 <= n <= order:
+                continue
+            counts = [0] * theory.n_colors
+            factor = Fraction(1, factorial(p))
+            for _, idx, coeff in combo:
+                factor *= coeff
+                for c in idx:
+                    counts[c] += 1
+            coeffs[n] += factor * wick_pairing_sum(tuple(counts), g_inv, memo)
+    return LambdaSeries(tuple(coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theories(max_entries=2), st.integers(0, 2), st.integers(1, 3))
+def test_multiset_oracle_matches_ordered_tuples(theory, order, max_vertices):
+    assert gaussian_oracle(theory, order, max_vertices=max_vertices) == \
+        ordered_tuple_oracle(theory, order, max_vertices)
 
 
 # -- the equivalence theorem at desk scale ---------------------------------------
@@ -246,3 +402,99 @@ def test_theory_json_round_trip():
     )
     back = theory_from_json(theory_to_json(t))
     assert back == t
+
+
+GOOD_THEORY = {
+    "colors": 2,
+    "metric": [["2", "1/2"], ["1/2", 3]],
+    "tensors": [{"indices": [0, 1, 1], "value": "7/5"}, {"indices": [0, 0, 0], "value": 1}],
+}
+
+
+def _theory_with(path, value):
+    doc = json.loads(json.dumps(GOOD_THEORY))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is KeyError:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
+def test_good_theory_document_parses():
+    t = theory_from_json(json.dumps(GOOD_THEORY))
+    assert t.tensor(3) == {(0, 1, 1): F(7, 5), (0, 0, 0): F(1)}
+
+
+@pytest.mark.parametrize("path", [("colors",), ("metric",), ("tensors",),
+                                  ("tensors", 1, "indices"), ("tensors", 1, "value")])
+def test_theory_json_missing_key(path):
+    where = "theory JSON" if len(path) == 1 else f"tensors[{path[1]}]"
+    with pytest.raises(TheoryError) as info:
+        theory_from_json(_theory_with(path, KeyError))
+    assert str(info.value) == f"{where} lacks {path[-1]!r}"
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("metric",), {"0": 1}, "metric"),
+    (("metric", 1), "1/2,3", "metric[1]"),
+    (("tensors",), {"indices": [0], "value": 1}, "tensors"),
+    (("tensors", 0, "indices"), "011", "tensors[0].indices"),
+])
+def test_theory_json_non_list(path, value, where):
+    with pytest.raises(TheoryError) as info:
+        theory_from_json(_theory_with(path, value))
+    assert str(info.value) == f"{where} is not a list"
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("metric", 0, 1), "1/0", "metric[0][1]"),
+    (("metric", 1, 1), "three", "metric[1][1]"),
+    (("metric", 1, 0), 0.5, "metric[1][0]"),
+    (("tensors", 1, "value"), None, "tensors[1].value"),
+    (("tensors", 1, "value"), True, "tensors[1].value"),
+])
+def test_theory_json_bad_fraction(path, value, where):
+    with pytest.raises(TheoryError) as info:
+        theory_from_json(_theory_with(path, value))
+    assert str(info.value) == f"{where} is not a fraction: {value!r}"
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("tensors", 0, "indices", 2), "1", "tensors[0].indices[2]"),
+    (("tensors", 0, "indices", 0), 0.0, "tensors[0].indices[0]"),
+    (("tensors", 1, "indices", 1), False, "tensors[1].indices[1]"),
+    (("colors",), "2", "colors"),
+])
+def test_theory_json_bad_index_type(path, value, where):
+    with pytest.raises(TheoryError) as info:
+        theory_from_json(_theory_with(path, value))
+    assert str(info.value) == f"{where} is not an integer: {value!r}"
+
+
+def test_theory_json_bad_documents():
+    with pytest.raises(TheoryError, match="bad theory JSON"):
+        theory_from_json("{not json")
+    with pytest.raises(TheoryError, match="theory JSON is not an object"):
+        theory_from_json("[]")
+    with pytest.raises(TheoryError, match=r"tensors\[1\] is not an object"):
+        theory_from_json(_theory_with(("tensors", 1), [0, 0, 0]))
+    with pytest.raises(TheoryError, match=r"tensors\[1\] repeats indices \[0, 1, 1\]"):
+        theory_from_json(_theory_with(("tensors", 1, "indices"), [0, 1, 1]))
+    with pytest.raises(TheoryError, match="outside color range"):
+        theory_from_json(_theory_with(("tensors", 1, "indices"), [0, 2, 1]))
+
+
+def test_series_json_rejects_malformed_documents():
+    with pytest.raises(TheoryError, match="bad series JSON"):
+        LambdaSeries.from_json('["1", ')
+    with pytest.raises(TheoryError, match="^series JSON is not a list$"):
+        LambdaSeries.from_json('{"0": "1"}')
+    with pytest.raises(TheoryError, match=r"^coeffs\[1\] is not a fraction: '1/0'$"):
+        LambdaSeries.from_json('["1", "1/0"]')
+    with pytest.raises(TheoryError, match=r"^coeffs\[2\] is not a fraction: \[1\]$"):
+        LambdaSeries.from_json('["1", 2, [1]]')
+    assert LambdaSeries.from_json('["1", 2, "-3/4"]').coeffs == (1, 2, F(-3, 4))

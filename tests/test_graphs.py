@@ -148,6 +148,43 @@ def test_decorations_respected():
     assert automorphism_order(c) == 2
 
 
+@pytest.mark.parametrize("deco", ["", "-", "a.b", "a;b", "a|b", "|"])
+def test_decorations_that_collide_with_label_syntax_are_rejected(deco):
+    # "" and "-" would label like an undecorated vertex; '.', ';' and '|'
+    # split label fields
+    with pytest.raises(GraphError, match="not a label token"):
+        Graph(1, (), (), decorations=(deco,))
+    with pytest.raises(GraphError):
+        graph_from_json(
+            '{"flags": [], "vertices": [0], "involution": [], "incidence": [],'
+            f' "decorations": {{"0": "{deco}"}}}}'
+        )
+
+
+def test_decorations_must_be_strings():
+    # 3 and "3" would serialize alike
+    with pytest.raises(GraphError, match="not a label token"):
+        Graph(1, (), (), decorations=(3,))
+
+
+def test_label_tokens_in_decorations_round_trip():
+    g = Graph(2, (1, 0), (0, 1), decorations=("a>b,x:1", None))
+    label = canonical_label(g)
+    assert label == "ug:2|-.0.0.0;a>b,x:1.0.0.0|0>1x1"
+    assert canonical_label(graph_from_label(label)) == label
+
+
+@pytest.mark.parametrize("label", [
+    "ug", "ug:1", "ug:1|a|b.0.0.0|", "ug:1|x.0.0|", "ug:x|-.0.0.0|",
+    "ug:1|-.0.z.0|", "zz:1|-.0.0.0|", "ug:2|-.0.0.0;-.0.0.0|0>5x1",
+    "ug:2|-.0.0.0;-.0.0.0|0-1x1", "ug:1|-.0.0.0;-.0.0.0|",
+])
+def test_malformed_labels_raise_graph_error_naming_the_label(label):
+    with pytest.raises(GraphError, match="malformed label") as info:
+        graph_from_label(label)
+    assert repr(label) in str(info.value)
+
+
 @st.composite
 def random_graph(draw, vertices=(1, 3), max_edges=3, max_tails=2):
     """Random flag graph, oriented and decorated or not."""
@@ -469,7 +506,7 @@ def test_vacuum_classes_and_symmetry_factors_pinned():
     from kolmex import feynman
 
     classes = feynman._vacuum_classes(3, (3, 4), None, 200_000)
-    text = "\n".join(f"{canonical_label(g)} {aut}" for g, aut in classes)
+    text = "\n".join(f"{canonical_label(g)} {aut}" for g, aut, _plan in classes)
     assert len(classes) == 141
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "638f2e115b389a8d8bc570d606664c068994333a12092366e3ff8740e3b9cfc3"
