@@ -14,6 +14,19 @@ zero, so the degree-zero component is not one-dimensional; the antipode
 recursion therefore inducts on vertex count, which every proper cut
 strictly decreases, and the antipode law is verified exhaustively in the
 tests, bare vertices included.
+
+Every coefficient the algebra itself produces is an integer count: cuts
+are counted, and products and the antipode recursion only add and
+multiply counts.  So coproducts are dicts `(left, right) -> int`, and a
+`HopfElement` stores an `int` for each integral coefficient and a
+`Fraction` only for a truly rational one (such as one read from JSON).
+`coproduct_of_monomial` is a bounded cache, filled lazily, of read-only
+mappings.  Only the unit terms x (x) 1 and 1 (x) x have an empty side
+(a proper cut leaves a vertex on each side), each with coefficient 1, so
+the reduced coproduct is those mappings without their empty-sided terms.
+`_cut_sum` is the one recursion step "first + sum' c rec(x') psi(x'')"
+over it: the antipode (psi = -x'', memoized across calls),
+`renorm.conv_inverse` and Birkhoff's bracket all go through it.
 """
 
 from __future__ import annotations
@@ -21,12 +34,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .graphs import (
     Graph,
     MultigraphData,
     _induced_with_severed_tails,
     _min_serialization,
+    _refinement_search,
+    _serialize_under,
     enumerate_cuts,
     graph_from_label,
     multigraph_data,
@@ -34,6 +51,11 @@ from .graphs import (
 
 Monomial = tuple  # sorted tuple of generator labels
 UNIT_MONOMIAL: Monomial = ()
+
+# Bounds of the lazily filled memos (entries, not bytes).
+COPRODUCT_CACHE_SIZE = 256
+ANTIPODE_CACHE_SIZE = 1024
+LABEL_CACHE_SIZE = 4096
 
 
 class HopfError(ValueError):
@@ -63,50 +85,76 @@ def monomial_vertices(mono: Monomial) -> int:
     return sum(generator_vertices(l) for l in mono)
 
 
+_labels: dict = {}  # identity serialization of a component -> its label
+
+
 def monomial_of_graph(g: Graph) -> Monomial:
-    """Connected-component decomposition as a sorted label tuple."""
+    """Connected-component decomposition as a sorted label tuple.
+
+    A component's pinned label is the brute-force lexmin; it is memoized
+    (up to LABEL_CACHE_SIZE entries) under the component's serialization
+    in its own vertex order, which determines the multigraph exactly."""
     if g.orientation is None:
         raise HopfError("the flowchart algebra takes oriented graphs")
     labels = []
-    for comp in g.connected_components():
-        piece = _induced_with_severed_tails(g, comp)
-        labels.append(_min_serialization(multigraph_data(piece)))
+    comps = g.connected_components()
+    for comp in comps:
+        piece = g if len(comps) == 1 else _induced_with_severed_tails(g, comp)
+        data = multigraph_data(piece)
+        key = _serialize_under(data, range(data.n_vertices))
+        label = _labels.get(key)
+        if label is None:
+            label = _min_serialization(data)
+            if len(_labels) < LABEL_CACHE_SIZE:
+                _labels[key] = label
+        labels.append(label)
     return tuple(sorted(labels))
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class HopfElement:
-    """Finite rational combination of monomials; zero coefficients pruned."""
+    """Finite rational combination of monomials; zero coefficients pruned,
+    integral coefficients stored as ints."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         self.terms = {
-            m: Fraction(c) for m, c in (terms or {}).items() if c
+            m: v for m, c in (terms or {}).items()
+            if (v := c if type(c) is int else _exact(c))
         }
 
     @classmethod
     def unit(cls) -> "HopfElement":
-        return cls({UNIT_MONOMIAL: Fraction(1)})
+        return cls({UNIT_MONOMIAL: 1})
 
     @classmethod
     def generator(cls, label: str) -> "HopfElement":
-        return cls({(label,): Fraction(1)})
+        return cls({(label,): 1})
 
     @classmethod
     def of_graph(cls, g: Graph) -> "HopfElement":
-        return cls({monomial_of_graph(g): Fraction(1)})
+        return cls({monomial_of_graph(g): 1})
 
     def __add__(self, other: "HopfElement") -> "HopfElement":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return HopfElement(out)
 
     def __sub__(self, other: "HopfElement") -> "HopfElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "HopfElement":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return HopfElement({m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
@@ -114,8 +162,8 @@ class HopfElement:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                key = _union(m1, m2)
+                out[key] = out.get(key, 0) + c1 * c2
         return HopfElement(out)
 
     def __eq__(self, other) -> bool:
@@ -125,7 +173,7 @@ class HopfElement:
         return bool(self.terms)
 
     def counit(self) -> Fraction:
-        return self.terms.get(UNIT_MONOMIAL, Fraction(0))
+        return Fraction(self.terms.get(UNIT_MONOMIAL, 0))
 
     def __repr__(self):
         if not self.terms:
@@ -137,34 +185,43 @@ class HopfElement:
 ZERO = HopfElement()
 
 
+def _union(m1: Monomial, m2: Monomial) -> Monomial:
+    """Multiset union of two monomials."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    return tuple(sorted(m1 + m2))
+
+
 # ---------------------------------------------------------------------------
 # coproduct
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def coproduct_of_generator(label: str) -> tuple:
-    """Cut coproduct of one generator as ((monoL, monoR, coeff), ...)."""
+    """Cut coproduct of one generator as ((monoL, monoR, count), ...)."""
     rep = generator_graph(label)
     acc: dict = {}
     for cut in enumerate_cuts(rep):
         key = (monomial_of_graph(cut.upper_graph), monomial_of_graph(cut.lower_graph))
         acc[key] = acc.get(key, 0) + 1
-    return tuple(
-        (l, r, Fraction(c)) for (l, r), c in sorted(acc.items())
-    )
+    return tuple((l, r, c) for (l, r), c in sorted(acc.items()))
 
 
-def coproduct_of_monomial(mono: Monomial) -> dict:
-    """Multiplicative extension: Delta(m1 m2 ...) = Delta(m1) Delta(m2) ..."""
-    out = {(UNIT_MONOMIAL, UNIT_MONOMIAL): Fraction(1)}
+@lru_cache(maxsize=COPRODUCT_CACHE_SIZE)
+def coproduct_of_monomial(mono: Monomial) -> MappingProxyType:
+    """Multiplicative extension: Delta(m1 m2 ...) = Delta(m1) Delta(m2) ...,
+    as a read-only mapping (left, right) -> count, cached."""
+    out = {(UNIT_MONOMIAL, UNIT_MONOMIAL): 1}
     for label in mono:
         nxt: dict = {}
-        for (accL, accR), c in out.items():
+        for (acc_l, acc_r), c in out.items():
             for gl, gr, gc in coproduct_of_generator(label):
-                key = (tuple(sorted(accL + gl)), tuple(sorted(accR + gr)))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * gc
+                key = (_union(acc_l, gl), _union(acc_r, gr))
+                nxt[key] = nxt.get(key, 0) + c * gc
         out = nxt
-    return out
+    return MappingProxyType(out)
 
 
 def coproduct(elem: HopfElement) -> dict:
@@ -172,25 +229,30 @@ def coproduct(elem: HopfElement) -> dict:
     out: dict = {}
     for mono, coeff in elem.terms.items():
         for key, c in coproduct_of_monomial(mono).items():
-            out[key] = out.get(key, Fraction(0)) + coeff * c
-            if not out[key]:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + coeff * c
+    return {key: _exact(c) for key, c in out.items() if c}
 
 
 def reduced_coproduct_of_monomial(mono: Monomial) -> dict:
-    """Delta minus x (x) 1 and 1 (x) x; empty on the unit and on primitives."""
-    out = dict(coproduct_of_monomial(mono))
-    for key in [(mono, UNIT_MONOMIAL), (UNIT_MONOMIAL, mono)]:
-        if key in out:
-            out[key] -= 1
-            if not out[key]:
-                del out[key]
-    return out
+    """Delta minus x (x) 1 and 1 (x) x, which are its only terms with an
+    empty side; empty on the unit and on primitives."""
+    return {key: c for key, c in coproduct_of_monomial(mono).items()
+            if key[0] and key[1]}
 
 
 def is_primitive(label: str) -> bool:
     return not reduced_coproduct_of_monomial((label,))
+
+
+def _cut_sum(mono: Monomial, first, rec, psi):
+    """first + sum c * (rec(x') * psi(x'')) over the reduced coproduct
+    c x' (x) x'' of mono: the recursion step of the antipode, of
+    `renorm.conv_inverse` and of Birkhoff's bracket.  Every x' has fewer
+    vertices than mono, so the recursion terminates."""
+    acc = first
+    for (left, right), c in reduced_coproduct_of_monomial(mono).items():
+        acc = acc + c * (rec(left) * psi(right))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -202,38 +264,38 @@ def antipode(elem: HopfElement) -> HopfElement:
 
     The recursion inducts on vertex count (every proper cut puts at least
     one vertex on each side), so it terminates for every element, including
-    degree-zero bare vertices.  The memo lives only for this call.
+    degree-zero bare vertices.  Monomial values are memoized across calls.
     """
-    memo: dict = {}
-    out = ZERO
+    out: dict = {}
     for mono, coeff in elem.terms.items():
-        out = out + coeff * _antipode_monomial(mono, memo)
-    return out
+        for m, c in _antipode_monomial(mono).terms.items():
+            out[m] = out.get(m, 0) + coeff * c
+    return HopfElement(out)
 
 
-def _antipode_monomial(mono: Monomial, memo: dict) -> HopfElement:
+def _negated(mono: Monomial) -> HopfElement:
+    return HopfElement({mono: -1})
+
+
+@lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
+def _antipode_monomial(mono: Monomial) -> HopfElement:
+    """S on one monomial; the shared result must not be mutated."""
     if mono == UNIT_MONOMIAL:
         return HopfElement.unit()
-    if mono in memo:
-        return memo[mono]
-    acc = -1 * HopfElement({mono: Fraction(1)})
-    for (left, right), c in reduced_coproduct_of_monomial(mono).items():
-        acc = acc - c * (_antipode_monomial(left, memo) * HopfElement({right: Fraction(1)}))
-    memo[mono] = acc
-    return acc
+    return _cut_sum(mono, _negated(mono), _antipode_monomial, _negated)
 
 
 # ---------------------------------------------------------------------------
 # tensor-square helpers (for the axiom checks and convolution)
 # ---------------------------------------------------------------------------
 
-def tensor_mul(t1: dict, t2: dict) -> dict:
+def tensor_mul(t1: Mapping, t2: Mapping) -> dict:
     """(a x b)(c x d) = ac x bd, bilinearly."""
     out: dict = {}
     for (l1, r1), c1 in t1.items():
         for (l2, r2), c2 in t2.items():
-            key = (tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            key = (_union(l1, l2), _union(r1, r2))
+            out[key] = out.get(key, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
 
@@ -245,14 +307,11 @@ def coassociativity_sides(label: str) -> tuple[dict, dict]:
     for l, r, c in coproduct_of_generator(label):
         for (a, b), c2 in coproduct_of_monomial(l).items():
             key = (a, b, r)
-            lhs[key] = lhs.get(key, Fraction(0)) + c * c2
+            lhs[key] = lhs.get(key, 0) + c * c2
         for (b, a), c2 in coproduct_of_monomial(r).items():
             key = (l, b, a)
-            rhs[key] = rhs.get(key, Fraction(0)) + c * c2
-    return (
-        {k: v for k, v in lhs.items() if v},
-        {k: v for k, v in rhs.items() if v},
-    )
+            rhs[key] = rhs.get(key, 0) + c * c2
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +320,12 @@ def coassociativity_sides(label: str) -> tuple[dict, dict]:
 
 def enumerate_connected_oriented(max_vertices: int, max_flags: int) -> list[str]:
     """Canonical labels of all connected oriented graphs within the bounds,
-    sorted by (flag count, label)."""
-    seen = set()
+    sorted by (flag count, label).
+
+    Raw multigraphs are deduplicated on their refinement-search
+    certificate, and the pinned lexmin label is computed once per class."""
+    certificates = set()
+    labels = []
     for n in range(1, max_vertices + 1):
         for loops, mult in _edge_structures(n, max_flags // 2):
             if not _connected(n, mult):
@@ -272,8 +335,11 @@ def enumerate_connected_oriented(max_vertices: int, max_flags: int) -> list[str]
                 data = MultigraphData(
                     n, True, loops, tin, tout, mult, (None,) * n
                 )
-                seen.add(_min_serialization(data))
-    return sorted(seen, key=lambda l: (generator_degree(l), l))
+                certificate = _refinement_search(data)[0]
+                if certificate not in certificates:
+                    certificates.add(certificate)
+                    labels.append(_min_serialization(data))
+    return sorted(labels, key=lambda l: (generator_degree(l), l))
 
 
 def _edge_structures(n: int, max_edges: int):
@@ -340,9 +406,34 @@ def element_to_json(elem: HopfElement) -> str:
 
 
 def element_from_json(text: str) -> HopfElement:
-    doc = json.loads(text)
+    """Parse element JSON; malformed input raises HopfError naming the
+    entry and key at fault."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise HopfError(f"bad element JSON: {exc}") from None
+    if not isinstance(doc, list):
+        raise HopfError("element JSON must be a list of terms")
     terms: dict = {}
-    for entry in doc:
-        mono = tuple(sorted(entry["monomial"]))
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
+    for i, entry in enumerate(doc):
+        where = f"terms[{i}]"
+        if not isinstance(entry, dict):
+            raise HopfError(f"{where} must be an object")
+        for key in ("monomial", "coeff"):
+            if key not in entry:
+                raise HopfError(f"{where} lacks {key!r}")
+        labels, coeff = entry["monomial"], entry["coeff"]
+        if not isinstance(labels, list):
+            raise HopfError(f"{where}: monomial must be a list")
+        for j, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise HopfError(f"{where}.monomial[{j}] is not a string: {label!r}")
+        try:
+            if isinstance(coeff, bool):
+                raise TypeError
+            coeff = _exact(coeff)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise HopfError(f"{where}.coeff: bad coefficient {coeff!r}") from None
+        mono = tuple(sorted(labels))
+        terms[mono] = terms.get(mono, 0) + coeff
     return HopfElement(terms)

@@ -28,7 +28,8 @@ Characters are multiplicative maps from the graph bialgebra into this
 algebra, stored on connected generators; convolution, the recursive
 inverse and the BPHZ recursion work on arbitrary unit-preserving linear
 maps, evaluated monomial by monomial with per-object caches.  The inverse
-and the BPHZ bracket share one recursion over the reduced coproduct.
+and the BPHZ bracket share one recursion over the reduced coproduct,
+`hopf._cut_sum`, which the antipode takes as well.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from typing import Callable, Iterable, Optional
 from .hopf import (
     UNIT_MONOMIAL,
     Monomial,
+    _cut_sum,
     coproduct_of_monomial,
     monomial_degree,
-    reduced_coproduct_of_monomial,
 )
 
 DEFAULT_TRUNC = 16
@@ -365,16 +366,6 @@ def convolution(phi: GMap, psi: GMap, degree_bound: Optional[int] = None) -> GMa
     return GMap(fn, bound, trunc, f"({phi.name}*{psi.name})")
 
 
-def _cut_sum(mono: Monomial, first: MSElement, rec: Callable, psi: Callable) -> MSElement:
-    """first + sum c * (rec(x') * psi(x'')) over the reduced coproduct
-    c x' (x) x'' of mono: the recursion step of the inverse and of BPHZ.
-    Every x' has fewer vertices than mono, so the recursion terminates."""
-    acc = first
-    for (left, right), c in reduced_coproduct_of_monomial(mono).items():
-        acc = acc + c * (rec(left) * psi(right))
-    return acc
-
-
 def conv_inverse(phi: GMap) -> GMap:
     """phi^(*-1)(1) = 1 and phi^(*-1)(x) = -phi(x) - sum phi^(*-1)(x') phi(x'')
     over the reduced coproduct, for a unit-preserving phi.
@@ -387,7 +378,8 @@ def conv_inverse(phi: GMap) -> GMap:
 
     No convolution powers are built: values are memoized per inverse, so
     each monomial costs one reduced-coproduct sum of integer-numerator
-    products, with the windows those products carry.
+    products, with the windows those products carry.  The step is
+    `hopf._cut_sum`, the one the antipode and Birkhoff's bracket take.
     """
     trunc = phi.trunc
     memo = {UNIT_MONOMIAL: MSElement.one(trunc)}
@@ -411,7 +403,9 @@ def birkhoff(phi: Character) -> tuple[GMap, GMap]:
     phi = phi_minus^(*-1) * phi_plus exactly.
 
     Requires a character: the factors are multiplicative (and the
-    decomposition unique) only for multiplicative phi.
+    decomposition unique) only for multiplicative phi.  The bracket is
+    computed once per monomial by `hopf._cut_sum`, the recursion step the
+    antipode and `conv_inverse` share.
     """
     if not isinstance(phi, Character):
         raise RenormError("birkhoff needs a character (multiplicative map)")
@@ -444,26 +438,26 @@ def birkhoff(phi: Character) -> tuple[GMap, GMap]:
 # ---------------------------------------------------------------------------
 
 def character_to_json(chi: Character) -> str:
-    doc = {
-        "degree_bound": chi.degree_bound,
-        "truncation": chi.trunc,
-        "values": [
-            {
-                "graph": label,
-                "value": {
-                    "polar": [str(c) for c in val.polar],
-                    "regular": [str(c) for c in val.regular[: chi.trunc + 1]],
-                },
-            }
-            for label, val in sorted(chi.generator_values.items())
-        ],
-    }
+    """Character JSON; a value known through fewer orders than the
+    truncation carries its window as "valid"."""
+    values = []
+    for label, val in sorted(chi.generator_values.items()):
+        value = {
+            "polar": [str(c) for c in val.polar],
+            "regular": [str(c) for c in val.regular[: chi.trunc + 1]],
+        }
+        if val.valid_order < chi.trunc:
+            value["valid"] = val.valid_order
+        values.append({"graph": label, "value": value})
+    doc = {"degree_bound": chi.degree_bound, "truncation": chi.trunc, "values": values}
     return json.dumps(doc, indent=1)
 
 
 def character_from_json(text: str) -> Character:
     """Parse character JSON; malformed input raises RenormError naming the
-    entry and key at fault."""
+    entry and key at fault.  A value is known through its optional "valid"
+    order (0..truncation, default truncation); its regular list is padded
+    with zeros up to that order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -485,11 +479,17 @@ def character_from_json(text: str) -> Character:
         val = _field(entry, "value", dict, where)
         polar = _coeffs(val, "polar", f"{where}.value")
         regular = _coeffs(val, "regular", f"{where}.value")
-        if len(regular) > trunc + 1:
+        valid, bound = trunc, "truncation"
+        if "valid" in val:
+            valid, bound = val["valid"], "valid"
+            if isinstance(valid, bool) or not isinstance(valid, int) or not 0 <= valid <= trunc:
+                raise RenormError(
+                    f"{where}.value.valid must be an integer in 0..{trunc}, got {valid!r}")
+        if len(regular) > valid + 1:
             raise RenormError(
                 f"{where}.value.regular has {len(regular)} coefficients, more than "
-                f"truncation + 1 = {trunc + 1}")
-        regular += [Fraction(0)] * (trunc + 1 - len(regular))
+                f"{bound} + 1 = {valid + 1}")
+        regular += [Fraction(0)] * (valid + 1 - len(regular))
         values[label] = MSElement(polar, regular)
     return Character(values, degree_bound, trunc)
 

@@ -1,12 +1,28 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from kolmex.graphs import Graph, canonical_label
+from kolmex import cli
+from kolmex.graphs import (
+    Graph,
+    MultigraphData,
+    _min_serialization,
+    canonical_label,
+    multigraph_data,
+)
 from kolmex.hopf import (
     UNIT_MONOMIAL,
     ZERO,
+    HopfError,
     HopfElement,
+    _connected,
+    _edge_structures,
+    _tail_assignments,
     antipode,
     coassociativity_sides,
     coproduct,
@@ -16,12 +32,15 @@ from kolmex.hopf import (
     element_to_json,
     enumerate_connected_oriented,
     generator_degree,
+    generator_graph,
+    generator_vertices,
     is_primitive,
     monomial_degree,
     monomial_of_graph,
     reduced_coproduct_of_monomial,
     tensor_mul,
 )
+from kolmex.renorm import Character, MSElement, birkhoff, conv_inverse, convolution
 
 F = Fraction
 
@@ -198,3 +217,273 @@ def test_element_json_round_trip():
 def test_unoriented_graphs_rejected():
     with pytest.raises(Exception):
         monomial_of_graph(Graph(1, (1, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "element JSON must be a list of terms"),
+    ('[{"coeff": "1"}]', "terms[0] lacks 'monomial'"),
+    ('[{"monomial": []}]', "terms[0] lacks 'coeff'"),
+    ('[{"monomial": [], "coeff": "1/0"}]', "terms[0].coeff: bad coefficient '1/0'"),
+    ('[{"monomial": [], "coeff": "x"}]', "terms[0].coeff: bad coefficient 'x'"),
+    ('[{"monomial": [], "coeff": true}]', "terms[0].coeff: bad coefficient True"),
+    ('[{"monomial": ["a", 3], "coeff": "1"}]', "terms[0].monomial[1] is not a string: 3"),
+    ('[{"monomial": "ab", "coeff": "1"}]', "terms[0]: monomial must be a list"),
+    ("[3]", "terms[0] must be an object"),
+    ("[", "bad element JSON"),
+])
+def test_malformed_element_json_is_positioned(text, message):
+    with pytest.raises(HopfError) as info:
+        element_from_json(text)
+    assert message in str(info.value)
+
+
+def test_zero_coefficients_are_pruned_after_conversion():
+    x = HopfElement({UNIT_MONOMIAL: "0", (L_EDGE,): "4/2", (L_VERTEX,): F(0)})
+    assert x.terms == {(L_EDGE,): 2}
+    assert type(x.terms[(L_EDGE,)]) is int
+    assert not HopfElement({(L_EDGE,): "0/3"})
+
+
+def test_element_json_sums_repeated_monomials():
+    text = json.dumps([{"monomial": ["b", "a"], "coeff": "1/2"},
+                       {"monomial": ["a", "b"], "coeff": 1}, {"monomial": [], "coeff": "2/3"}])
+    x = element_from_json(text)
+    assert x.terms == {("a", "b"): F(3, 2), UNIT_MONOMIAL: F(2, 3)}
+    assert element_from_json("[]") == ZERO
+
+
+# -- integer counts against the Fraction references --------------------------------
+
+class RefElement:
+    """The Fraction-coefficient HopfElement, kept as the oracle for the
+    integer-count one."""
+
+    def __init__(self, terms=None):
+        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return RefElement(out)
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        return RefElement({m: scalar * c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                key = tuple(sorted(m1 + m2))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return RefElement(out)
+
+    def __repr__(self):
+        if not self.terms:
+            return "<0>"
+        bits = [f"({c})*{list(m) or 1}" for m, c in sorted(self.terms.items())]
+        return "<" + " + ".join(bits) + ">"
+
+
+def ref_coproduct_of_monomial(mono):
+    """The uncached multiplicative extension on Fractions."""
+    out = {(UNIT_MONOMIAL, UNIT_MONOMIAL): Fraction(1)}
+    for label in mono:
+        nxt = {}
+        for (acc_l, acc_r), c in out.items():
+            for gl, gr, gc in coproduct_of_generator(label):
+                key = (tuple(sorted(acc_l + gl)), tuple(sorted(acc_r + gr)))
+                nxt[key] = nxt.get(key, Fraction(0)) + c * Fraction(gc)
+        out = nxt
+    return out
+
+
+def ref_reduced_coproduct(mono):
+    """Delta minus x (x) 1 and 1 (x) x, by subtraction."""
+    out = dict(ref_coproduct_of_monomial(mono))
+    for key in [(mono, UNIT_MONOMIAL), (UNIT_MONOMIAL, mono)]:
+        if key in out:
+            out[key] -= 1
+            if not out[key]:
+                del out[key]
+    return out
+
+
+def ref_antipode(elem):
+    """The antipode recursion with a memo that lives for one call."""
+    memo = {}
+
+    def s(mono):
+        if mono == UNIT_MONOMIAL:
+            return RefElement({UNIT_MONOMIAL: 1})
+        if mono not in memo:
+            acc = RefElement({mono: -1})
+            for (left, right), c in ref_reduced_coproduct(mono).items():
+                acc = acc + (-c) * (s(left) * RefElement({right: 1}))
+            memo[mono] = acc
+        return memo[mono]
+
+    out = RefElement()
+    for mono, coeff in elem.terms.items():
+        out = out + coeff * s(mono)
+    return out
+
+
+def ref_terms(elem):
+    return {m: Fraction(c) for m, c in elem.terms.items()}
+
+
+def assert_ints_where_integral(terms):
+    for c in terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+BIG_FAMILY = enumerate_connected_oriented(3, 6)
+
+
+@st.composite
+def monomials(draw):
+    """Up to three generators of the 3/6 family with at most five vertices."""
+    labels = draw(st.lists(st.sampled_from(BIG_FAMILY), max_size=3))
+    while sum(generator_vertices(l) for l in labels) > 5:
+        labels.pop()
+    return tuple(sorted(labels))
+
+
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def elements(draw):
+    terms = draw(st.dictionaries(monomials(), coefficients, max_size=3))
+    return HopfElement(terms), RefElement(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), elements())
+def test_products_and_sums_match_fraction_reference(xs, ys):
+    (x, rx), (y, ry) = xs, ys
+    for got, want in [(x * y, rx * ry), (x + y, rx + ry), (F(2, 3) * x, F(2, 3) * rx),
+                      (x - y, rx + (-1) * ry)]:
+        assert ref_terms(got) == want.terms
+        assert_ints_where_integral(got.terms)
+        assert repr(got) == repr(want)
+    assert x.counit() == rx.terms.get(UNIT_MONOMIAL, 0)
+    assert type(x.counit()) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements())
+def test_coproduct_matches_fraction_reference(xs):
+    x, rx = xs
+    want = {}
+    for mono, coeff in rx.terms.items():
+        for key, c in ref_coproduct_of_monomial(mono).items():
+            want[key] = want.get(key, Fraction(0)) + coeff * c
+    want = {k: v for k, v in want.items() if v}
+    got = coproduct(x)
+    assert got == want
+    assert_ints_where_integral(got)
+    for mono in rx.terms:
+        cached = coproduct_of_monomial(mono)
+        assert dict(cached) == ref_coproduct_of_monomial(mono)
+        assert all(type(c) is int for c in cached.values())
+        assert reduced_coproduct_of_monomial(mono) == ref_reduced_coproduct(mono)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements())
+def test_antipode_matches_reference_and_law(xs):
+    x, rx = xs
+    s = antipode(x)
+    assert ref_terms(s) == ref_antipode(rx).terms
+    assert_ints_where_integral(s.terms)
+    # m (S x id) Delta = m (id x S) Delta = unit . counit
+    left, right = ZERO, ZERO
+    for (l, r), c in coproduct(x).items():
+        left = left + c * (antipode(HopfElement({l: 1})) * HopfElement({r: 1}))
+        right = right + c * (HopfElement({l: 1}) * antipode(HopfElement({r: 1})))
+    want = HopfElement({UNIT_MONOMIAL: x.counit()})
+    assert left == want and right == want
+
+
+def test_reduced_coproduct_matches_subtraction_on_family():
+    for label in BIG_FAMILY:
+        assert reduced_coproduct_of_monomial((label,)) == ref_reduced_coproduct((label,))
+    for a, b in zip(BIG_FAMILY[:40], BIG_FAMILY[40:80]):
+        mono = tuple(sorted((a, b)))
+        assert reduced_coproduct_of_monomial(mono) == ref_reduced_coproduct(mono)
+
+
+def test_cached_coproduct_is_read_only_and_unchanged_by_readers():
+    family = enumerate_connected_oriented(3, 4)
+    monos = [(label,) for label in family] + [
+        tuple(sorted((a, b))) for a, b in zip(family, family[1:])]
+    before = {m: dict(coproduct_of_monomial(m)) for m in monos}
+    with pytest.raises(TypeError):
+        coproduct_of_monomial(monos[0])[(UNIT_MONOMIAL, UNIT_MONOMIAL)] = 5
+    for m in monos:
+        reduced = reduced_coproduct_of_monomial(m)
+        reduced.clear()
+        antipode(HopfElement({m: 1}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["algebra", "hopf-verify", "--max-vertices", "3",
+                         "--max-flags", "4"]) == 0
+    values = {label: MSElement.from_coeffs({-1: i + 1, 0: 1, 2: i}) for i, label in enumerate(family)}
+    phi = Character(values, 8)
+    minus, plus = birkhoff(phi)
+    recon = convolution(conv_inverse(minus), plus)
+    for m in monos:
+        recon(m)
+    for m in monos:
+        assert dict(coproduct_of_monomial(m)) == before[m] == ref_coproduct_of_monomial(m)
+
+
+def test_antipode_does_not_hand_out_its_memo():
+    t = HopfElement.generator(L_EDGE)
+    s = antipode(t)
+    s.terms.clear()
+    assert antipode(t) == -1 * t + HopfElement.generator(L_OUT) * HopfElement.generator(L_IN)
+
+
+# -- labels ---------------------------------------------------------------------------
+
+def ref_enumerate_connected_oriented(max_vertices, max_flags):
+    """Brute-force lexmin of every raw candidate."""
+    seen = set()
+    for n in range(1, max_vertices + 1):
+        for loops, mult in _edge_structures(n, max_flags // 2):
+            if not _connected(n, mult):
+                continue
+            used = 2 * (sum(loops) + sum(mult.values()))
+            for tin, tout in _tail_assignments(n, max_flags - used):
+                seen.add(_min_serialization(
+                    MultigraphData(n, True, loops, tin, tout, mult, (None,) * n)))
+    return sorted(seen, key=lambda l: (generator_degree(l), l))
+
+
+def test_family_matches_brute_force_labels():
+    assert enumerate_connected_oriented(3, 5) == ref_enumerate_connected_oriented(3, 5)
+    assert enumerate_connected_oriented(2, 6) == ref_enumerate_connected_oriented(2, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BIG_FAMILY), st.randoms(use_true_random=False))
+def test_monomial_labels_match_lexmin_under_relabeling(label, rnd):
+    g = generator_graph(label)
+    perm = list(range(g.n_vertices))
+    rnd.shuffle(perm)
+    relabeled = Graph(g.n_vertices, g.involution, tuple(perm[v] for v in g.incidence),
+                      orientation=g.orientation)
+    lexmin = _min_serialization(multigraph_data(relabeled))
+    for _ in range(2):  # a miss, then a hit of the label memo
+        assert monomial_of_graph(relabeled) == (label,) == (lexmin,)
+    double = Graph(2 * g.n_vertices,
+                   g.involution + tuple(f + g.n_flags for f in g.involution),
+                   tuple(perm[v] for v in g.incidence) + tuple(v + g.n_vertices for v in g.incidence),
+                   orientation=g.orientation * 2)
+    assert monomial_of_graph(double) == (label, label)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -316,6 +317,51 @@ def test_character_json_round_trip():
     long = Character({"g": MSElement([1], [1] * 20)}, 4, trunc=4)
     back = character_from_json(character_to_json(long)).generator_values["g"]
     assert (back.polar, back.regular) == ((1,), (1,) * 5)
+
+
+def test_character_json_keeps_short_windows():
+    chi = Character({"g": MSElement([], [1, 2, 3])}, 4, trunc=16)
+    text = character_to_json(chi)
+    assert json.loads(text)["values"][0]["value"]["valid"] == 2
+    back = character_from_json(text)
+    value = back.generator_values["g"]
+    assert value.valid_order == 2
+    assert value.regular == (1, 2, 3)
+    assert character_to_json(back) == text
+
+
+def test_character_json_without_valid_keeps_its_meaning():
+    doc = {"degree_bound": 4, "truncation": 6, "values": [
+        {"graph": "g", "value": {"polar": ["1"], "regular": ["1", "2"]}}]}
+    value = character_from_json(json.dumps(doc)).generator_values["g"]
+    assert value.valid_order == 6
+    assert value.regular == (1, 2, 0, 0, 0, 0, 0)
+    # full windows are written without the field, so such files keep their bytes
+    full = Character({"g": MSElement([], [1] * 7)}, 4, trunc=6)
+    assert '"valid"' not in character_to_json(full)
+
+
+def test_character_json_valid_pads_to_its_window():
+    doc = {"degree_bound": 4, "truncation": 6, "values": [
+        {"graph": "g", "value": {"polar": [], "regular": ["1"], "valid": 3}}]}
+    value = character_from_json(json.dumps(doc)).generator_values["g"]
+    assert value.valid_order == 3
+    assert value.regular == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("valid, message", [
+    (-1, "values[0].value.valid must be an integer in 0..4, got -1"),
+    (5, "values[0].value.valid must be an integer in 0..4, got 5"),
+    ("2", "values[0].value.valid must be an integer in 0..4, got '2'"),
+    (True, "values[0].value.valid must be an integer in 0..4, got True"),
+    (1, "values[0].value.regular has 3 coefficients, more than valid + 1 = 2"),
+])
+def test_character_json_bad_valid_is_positioned(valid, message):
+    doc = {"degree_bound": 4, "truncation": 4, "values": [
+        {"graph": "g", "value": {"polar": [], "regular": ["1", "2", "3"], "valid": valid}}]}
+    with pytest.raises(RenormError) as info:
+        character_from_json(json.dumps(doc))
+    assert message in str(info.value)
 
 
 # -- the integer-numerator kernel against the Fraction reference -------------------
