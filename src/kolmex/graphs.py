@@ -10,16 +10,19 @@ Isomorphism machinery works at the multigraph level: per-vertex loop
 counts, tail counts (split by label when oriented), decorations and edge
 multiplicities determine a flag graph up to isomorphism, because parallel
 edges, loops and same-label tails are freely interchangeable.  Canonical
-labels take the lexicographic minimum of a pinned serialization over all
-vertex permutations -- fine at desk scale (the documented boundary), and
-cross-checked against explicit flag-level relabeling search in the tests.
+labels take the lexicographic minimum of a pinned serialization over the
+vertex permutations that respect the per-vertex invariant, found by a
+branch and bound on the serialization's edge prefix; the tests keep the
+full permutation scan as its oracle and cross-check labels against
+explicit flag-level relabeling search.
 
 An individualization-refinement search (McKay & Piperno, arXiv:1301.1493)
 yields a second complete invariant, the certificate, together with the
-number of vertex automorphisms.  Vacuum enumeration deduplicates raw
-multigraphs on certificates and computes the pinned lexmin label once per
-class; automorphism counts come from the same search.  Label bytes are
-unchanged.
+number of vertex automorphisms.  Vacuum enumeration builds each degree
+sequence one closed vertex at a time and keeps one partial graph per
+certificate after every step (isomorph rejection during generation,
+McKay, J. Algorithms 26, 1998); the pinned label is computed once per
+class, and automorphism counts come from the same refinement search.
 """
 
 from __future__ import annotations
@@ -227,42 +230,114 @@ def _serialize_under(data: MultigraphData, perm: Sequence[int]) -> str:
     return f"{head}:{n}|{';'.join(vert_parts)}|{edges}"
 
 
-def _candidate_permutations(data: MultigraphData):
-    """Vertex permutations into slots grouped by the per-vertex invariant
-    (decoration, loops, tails).  The group layout is isomorphism-invariant,
-    so minimizing over these permutations is a complete canonical form while
-    skipping relabelings that mix inequivalent vertices."""
-    n = data.n_vertices
-    keys = [
-        (data.decorations[v] or "", data.loops[v], data.tails_in[v], data.tails_out[v])
-        for v in range(n)
-    ]
-    group_order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    members: list[list[int]] = [[] for _ in group_order]
-    for v in range(n):
-        members[group_order[keys[v]]].append(v)
-    slot_blocks = []
-    start = 0
-    for grp in members:
-        slot_blocks.append(list(range(start, start + len(grp))))
-        start += len(grp)
-    from itertools import product as iproduct
-
-    for arrangement in iproduct(*(permutations(b) for b in slot_blocks)):
-        perm = [0] * n
-        for grp, slots in zip(members, arrangement):
-            for v, slot in zip(grp, slots):
-                perm[v] = slot
-        yield perm
-
-
 def _min_serialization(data: MultigraphData) -> str:
+    """The pinned label: the least `_serialize_under` string over the vertex
+    permutations that fill the slots block by block, one block per value of
+    the per-vertex key (decoration, loops, tails) in key order.  The block
+    layout is isomorphism-invariant, so the minimum is a complete canonical
+    form.
+
+    Branch and bound.  Slots are filled in order, each from its block.  The
+    vertex section is the same under every such permutation, so only the
+    edge section is compared.  It lists the edges sorted by (source slot,
+    target slot, multiplicity), the source of an unoriented edge being its
+    lower slot; an edge's place in that list is fixed once every slot up to
+    its source has no edge left to an unplaced vertex.  A branch is cut as
+    soon as its fixed prefix, followed by the least first digit that the
+    next slot field can have, compares greater than the best string.  Once
+    every edge is fixed the string is complete, whatever the remaining slots
+    hold.
+    """
+    n = data.n_vertices
+    deco, loops, tin, tout = data.decorations, data.loops, data.tails_in, data.tails_out
+    keys = [(deco[v] or "", loops[v], tin[v], tout[v]) for v in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    members: dict = {}
+    for v in order:
+        members.setdefault(keys[v], []).append(v)
+    if len(members) == n:  # one candidate permutation: nothing to bound
+        return _serialize_under(data, sorted(range(n), key=order.__getitem__))
+    verts = ";".join(f"{deco[v] or '-'}.{loops[v]}.{tin[v]}.{tout[v]}" for v in order)
+    head = f"{'og' if data.oriented else 'ug'}:{n}|{verts}|"
+    n_edges = len(data.edge_mult)
+    if not n_edges:
+        return head
+    block = [members[keys[v]] for v in order]  # the candidates of each slot
+    # each bundle seen from both ends as (other end, multiplicity, "x<m>,"
+    # text, kind): kind 0 unoriented, 1 this end is the source, 2 the target
+    bundles: list[list[tuple]] = [[] for _ in range(n)]
+    src_kind, tgt_kind = (1, 2) if data.oriented else (0, 0)
+    for (u, w), m in data.edge_mult.items():
+        tail = f"x{m},"
+        bundles[u].append((w, m, tail, src_kind))
+        bundles[w].append((u, m, tail, tgt_kind))
+    # try vertices that can source more bundles first: the leading slots of
+    # a small string source many edges, so the first leaf tends to be good
+    sources = [sum(kind != 2 for *_, kind in bs) for bs in bundles]
+    for grp in members.values():
+        grp.sort(key=lambda v: -sources[v])
+    slot_of = [-1] * n
+    pending = [0] * n               # per slot: its edges to unplaced vertices
+    placed = [[] for _ in range(n)]  # per source slot: (target, m, text) placed
     best = None
-    for perm in _candidate_permutations(data):
-        s = _serialize_under(data, perm)
-        if best is None or s < best:
-            best = s
-    return best if best is not None else _serialize_under(data, ())
+
+    def fill(s: int, fixed: str, n_fixed: int, first: int) -> None:
+        # Slots below s are filled.  `fixed` is the first n_fixed edges of
+        # the sorted list, each followed by ','; `first` is the least slot
+        # that may still have pending edges.
+        nonlocal best
+        for v in block[s]:
+            if slot_of[v] >= 0:
+                continue
+            slot_of[v] = s
+            grew = []
+            own = 0
+            for w, m, tail, kind in bundles[v]:
+                t = slot_of[w]
+                if t < 0:
+                    if kind != 2:
+                        own += 1
+                elif kind == 1:
+                    placed[s].append((t, m, f"{s}>{t}{tail}"))
+                    grew.append(s)
+                else:
+                    placed[t].append((s, m, f"{t}>{s}{tail}"))
+                    pending[t] -= 1
+                    grew.append(t)
+            pending[s] = own
+            text, count, a = fixed, n_fixed, first
+            while a <= s and not pending[a]:
+                row = placed[a]
+                count += len(row)
+                for edge in sorted(row) if len(row) > 1 else row:
+                    text += edge[2]
+                a += 1
+            if count == n_edges:
+                if best is None or text[:-1] < best:
+                    best = text[:-1]
+            elif best is None:
+                fill(s + 1, text, count, a)
+            else:
+                bound = text
+                if a <= s:  # slot a's edges to placed vertices come first
+                    row = placed[a]
+                    for edge in sorted(row) if len(row) > 1 else row:
+                        bound += edge[2]
+                    bound += f"{a}>"
+                cut = len(bound)
+                if bound < best[:cut] or (
+                    bound == best[:cut] and cut < len(best)
+                    and min(str(b)[0] for b in range(s + 1, n)) <= best[cut]
+                ):
+                    fill(s + 1, text, count, a)
+            for t in grew:
+                placed[t].pop()
+                if t != s:
+                    pending[t] += 1
+            slot_of[v] = -1
+
+    fill(0, "", 0, 0)
+    return head + best
 
 
 def _refinement_search(data: MultigraphData) -> tuple[str, int]:
@@ -276,7 +351,7 @@ def _refinement_search(data: MultigraphData) -> tuple[str, int]:
     isomorphism-invariant: the least leaf serialization is a complete
     invariant, and the leaves reaching it are the automorphism orbit of one
     leaf.  The certificate is not the pinned label, which stays the lexmin
-    over all permutations.
+    of `_min_serialization`.
     """
     n = data.n_vertices
     direction = 1 if data.oriented else 0
@@ -337,10 +412,9 @@ def canonical_label(g: Graph, max_vertices: int = 10) -> str:
     """Lexicographically minimal serialization over vertex relabelings.
 
     Equal labels  <=>  isomorphic (as flag graphs with orientation and
-    decorations, when present).  This brute-force lexmin is the pinned
-    label; vacuum enumeration computes it once per class, after
-    deduplicating on the refinement-search certificate, so label bytes do
-    not depend on which search found the class.
+    decorations, when present).  The lexmin of `_min_serialization` is the
+    pinned label; vacuum enumeration computes it once per class, so label
+    bytes do not depend on which route found the class.
     """
     if g.n_vertices > max_vertices:
         raise BudgetError(
@@ -652,10 +726,16 @@ def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
                             max_vertices: Optional[int] = None,
                             budget: int = 200_000) -> list[Graph]:
     """One representative per isomorphism class of tail-free graphs with all
-    vertex valences in `valences` and E - V <= max_order.
+    vertex valences in `valences` and E - V <= max_order, sorted by (flag
+    count, label).
 
     Includes the empty graph.  With every valence >= 3 the family is finite
-    (V <= 2 * max_order); otherwise `max_vertices` must cap it.
+    (V <= 2 * max_order); otherwise `max_vertices` must cap it.  Each degree
+    sequence is built one closed vertex at a time, keeping one state per
+    isomorphism class after every step (`_classes_with_degrees`), and each
+    class's pinned label is taken once.  `budget` bounds the number of
+    states built over all degree sequences; BudgetError is raised as soon as
+    one more is needed.
     """
     valences = sorted(set(valences))
     if any(v < 1 for v in valences):
@@ -667,15 +747,11 @@ def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
             raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
         max_vertices = 2 * max_order
     found = [(canonical_label(EMPTY_GRAPH), EMPTY_GRAPH)]
-    certificates = set()
     spent = [0]
     for degree_seq in _degree_sequences(valences, max_order, max_vertices):
-        for data in _multigraphs_with_degrees(degree_seq, spent, budget):
-            certificate = _refinement_search(data)[0]
-            if certificate not in certificates:
-                certificates.add(certificate)
-                label = _min_serialization(data)
-                found.append((label, graph_from_label(label)))
+        for data in _classes_with_degrees(degree_seq, spent, budget):
+            label = _min_serialization(data)
+            found.append((label, graph_from_label(label)))
     found.sort(key=lambda pair: (pair[1].n_flags, pair[0]))
     return [g for _, g in found]
 
@@ -708,51 +784,73 @@ def _degree_sequences(valences, max_order, max_vertices):
     return out
 
 
-def _multigraphs_with_degrees(degrees, spent, budget):
-    """All loop/multiplicity assignments matching the degree sequence."""
-    n = len(degrees)
+def _classes_with_degrees(degrees, spent, budget) -> list[MultigraphData]:
+    """One multigraph per isomorphism class with this degree sequence
+    (isomorph rejection during generation, after McKay, J. Algorithms 26,
+    1998).
 
-    def rec(v_idx, remaining, loops, mult):
-        if v_idx == n:
-            if all(r == 0 for r in remaining):
+    A state is a partial multigraph whose vertices below k are closed and
+    whose other vertices are open with a residual degree; step k closes
+    vertex k by choosing its loops and its multiplicities to the open
+    vertices after it.  The completions of a state are every multigraph on
+    its open vertices with the residual degrees, so they depend only on the
+    state's isomorphism class with each vertex coloured by its residual
+    degree (closed vertices and open ones with residual 0 alike).  Keeping
+    one state per coloured class after every step, keyed by the refinement
+    certificate, therefore leaves one graph per class after the last step.
+    Every state built counts once against `budget` (through `spent[0]`).
+    """
+    n = len(degrees)
+    zeros = (0,) * n
+    # certificate -> (loops, multiplicities, residual degrees); one start state
+    states: dict = {None: (zeros, {}, tuple(degrees))}
+    for v in range(n):
+        kept: dict = {}
+        for key, (loops, mult, residual) in states.items():
+            for l, bundle in _closings(v, residual):
                 spent[0] += 1
                 if spent[0] > budget:
                     raise BudgetError(f"vacuum enumeration exceeded budget {budget}")
-                yield MultigraphData(
-                    n, False, tuple(loops), (0,) * n, (0,) * n,
-                    {k: m for k, m in mult.items() if m}, (None,) * n,
-                )
-            return
-        # distribute remaining[v_idx] among loops (2 each) and edges to later vertices
-        def dist(j_idx, rem):
-            if rem == 0:
-                yield {}
-                return
-            if j_idx == n:
-                return
-            for m in range(rem + 1):
-                if m <= remaining[j_idx]:
-                    for rest in dist(j_idx + 1, rem - m):
-                        if m:
-                            rest = dict(rest)
-                            rest[j_idx] = m
-                        yield rest
-
-        for l in range(remaining[v_idx] // 2 + 1):
-            rem = remaining[v_idx] - 2 * l
-            for assignment in dist(v_idx + 1, rem):
-                new_remaining = list(remaining)
-                new_remaining[v_idx] = 0
-                for j, m in assignment.items():
-                    new_remaining[j] -= m
-                new_loops = list(loops)
-                new_loops[v_idx] = l
+                if not residual[v]:  # nothing to close: the same coloured state
+                    kept.setdefault(key, (loops, mult, residual))
+                    continue
+                new_residual = list(residual)
+                new_residual[v] = 0
                 new_mult = dict(mult)
-                for j, m in assignment.items():
-                    new_mult[(v_idx, j)] = m
-                yield from rec(v_idx + 1, new_remaining, new_loops, new_mult)
+                for j, m in bundle:
+                    new_residual[j] -= m
+                    new_mult[(v, j)] = m
+                new_loops = loops[:v] + (l,) + loops[v + 1:]
+                colours = tuple(f"r{r}" if r else None for r in new_residual)
+                certificate = _refinement_search(MultigraphData(
+                    n, False, new_loops, zeros, zeros, new_mult, colours,
+                ))[0]
+                kept.setdefault(certificate, (new_loops, new_mult, tuple(new_residual)))
+        states = kept
+    return [
+        MultigraphData(n, False, loops, zeros, zeros, mult, (None,) * n)
+        for loops, mult, _ in states.values()
+    ]
 
-    yield from rec(0, list(degrees), [0] * n, {})
+
+def _closings(v, residual):
+    """(loops, ((w, multiplicity), ...)) for every way to spend vertex v's
+    residual degree on loops and on edges to the vertices after it."""
+    n = len(residual)
+
+    def spread(j, rest):
+        if not rest:
+            yield ()
+            return
+        if j == n:
+            return
+        for m in range(min(rest, residual[j]), -1, -1):
+            for tail in spread(j + 1, rest - m):
+                yield ((j, m),) + tail if m else tail
+
+    for l in range(residual[v] // 2 + 1):
+        for bundle in spread(v + 1, residual[v] - 2 * l):
+            yield l, bundle
 
 
 # ---------------------------------------------------------------------------

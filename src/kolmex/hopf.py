@@ -91,9 +91,10 @@ _labels: dict = {}  # identity serialization of a component -> its label
 def monomial_of_graph(g: Graph) -> Monomial:
     """Connected-component decomposition as a sorted label tuple.
 
-    A component's pinned label is the brute-force lexmin; it is memoized
-    (up to LABEL_CACHE_SIZE entries) under the component's serialization
-    in its own vertex order, which determines the multigraph exactly."""
+    A component's pinned label is the lexmin of `_min_serialization`; it
+    is memoized (up to LABEL_CACHE_SIZE entries) under the component's
+    serialization in its own vertex order, which determines the multigraph
+    exactly."""
     if g.orientation is None:
         raise HopfError("the flowchart algebra takes oriented graphs")
     labels = []

@@ -4,9 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Tolerances are pinned here, not configurable.
 """
 
+import contextlib
+import io
 import time
 from fractions import Fraction
 
+from graph_oracles import cut_coproduct, disjoint_union
+from kolmex import cli, feynman
 from kolmex import codes as codes_mod
 from kolmex import complexity as cx
 from kolmex.codes import (
@@ -40,6 +44,7 @@ from kolmex.hopf import (
     coproduct_of_monomial,
     enumerate_connected_oriented,
     generator_degree,
+    generator_graph,
     generator_vertices,
     is_primitive,
     monomial_degree,
@@ -98,6 +103,23 @@ def test_criterion_1_feynman_oracle_equivalence():
                f"generic two-color theory at order 2, exact ({elapsed:.1f}s)")
 
 
+def test_criterion_1_order_4_at_the_default_budget():
+    # the README check one order up, through the CLI at its default budget
+    start = time.time()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["algebra", "feynman-check", "--c3", "1", "--c4", "1",
+                         "--order", "4"])
+    assert code == 0, out.getvalue()
+    assert "match through L^4" in out.getvalue()
+    classes = feynman._vacuum_classes(4, (3, 4), None, 200_000)
+    assert len(classes) == 1115
+    elapsed = time.time() - start
+    assert elapsed < 60, f"took {elapsed:.1f}s, limit 60s"
+    _report(1, f"feynman-check --c3 1 --c4 1 --order 4 matches through L^4 at the "
+               f"default budget, {len(classes)} vacuum classes ({elapsed:.1f}s)")
+
+
 # -- 2. Hopf axioms ---------------------------------------------------------------
 
 def test_criterion_2_hopf_axioms():
@@ -126,10 +148,12 @@ def test_criterion_2_hopf_axioms():
             if generator_degree(a) + generator_degree(b) <= 6:
                 products.append(tuple(sorted((a, b))))
     for mono in products:
+        # Delta(a b) from the cuts of the disjoint-union graph itself
         a, b = mono
+        union = disjoint_union(generator_graph(a), generator_graph(b))
         assert tensor_mul(
             coproduct_of_monomial((a,)), coproduct_of_monomial((b,))
-        ) == coproduct_of_monomial(mono), f"bialgebra fails on {mono}"
+        ) == cut_coproduct(union), f"bialgebra fails on {mono}"
 
     def antipode_law(mono):
         left = ZERO

@@ -6,6 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from graph_oracles import (
+    brute_min_serialization,
+    candidate_permutations,
+    multigraphs_with_degrees,
+    raw_vacuum_classes,
+)
 from kolmex import graphs as G
 from kolmex.graphs import (
     EMPTY_GRAPH,
@@ -279,9 +285,9 @@ def test_refinement_count_matches_permutation_oracle(g):
     # the search's leaf count against the vertex permutations that reach
     # the brute-force lexmin: both are |Aut| on vertices
     data = G.multigraph_data(g)
-    best = G._min_serialization(data)
+    best = brute_min_serialization(data)
     oracle = sum(
-        1 for perm in G._candidate_permutations(data)
+        1 for perm in candidate_permutations(data)
         if G._serialize_under(data, perm) == best
     )
     assert G._refinement_search(data)[1] == oracle
@@ -491,7 +497,7 @@ def test_raw_vacuum_certificates_match_labels():
     by_label: dict = {}
     spent = [0]
     for degrees in G._degree_sequences([4, 3], 2, 4):
-        for i, data in enumerate(G._multigraphs_with_degrees(degrees, spent, 10**6)):
+        for i, data in enumerate(multigraphs_with_degrees(degrees, spent, 10**6)):
             key = (degrees, i)
             by_certificate.setdefault(G._refinement_search(data)[0], set()).add(key)
             by_label.setdefault(G._min_serialization(data), set()).add(key)
@@ -500,6 +506,77 @@ def test_raw_vacuum_certificates_match_labels():
         map(sorted, by_label.values())
     )
     assert len(by_label) == 21
+
+
+def _classes_with_aut(classes):
+    return [(canonical_label(g), G._automorphism_order_unbounded(g)) for g in classes]
+
+
+@pytest.mark.parametrize("valences", [{3, 4}, {3}, {4}])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_vacuum_generator_matches_raw_route(valences, order):
+    # closing one vertex at a time against every labelled multigraph
+    # deduplicated afterwards: the same labels, order and |Aut|
+    new = _classes_with_aut(enumerate_vacuum_graphs(order, valences))
+    assert new == raw_vacuum_classes(order, valences)
+
+
+@pytest.mark.parametrize("valences, order, max_vertices",
+                         [({2}, 2, 5), ({1, 2, 3}, 2, 4), ({1, 2, 3}, 1, 5)])
+def test_vacuum_generator_matches_raw_route_with_vertex_cap(valences, order, max_vertices):
+    new = _classes_with_aut(enumerate_vacuum_graphs(order, valences, max_vertices=max_vertices))
+    assert new == raw_vacuum_classes(order, valences, max_vertices)
+
+
+@st.composite
+def multigraph_records(draw, max_vertices=8):
+    """MultigraphData drawn directly: decorated or not, oriented or not,
+    loops, tails and multiplicities of up to two digits."""
+    n = draw(st.integers(0, max_vertices))
+    oriented = draw(st.booleans())
+    counts = st.sampled_from([0, 0, 0, 1, 2, 10, 12])
+    deco = tuple(draw(st.sampled_from([None, None, "x", "y"])) for _ in range(n))
+    loops = tuple(draw(counts) for _ in range(n))
+    tails_in = tuple(draw(st.sampled_from([0, 0, 1])) for _ in range(n))
+    tails_out = (tuple(draw(st.sampled_from([0, 0, 1])) for _ in range(n))
+                 if oriented else (0,) * n)
+    pairs = [(u, w) for u in range(n) for w in range(n)
+             if u != w and (oriented or u < w)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    mult = {pair: draw(st.sampled_from([1, 1, 1, 2, 3, 9, 10, 11])) for pair in chosen}
+    return G.MultigraphData(n, oriented, loops, tails_in, tails_out, mult, deco)
+
+
+CUBE = G.multigraph_data(Graph(
+    8,
+    tuple(f ^ 1 for f in range(24)),
+    tuple(v for u, w in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
+                         (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)] for v in (u, w)),
+))
+
+# eleven vertices: slot fields of two digits sort differently as text
+STAR = G.MultigraphData(11, False, (0,) * 11, (0,) * 11, (0,) * 11,
+                        {(0, w): 1 for w in range(1, 11)}, ("hub",) + ("a",) * 4 + (None,) * 6)
+PATH = G.MultigraphData(11, True, (0,) * 11, (0,) * 11, (0,) * 11,
+                        {(v, v + 1): 1 + v % 3 for v in range(10)}, ("a", "b") * 5 + ("c",))
+
+
+@settings(deadline=None, max_examples=150)
+@given(multigraph_records())
+@example(CUBE)
+@example(STAR)
+@example(PATH)
+@example(G.MultigraphData(  # a slot sources edges back to two earlier slots
+    4, True, (0,) * 4, (0,) * 4, (0,) * 4,
+    {(0, 3): 1, (2, 3): 1, (3, 1): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (3, 0): 1,
+     (3, 2): 1, (0, 2): 1},
+    (None,) * 4,
+))
+@example(G.MultigraphData(2, False, (0, 0), (0, 0), (0, 0), {(0, 1): 10}, (None, None)))
+@example(G.MultigraphData(3, True, (0, 0, 0), (0, 0, 0), (0, 0, 0),
+                          {(0, 1): 9, (1, 2): 10, (2, 0): 11}, (None,) * 3))
+def test_pruned_lexmin_matches_brute_force(data):
+    assert G._min_serialization(data) == brute_min_serialization(data)
 
 
 def test_vacuum_classes_and_symmetry_factors_pinned():
@@ -537,10 +614,10 @@ def test_vacuum_enumeration_budget():
 
 
 def test_vacuum_budget_counts_the_last_candidate():
-    # order 2 has exactly 62 raw candidates
-    assert len(enumerate_vacuum_graphs(2, {3, 4}, budget=62)) == 22
+    # order 2 builds exactly 78 generator states
+    assert len(enumerate_vacuum_graphs(2, {3, 4}, budget=78)) == 22
     with pytest.raises(G.BudgetError):
-        enumerate_vacuum_graphs(2, {3, 4}, budget=61)
+        enumerate_vacuum_graphs(2, {3, 4}, budget=77)
 
 
 def test_canonical_label_bound():
