@@ -3,7 +3,11 @@ complexity-weighted partition sum.
 
 Conventions:
 
-* words are tuples of integer symbols in range(q);
+* a code stores its words once, as a sorted tuple of ints packed with
+  w = (q-1).bit_length() bits per symbol, first symbol most significant;
+  packed order is tuple order and word-string order, and for q a power of
+  two a packed word is its index in the word space.  Tuples of integer
+  symbols in range(q) and symbol strings are views built on demand;
 * k is floor(log_q card) -- ensembles contain codes of non-power sizes, so
   the bracket convention matters and is pinned here;
 * codes of cardinality 1 are rejected outright (the minimum distance is a
@@ -11,10 +15,10 @@ Conventions:
 * for linear codes the minimum distance is computed as the minimum nonzero
   codeword weight, which equals the pairwise minimum and keeps large
   Reed-Solomon checks tractable;
-* unstructured codes pack each word into an int, (q-1).bit_length() bits
-  per symbol: d = 1 iff masking one position makes two words collide,
-  else d is the pairwise minimum of bit_count(fold(a ^ b)), each symbol
-  field folded onto one bit.  `hamming_distance` is the plain reference.
+* for unstructured codes d = 1 iff masking one symbol field makes two
+  packed words collide, else d is the pairwise minimum of
+  bit_count(fold(a ^ b)), each symbol field folded onto one bit.
+  `hamming_distance` is the plain reference.
 
 Everything here is exact except partition sums, which are evaluated in
 binary64 with compensated summation (the exponents are real numbers).
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import fields
@@ -34,7 +39,8 @@ from .complexity import (
     ComplexityProxy,
     RsCode,
     WORD_SYMBOLS,
-    word_string,
+    pack_word,
+    word_strings,
 )
 from .rng import SplitMix64
 
@@ -73,52 +79,84 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Code:
-    """A finite set of equal-length words over a q-ary alphabet.  With a
-    generator, `words=None` means its row space; given words are checked."""
+    """A finite set of equal-length words over a q-ary alphabet, stored once
+    as `packed`.  Words come as symbol tuples (`words`), as packed ints
+    (`packed=`: strictly increasing, every field below q) or from a
+    generator, where `words=None` means its row space.  `words`,
+    `sorted_words()` and `to_code_words()` are built on each call."""
 
     alphabet: Alphabet
     n: int
-    words: Optional[frozenset]
+    packed: tuple
     generator: Optional[tuple] = None  # rows over the field, for linear codes
     rs_params: Optional[tuple] = None  # (q, n, k, points) when built as RS
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, alphabet: Alphabet, n: int, words: Optional[Iterable] = None,
+                 generator: Optional[tuple] = None, rs_params: Optional[tuple] = None,
+                 *, packed: Optional[Sequence[int]] = None):
+        for name, value in (("alphabet", alphabet), ("n", n), ("generator", generator),
+                            ("rs_params", rs_params)):
+            object.__setattr__(self, name, value)
+        self.__post_init__(words, packed)
+
+    def __post_init__(self, words, packed):
+        n, q = self.n, self.alphabet.q
+        if n < 1:
             raise CodeError("block length must be >= 1")
         if self.generator is not None:
-            span = fields.row_space(self.alphabet.field, self.generator, self.n)
-            if self.words is None:
-                object.__setattr__(self, "words", span)
-            elif span != self.words:
+            span = fields.row_space(self.alphabet.field, self.generator, n)
+            if words is None:
+                words = span
+            elif span != words:
                 raise CodeError("words are not the row space of the generator")
-        if len(self.words) < 2:
+        w = (q - 1).bit_length()
+        if (words is None) == (packed is None):
+            raise CodeError("give either words or packed words")
+        if packed is None:
+            symbols = frozenset(range(q))
+            packed = set()
+            for word in words:
+                if len(word) != n:
+                    raise CodeError(f"word {word} has length {len(word)}, expected {n}")
+                if not symbols.issuperset(word):
+                    raise CodeError(f"word {word} has symbols outside range({q})")
+                packed.add(pack_word(word, w))
+            packed = sorted(packed)
+        else:
+            mask = (1 << w) - 1
+            if any(a >= b for a, b in zip(packed, packed[1:])):
+                raise CodeError("packed words must be strictly increasing")
+            if packed and (packed[0] < 0 or packed[-1] >> n * w) or q != mask + 1 and any(
+                    v >> s & mask >= q for v in packed for s in range(0, n * w, w)):
+                raise CodeError(f"packed words need {n} symbols from range({q})")
+        if len(packed) < 2:
             raise CodeError("codes need at least 2 words (d is a pairwise minimum)")
-        q = self.alphabet.q
-        symbols = frozenset(range(q))
-        for w in self.words:
-            if len(w) != self.n:
-                raise CodeError(f"word {w} has length {len(w)}, expected {self.n}")
-            if not symbols.issuperset(w):
-                raise CodeError(f"word {w} has symbols outside range({q})")
+        object.__setattr__(self, "packed", tuple(packed))
 
     @property
     def q(self) -> int:
         return self.alphabet.q
 
+    @property
+    def words(self) -> frozenset:
+        return frozenset(self.sorted_words())
+
     def card(self) -> int:
-        return len(self.words)
+        return len(self.packed)
 
     def sorted_words(self) -> list[tuple]:
-        return sorted(self.words)
+        w = (self.q - 1).bit_length()
+        shifts = range((self.n - 1) * w, -1, -w)
+        return [tuple(v >> s & (1 << w) - 1 for s in shifts) for v in self.packed]
 
     def canonical_string(self) -> str:
         return self.to_code_words().canonical_string()
 
     def to_code_words(self) -> CodeWords:
         """Value form with the sorted words as symbol strings."""
-        return CodeWords(self.q, self.n, tuple(map(word_string, self.sorted_words())))
+        return CodeWords(self.q, self.n, word_strings(self.packed, self.q, self.n))
 
     def description_hints(self) -> tuple:
         if self.rs_params is not None:
@@ -159,23 +197,18 @@ def code_params(code: Code) -> CodeParams:
     if code.generator is not None:
         d = fields.min_weight_of_rowspace(code.alphabet.field, code.generator, n)
     else:
-        d = _min_distance(code.words, q, n)
+        d = _min_distance(code.packed, q, n)
     params = CodeParams(n, k, d, Fraction(k, n), Fraction(d, n))
-    # Singleton bound holds for every code; treat violation as corruption.
-    if params.rate + params.delta > 1 + Fraction(1, n):
+    # Singleton bound (k/n + d/n <= 1 + 1/n) holds for every code; treat
+    # violation as corruption.
+    if k + d > n + 1:
         raise CodeError(f"Singleton bound violated: {params}")
     return params
 
 
-def _min_distance(words, q: int, n: int) -> int:
-    """Minimum Hamming distance of at least two distinct words."""
+def _min_distance(packed: Sequence[int], q: int, n: int) -> int:
+    """Minimum Hamming distance of at least two distinct packed words."""
     w = (q - 1).bit_length()
-    packed = []
-    for word in words:
-        v = 0
-        for s in word:
-            v = (v << w) | s
-        packed.append(v)
     # d = 1 iff two words agree once some one position j is masked out
     symbol = (1 << w) - 1
     for j in range(n):
@@ -339,9 +372,8 @@ def sample_codes(q: int, n: int, size: int, count: int, seed: int,
     gen = SplitMix64(seed)
     codes = []
     for _ in range(count):
-        indices = gen.sample_sorted(space, size)
-        words = frozenset(_decode_word(v, q, n) for v in indices)
-        codes.append(Code(Alphabet(q), n, words))
+        packed = _packed_indices(gen.sample_sorted(space, size), q, n)
+        codes.append(Code(Alphabet(q), n, packed=packed))
     provenance = {
         "kind": "sample",
         "q": q,
@@ -353,12 +385,33 @@ def sample_codes(q: int, n: int, size: int, count: int, seed: int,
     return CodeEnsemble.build(codes, provenance, proxy)
 
 
-def _decode_word(value: int, q: int, n: int) -> tuple:
-    word = []
-    for _ in range(n):
-        word.append(value % q)
-        value //= q
-    return tuple(reversed(word))
+def _packed_indices(indices: list[int], q: int, n: int) -> list[int]:
+    """Word-space indices (base-q numerals of n digits) as packed words, in
+    the same order; for q a power of two they already are."""
+    w = (q - 1).bit_length()
+    if q == 1 << w:
+        return indices
+    c = min(n, floor_log(q, 4096))  # digits per lookup, q**c <= 4096
+    table, base = _rebase_table(q, c), q**c
+    out = []
+    for v in indices:
+        p = shift = 0
+        while v:
+            v, r = divmod(v, base)
+            p |= table[r] << shift
+            shift += c * w
+        out.append(p)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _rebase_table(q: int, c: int) -> list[int]:
+    """Packed form of every c-digit base-q numeral, indexed by its value."""
+    w = (q - 1).bit_length()
+    table = [0]
+    for _ in range(c):
+        table = [v << w | s for v in table for s in range(q)]
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from statistics import StatisticsError, correlation, linear_regression
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import PROXY_VERSION
 from . import fields
@@ -101,9 +102,37 @@ class CodeWords:
 Obj = Union[int, str, CodeWords]
 
 
-def word_string(word: Iterable[int]) -> str:
-    """Symbol-string form of a word given as integer symbols."""
-    return "".join(WORD_SYMBOLS[s] for s in word)
+def pack_word(word: Iterable[int], w: int) -> int:
+    """A word of integer symbols as one int, w bits per symbol, first symbol
+    most significant: packed order is tuple order and word-string order."""
+    v = 0
+    for s in word:
+        v = v << w | s
+    return v
+
+
+@lru_cache(maxsize=16)
+def _chunk_strings(w: int, c: int) -> str:
+    """Symbol strings of every c-symbol chunk of w-bit fields, joined in
+    packed order: chunk v is [v * c : v * c + c].  Fields of q or more,
+    which validated words never hold, read as '?'."""
+    symbols = (WORD_SYMBOLS + "?" * 64)[: 1 << w]
+    return "".join(map("".join, product(symbols, repeat=c)))
+
+
+def word_strings(packed: Sequence[int], q: int, n: int) -> tuple[str, ...]:
+    """Symbol strings of packed words.  Each chunk of up to 12 // w symbols
+    is one slice of a joined table, so binary words with n <= 12 take one
+    slice each."""
+    w = (q - 1).bit_length()
+    c = min(n, 12 // w)  # a chunk table has at most 2**12 entries
+    table = _chunk_strings(w, c)
+    if c == n:
+        return tuple([table[v * c : v * c + c] for v in packed])
+    high = word_strings([v >> c * w for v in packed], q, n - c)
+    mask = (1 << c * w) - 1
+    return tuple([h + table[(v & mask) * c : (v & mask) * c + c]
+                  for h, v in zip(high, packed)])
 
 
 def _decimal(x: int) -> str:
@@ -128,35 +157,33 @@ def object_key(x: Obj) -> str:
 # pinned LZW compressor
 # ---------------------------------------------------------------------------
 
-_LZW_TABLE = {bytes([i]): i for i in range(256)}
-
-
 def lzw_compress(data: bytes) -> tuple[bytes, int]:
-    """Pinned LZW: the zero-padded MSB-first payload and its code count."""
-    table = dict(_LZW_TABLE)
+    """Pinned LZW: the zero-padded MSB-first payload and its code count.
+    The string table maps (prefix code, next byte), keyed code * 256 + byte,
+    to the extended string's code (Welch 1984), so no bytes are sliced."""
+    if not data:
+        return b"", 0
+    table: dict[int, int] = {}
+    size = 256  # codes in use: one per byte value, then one per table entry
     acc = n_bits = 0
-    start = 0  # data[start:end - 1] is the current match, with code `code`
-    code = None
-    for end in range(1, len(data) + 1):
-        wc = data[start:end]
-        c = table.get(wc)
+    code = data[0]
+    for byte in data[1:]:
+        key = code << 8 | byte
+        c = table.get(key)
         if c is None:
-            width = (len(table) - 1).bit_length()
-            acc = (acc << width) | code
+            width = (size - 1).bit_length()
+            acc = acc << width | code
             n_bits += width
-            table[wc] = len(table)
-            start = end - 1
-            code = data[start]
+            table[key] = size
+            size += 1
+            code = byte
         else:
             code = c
-    n_codes = len(table) - len(_LZW_TABLE)  # one code per table entry added
-    if data:
-        width = (len(table) - 1).bit_length()
-        acc = (acc << width) | code
-        n_bits += width
-        n_codes += 1
+    width = (size - 1).bit_length()
+    acc = acc << width | code
+    n_bits += width
     pad = -n_bits % 8
-    return (acc << pad).to_bytes((n_bits + pad) // 8, "big"), n_codes
+    return (acc << pad).to_bytes((n_bits + pad) // 8, "big"), size - 255
 
 
 def lzw_decompress(payload: bytes, n_codes: int) -> bytes:
@@ -186,21 +213,40 @@ def lzw_decompress(payload: bytes, n_codes: int) -> bytes:
     return bytes(out)
 
 
+_B58_CHUNK = 58**10  # ten digits per divmod
+_B58_DIGITS = {ch: i for i, ch in enumerate(_BASE58)}
+
+
+@lru_cache(maxsize=1)
+def _b58_pairs() -> str:
+    """The 58**2 two-digit strings, joined: digit pair p is [2p : 2p + 2]."""
+    return "".join(a + b for a in _BASE58 for b in _BASE58)
+
+
 def _b58_encode(data: bytes) -> str:
     value = int.from_bytes(data, "big")
-    if value == 0:
-        return _BASE58[0]
-    digits = []
+    pairs = _b58_pairs()
+    parts = []  # two-digit groups, least significant first
     while value:
-        value, r = divmod(value, 58)
-        digits.append(_BASE58[r])
-    return "".join(reversed(digits))
+        value, chunk = divmod(value, _B58_CHUNK)
+        for _ in range(5):
+            chunk, p = divmod(chunk, 3364)
+            parts.append(pairs[2 * p : 2 * p + 2])
+    return "".join(reversed(parts)).lstrip(_BASE58[0]) or _BASE58[0]
 
 
 def _b58_decode(text: str, n_bytes: int) -> bytes:
+    text = text.rjust(-(-len(text) // 10) * 10, _BASE58[0])  # whole chunks
     value = 0
-    for ch in text:
-        value = value * 58 + _BASE58.index(ch)
+    for start in range(0, len(text), 10):
+        chunk = 0
+        for ch in text[start : start + 10]:
+            if ch not in _B58_DIGITS:
+                raise DescriptionError(f"bad base-58 digit {ch!r}")
+            chunk = chunk * 58 + _B58_DIGITS[ch]
+        value = value * _B58_CHUNK + chunk
+    if value.bit_length() > 8 * n_bytes:
+        raise DescriptionError(f"base-58 value does not fit in {n_bytes} bytes")
     return value.to_bytes(n_bytes, "big")
 
 
@@ -379,7 +425,7 @@ class CodeLit(Description):
         return f"c({self.q},{self.n},{','.join(self.words)})"
 
     def value(self):
-        return CodeWords(self.q, self.n, self.words)
+        return _code_words(self.q, self.n, self.words)
 
 
 class CodeBlob(Description):
@@ -396,13 +442,25 @@ class CodeBlob(Description):
         )
 
     def value(self):
-        text = lzw_decompress(self.payload, self.n_codes).decode("ascii")
-        if self.n == 0:
+        if self.n < 1:
             raise DescriptionError("code blob needs n >= 1")
+        text = lzw_decompress(self.payload, self.n_codes).decode("ascii")
         if len(text) % self.n:
             raise DescriptionError("code blob length mismatch")
-        words = tuple(sorted(text[i : i + self.n] for i in range(0, len(text), self.n)))
-        return CodeWords(self.q, self.n, words)
+        return _code_words(self.q, self.n, [text[i : i + self.n]
+                                            for i in range(0, len(text), self.n)])
+
+
+def _code_words(q: int, n: int, words) -> CodeWords:
+    """CodeWords of the sorted words, each of which must be n symbols from
+    range(q)."""
+    if n < 1:
+        raise DescriptionError("codes need n >= 1")
+    symbols = set(WORD_SYMBOLS[:q])
+    for word in words:
+        if len(word) != n or not symbols.issuperset(word):
+            raise DescriptionError(f"word {word!r} is not {n} symbols from range({q})")
+    return CodeWords(q, n, tuple(sorted(words)))
 
 
 class RsCode(Description):
@@ -420,8 +478,10 @@ class RsCode(Description):
 
     def value(self):
         f = fields.field(self.q)
+        w = (self.q - 1).bit_length()
         words = fields.rs_wordset(f, self.n, self.k, self.points)
-        return CodeWords(self.q, self.n, tuple(sorted(word_string(w) for w in words)))
+        packed = sorted(pack_word(word, w) for word in words)
+        return CodeWords(self.q, self.n, word_strings(packed, self.q, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +529,10 @@ def _parse_operand(s: str, pos: int) -> tuple[Description, int]:
         if s.startswith(tag + "(", pos):
             end = _matching_paren(s, pos + len(tag))
             fieldstr = s[pos + len(tag) + 1 : end]
-            return _parse_tagged(tag, fieldstr), end + 1
+            try:
+                return _parse_tagged(tag, fieldstr), end + 1
+            except (ValueError, OverflowError) as err:  # DescriptionError included
+                raise DescriptionError(f"bad {tag}(...) at {pos}: {err}") from None
     raise DescriptionError(f"cannot parse at {pos} in {s!r}")
 
 
@@ -485,7 +548,15 @@ def _matching_paren(s: str, open_pos: int) -> int:
     raise DescriptionError("unbalanced parentheses")
 
 
+def _count(field: str) -> int:
+    if not (field.isascii() and field.isdigit()):
+        raise DescriptionError(f"bad count {field!r}")
+    return int(field)
+
+
 def _parse_tagged(tag: str, body: str) -> Description:
+    """The node of one tagged body; a malformed body raises ValueError or
+    OverflowError."""
     if tag == "w":
         return WordLit(body)
     if tag == "r":
@@ -493,16 +564,17 @@ def _parse_tagged(tag: str, body: str) -> Description:
         return Rep(block, parse(count))
     if tag == "b":
         size, n_codes, payload = body.split(",")
-        return Blob(_b58_decode(payload, int(size)), int(n_codes))
+        return Blob(_b58_decode(payload, _count(size)), _count(n_codes))
     if tag == "c":
-        parts = body.split(",")
-        return CodeLit(int(parts[0]), int(parts[1]), tuple(parts[2:]))
+        q, n, *words = body.split(",")
+        return CodeLit(_count(q), _count(n), tuple(words))
     if tag == "cb":
         q, n, size, n_codes, payload = body.split(",")
-        return CodeBlob(int(q), int(n), _b58_decode(payload, int(size)), int(n_codes))
+        return CodeBlob(_count(q), _count(n), _b58_decode(payload, _count(size)),
+                        _count(n_codes))
     if tag == "rs":
         q, n, k, pts = body.split(",")
-        return RsCode(int(q), int(n), int(k), tuple(WORD_SYMBOLS.index(c) for c in pts))
+        return RsCode(_count(q), _count(n), _count(k), tuple(map(WORD_SYMBOLS.index, pts)))
     raise DescriptionError(f"unknown tag {tag}")
 
 

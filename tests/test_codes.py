@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kolmex import codes
+from code_oracles import lzw_compress_ref, pack_words, sampled_codes_ref
+from kolmex import codes, complexity
+from kolmex.rng import SplitMix64
 from kolmex.codes import (
     Alphabet,
     Code,
@@ -13,6 +15,7 @@ from kolmex.codes import (
     bound_curve,
     code_params,
     enumerate_linear_codes,
+    floor_log,
     hamming_distance,
     partition_sum,
     q_entropy,
@@ -107,7 +110,7 @@ def unstructured_codes(draw):
 def test_packed_distance_matches_pairwise_scan(case):
     q, n, words = case
     want = pairwise_ref(words)
-    assert codes._min_distance(words, q, n) == want
+    assert codes._min_distance(pack_words(words, q), q, n) == want
     assert code_params(Code(Alphabet(q), n, words)).d == want
 
 
@@ -115,12 +118,12 @@ def test_packed_distance_beyond_one_and_two():
     # q = 7, n = 7: single-parity words, and doubled symbols padded with a zero
     parity = frozenset(w + ((-sum(w)) % 7,) for w in [
         (0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6), (6, 6, 6, 6, 6, 6)])
-    assert codes._min_distance(parity, 7, 7) == pairwise_ref(parity) == 6
+    assert codes._min_distance(pack_words(parity, 7), 7, 7) == pairwise_ref(parity) == 6
     doubled = frozenset(tuple(s for s in w for _ in range(2)) + (0,)
                         for w in [(0, 1, 2), (3, 4, 5), (6, 0, 1)])
-    assert codes._min_distance(doubled, 7, 7) == pairwise_ref(doubled) == 6
+    assert codes._min_distance(pack_words(doubled, 7), 7, 7) == pairwise_ref(doubled) == 6
     binary = frozenset([(0,) * 8, (1,) * 3 + (0,) * 5, (0,) * 4 + (1,) * 4])
-    assert codes._min_distance(binary, 2, 8) == pairwise_ref(binary) == 3
+    assert codes._min_distance(pack_words(binary, 2), 2, 8) == pairwise_ref(binary) == 3
 
 
 def test_linear_codes_enumerate_their_span_once(monkeypatch):
@@ -315,6 +318,56 @@ def test_sampled_codes_satisfy_singleton_exactly():
         p = entry.params
         assert p.rate + p.delta <= 1 + F(1, p.n)
         assert entry.complexity >= 2
+
+
+@st.composite
+def sample_configs(draw):
+    """(q, n, size, count, seed) with q**n <= 2**40, so words of more than
+    one 12-bit chunk occur for every q."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 8, 36]))
+    n = draw(st.integers(1, floor_log(q, 1 << 40)))
+    size = draw(st.integers(2, min(q**n, 70)))
+    return q, n, size, draw(st.integers(1, 3)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_configs())
+def test_sampled_codes_match_the_tuple_path(config):
+    q, n, size, count, seed = config
+    ensemble = sample_codes(q, n, size, count, seed)
+    ref = sampled_codes_ref(q, n, size, count, seed)
+    got = [(e.complexity, e.code.canonical_string(), e.params) for e in ensemble.entries]
+    assert got == sorted(
+        (complexity.DEFAULT_PROXY.proxy_complexity(code_words),
+         code_words.canonical_string(), params)
+        for _, code_words, params in ref)
+    by_string = {e.code.canonical_string(): e.code for e in ensemble.entries}
+    for words, code_words, _ in ref:
+        sampled = by_string[code_words.canonical_string()]
+        built = Code(Alphabet(q), n, frozenset(words))
+        assert built == sampled and hash(built) == hash(sampled)
+        assert sampled.sorted_words() == words and sampled.words == frozenset(words)
+    # LZW on random bytes whose table passes the 512, 1024 and 2048 widths
+    gen = SplitMix64(seed)
+    data = bytes(gen.below(256) for _ in range(3000 + size))
+    payload, n_codes = complexity.lzw_compress(data)
+    assert 256 + n_codes > 2049
+    assert (payload, n_codes) == lzw_compress_ref(data)
+
+
+def test_packed_words_are_checked():
+    for q, n, packed in [(2, 3, [1, 1]), (2, 3, [5, 2]), (2, 3, [1, 8]),
+                         (2, 3, [-1, 2]), (3, 2, [0, 3]), (3, 2, [0, 12]),
+                         (7, 3, [0, 7 << 3]), (2, 3, [1])]:
+        with pytest.raises(CodeError):
+            Code(Alphabet(q), n, packed=packed)
+    with pytest.raises(CodeError):
+        Code(Alphabet(2), 1, frozenset({(0,), (1,)}), packed=[0, 1])
+    code = Code(Alphabet(3), 2, packed=[0b0010, 0b1000])
+    assert code.sorted_words() == [(0, 2), (2, 0)]
+    assert code.to_code_words().words == ("02", "20")
+    code = Code(Alphabet(36), 3, frozenset({(0, 1, 35), (35, 0, 2), (9, 10, 0)}))
+    assert code.to_code_words().words == ("01z", "9a0", "z02")
 
 
 def test_ensemble_sorted_by_complexity():

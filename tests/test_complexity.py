@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from code_oracles import b58_decode_ref, b58_encode_ref, lzw_compress_ref
 from kolmex import complexity as cx
 from kolmex.rng import SplitMix64
 
@@ -106,46 +107,71 @@ def test_lzw_short_tail_is_truncated():
         cx.lzw_decompress(payload[:-1], n_codes)
 
 
-def lzw_compress_ref(data):
-    """The pinned LZW as a bit string: (code, width) pairs, then zero padding."""
-    codes = []
-    table = {bytes([i]): i for i in range(256)}
-    w = b""
-    for byte in data:
-        wc = w + bytes([byte])
-        if wc in table:
-            w = wc
-        else:
-            codes.append((table[w], (len(table) - 1).bit_length()))
-            table[wc] = len(table)
-            w = bytes([byte])
-    if w:
-        codes.append((table[w], (len(table) - 1).bit_length()))
-    bits = "".join(format(code, f"0{width}b") for code, width in codes)
-    bits += "0" * (-len(bits) % 8)
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-
-
-def lzw_code_count_ref(data):
-    """Code count of the pinned LZW, from a second pass over the data."""
-    table = {bytes([i]) for i in range(256)}
-    count = 0
-    w = b""
-    for byte in data:
-        wc = w + bytes([byte])
-        if wc in table:
-            w = wc
-        else:
-            count += 1
-            table.add(wc)
-            w = bytes([byte])
-    return count + (1 if w else 0)
-
-
 @given(st.one_of(st.binary(max_size=1200),
                  st.text(alphabet="0126", max_size=3000).map(str.encode)))
 def test_lzw_matches_reference(data):
-    assert cx.lzw_compress(data) == (lzw_compress_ref(data), lzw_code_count_ref(data))
+    assert cx.lzw_compress(data) == lzw_compress_ref(data)
+
+
+# -- base 58 -------------------------------------------------------------------
+
+@given(st.integers(0, 30), st.binary(max_size=80))
+def test_b58_matches_per_digit_reference(zeros, data):
+    data = bytes(zeros) + data
+    text = cx._b58_encode(data)
+    assert text == b58_encode_ref(data)
+    assert cx._b58_decode(text, len(data)) == data == b58_decode_ref(text, len(data))
+
+
+@given(st.integers(1, 4), st.integers(1, 58**3), st.sampled_from([-1, 1]),
+       st.integers(0, 3))
+def test_b58_at_chunk_boundaries(j, k, step, zeros):
+    value = 58 ** (10 * j) * k + step  # the last chunk all zeros or all 'Z'
+    data = bytes(zeros) + value.to_bytes(-(-value.bit_length() // 8), "big")
+    text = cx._b58_encode(data)
+    assert text == b58_encode_ref(data)
+    assert cx._b58_decode(text, len(data)) == data
+    assert cx._b58_decode(b58_encode_ref(data), len(data)) == data
+
+
+def test_b58_decode_rejects_bad_digits_and_overflow():
+    with pytest.raises(cx.DescriptionError, match="digit 'I'"):
+        cx._b58_decode("I0", 2)
+    with pytest.raises(cx.DescriptionError, match="1 bytes"):
+        cx._b58_decode("zz", 1)
+    assert cx._b58_decode("0", 3) == bytes(3)
+
+
+# -- parser errors --------------------------------------------------------------
+
+@pytest.mark.parametrize("text, where", [
+    ("b(1,2)", r"b\(\.\.\.\) at 0"),
+    ("cb(2,3,1,1)", r"cb\(\.\.\.\) at 0"),
+    ("c(x,3,000)", r"c\(\.\.\.\) at 0"),
+    ("b(1,2,I0)", r"b\(\.\.\.\) at 0"),
+    ("b(1,1,zzzzzz)", r"b\(\.\.\.\) at 0"),
+    ("(2^3)+b(1,2)", r"b\(\.\.\.\) at 6"),
+    ("rs(7,7,3,01I)", r"rs\(\.\.\.\) at 0"),
+    ("c(2,-3,000)", r"c\(\.\.\.\) at 0"),
+])
+def test_parse_errors_name_the_tag_and_offset(text, where):
+    with pytest.raises(cx.DescriptionError, match=where):
+        cx.parse(text)
+
+
+@pytest.mark.parametrize("text", ["c(2,3,012,111)", "c(2,3,01,111)", "c(2,0,)"])
+def test_code_literal_rejects_bad_words(text):
+    with pytest.raises(cx.DescriptionError):
+        cx.parse(text).value()
+
+
+def test_code_blob_rejects_bad_words():
+    payload, n_codes = cx.lzw_compress(b"012111")
+    with pytest.raises(cx.DescriptionError, match="range"):
+        cx.CodeBlob(2, 3, payload, n_codes).value()
+    with pytest.raises(cx.DescriptionError, match="length mismatch"):
+        cx.CodeBlob(3, 4, payload, n_codes).value()
+    assert cx.CodeBlob(3, 3, payload, n_codes).value() == cx.CodeWords(3, 3, ("012", "111"))
 
 
 @given(st.text(alphabet="0123456789abcdef", min_size=1, max_size=120))
