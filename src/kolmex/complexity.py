@@ -37,11 +37,15 @@ the width of the current dictionary size, MSB first, zero-padded) is part
 of the contract and never changes without a PROXY_VERSION bump.
 
 The search spends one budget unit per candidate in a pinned order.  The
-integer node grants its exponent loop (2..bit_length) and tower loop (bases
+integer search grants its exponent loop (2..bit_length) and tower loop (bases
 2..36) in one step each: roots come from x's maximal perfect-power exponent,
 found from prime exponents (float prefilter, exact check), and towers from
-the same decomposition.  Nodes are immutable and serialize once, so ranking
-candidates re-encodes nothing.  `search` reports budget exhaustion.
+the same decomposition.  Candidates are ranked as canonical text, never as
+nodes: an integer sub-search returns its text as a child (digits, or
+parenthesized), each candidate is formatted from its children's texts, and
+the least (length, text) wins.  `complexity_bits` is 8 * len(winning text)
+and builds no node; `search` parses only the winner, and reports budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from statistics import StatisticsError, correlation, linear_regression
 from typing import Iterable, Optional, Sequence, Union
@@ -401,8 +405,19 @@ class Rep(Description):
         return self.block * n
 
 
+_WORD_BYTES = WORD_SYMBOLS.encode("ascii")
+
+
+def _blob_text(payload: bytes, n_codes: int) -> str:
+    """The decompressed bytes of a blob as text over WORD_SYMBOLS."""
+    data = lzw_decompress(payload, n_codes)
+    if data.translate(None, _WORD_BYTES):
+        raise DescriptionError("blob holds bytes outside the word symbols")
+    return data.decode("ascii")
+
+
 class Blob(Description):
-    """LZW-compressed byte string; evaluates to its ASCII decoding."""
+    """LZW-compressed byte string; evaluates to its text over WORD_SYMBOLS."""
 
     def __init__(self, payload: bytes, n_codes: int):
         self.payload = payload
@@ -412,7 +427,7 @@ class Blob(Description):
         return f"b({len(self.payload)},{self.n_codes},{_b58_encode(self.payload)})"
 
     def value(self):
-        return lzw_decompress(self.payload, self.n_codes).decode("ascii")
+        return _blob_text(self.payload, self.n_codes)
 
 
 class CodeLit(Description):
@@ -444,7 +459,7 @@ class CodeBlob(Description):
     def value(self):
         if self.n < 1:
             raise DescriptionError("code blob needs n >= 1")
-        text = lzw_decompress(self.payload, self.n_codes).decode("ascii")
+        text = _blob_text(self.payload, self.n_codes)
         if len(text) % self.n:
             raise DescriptionError("code blob length mismatch")
         return _code_words(self.q, self.n, [text[i : i + self.n]
@@ -567,6 +582,8 @@ def _parse_tagged(tag: str, body: str) -> Description:
         return Blob(_b58_decode(payload, _count(size)), _count(n_codes))
     if tag == "c":
         q, n, *words = body.split(",")
+        if words == [""]:  # "c(q,n,)": the code with no words
+            words = []
         return CodeLit(_count(q), _count(n), tuple(words))
     if tag == "cb":
         q, n, size, n_codes, payload = body.split(",")
@@ -646,9 +663,13 @@ def _tower_pairs(m: int, e: int, top: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _desc_sort_key(d: Description):
-    s = d.serialize()
-    return (BITS_PER_CHAR * len(s), s)
+def _unwrap(text: str) -> str:
+    """A child's text as a whole description: without its parentheses."""
+    return text[1:-1] if text[0] == "(" else text
+
+
+def _text_key(text: str) -> tuple[int, str]:
+    return len(text), text
 
 
 class _Budget:
@@ -668,6 +689,112 @@ class _Budget:
         return n
 
 
+# below 16 the literal is the only candidate, at every depth
+_SMALL_TEXTS = {v: str(v) for v in range(16)}
+
+
+def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
+    """Text of the least description of x as a child: digits for a literal,
+    parenthesized otherwise.  `memo` is keyed on x alone, so the first depth
+    that reaches a value decides its entry; it starts with _SMALL_TEXTS."""
+    text = memo.get(x)
+    if text is not None:
+        return text
+    if x < 0:
+        raise DescriptionError("negative integers are not in the grammar")
+    cands = [_decimal(x)]
+    sub = partial(_int_text, budget, memo, depth + 1)
+    if depth < 12:
+        # collect cheap structural facts before any recursion, so deep
+        # refinement of one candidate cannot starve the listing of others;
+        # exponents 2..bit_length, then tower bases 2..36, cost one each
+        top = 1 + budget.spend(x.bit_length() - 1)
+        m, e = _perfect_power(x, top)
+        root_pairs = [(m ** (e // b), b)
+                      for b in range(2, min(e, top) + 1) if e % b == 0]
+        # bases get budget only after every exponent did, so e is maximal
+        bases = budget.spend(35)
+        tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
+        for a, b in root_pairs:
+            cands.append(f"{sub(a)}^{sub(b)}")
+        for base, height in tower_pairs:
+            b, h = sub(base), sub(height)
+            cands.append(f"{b}^^" if b == h else f"{b}^^{h}")
+    if depth < 2:
+        # x = a^e + r with a small base and small remainder
+        log2_x = math.log2(x)
+        for a in range(2, 11):
+            if not budget.spend(1):
+                break
+            e = int(log2_x / math.log2(a))  # floor(log_a x), corrected below
+            power = a**e
+            while power > x:
+                power //= a
+                e -= 1
+            while power * a <= x:
+                power *= a
+                e += 1
+            r = x - power
+            if e >= 2 and 0 < r <= 1_000_000:
+                cands.append(f"({sub(a)}^{sub(e)})+{sub(r)}")
+        # small-divisor factorizations
+        for d in range(2, 65):
+            if d * d > x:
+                break
+            if not budget.spend(1):
+                break
+            if x % d == 0:
+                cands.append(f"{sub(d)}*{sub(x // d)}")
+    if len(cands) == 1:
+        text = cands[0]
+    else:
+        best = min(cands, key=_text_key)
+        text = best if best is cands[0] else f"({best})"
+    memo[x] = text
+    return text
+
+
+def _word_text(x: str, budget: _Budget) -> str:
+    if any(ch not in WORD_SYMBOLS for ch in x):
+        raise DescriptionError(f"bad word symbols {x!r}")
+    if not x:
+        raise DescriptionError("empty words are not describable")
+    cands = [f"w({x})"]
+    memo = dict(_SMALL_TEXTS)
+    n = len(x)
+    for period in range(1, n // 2 + 1):
+        if n % period:
+            continue
+        if not budget.spend(1):
+            break
+        if x == x[:period] * (n // period):
+            count = _int_text(budget, memo, 1, n // period)
+            cands.append(f"r({x[:period]},{_unwrap(count)})")
+    if budget.spend(1):
+        payload, n_codes = lzw_compress(x.encode("ascii"))
+        cands.append(f"b({len(payload)},{n_codes},{_b58_encode(payload)})")
+    return min(cands, key=_text_key)
+
+
+def _code_text(x: CodeWords, budget: _Budget) -> str:
+    cands = [f"c({x.q},{x.n},{','.join(sorted(x.words))})"]
+    if budget.spend(1):
+        payload, n_codes = lzw_compress("".join(x.words).encode("ascii"))
+        cands.append(f"cb({x.q},{x.n},{len(payload)},{n_codes},{_b58_encode(payload)})")
+    return min(cands, key=_text_key)
+
+
+def _search_text(x: Obj, budget: _Budget) -> str:
+    """Canonical text of the least candidate the search generates for x."""
+    if isinstance(x, int):
+        return _unwrap(_int_text(budget, dict(_SMALL_TEXTS), 0, x))
+    if isinstance(x, str):
+        return _word_text(x, budget)
+    if isinstance(x, CodeWords):
+        return _code_text(x, budget)
+    raise DescriptionError(f"not describable: {x!r}")
+
+
 @dataclass(frozen=True)
 class ComplexityProxy:
     """The pinned bounded search; `budget` caps generated candidates."""
@@ -680,22 +807,22 @@ class ComplexityProxy:
         and whether the budget cut the search short.
 
         Ties break on lexicographic serialization.  `hints` are extra
-        candidate descriptions (verified against x before use).
+        candidate descriptions (verified against x before use); a winning
+        hint is returned as given, any other winner is parsed from its text.
         """
-        if self.budget <= 0:
-            raise BudgetExhausted("search budget is 0")
-        budget = _Budget(self.budget)
-        best = self._search(x, budget, {}, depth=0)
-        for hint in hints:
-            if hint.value() == x:
-                best = min(best, hint, key=_desc_sort_key)
-        return best, budget.cut
+        text, hint, cut = self._best(x, hints)
+        return (parse(text) if hint is None else hint), cut
 
     def shortest_description(self, x: Obj, hints: tuple = ()) -> Description:
         return self.search(x, hints)[0]
 
-    def complexity_bits(self, x: Obj, hints: tuple = ()) -> int:
-        return self.search(x, hints)[0].bits()
+    def complexity_bits(self, x: Obj, hints: tuple = (), cuts: Optional[list] = None) -> int:
+        """Bits of the shortest description found; x is appended to `cuts`,
+        when given, if the budget cut its search short."""
+        text, _, cut = self._best(x, hints)
+        if cut and cuts is not None:
+            cuts.append(x)
+        return BITS_PER_CHAR * len(text)
 
     def proxy_complexity(self, x: Obj, prefix: bool = False, hints: tuple = ()) -> int:
         """K(x) = 2**bits, or the prefix form 2**(bits + gamma header)."""
@@ -706,94 +833,19 @@ class ComplexityProxy:
 
     # -- search internals ---------------------------------------------------
 
-    def _search(self, x: Obj, budget: _Budget, memo, depth) -> Description:
-        key = (type(x).__name__, x)
-        if key in memo:
-            return memo[key]
-        if isinstance(x, int):
-            best = self._search_int(x, budget, memo, depth)
-        elif isinstance(x, str):
-            best = self._search_word(x, budget, memo, depth)
-        elif isinstance(x, CodeWords):
-            best = self._search_code(x, budget, memo, depth)
-        else:
-            raise DescriptionError(f"not describable: {x!r}")
-        memo[key] = best
-        return best
-
-    def _search_int(self, x: int, budget: _Budget, memo, depth) -> Description:
-        if x < 0:
-            raise DescriptionError("negative integers are not in the grammar")
-        candidates = [Lit(x)]
-
-        def sub(v: int) -> Description:
-            return self._search(v, budget, memo, depth + 1)
-
-        if depth < 12 and x >= 16:
-            # collect cheap structural facts before any recursion, so deep
-            # refinement of one candidate cannot starve the listing of others;
-            # exponents 2..bit_length, then tower bases 2..36, cost one each
-            top = 1 + budget.spend(x.bit_length() - 1)
-            m, e = _perfect_power(x, top)
-            root_pairs = [(m ** (e // b), b)
-                          for b in range(2, min(e, top) + 1) if e % b == 0]
-            # bases get budget only after every exponent did, so e is maximal
-            bases = budget.spend(35)
-            tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
-            for a, b in root_pairs:
-                candidates.append(Pow(sub(a), sub(b)))
-            for base, height in tower_pairs:
-                candidates.append(Tower(sub(base), sub(height)))
-        if depth < 2 and x >= 16:
-            # x = a^e + r with a small base and small remainder
-            log2_x = math.log2(x)
-            for a in range(2, 11):
-                if not budget.spend(1):
-                    break
-                e = int(log2_x / math.log2(a))  # floor(log_a x), corrected below
-                power = a**e
-                while power > x:
-                    power //= a
-                    e -= 1
-                while power * a <= x:
-                    power *= a
-                    e += 1
-                r = x - power
-                if e >= 2 and 0 < r <= 1_000_000:
-                    candidates.append(Add(Pow(sub(a), sub(e)), sub(r)))
-            # small-divisor factorizations
-            for d in range(2, 65):
-                if d * d > x:
-                    break
-                if not budget.spend(1):
-                    break
-                if x % d == 0:
-                    candidates.append(Mul(sub(d), sub(x // d)))
-        return min(candidates, key=_desc_sort_key)
-
-    def _search_word(self, x: str, budget: _Budget, memo, depth) -> Description:
-        candidates: list[Description] = [WordLit(x)] if x else []
-        if not x:
-            raise DescriptionError("empty words are not describable")
-        n = len(x)
-        for period in range(1, n // 2 + 1):
-            if n % period:
-                continue
-            if not budget.spend(1):
-                break
-            if x == x[:period] * (n // period):
-                count = self._search(n // period, budget, memo, depth + 1)
-                candidates.append(Rep(x[:period], count))
-        if budget.spend(1):
-            candidates.append(Blob(*lzw_compress(x.encode("ascii"))))
-        return min(candidates, key=_desc_sort_key)
-
-    def _search_code(self, x: CodeWords, budget: _Budget, memo, depth) -> Description:
-        candidates: list[Description] = [CodeLit(x.q, x.n, x.words)]
-        if budget.spend(1):
-            data = "".join(x.words).encode("ascii")
-            candidates.append(CodeBlob(x.q, x.n, *lzw_compress(data)))
-        return min(candidates, key=_desc_sort_key)
+    def _best(self, x: Obj, hints: tuple) -> tuple[str, Optional[Description], bool]:
+        """(winning text, the winning hint or None, budget cut) of one search."""
+        if self.budget <= 0:
+            raise BudgetExhausted("search budget is 0")
+        budget = _Budget(self.budget)
+        text = _search_text(x, budget)
+        winner = None
+        for hint in hints:
+            if hint.value() == x:
+                h = hint.serialize()
+                if _text_key(h) < _text_key(text):
+                    text, winner = h, hint
+        return text, winner, budget.cut
 
 
 def gamma_length(m: int) -> int:
@@ -811,12 +863,21 @@ DEFAULT_PROXY = ComplexityProxy()
 # ---------------------------------------------------------------------------
 
 class KolmogorovOrder:
-    """Rank bijection of a finite universe, ascending in (K, object key)."""
+    """Rank bijection of a finite universe, ascending in (K, object key).
 
-    def __init__(self, objects: tuple, proxy_version: str):
+    `budget_cuts` counts the objects whose search the budget cut short; it
+    describes how the order was made and takes no part in equality.
+    """
+
+    def __init__(self, objects: tuple, proxy_version: str, budget_cuts: int = 0):
         self.objects = tuple(objects)  # position i holds the object of rank i+1
         self.proxy_version = proxy_version
+        self._budget_cuts = budget_cuts
         self._index = {object_key(x): i for i, x in enumerate(self.objects)}
+
+    @property
+    def budget_cuts(self) -> int:
+        return self._budget_cuts
 
     def rank_of(self, x: Obj) -> int:
         try:
@@ -851,13 +912,12 @@ def kolmogorov_order(universe: Iterable[Obj], proxy: ComplexityProxy = DEFAULT_P
     if len(set(keys)) != len(keys):
         raise DescriptionError("universe contains duplicate objects")
     hints = hints or {}
-
-    def sort_key(x):
-        k = object_key(x)
-        return (proxy.complexity_bits(x, hints=tuple(hints.get(k, ()))), k)
-
-    items.sort(key=sort_key)
-    return KolmogorovOrder(tuple(items), proxy.version)
+    cuts: list = []
+    bits = [proxy.complexity_bits(x, hints=tuple(hints.get(k, ())), cuts=cuts)
+            for x, k in zip(items, keys)]
+    # keys are distinct, so no two entries compare their objects
+    ranked = sorted(zip(bits, keys, items))
+    return KolmogorovOrder(tuple(x for _, _, x in ranked), proxy.version, len(cuts))
 
 
 def levin_weights(universe: Iterable[Obj], proxy: ComplexityProxy = DEFAULT_PROXY,

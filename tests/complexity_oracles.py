@@ -1,0 +1,127 @@
+"""Node-building reference for the proxy search.
+
+`NodeSearch` is the bounded search as a tree of `Description` nodes: every
+candidate is built as a node and the winner is the node with the least
+(bits, serialization).  The live search ranks the same candidates as
+canonical text, in the same order and with the same budget spends, and
+parses only the winner; `NodeSearch` is what it must agree with.
+"""
+
+import math
+
+from kolmex.complexity import (
+    BITS_PER_CHAR,
+    Add,
+    Blob,
+    CodeBlob,
+    CodeLit,
+    CodeWords,
+    Description,
+    DescriptionError,
+    Lit,
+    Mul,
+    Pow,
+    Rep,
+    Tower,
+    WordLit,
+    _Budget,
+    _perfect_power,
+    _tower_pairs,
+    lzw_compress,
+)
+
+
+def desc_sort_key(d: Description):
+    s = d.serialize()
+    return (BITS_PER_CHAR * len(s), s)
+
+
+class NodeSearch:
+    """The pinned search on description nodes; one memo per search, keyed on
+    the object, so the first depth that reaches a value decides its entry."""
+
+    def search(self, x, budget: _Budget) -> Description:
+        return self._search(x, budget, {}, depth=0)
+
+    def _search(self, x, budget: _Budget, memo, depth) -> Description:
+        key = (type(x).__name__, x)
+        if key in memo:
+            return memo[key]
+        if isinstance(x, int):
+            best = self._search_int(x, budget, memo, depth)
+        elif isinstance(x, str):
+            best = self._search_word(x, budget, memo, depth)
+        elif isinstance(x, CodeWords):
+            best = self._search_code(x, budget, memo, depth)
+        else:
+            raise DescriptionError(f"not describable: {x!r}")
+        memo[key] = best
+        return best
+
+    def _search_int(self, x: int, budget: _Budget, memo, depth) -> Description:
+        if x < 0:
+            raise DescriptionError("negative integers are not in the grammar")
+        candidates = [Lit(x)]
+
+        def sub(v: int) -> Description:
+            return self._search(v, budget, memo, depth + 1)
+
+        if depth < 12 and x >= 16:
+            top = 1 + budget.spend(x.bit_length() - 1)
+            m, e = _perfect_power(x, top)
+            root_pairs = [(m ** (e // b), b)
+                          for b in range(2, min(e, top) + 1) if e % b == 0]
+            bases = budget.spend(35)
+            tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
+            for a, b in root_pairs:
+                candidates.append(Pow(sub(a), sub(b)))
+            for base, height in tower_pairs:
+                candidates.append(Tower(sub(base), sub(height)))
+        if depth < 2 and x >= 16:
+            log2_x = math.log2(x)
+            for a in range(2, 11):
+                if not budget.spend(1):
+                    break
+                e = int(log2_x / math.log2(a))
+                power = a**e
+                while power > x:
+                    power //= a
+                    e -= 1
+                while power * a <= x:
+                    power *= a
+                    e += 1
+                r = x - power
+                if e >= 2 and 0 < r <= 1_000_000:
+                    candidates.append(Add(Pow(sub(a), sub(e)), sub(r)))
+            for d in range(2, 65):
+                if d * d > x:
+                    break
+                if not budget.spend(1):
+                    break
+                if x % d == 0:
+                    candidates.append(Mul(sub(d), sub(x // d)))
+        return min(candidates, key=desc_sort_key)
+
+    def _search_word(self, x: str, budget: _Budget, memo, depth) -> Description:
+        candidates: list[Description] = [WordLit(x)] if x else []
+        if not x:
+            raise DescriptionError("empty words are not describable")
+        n = len(x)
+        for period in range(1, n // 2 + 1):
+            if n % period:
+                continue
+            if not budget.spend(1):
+                break
+            if x == x[:period] * (n // period):
+                count = self._search(n // period, budget, memo, depth + 1)
+                candidates.append(Rep(x[:period], count))
+        if budget.spend(1):
+            candidates.append(Blob(*lzw_compress(x.encode("ascii"))))
+        return min(candidates, key=desc_sort_key)
+
+    def _search_code(self, x: CodeWords, budget: _Budget, memo, depth) -> Description:
+        candidates: list[Description] = [CodeLit(x.q, x.n, x.words)]
+        if budget.spend(1):
+            data = "".join(x.words).encode("ascii")
+            candidates.append(CodeBlob(x.q, x.n, *lzw_compress(data)))
+        return min(candidates, key=desc_sort_key)

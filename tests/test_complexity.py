@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from code_oracles import b58_decode_ref, b58_encode_ref, lzw_compress_ref
+from complexity_oracles import NodeSearch, desc_sort_key
 from kolmex import complexity as cx
 from kolmex.rng import SplitMix64
 
@@ -165,6 +166,22 @@ def test_code_literal_rejects_bad_words(text):
         cx.parse(text).value()
 
 
+@pytest.mark.parametrize("text", ["b(1,1,4n)", "cb(2,1,1,1,4n)", "b(3,2,g8lu)"])
+def test_blobs_reject_bytes_outside_word_symbols(text):
+    # a byte >= 0x80, and '0!' from a payload that decodes cleanly as ASCII
+    with pytest.raises(cx.DescriptionError, match="outside the word symbols"):
+        cx.parse(text).value()
+
+
+def test_empty_code_round_trips():
+    empty = cx.CodeWords(2, 3, ())
+    assert cx.parse("c(2,3,)").value() == empty
+    desc, cut = proxy.search(empty)
+    assert (desc.serialize(), cut) == ("c(2,3,)", False)
+    assert desc.value() == empty
+    assert cx.parse("cb(2,3,0,0,0)").value() == empty
+
+
 def test_code_blob_rejects_bad_words():
     payload, n_codes = cx.lzw_compress(b"012111")
     with pytest.raises(cx.DescriptionError, match="range"):
@@ -253,6 +270,18 @@ def test_order_is_stable_permutation():
     assert sorted(ranks) == list(range(1, 60))
 
 
+def test_order_counts_budget_cuts():
+    small = cx.kolmogorov_order(range(1, 65))
+    assert small.budget_cuts == 0
+    window = cx.kolmogorov_order(range(1, 1025))
+    assert window.budget_cuts == 21
+    assert sum(proxy.search(x)[1] for x in window.objects) == 21
+    with pytest.raises(AttributeError):
+        window.budget_cuts = 0
+    # the count describes how the order was made, not the order
+    assert window == cx.KolmogorovOrder(window.objects, window.proxy_version)
+
+
 def test_order_rejects_duplicates():
     with pytest.raises(cx.DescriptionError):
         cx.kolmogorov_order([3, 3])
@@ -320,10 +349,14 @@ def test_synthetic_corpus_deterministic():
 # -- budget exhaustion --------------------------------------------------------
 
 def _searched(p, x, budget):
-    """(serialization, spends left, cut) of one search with a fresh budget."""
+    """(serialization, spends left, cut) of one search with a fresh budget:
+    the live proxy's winning text, or the serialized node of a reference."""
     b = cx._Budget(budget)
-    d = p._search(x, b, {}, depth=0)
-    return d.serialize(), b.left, b.cut
+    if isinstance(p, cx.ComplexityProxy):
+        text = cx._search_text(x, b)
+    else:
+        text = p.search(x, b).serialize()
+    return text, b.left, b.cut
 
 
 def test_search_reports_budget_exhaustion():
@@ -349,7 +382,7 @@ def _iroot_ref(x, b):
         a = nxt
 
 
-class LoopSearch(cx.ComplexityProxy):
+class LoopSearch(NodeSearch):
     """The integer search as one budget unit per loop step: an iroot per
     exponent, a tower climb per base and a power loop per small base."""
 
@@ -407,7 +440,7 @@ class LoopSearch(cx.ComplexityProxy):
                     candidates.append(cx.Mul(
                         self._search(d, budget, memo, depth + 1),
                         self._search(x // d, budget, memo, depth + 1)))
-        return min(candidates, key=cx._desc_sort_key)
+        return min(candidates, key=desc_sort_key)
 
 
 loop_proxy = LoopSearch()
@@ -473,3 +506,79 @@ def test_huge_integers_need_no_digit_limit():
         assert cx.Lit(x).value() == x
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# -- the text search against the node-building oracle ---------------------------
+
+oracle = NodeSearch()
+budgets = st.one_of(st.integers(1, 300), st.just(4096))
+
+
+def _check_against_oracle(x, budget):
+    """Same (text, spends left, cut) as the node search; `search` returns the
+    parsed winner, which evaluates back to x (a code to its sorted words)."""
+    got = _searched(proxy, x, budget)
+    assert got == _searched(oracle, x, budget)
+    desc, cut = cx.ComplexityProxy(budget=budget).search(x)
+    assert desc == cx.parse(got[0]) and desc.serialize() == got[0]
+    assert cut == got[2]
+    if isinstance(x, cx.CodeWords):
+        x = cx.CodeWords(x.q, x.n, tuple(sorted(x.words)))
+    assert desc.value() == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(branch_ints, budgets)
+def test_int_text_search_matches_node_oracle(x, budget):
+    _check_against_oracle(x, budget)
+
+
+SYMBOLS = st.sampled_from(cx.WORD_SYMBOLS)
+words = st.one_of(
+    st.text(SYMBOLS, min_size=1, max_size=40),
+    st.text(SYMBOLS, min_size=1, max_size=8).flatmap(
+        lambda block: st.integers(1, 40 // len(block)).map(lambda k: block * k)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words, budgets)
+def test_word_text_search_matches_node_oracle(word, budget):
+    _check_against_oracle(word, budget)
+
+
+@st.composite
+def code_words(draw):
+    """Codes with 0-12 distinct words in any order, sorted or not."""
+    q = draw(st.integers(2, 36))
+    n = draw(st.integers(1, 6))
+    word = st.text(st.sampled_from(cx.WORD_SYMBOLS[:q]), min_size=n, max_size=n)
+    ws = draw(st.lists(word, max_size=12, unique=True))
+    return cx.CodeWords(q, n, tuple(ws))
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_words(), budgets)
+def test_code_text_search_matches_node_oracle(code, budget):
+    _check_against_oracle(code, budget)
+
+
+def test_text_search_matches_node_oracle_on_fixed_cases():
+    cases = [cx.CodeWords(2, 3, ()), cx.CodeWords(2, 3, ("111", "000")),
+             "01" * 20, "0" * 16, "abc" * 13, "z", 10**100, 2**64 + 1,
+             "01" * 1024, "xyz" * 729]  # counts 4^5 and 3^6 are compound
+    for x in cases:
+        for budget in (1, 2, 3, 40, 4096):
+            _check_against_oracle(x, budget)
+
+
+def test_hint_wins_only_when_shorter_and_equal():
+    rs = cx.RsCode(7, 7, 3, tuple(range(7)))
+    words = rs.value()
+    desc, cut = proxy.search(words, hints=(rs,))
+    assert desc is rs and not cut
+    assert proxy.complexity_bits(words, hints=(rs,)) == rs.bits()
+    # a hint of another value is ignored; a longer one loses
+    assert proxy.search(5, hints=(cx.Lit(6),))[0] == cx.Lit(5)
+    assert proxy.search(4, hints=(cx.parse("2^2"),))[0] == cx.Lit(4)
+    assert proxy.search(2**64, hints=(cx.parse("2^64"),))[0].serialize() == "2^64"
