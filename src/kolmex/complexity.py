@@ -93,11 +93,17 @@ class BudgetExhausted(DescriptionError):
 
 @dataclass(frozen=True, order=True)
 class CodeWords:
-    """Value form of a code: alphabet size, block length, sorted word strings."""
+    """Value form of a code: alphabet size, block length, sorted word strings.
+
+    Words given in any order are stored sorted, so one code has one value
+    and one text."""
 
     q: int
     n: int
     words: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", tuple(sorted(self.words)))
 
     def canonical_string(self) -> str:
         return f"{self.q},{self.n}," + ",".join(self.words)
@@ -467,7 +473,7 @@ class CodeBlob(Description):
 
 
 def _code_words(q: int, n: int, words) -> CodeWords:
-    """CodeWords of the sorted words, each of which must be n symbols from
+    """CodeWords of the words, each of which must be n symbols from
     range(q)."""
     if n < 1:
         raise DescriptionError("codes need n >= 1")
@@ -475,7 +481,7 @@ def _code_words(q: int, n: int, words) -> CodeWords:
     for word in words:
         if len(word) != n or not symbols.issuperset(word):
             raise DescriptionError(f"word {word!r} is not {n} symbols from range({q})")
-    return CodeWords(q, n, tuple(sorted(words)))
+    return CodeWords(q, n, tuple(words))
 
 
 class RsCode(Description):
@@ -777,7 +783,7 @@ def _word_text(x: str, budget: _Budget) -> str:
 
 
 def _code_text(x: CodeWords, budget: _Budget) -> str:
-    cands = [f"c({x.q},{x.n},{','.join(sorted(x.words))})"]
+    cands = [f"c({x.q},{x.n},{','.join(x.words)})"]
     if budget.spend(1):
         payload, n_codes = lzw_compress("".join(x.words).encode("ascii"))
         cands.append(f"cb({x.q},{x.n},{len(payload)},{n_codes},{_b58_encode(payload)})")

@@ -42,23 +42,16 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm
 from typing import Optional
 
-from .graphs import (
-    Graph,
-    GraphError,
-    _automorphism_order_unbounded,
-    enumerate_vacuum_graphs,
-    euler_characteristic,
-)
+from .graphs import Graph, GraphError, _vacuum_classes_with_aut, euler_characteristic
 
 
 @lru_cache(maxsize=64)
 def _vacuum_classes(max_order: int, valences: tuple, max_vertices, budget: int):
     """Classes with their symmetry factors and contraction plans;
-    theory-independent, so cached."""
-    classes = enumerate_vacuum_graphs(max_order, valences, max_vertices, budget)
-    return tuple(
-        (g, _automorphism_order_unbounded(g), _contraction_plan(g)) for g in classes
-    )
+    theory-independent, so cached.  |Aut| comes from the search that
+    labelled each class during enumeration."""
+    classes = _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)
+    return tuple((g, aut, _contraction_plan(g)) for g, aut in classes)
 
 
 class TheoryError(ValueError):
@@ -360,21 +353,6 @@ def wick_pairing_sum(counts: tuple, g_inv: tuple, memo: dict) -> Fraction:
             rest[b] -= 1
             total += e * g_inv[a][b] * wick_pairing_sum(tuple(rest), g_inv, memo)
     memo[counts] = total
-    return total
-
-
-def wick_pairings_naive(colors: tuple, g_inv: tuple) -> Fraction:
-    """Literal enumeration of all (M-1)!! pairings; test-scale cross-check."""
-    if not colors:
-        return Fraction(1)
-    if len(colors) % 2:
-        return Fraction(0)
-    first, rest = colors[0], colors[1:]
-    total = Fraction(0)
-    for i in range(len(rest)):
-        total += g_inv[first][rest[i]] * wick_pairings_naive(
-            rest[:i] + rest[i + 1 :], g_inv
-        )
     return total
 
 

@@ -12,24 +12,24 @@ multiplicities determine a flag graph up to isomorphism, because parallel
 edges, loops and same-label tails are freely interchangeable.  Canonical
 labels take the lexicographic minimum of a pinned serialization over the
 vertex permutations that respect the per-vertex invariant, found by a
-branch and bound on the serialization's edge prefix; the tests keep the
-full permutation scan as its oracle and cross-check labels against
-explicit flag-level relabeling search.
+branch and bound on the serialization's edge prefix that keeps every tie;
+the same search counts the permutations reaching the minimum, which are
+the vertex automorphisms.  The tests keep the full permutation scan, an
+individualization-refinement search and an explicit flag-level search as
+independent oracles.
 
-An individualization-refinement search (McKay & Piperno, arXiv:1301.1493)
-yields a second complete invariant, the certificate, together with the
-number of vertex automorphisms.  Vacuum enumeration builds each degree
-sequence one closed vertex at a time and keeps one partial graph per
-certificate after every step (isomorph rejection during generation,
-McKay, J. Algorithms 26, 1998); the pinned label is computed once per
-class, and automorphism counts come from the same refinement search.
+Vacuum enumeration builds each degree sequence one closed vertex at a
+time and keeps one partial graph per class, coloured by residual degree,
+after every step (isomorph rejection during generation, McKay,
+J. Algorithms 26, 1998).  The key is the coloured label, so after the
+last step it is the pinned label itself, and the search that found it
+has counted the class's automorphisms.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -230,12 +230,15 @@ def _serialize_under(data: MultigraphData, perm: Sequence[int]) -> str:
     return f"{head}:{n}|{';'.join(vert_parts)}|{edges}"
 
 
-def _min_serialization(data: MultigraphData) -> str:
-    """The pinned label: the least `_serialize_under` string over the vertex
+def _min_serialization(data: MultigraphData) -> tuple[str, int]:
+    """(pinned label, number of vertex automorphisms).
+
+    The label is the least `_serialize_under` string over the vertex
     permutations that fill the slots block by block, one block per value of
     the per-vertex key (decoration, loops, tails) in key order.  The block
     layout is isomorphism-invariant, so the minimum is a complete canonical
-    form.
+    form, and the permutations reaching it are one automorphism orbit: their
+    number is the count of structure-preserving vertex permutations.
 
     Branch and bound.  Slots are filled in order, each from its block.  The
     vertex section is the same under every such permutation, so only the
@@ -244,9 +247,11 @@ def _min_serialization(data: MultigraphData) -> str:
     lower slot; an edge's place in that list is fixed once every slot up to
     its source has no edge left to an unplaced vertex.  A branch is cut as
     soon as its fixed prefix, followed by the least first digit that the
-    next slot field can have, compares greater than the best string.  Once
-    every edge is fixed the string is complete, whatever the remaining slots
-    hold.
+    next slot field can have, compares greater than the best string, so a
+    branch that can still tie the best is never cut.  Once every edge is
+    fixed the string is complete, whatever the remaining slots hold: the
+    leaf stands for every filling of those slots from their blocks, the
+    product of (slots left in each block)!.
     """
     n = data.n_vertices
     deco, loops, tin, tout = data.decorations, data.loops, data.tails_in, data.tails_out
@@ -256,12 +261,20 @@ def _min_serialization(data: MultigraphData) -> str:
     for v in order:
         members.setdefault(keys[v], []).append(v)
     if len(members) == n:  # one candidate permutation: nothing to bound
-        return _serialize_under(data, sorted(range(n), key=order.__getitem__))
+        return _serialize_under(data, sorted(range(n), key=order.__getitem__)), 1
     verts = ";".join(f"{deco[v] or '-'}.{loops[v]}.{tin[v]}.{tout[v]}" for v in order)
     head = f"{'og' if data.oriented else 'ug'}:{n}|{verts}|"
+    # fillings[s]: the ways to fill the slots after s, each from its block
+    fillings = [1] * n
+    later, slot = 1, n
+    for grp in reversed(members.values()):
+        for left in range(len(grp)):
+            slot -= 1
+            fillings[slot] = factorial(left) * later
+        later *= factorial(len(grp))
     n_edges = len(data.edge_mult)
     if not n_edges:
-        return head
+        return head, later
     block = [members[keys[v]] for v in order]  # the candidates of each slot
     # each bundle seen from both ends as (other end, multiplicity, "x<m>,"
     # text, kind): kind 0 unoriented, 1 this end is the source, 2 the target
@@ -276,16 +289,19 @@ def _min_serialization(data: MultigraphData) -> str:
     sources = [sum(kind != 2 for *_, kind in bs) for bs in bundles]
     for grp in members.values():
         grp.sort(key=lambda v: -sources[v])
+    # per slot s: the least first digit of the slot fields after s
+    least_digit = [min(str(b)[0] for b in range(s + 1, n)) for s in range(n - 1)]
     slot_of = [-1] * n
     pending = [0] * n               # per slot: its edges to unplaced vertices
     placed = [[] for _ in range(n)]  # per source slot: (target, m, text) placed
     best = None
+    aut = 0
 
     def fill(s: int, fixed: str, n_fixed: int, first: int) -> None:
         # Slots below s are filled.  `fixed` is the first n_fixed edges of
         # the sorted list, each followed by ','; `first` is the least slot
         # that may still have pending edges.
-        nonlocal best
+        nonlocal best, aut
         for v in block[s]:
             if slot_of[v] >= 0:
                 continue
@@ -313,8 +329,11 @@ def _min_serialization(data: MultigraphData) -> str:
                     text += edge[2]
                 a += 1
             if count == n_edges:
-                if best is None or text[:-1] < best:
-                    best = text[:-1]
+                leaf = text[:-1]
+                if best is None or leaf < best:
+                    best, aut = leaf, fillings[s]
+                elif leaf == best:
+                    aut += fillings[s]
             elif best is None:
                 fill(s + 1, text, count, a)
             else:
@@ -327,7 +346,7 @@ def _min_serialization(data: MultigraphData) -> str:
                 cut = len(bound)
                 if bound < best[:cut] or (
                     bound == best[:cut] and cut < len(best)
-                    and min(str(b)[0] for b in range(s + 1, n)) <= best[cut]
+                    and least_digit[s] <= best[cut]
                 ):
                     fill(s + 1, text, count, a)
             for t in grew:
@@ -337,75 +356,7 @@ def _min_serialization(data: MultigraphData) -> str:
             slot_of[v] = -1
 
     fill(0, "", 0, 0)
-    return head + best
-
-
-def _refinement_search(data: MultigraphData) -> tuple[str, int]:
-    """(certificate, number of vertex automorphisms) by individualization-
-    refinement.
-
-    Cells start from the per-vertex invariant and split by the multiset of
-    (neighbour cell, edge direction, multiplicity) until stable; the first
-    non-singleton cell then has each of its vertices individualized in turn.
-    Cells are ordered by invariant data only, so the tree of leaves is
-    isomorphism-invariant: the least leaf serialization is a complete
-    invariant, and the leaves reaching it are the automorphism orbit of one
-    leaf.  The certificate is not the pinned label, which stays the lexmin
-    of `_min_serialization`.
-    """
-    n = data.n_vertices
-    direction = 1 if data.oriented else 0
-    bundles: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (u, v), m in data.edge_mult.items():
-        bundles[u].append((v, direction, m))
-        bundles[v].append((u, -direction, m))
-    start: dict = {}
-    for v in range(n):
-        key = (data.decorations[v] or "", data.loops[v], data.tails_in[v], data.tails_out[v])
-        start.setdefault(key, []).append(v)
-    best = None
-    count = 0
-
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        while True:
-            cell_of = [0] * n
-            for i, cell in enumerate(cells):
-                for v in cell:
-                    cell_of[v] = i
-            split: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    split.append(cell)
-                    continue
-                parts: dict = {}
-                for v in cell:
-                    sig = sorted((cell_of[w], d, m) for w, d, m in bundles[v])
-                    parts.setdefault(tuple(sig), []).append(v)
-                split.extend(parts[sig] for sig in sorted(parts))
-            if len(split) == len(cells):
-                return cells
-            cells = split
-
-    def search(cells: list[list[int]]) -> None:
-        nonlocal best, count
-        cells = refine(cells)
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                for v in cell:
-                    rest = [w for w in cell if w != v]
-                    search(cells[:i] + [[v], rest] + cells[i + 1:])
-                return
-        perm = [0] * n
-        for position, (v,) in enumerate(cells):
-            perm[v] = position
-        s = _serialize_under(data, perm)
-        if best is None or s < best:
-            best, count = s, 1
-        elif s == best:
-            count += 1
-
-    search([start[k] for k in sorted(start)])
-    return best, count
+    return head + best, aut
 
 
 def canonical_label(g: Graph, max_vertices: int = 10) -> str:
@@ -413,14 +364,14 @@ def canonical_label(g: Graph, max_vertices: int = 10) -> str:
 
     Equal labels  <=>  isomorphic (as flag graphs with orientation and
     decorations, when present).  The lexmin of `_min_serialization` is the
-    pinned label; vacuum enumeration computes it once per class, so label
+    pinned label; vacuum enumeration keys its final states on it, so label
     bytes do not depend on which route found the class.
     """
     if g.n_vertices > max_vertices:
         raise BudgetError(
             f"{g.n_vertices} vertices exceed the canonical-form bound {max_vertices}"
         )
-    return _min_serialization(multigraph_data(g))
+    return _min_serialization(multigraph_data(g))[0]
 
 
 def graph_from_label(label: str) -> Graph:
@@ -497,11 +448,11 @@ def automorphism_order(g: Graph, max_flags: int = 16) -> int:
     """Number of (vertex permutation, flag permutation) pairs commuting with
     the involution and incidence and preserving decorations/orientation.
 
-    Counts exactly: the refinement search counts the structure-preserving
-    vertex permutations, and for each of them the compatible flag
-    permutations factor into per-bundle choices (parallel edges m!, loops
-    l! with a factor 2 per loop flip when unoriented, tails t! per label).
-    The flag-level search in the tests confirms the count.
+    Counts exactly: the lexmin search of the canonical label counts the
+    structure-preserving vertex permutations, and for each of them the
+    compatible flag permutations factor into per-bundle choices (parallel
+    edges m!, loops l! with a factor 2 per loop flip when unoriented, tails
+    t! per label).  The flag-level search in the tests confirms the count.
     """
     if g.n_flags > max_flags:
         raise BudgetError(f"{g.n_flags} flags exceed the bound {max_flags}")
@@ -510,64 +461,19 @@ def automorphism_order(g: Graph, max_flags: int = 16) -> int:
 
 def _automorphism_order_unbounded(g: Graph) -> int:
     data = multigraph_data(g)
-    flag_choices = 1
+    return _min_serialization(data)[1] * _flag_choices(data)
+
+
+def _flag_choices(data: MultigraphData) -> int:
+    """Flag permutations that fix every vertex and preserve the structure."""
+    choices = 1
     for v in range(data.n_vertices):
         l, ti, to = data.loops[v], data.tails_in[v], data.tails_out[v]
         loop_factor = factorial(l) if data.oriented else factorial(l) * 2**l
-        flag_choices *= loop_factor * factorial(ti) * factorial(to)
+        choices *= loop_factor * factorial(ti) * factorial(to)
     for m in data.edge_mult.values():
-        flag_choices *= factorial(m)
-    return _refinement_search(data)[1] * flag_choices
-
-
-def automorphism_order_flag_search(g: Graph) -> int:
-    """Literal brute force over flag bijections; test oracle for tiny graphs."""
-    n = g.n_vertices
-    count = 0
-    flags_by_vertex = [g.flags_at(v) for v in range(n)]
-    for vperm in permutations(range(n)):
-        if g.decorations is not None and any(
-            g.decorations[v] != g.decorations[vperm[v]] for v in range(n)
-        ):
-            continue
-        if any(
-            len(flags_by_vertex[v]) != len(flags_by_vertex[vperm[v]])
-            for v in range(n)
-        ):
-            continue
-        count += _count_flag_maps(g, vperm, flags_by_vertex)
-    return count
-
-
-def _count_flag_maps(g: Graph, vperm, flags_by_vertex) -> int:
-    from itertools import permutations as perms
-
-    vertex_choices = []
-    for v in range(g.n_vertices):
-        src = flags_by_vertex[v]
-        dst = flags_by_vertex[vperm[v]]
-        vertex_choices.append([dict(zip(src, p)) for p in perms(dst)])
-    total = 0
-
-    def rec(v, mapping):
-        nonlocal total
-        if v == g.n_vertices:
-            for f in range(g.n_flags):
-                if mapping[g.involution[f]] != g.involution[mapping[f]]:
-                    return
-                if g.orientation is not None and (
-                    g.orientation[f] != g.orientation[mapping[f]]
-                ):
-                    return
-            total += 1
-            return
-        for choice in vertex_choices[v]:
-            merged = dict(mapping)
-            merged.update(choice)
-            rec(v + 1, merged)
-
-    rec(0, {})
-    return total
+        choices *= factorial(m)
+    return choices
 
 
 # ---------------------------------------------------------------------------
@@ -732,28 +638,35 @@ def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
     Includes the empty graph.  With every valence >= 3 the family is finite
     (V <= 2 * max_order); otherwise `max_vertices` must cap it.  Each degree
     sequence is built one closed vertex at a time, keeping one state per
-    isomorphism class after every step (`_classes_with_degrees`), and each
-    class's pinned label is taken once.  `budget` bounds the number of
+    isomorphism class after every step (`_classes_with_degrees`); the last
+    step keys each class on its pinned label.  `budget` bounds the number of
     states built over all degree sequences; BudgetError is raised as soon as
     one more is needed.
     """
+    return [g for g, _ in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)]
+
+
+def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
+                             max_vertices: Optional[int],
+                             budget: int) -> list[tuple[Graph, int]]:
+    """`enumerate_vacuum_graphs` with each class's |Aut|, taken from the
+    search that labelled the class."""
     valences = sorted(set(valences))
     if any(v < 1 for v in valences):
         raise GraphError("valences must be >= 1")
     if not valences or max_order < 0:
-        return [EMPTY_GRAPH]
+        return [(EMPTY_GRAPH, 1)]
     if max_vertices is None:
         if min(valences) <= 2:
             raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
         max_vertices = 2 * max_order
-    found = [(canonical_label(EMPTY_GRAPH), EMPTY_GRAPH)]
+    found = [(canonical_label(EMPTY_GRAPH), EMPTY_GRAPH, 1)]
     spent = [0]
     for degree_seq in _degree_sequences(valences, max_order, max_vertices):
-        for data in _classes_with_degrees(degree_seq, spent, budget):
-            label = _min_serialization(data)
-            found.append((label, graph_from_label(label)))
-    found.sort(key=lambda pair: (pair[1].n_flags, pair[0]))
-    return [g for _, g in found]
+        for label, aut in _classes_with_degrees(degree_seq, spent, budget).items():
+            found.append((label, graph_from_label(label), aut))
+    found.sort(key=lambda item: (item[1].n_flags, item[0]))
+    return [(g, aut) for _, g, aut in found]
 
 
 def _degree_sequences(valences, max_order, max_vertices):
@@ -784,10 +697,10 @@ def _degree_sequences(valences, max_order, max_vertices):
     return out
 
 
-def _classes_with_degrees(degrees, spent, budget) -> list[MultigraphData]:
-    """One multigraph per isomorphism class with this degree sequence
-    (isomorph rejection during generation, after McKay, J. Algorithms 26,
-    1998).
+def _classes_with_degrees(degrees, spent, budget) -> dict:
+    """pinned label -> |Aut|, one entry per isomorphism class with this
+    degree sequence (isomorph rejection during generation, after McKay,
+    J. Algorithms 26, 1998).
 
     A state is a partial multigraph whose vertices below k are closed and
     whose other vertices are open with a residual degree; step k closes
@@ -796,23 +709,27 @@ def _classes_with_degrees(degrees, spent, budget) -> list[MultigraphData]:
     its open vertices with the residual degrees, so they depend only on the
     state's isomorphism class with each vertex coloured by its residual
     degree (closed vertices and open ones with residual 0 alike).  Keeping
-    one state per coloured class after every step, keyed by the refinement
-    certificate, therefore leaves one graph per class after the last step.
-    Every state built counts once against `budget` (through `spent[0]`).
+    one state per coloured class after every step, keyed by the coloured
+    lexmin of `_min_serialization`, therefore leaves one graph per class
+    after the last step.  There every colour is None, so each key is the
+    pinned label and the search behind it has counted the class's vertex
+    automorphisms.  Every state built counts once against `budget`
+    (through `spent[0]`).
     """
     n = len(degrees)
     zeros = (0,) * n
-    # certificate -> (loops, multiplicities, residual degrees); one start state
-    states: dict = {None: (zeros, {}, tuple(degrees))}
+    # key -> (loops, multiplicities, residual degrees, vertex |Aut|)
+    states: dict = {None: (zeros, {}, tuple(degrees), 1)}
     for v in range(n):
         kept: dict = {}
-        for key, (loops, mult, residual) in states.items():
+        for key, state in states.items():
+            loops, mult, residual, _ = state
             for l, bundle in _closings(v, residual):
                 spent[0] += 1
                 if spent[0] > budget:
                     raise BudgetError(f"vacuum enumeration exceeded budget {budget}")
                 if not residual[v]:  # nothing to close: the same coloured state
-                    kept.setdefault(key, (loops, mult, residual))
+                    kept.setdefault(key, state)
                     continue
                 new_residual = list(residual)
                 new_residual[v] = 0
@@ -822,15 +739,15 @@ def _classes_with_degrees(degrees, spent, budget) -> list[MultigraphData]:
                     new_mult[(v, j)] = m
                 new_loops = loops[:v] + (l,) + loops[v + 1:]
                 colours = tuple(f"r{r}" if r else None for r in new_residual)
-                certificate = _refinement_search(MultigraphData(
+                new_key, aut = _min_serialization(MultigraphData(
                     n, False, new_loops, zeros, zeros, new_mult, colours,
-                ))[0]
-                kept.setdefault(certificate, (new_loops, new_mult, tuple(new_residual)))
+                ))
+                kept.setdefault(new_key, (new_loops, new_mult, tuple(new_residual), aut))
         states = kept
-    return [
-        MultigraphData(n, False, loops, zeros, zeros, mult, (None,) * n)
-        for loops, mult, _ in states.values()
-    ]
+    return {
+        label: aut * _flag_choices(MultigraphData(n, False, loops, zeros, zeros, mult, (None,) * n))
+        for label, (loops, mult, _, aut) in states.items()
+    }
 
 
 def _closings(v, residual):

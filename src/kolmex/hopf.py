@@ -42,7 +42,6 @@ from .graphs import (
     MultigraphData,
     _induced_with_severed_tails,
     _min_serialization,
-    _refinement_search,
     _serialize_under,
     enumerate_cuts,
     graph_from_label,
@@ -105,7 +104,7 @@ def monomial_of_graph(g: Graph) -> Monomial:
         key = _serialize_under(data, range(data.n_vertices))
         label = _labels.get(key)
         if label is None:
-            label = _min_serialization(data)
+            label = _min_serialization(data)[0]
             if len(_labels) < LABEL_CACHE_SIZE:
                 _labels[key] = label
         labels.append(label)
@@ -323,24 +322,26 @@ def enumerate_connected_oriented(max_vertices: int, max_flags: int) -> list[str]
     """Canonical labels of all connected oriented graphs within the bounds,
     sorted by (flag count, label).
 
-    Raw multigraphs are deduplicated on their refinement-search
-    certificate, and the pinned lexmin label is computed once per class."""
-    certificates = set()
-    labels = []
+    Raw multigraphs are deduplicated on their pinned label.  Only those
+    whose per-vertex keys (loops, tails_in, tails_out) are nondecreasing
+    are labelled: the raw family holds every relabelling of each of its
+    graphs, so sorting a graph's vertices by key gives a member of its class
+    that passes."""
+    labels = set()
     for n in range(1, max_vertices + 1):
         for loops, mult in _edge_structures(n, max_flags // 2):
-            if not _connected(n, mult):
+            if not _nondecreasing(loops) or not _connected(n, mult):
                 continue
             used = 2 * (sum(loops) + sum(mult.values()))
             for tin, tout in _tail_assignments(n, max_flags - used):
-                data = MultigraphData(
-                    n, True, loops, tin, tout, mult, (None,) * n
-                )
-                certificate = _refinement_search(data)[0]
-                if certificate not in certificates:
-                    certificates.add(certificate)
-                    labels.append(_min_serialization(data))
+                if _nondecreasing(list(zip(loops, tin, tout))):
+                    data = MultigraphData(n, True, loops, tin, tout, mult, (None,) * n)
+                    labels.add(_min_serialization(data)[0])
     return sorted(labels, key=lambda l: (generator_degree(l), l))
+
+
+def _nondecreasing(keys) -> bool:
+    return all(a <= b for a, b in zip(keys, keys[1:]))
 
 
 def _edge_structures(n: int, max_edges: int):

@@ -298,8 +298,9 @@ class GMap:
     """Linear map H -> A determined by its values on monomials.
 
     Values get cached per map; `degree_bound` guards against silently
-    running past the region the map was built for.  The function decides
-    its own unit value.
+    running past the region the map was built for, and is checked only on a
+    cache miss (a cached monomial has passed it).  The function decides its
+    own unit value.
     """
 
     def __init__(self, fn: Callable[[Monomial], MSElement], degree_bound: int,
@@ -311,14 +312,15 @@ class GMap:
         self._cache: dict = {}
 
     def __call__(self, mono: Monomial) -> MSElement:
-        if monomial_degree(mono) > self.degree_bound:
-            raise RenormError(
-                f"{self.name}: monomial degree {monomial_degree(mono)} "
-                f"exceeds bound {self.degree_bound}"
-            )
-        if mono not in self._cache:
-            self._cache[mono] = self._fn(mono)
-        return self._cache[mono]
+        value = self._cache.get(mono)
+        if value is None:
+            if monomial_degree(mono) > self.degree_bound:
+                raise RenormError(
+                    f"{self.name}: monomial degree {monomial_degree(mono)} "
+                    f"exceeds bound {self.degree_bound}"
+                )
+            value = self._cache[mono] = self._fn(mono)
+        return value
 
 
 def identity_map(degree_bound: int, trunc: int = DEFAULT_TRUNC) -> GMap:
@@ -376,20 +378,21 @@ def conv_inverse(phi: GMap) -> GMap:
     so this left inverse is the two-sided one.  For a character it equals
     phi o S.
 
-    No convolution powers are built: values are memoized per inverse, so
-    each monomial costs one reduced-coproduct sum of integer-numerator
-    products, with the windows those products carry.  The step is
-    `hopf._cut_sum`, the one the antipode and Birkhoff's bracket take.
+    No convolution powers are built: the inverse recurses through its own
+    cache, so each monomial costs one reduced-coproduct sum of
+    integer-numerator products, with the windows those products carry.  The
+    step is `hopf._cut_sum`, the one the antipode and Birkhoff's bracket
+    take.
     """
     trunc = phi.trunc
-    memo = {UNIT_MONOMIAL: MSElement.one(trunc)}
 
-    def inverse(mono: Monomial) -> MSElement:
-        if mono not in memo:
-            memo[mono] = -_cut_sum(mono, phi(mono), inverse, phi)
-        return memo[mono]
+    def inverse_value(mono: Monomial) -> MSElement:
+        if mono == UNIT_MONOMIAL:
+            return MSElement.one(trunc)
+        return -_cut_sum(mono, phi(mono), inverse, phi)
 
-    return GMap(inverse, phi.degree_bound, trunc, f"{phi.name}^-1")
+    inverse = GMap(inverse_value, phi.degree_bound, trunc, f"{phi.name}^-1")
+    return inverse
 
 
 def birkhoff(phi: Character) -> tuple[GMap, GMap]:
@@ -403,25 +406,24 @@ def birkhoff(phi: Character) -> tuple[GMap, GMap]:
     phi = phi_minus^(*-1) * phi_plus exactly.
 
     Requires a character: the factors are multiplicative (and the
-    decomposition unique) only for multiplicative phi.  The bracket is
-    computed once per monomial by `hopf._cut_sum`, the recursion step the
-    antipode and `conv_inverse` share.
+    decomposition unique) only for multiplicative phi.  The bracket is a
+    map of its own, so it is computed once per monomial, by `hopf._cut_sum`,
+    the recursion step the antipode and `conv_inverse` share.
     """
     if not isinstance(phi, Character):
         raise RenormError("birkhoff needs a character (multiplicative map)")
     trunc = phi.trunc
-    brackets: dict = {}
-    minus_cache = {UNIT_MONOMIAL: MSElement.one(trunc)}
-
-    def bracket(mono: Monomial) -> MSElement:
-        if mono not in brackets:
-            brackets[mono] = _cut_sum(mono, phi(mono), minus_value, phi)
-        return brackets[mono]
+    bracket = GMap(
+        lambda mono: _cut_sum(mono, phi(mono), phi_minus, phi),
+        phi.degree_bound,
+        trunc,
+        f"[{phi.name}]",
+    )
 
     def minus_value(mono: Monomial) -> MSElement:
-        if mono not in minus_cache:
-            minus_cache[mono] = -(bracket(mono).polar_part())
-        return minus_cache[mono]
+        if mono == UNIT_MONOMIAL:
+            return MSElement.one(trunc)
+        return -(bracket(mono).polar_part())
 
     phi_minus = GMap(minus_value, phi.degree_bound, trunc, f"{phi.name}-")
     phi_plus = GMap(

@@ -1,11 +1,17 @@
-"""Brute-force references for the canonical label and vacuum enumeration.
+"""Brute-force and independent references for labels, |Aut| and vacuum
+enumeration.
 
 `brute_min_serialization` is the pinned label by definition: the least
 serialization over every vertex permutation into the per-key slot blocks.
-`raw_vacuum_classes` is the generate-then-deduplicate route: every labelled
-multigraph with each degree sequence, deduplicated on the refinement
-certificate, labelled once per class.  `cut_coproduct` is the coproduct of
-an oriented graph read from its own cuts, with no multiplicative extension.
+`refinement_search` is an individualization-refinement search (McKay &
+Piperno, arXiv:1301.1493) that yields a second complete invariant, the
+certificate, and counts vertex automorphisms by visiting every leaf.
+`automorphism_order_flag_search` counts automorphisms over literal flag
+bijections.  `raw_vacuum_classes` is the generate-then-deduplicate route:
+every labelled multigraph with each degree sequence, deduplicated on the
+refinement certificate, labelled once per class.  `cut_coproduct` is the
+coproduct of an oriented graph read from its own cuts, with no
+multiplicative extension.
 """
 
 from itertools import permutations, product
@@ -14,12 +20,12 @@ from kolmex.graphs import (
     BudgetError,
     Graph,
     MultigraphData,
-    _automorphism_order_unbounded,
     _degree_sequences,
-    _refinement_search,
+    _flag_choices,
     _serialize_under,
     enumerate_cuts,
     graph_from_label,
+    multigraph_data,
 )
 from kolmex.hopf import monomial_of_graph
 
@@ -56,6 +62,121 @@ def brute_min_serialization(data: MultigraphData) -> str:
         if best is None or s < best:
             best = s
     return best if best is not None else _serialize_under(data, ())
+
+
+def refinement_search(data: MultigraphData) -> tuple[str, int]:
+    """(certificate, number of vertex automorphisms) by individualization-
+    refinement.
+
+    Cells start from the per-vertex invariant and split by the multiset of
+    (neighbour cell, edge direction, multiplicity) until stable; the first
+    non-singleton cell then has each of its vertices individualized in turn.
+    Cells are ordered by invariant data only, so the tree of leaves is
+    isomorphism-invariant: the least leaf serialization is a complete
+    invariant, and the leaves reaching it are the automorphism orbit of one
+    leaf.  The certificate is not the pinned label.
+    """
+    n = data.n_vertices
+    direction = 1 if data.oriented else 0
+    bundles: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, v), m in data.edge_mult.items():
+        bundles[u].append((v, direction, m))
+        bundles[v].append((u, -direction, m))
+    start: dict = {}
+    for v in range(n):
+        key = (data.decorations[v] or "", data.loops[v], data.tails_in[v], data.tails_out[v])
+        start.setdefault(key, []).append(v)
+    best = None
+    count = 0
+
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        while True:
+            cell_of = [0] * n
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = i
+            split: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                parts: dict = {}
+                for v in cell:
+                    sig = sorted((cell_of[w], d, m) for w, d, m in bundles[v])
+                    parts.setdefault(tuple(sig), []).append(v)
+                split.extend(parts[sig] for sig in sorted(parts))
+            if len(split) == len(cells):
+                return cells
+            cells = split
+
+    def search(cells: list[list[int]]) -> None:
+        nonlocal best, count
+        cells = refine(cells)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in cell:
+                    rest = [w for w in cell if w != v]
+                    search(cells[:i] + [[v], rest] + cells[i + 1:])
+                return
+        perm = [0] * n
+        for position, (v,) in enumerate(cells):
+            perm[v] = position
+        s = _serialize_under(data, perm)
+        if best is None or s < best:
+            best, count = s, 1
+        elif s == best:
+            count += 1
+
+    search([start[k] for k in sorted(start)])
+    return best, count
+
+
+def automorphism_order_flag_search(g: Graph) -> int:
+    """Literal brute force over flag bijections, for tiny graphs."""
+    n = g.n_vertices
+    count = 0
+    flags_by_vertex = [g.flags_at(v) for v in range(n)]
+    for vperm in permutations(range(n)):
+        if g.decorations is not None and any(
+            g.decorations[v] != g.decorations[vperm[v]] for v in range(n)
+        ):
+            continue
+        if any(
+            len(flags_by_vertex[v]) != len(flags_by_vertex[vperm[v]])
+            for v in range(n)
+        ):
+            continue
+        count += _count_flag_maps(g, vperm, flags_by_vertex)
+    return count
+
+
+def _count_flag_maps(g: Graph, vperm, flags_by_vertex) -> int:
+    vertex_choices = []
+    for v in range(g.n_vertices):
+        src = flags_by_vertex[v]
+        dst = flags_by_vertex[vperm[v]]
+        vertex_choices.append([dict(zip(src, p)) for p in permutations(dst)])
+    total = 0
+
+    def rec(v, mapping):
+        nonlocal total
+        if v == g.n_vertices:
+            for f in range(g.n_flags):
+                if mapping[g.involution[f]] != g.involution[mapping[f]]:
+                    return
+                if g.orientation is not None and (
+                    g.orientation[f] != g.orientation[mapping[f]]
+                ):
+                    return
+            total += 1
+            return
+        for choice in vertex_choices[v]:
+            merged = dict(mapping)
+            merged.update(choice)
+            rec(v + 1, merged)
+
+    rec(0, {})
+    return total
 
 
 def multigraphs_with_degrees(degrees, spent, budget):
@@ -108,7 +229,7 @@ def multigraphs_with_degrees(degrees, spent, budget):
 
 def raw_vacuum_classes(max_order, valences, max_vertices=None):
     """(label, |Aut|) per class, sorted like `enumerate_vacuum_graphs`, empty
-    graph included."""
+    graph included; |Aut| counted by `refinement_search`."""
     valences = sorted(set(valences))
     if max_vertices is None:
         max_vertices = 2 * max_order
@@ -117,13 +238,18 @@ def raw_vacuum_classes(max_order, valences, max_vertices=None):
     spent = [0]
     for degrees in _degree_sequences(valences, max_order, max_vertices):
         for data in multigraphs_with_degrees(degrees, spent, 10**9):
-            certificate = _refinement_search(data)[0]
+            certificate = refinement_search(data)[0]
             if certificate not in certificates:
                 certificates.add(certificate)
                 labels.append(brute_min_serialization(data))
     graphs = {label: graph_from_label(label) for label in labels}
     labels.sort(key=lambda label: (graphs[label].n_flags, label))
-    return [(label, _automorphism_order_unbounded(graphs[label])) for label in labels]
+    return [(label, _refinement_aut(graphs[label])) for label in labels]
+
+
+def _refinement_aut(g: Graph) -> int:
+    data = multigraph_data(g)
+    return refinement_search(data)[1] * _flag_choices(data)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -516,14 +517,12 @@ budgets = st.one_of(st.integers(1, 300), st.just(4096))
 
 def _check_against_oracle(x, budget):
     """Same (text, spends left, cut) as the node search; `search` returns the
-    parsed winner, which evaluates back to x (a code to its sorted words)."""
+    parsed winner, which evaluates back to x."""
     got = _searched(proxy, x, budget)
     assert got == _searched(oracle, x, budget)
     desc, cut = cx.ComplexityProxy(budget=budget).search(x)
     assert desc == cx.parse(got[0]) and desc.serialize() == got[0]
     assert cut == got[2]
-    if isinstance(x, cx.CodeWords):
-        x = cx.CodeWords(x.q, x.n, tuple(sorted(x.words)))
     assert desc.value() == x
 
 
@@ -561,6 +560,21 @@ def code_words(draw):
 @given(code_words(), budgets)
 def test_code_text_search_matches_node_oracle(code, budget):
     _check_against_oracle(code, budget)
+
+
+def test_code_value_does_not_depend_on_word_order():
+    # random 8-bit words: compressed in the given order, a shuffled list read
+    # fewer bits than the sorted one, although both are the same code
+    rng = SplitMix64(7)
+    words = sorted({format(rng.below(256), "08b") for _ in range(40)})
+    shuffled = list(words)
+    Random(3).shuffle(shuffled)
+    assert shuffled != words
+    ordered = cx.CodeWords(2, 8, tuple(words))
+    mixed = cx.CodeWords(2, 8, tuple(shuffled))
+    assert mixed == ordered and mixed.words == tuple(words)
+    assert proxy.search(mixed)[0].serialize() == proxy.search(ordered)[0].serialize()
+    assert proxy.complexity_bits(mixed) == proxy.complexity_bits(ordered)
 
 
 def test_text_search_matches_node_oracle_on_fixed_cases():

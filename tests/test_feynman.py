@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from feynman_oracles import wick_pairings_naive
 from kolmex import feynman
 from kolmex.feynman import (
     LambdaSeries,
@@ -19,7 +20,6 @@ from kolmex.feynman import (
     theory_from_json,
     theory_to_json,
     wick_pairing_sum,
-    wick_pairings_naive,
 )
 from kolmex.graphs import EMPTY_GRAPH, Graph, GraphError
 

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from graph_oracles import (
+    automorphism_order_flag_search,
     brute_min_serialization,
     candidate_permutations,
     multigraphs_with_degrees,
     raw_vacuum_classes,
+    refinement_search,
 )
 from kolmex import graphs as G
 from kolmex.graphs import (
@@ -18,7 +20,6 @@ from kolmex.graphs import (
     Graph,
     GraphError,
     automorphism_order,
-    automorphism_order_flag_search,
     canonical_label,
     enumerate_cuts,
     enumerate_vacuum_graphs,
@@ -59,6 +60,8 @@ DECORATED_SQUARE = replace(SQUARE, decorations=("x", None, "x", None))
 # ... and here cells also mix orbits, so some leaves miss the minimum
 TRIANGLE_AND_SQUARE = _cycles(3, 4)
 DIRECTED_TRIANGLE_AND_SQUARE = _cycles(3, 4, oriented=True)
+# the lexmin search's leaf is complete before the bare vertices are placed
+TRIANGLE_AND_TWO_BARE = Graph(5, (1, 0, 3, 2, 5, 4), (0, 1, 1, 2, 2, 0))
 
 
 def test_construction_validation():
@@ -91,6 +94,7 @@ def test_automorphism_examples():
     assert automorphism_order(TWO_LOOPS) == 8
     assert automorphism_order(THETA) == 12
     assert automorphism_order(DUMBBELL) == 8
+    assert automorphism_order(TRIANGLE_AND_TWO_BARE) == 12
 
 
 @pytest.mark.parametrize("g", [BARE, LOOP, TWO_LOOPS, THETA, DUMBBELL, EDGE, CYCLE2,
@@ -262,7 +266,7 @@ def _relabeled(g, rnd):
 
 
 def _certificate(g):
-    return G._refinement_search(G.multigraph_data(g))[0]
+    return refinement_search(G.multigraph_data(g))[0]
 
 
 @settings(deadline=None)
@@ -281,16 +285,26 @@ def test_canonical_complete_against_flag_search(g, rnd):
 @example(TRIANGLE_AND_SQUARE)
 @example(DIRECTED_TRIANGLE_AND_SQUARE)
 @example(replace(TRIANGLE_AND_SQUARE, decorations=("x",) * 7))
+@example(Graph(5, (0, 1), (0, 1)))  # no edges; two tailed and three bare vertices
+@example(Graph(3, (1, 0, 3, 2, 5, 4, 7, 6, 9, 8),  # a path, 0, 1 and 2 loops: keys all differ
+               (0, 1, 1, 2, 1, 1, 2, 2, 2, 2)))
+@example(TRIANGLE_AND_TWO_BARE)
+@example(Graph(4, (1, 0, 3, 2, 5, 4, 7, 6, 8, 9, 10, 11),  # directed square, in-tails
+               (0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 2, 3),
+               orientation=("out", "in") * 4 + ("in",) * 4))
+@example(replace(TRIANGLE_AND_SQUARE, decorations=("x", "y", None, "x", "x", "y", None)))
 def test_refinement_count_matches_permutation_oracle(g):
-    # the search's leaf count against the vertex permutations that reach
-    # the brute-force lexmin: both are |Aut| on vertices
+    # the refinement search's leaf count and the lexmin search's count
+    # against the vertex permutations that reach the brute-force lexmin:
+    # all three are |Aut| on vertices
     data = G.multigraph_data(g)
     best = brute_min_serialization(data)
     oracle = sum(
         1 for perm in candidate_permutations(data)
         if G._serialize_under(data, perm) == best
     )
-    assert G._refinement_search(data)[1] == oracle
+    assert refinement_search(data)[1] == oracle
+    assert G._min_serialization(data) == (best, oracle)
 
 
 @settings(deadline=None)
@@ -499,8 +513,8 @@ def test_raw_vacuum_certificates_match_labels():
     for degrees in G._degree_sequences([4, 3], 2, 4):
         for i, data in enumerate(multigraphs_with_degrees(degrees, spent, 10**6)):
             key = (degrees, i)
-            by_certificate.setdefault(G._refinement_search(data)[0], set()).add(key)
-            by_label.setdefault(G._min_serialization(data), set()).add(key)
+            by_certificate.setdefault(refinement_search(data)[0], set()).add(key)
+            by_label.setdefault(G._min_serialization(data)[0], set()).add(key)
     assert spent[0] == 62
     assert sorted(map(sorted, by_certificate.values())) == sorted(
         map(sorted, by_label.values())
@@ -576,7 +590,9 @@ PATH = G.MultigraphData(11, True, (0,) * 11, (0,) * 11, (0,) * 11,
 @example(G.MultigraphData(3, True, (0, 0, 0), (0, 0, 0), (0, 0, 0),
                           {(0, 1): 9, (1, 2): 10, (2, 0): 11}, (None,) * 3))
 def test_pruned_lexmin_matches_brute_force(data):
-    assert G._min_serialization(data) == brute_min_serialization(data)
+    assert G._min_serialization(data) == (
+        brute_min_serialization(data), refinement_search(data)[1]
+    )
 
 
 def test_vacuum_classes_and_symmetry_factors_pinned():

@@ -472,6 +472,10 @@ def ref_enumerate_connected_oriented(max_vertices, max_flags):
 def test_family_matches_brute_force_labels():
     assert enumerate_connected_oriented(3, 5) == ref_enumerate_connected_oriented(3, 5)
     assert enumerate_connected_oriented(2, 6) == ref_enumerate_connected_oriented(2, 6)
+    # four vertices: the sorted-key filter of the family on larger blocks
+    family = enumerate_connected_oriented(4, 6)
+    assert len(family) == 269
+    assert family == ref_enumerate_connected_oriented(4, 6)
 
 
 @settings(max_examples=40, deadline=None)
