@@ -56,6 +56,16 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type of an exact rational such as 1/3; argparse names the
+    option in its exit-2 message."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational with a nonzero denominator: {text!r}") from None
+
+
 def _echo_config(args, config: dict):
     if args.verbose:
         print(json.dumps(config, sort_keys=True), file=sys.stderr)
@@ -300,6 +310,10 @@ def cmd_halting_probe(args) -> int:
         "x": args.x, "y": args.y, "budget": args.budget, "fuel": args.fuel,
     }
     _echo_config(args, config)
+    if args.budget < 0:
+        raise UsageError("--budget must be >= 0")
+    if args.fuel < 0:
+        raise UsageError("--fuel must be >= 0")
     f = _FUNCTIONS[args.function]()
     if args.mode == "opaque":
         f = f.opaque()
@@ -332,6 +346,10 @@ def cmd_zipf_fit(args) -> int:
             raise UsageError(f"cannot read {args.corpus}: {exc}") from None
         tokens = text.lower().split() if args.lowercase else text.split()
     else:
+        if args.types < 1:
+            raise UsageError("--types must be >= 1")
+        if args.tokens < 0:
+            raise UsageError("--tokens must be >= 0")
         tokens = synthetic_zipf_corpus(args.types, args.tokens, args.seed)
     fit = zipf_analyze(tokens)
     rows = ["rank,token,count,frequency"]
@@ -384,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--size", type=int, required=True)
     sweep.add_argument("--count", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--rate", type=Fraction, required=True)
-    sweep.add_argument("--delta", type=Fraction, required=True)
+    sweep.add_argument("--rate", type=_fraction, required=True)
+    sweep.add_argument("--delta", type=_fraction, required=True)
     sweep.add_argument("--eta", type=float, default=0.01)
     sweep.add_argument("--beta-min", type=float, required=True)
     sweep.add_argument("--beta-max", type=float, required=True)
@@ -398,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fey = algebra_sub.add_parser("feynman-check",
                                  help="graph expansion against the Gaussian oracle")
-    fey.add_argument("--c3", type=Fraction, default=Fraction(0))
-    fey.add_argument("--c4", type=Fraction, default=Fraction(0))
+    fey.add_argument("--c3", type=_fraction, default=Fraction(0))
+    fey.add_argument("--c4", type=_fraction, default=Fraction(0))
     fey.add_argument("--order", type=int, required=True)
     fey.add_argument("--budget", type=int, default=200_000,
                      help="cap on generator states built in the class enumeration")

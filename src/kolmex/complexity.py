@@ -39,13 +39,20 @@ of the contract and never changes without a PROXY_VERSION bump.
 The search spends one budget unit per candidate in a pinned order.  The
 integer search grants its exponent loop (2..bit_length) and tower loop (bases
 2..36) in one step each: roots come from x's maximal perfect-power exponent,
-found from prime exponents (float prefilter, exact check), and towers from
-the same decomposition.  Candidates are ranked as canonical text, never as
-nodes: an integer sub-search returns its text as a child (digits, or
-parenthesized), each candidate is formatted from its children's texts, and
-the least (length, text) wins.  `complexity_bits` is 8 * len(winning text)
-and builds no node; `search` parses only the winner, and reports budget
-exhaustion.
+found from prime exponents (float prefilter, exact check; squares by a
+mod-64 residue filter and isqrt), and towers from the same decomposition.
+Candidates are ranked as canonical text, never as nodes: an integer
+sub-search returns its text as a child (digits, or parenthesized), each
+candidate is formatted from its children's texts, and the least
+(length, text) wins.  `complexity_bits` is 8 * len(winning text) and builds
+no node; `search` parses only the winner, and reports budget exhaustion.
+
+The 1,134 perfect powers below 2**20 come from a table built on first use,
+which keeps each value's smallest base and so its maximal exponent.  The
+table answers only when the exponent grant `top` is at least
+bit_length - 1: then `top` excludes no prime exponent of x.  A budget-cut
+grant below that, and every larger x, take the roots.  Either way the
+spends, the candidates and the per-search memo are the same.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from statistics import StatisticsError, correlation, linear_regression
 from typing import Iterable, Optional, Sequence, Union
@@ -146,7 +153,10 @@ def word_strings(packed: Sequence[int], q: int, n: int) -> tuple[str, ...]:
 
 
 def _decimal(x: int) -> str:
-    """Decimal form of an int, free of the interpreter's digit-count limit."""
+    """Decimal form of an int, free of the interpreter's digit-count limit
+    (str() below 2**2000, 603 digits: no limit can be set under 640)."""
+    if x.bit_length() < 2000:
+        return str(x)
     return str(decimal.Decimal(x))
 
 
@@ -628,8 +638,18 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(p for p in range(n) if sieve[p])
 
 
+# bit r is set iff r is a square mod 64: 12 of the 64 residues pass
+_SQUARES_MOD_64 = sum(1 << r for r in {k * k % 64 for k in range(64)})
+_SMALL_POWER_BITS = 20
+
+
 def _exact_root(y: int, p: int) -> Optional[int]:
     """r with r**p == y, or None (y >= 2, p >= 2; r = 1 never qualifies)."""
+    if p == 2:
+        if not _SQUARES_MOD_64 >> (y & 63) & 1:
+            return None
+        r = math.isqrt(y)
+        return r if r * r == y else None
     if y.bit_length() <= 32 * p:
         # the root is below 2**32, where 2**(log2(y)/p) is off by < 1e-4:
         # a float far from every integer rules y out before any big power
@@ -642,9 +662,28 @@ def _exact_root(y: int, p: int) -> Optional[int]:
     return r if r**p == y else None
 
 
+@lru_cache(maxsize=1)
+def _small_powers() -> dict[int, tuple[int, int]]:
+    """(m, e) of each of the 1,134 perfect powers below 2**20, with e maximal:
+    filled by ascending base, so the first base to reach a value is not itself
+    a perfect power."""
+    table: dict[int, tuple[int, int]] = {}
+    limit = 1 << _SMALL_POWER_BITS
+    for m in range(2, 1 << (_SMALL_POWER_BITS // 2)):
+        v, e = m * m, 2
+        while v < limit:
+            table.setdefault(v, (m, e))
+            v, e = v * m, e + 1
+    return table
+
+
 def _perfect_power(x: int, top: int) -> tuple[int, int]:
     """(m, e) with m**e == x and e the largest exponent whose prime factors
     are all <= top.  x is a perfect b-th power, for b <= top, iff b | e."""
+    n = x.bit_length()
+    if n <= _SMALL_POWER_BITS and top >= n - 1:
+        # every prime exponent of x is below n, so top excludes none
+        return _small_powers().get(x, (x, 1))
     e = 1
     for p in _primes_below(1 << top.bit_length()):
         if p > top or p >= x.bit_length():  # m**p == x needs m >= 2
@@ -697,19 +736,24 @@ class _Budget:
 
 # below 16 the literal is the only candidate, at every depth
 _SMALL_TEXTS = {v: str(v) for v in range(16)}
+# the bases of the x = a^e + r candidates, with log2(a)
+_ADD_BASES = tuple((a, math.log2(a)) for a in range(2, 11))
 
 
 def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
     """Text of the least description of x as a child: digits for a literal,
     parenthesized otherwise.  `memo` is keyed on x alone, so the first depth
-    that reaches a value decides its entry; it starts with _SMALL_TEXTS."""
-    text = memo.get(x)
+    that reaches a value decides its entry; it starts with _SMALL_TEXTS.
+    The search looks each child up in the memo itself and calls only on a
+    miss, so a memo hit costs no call."""
+    get = memo.get
+    text = get(x)
     if text is not None:
         return text
     if x < 0:
         raise DescriptionError("negative integers are not in the grammar")
     cands = [_decimal(x)]
-    sub = partial(_int_text, budget, memo, depth + 1)
+    child = depth + 1
     if depth < 12:
         # collect cheap structural facts before any recursion, so deep
         # refinement of one candidate cannot starve the listing of others;
@@ -722,17 +766,22 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
         bases = budget.spend(35)
         tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
         for a, b in root_pairs:
-            cands.append(f"{sub(a)}^{sub(b)}")
+            cands.append(f"{get(a) or _int_text(budget, memo, child, a)}^"
+                         f"{get(b) or _int_text(budget, memo, child, b)}")
         for base, height in tower_pairs:
-            b, h = sub(base), sub(height)
+            b = get(base) or _int_text(budget, memo, child, base)
+            h = get(height) or _int_text(budget, memo, child, height)
             cands.append(f"{b}^^" if b == h else f"{b}^^{h}")
     if depth < 2:
-        # x = a^e + r with a small base and small remainder
+        # x = a^e + r with a small base and small remainder; this loop and
+        # the divisor loop spend their one unit each inline
         log2_x = math.log2(x)
-        for a in range(2, 11):
-            if not budget.spend(1):
+        for a, log2_a in _ADD_BASES:
+            if not budget.left:
+                budget.cut = True
                 break
-            e = int(log2_x / math.log2(a))  # floor(log_a x), corrected below
+            budget.left -= 1
+            e = int(log2_x / log2_a)  # floor(log_a x), corrected below
             power = a**e
             while power > x:
                 power //= a
@@ -742,15 +791,21 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
                 e += 1
             r = x - power
             if e >= 2 and 0 < r <= 1_000_000:
-                cands.append(f"({sub(a)}^{sub(e)})+{sub(r)}")
+                cands.append(f"({get(a) or _int_text(budget, memo, child, a)}^"
+                             f"{get(e) or _int_text(budget, memo, child, e)})+"
+                             f"{get(r) or _int_text(budget, memo, child, r)}")
         # small-divisor factorizations
         for d in range(2, 65):
             if d * d > x:
                 break
-            if not budget.spend(1):
+            if not budget.left:
+                budget.cut = True
                 break
+            budget.left -= 1
             if x % d == 0:
-                cands.append(f"{sub(d)}*{sub(x // d)}")
+                q = x // d
+                cands.append(f"{get(d) or _int_text(budget, memo, child, d)}*"
+                             f"{get(q) or _int_text(budget, memo, child, q)}")
     if len(cands) == 1:
         text = cands[0]
     else:
@@ -1009,8 +1064,10 @@ def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int,
     width = len(str(n_types))
     names = [f"w{str(k).zfill(width)}" for k in range(1, n_types + 1)]
     gen = SplitMix64(seed)
-    out = []
-    for _ in range(n_tokens):
-        # the first type whose cumulative weight reaches u
-        out.append(names[bisect_left(cumulative, gen.uniform())])
+    out: list[str] = []
+    # uniforms come in batches of 4096, so no list of all the draws is held;
+    # each token is the first type whose cumulative weight reaches u
+    for start in range(0, n_tokens, 4096):
+        out += [names[bisect_left(cumulative, u)]
+                for u in gen.uniforms(min(4096, n_tokens - start))]
     return out

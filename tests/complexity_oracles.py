@@ -5,9 +5,14 @@ candidate is built as a node and the winner is the node with the least
 (bits, serialization).  The live search ranks the same candidates as
 canonical text, in the same order and with the same budget spends, and
 parses only the winner; `NodeSearch` is what it must agree with.
+
+`perfect_power_ref` is the integer search's root loop alone, without the live
+search's table of small perfect powers or its square-residue filter;
+`NodeSearch` uses it, so the two searches share no perfect-power code.
 """
 
 import math
+from functools import lru_cache
 
 from kolmex.complexity import (
     BITS_PER_CHAR,
@@ -25,10 +30,53 @@ from kolmex.complexity import (
     Tower,
     WordLit,
     _Budget,
-    _perfect_power,
     _tower_pairs,
     lzw_compress,
 )
+
+
+def iroot_ref(x: int, b: int) -> int:
+    """Largest a with a**b <= x (x >= 1, b >= 1), by Newton's method."""
+    if b == 1:
+        return x
+    a = 1 << (x.bit_length() // b + 1)
+    while True:
+        nxt = ((b - 1) * a + x // a ** (b - 1)) // b
+        if nxt >= a:
+            return a
+        a = nxt
+
+
+@lru_cache(maxsize=None)
+def primes_ref(n: int) -> tuple[int, ...]:
+    """Primes below n, by trial division."""
+    return tuple(p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def exact_root_ref(y: int, p: int):
+    """r with r**p == y, or None (y >= 2, p >= 2): a float estimate rules
+    out most y while the root is below 2**32, else Newton's root."""
+    if y.bit_length() <= 32 * p:
+        f = 2.0 ** (math.log2(y) / p)
+        r = round(f)
+        if abs(f - r) > 1e-3:
+            return None
+    else:
+        r = iroot_ref(y, p)
+    return r if r**p == y else None
+
+
+def perfect_power_ref(x: int, top: int) -> tuple[int, int]:
+    """(m, e) with m**e == x and e the largest exponent whose prime factors
+    are all <= top: take p-th roots for each prime p <= top while they are
+    exact."""
+    e = 1
+    for p in primes_ref(top + 1):
+        if p >= x.bit_length():  # m**p == x needs m >= 2
+            break
+        while (r := exact_root_ref(x, p)) is not None:
+            x, e = r, e * p
+    return x, e
 
 
 def desc_sort_key(d: Description):
@@ -68,7 +116,7 @@ class NodeSearch:
 
         if depth < 12 and x >= 16:
             top = 1 + budget.spend(x.bit_length() - 1)
-            m, e = _perfect_power(x, top)
+            m, e = perfect_power_ref(x, top)
             root_pairs = [(m ** (e // b), b)
                           for b in range(2, min(e, top) + 1) if e % b == 0]
             bases = budget.spend(35)

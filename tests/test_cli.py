@@ -210,6 +210,40 @@ def test_zipf_missing_corpus(tmp_path):
                 "--out", str(tmp_path / "o.csv")]) == 2
 
 
+PROBE = ["halting", "probe", "--function", "collatz", "--x", "3", "--y", "5"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (PROBE + ["--budget", "-5"], "--budget"),
+    (PROBE + ["--budget", "50", "--fuel", "-5"], "--fuel"),
+    (["zipf", "fit", "--tokens", "-5"], "--tokens"),
+    (["zipf", "fit", "--types", "0"], "--types"),
+], ids=["probe_budget", "probe_fuel", "zipf_tokens", "zipf_types"])
+def test_negative_count_exits_2(tmp_path, capsys, argv, option):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+SWEEP = ["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
+         "--beta-min", "0", "--beta-max", "1", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (SWEEP + ["--rate", "1/0", "--delta", "0"], "--rate"),
+    (SWEEP + ["--rate", "1/3", "--delta", "2/0"], "--delta"),
+    (["algebra", "feynman-check", "--c3", "1/0", "--order", "2"], "--c3"),
+    (["algebra", "feynman-check", "--c4", "3/0", "--order", "2"], "--c4"),
+], ids=["sweep_rate", "sweep_delta", "feynman_c3", "feynman_c4"])
+def test_bad_fraction_exits_2(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + (["--out", str(tmp_path / "s.csv")] if argv[0] == "codes" else []))
+    assert exc.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_leaves_no_tmp_file(tmp_path):
     taken = tmp_path / "taken"
     taken.mkdir()  # the final rename onto a directory fails

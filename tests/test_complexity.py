@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from code_oracles import b58_decode_ref, b58_encode_ref, lzw_compress_ref
-from complexity_oracles import NodeSearch, desc_sort_key
+from complexity_oracles import NodeSearch, desc_sort_key, iroot_ref, perfect_power_ref
 from kolmex import complexity as cx
 from kolmex.rng import SplitMix64
 
@@ -372,17 +372,6 @@ def test_search_reports_budget_exhaustion():
 
 # -- the integer search against its reference --------------------------------
 
-def _iroot_ref(x, b):
-    if b == 1:
-        return x
-    a = 1 << (x.bit_length() // b + 1)
-    while True:
-        nxt = ((b - 1) * a + x // a ** (b - 1)) // b
-        if nxt >= a:
-            return a
-        a = nxt
-
-
 class LoopSearch(NodeSearch):
     """The integer search as one budget unit per loop step: an iroot per
     exponent, a tower climb per base and a power loop per small base."""
@@ -396,7 +385,7 @@ class LoopSearch(NodeSearch):
             for b in range(2, x.bit_length() + 1):
                 if not budget.spend(1):
                     break
-                a = _iroot_ref(x, b)
+                a = iroot_ref(x, b)
                 if a >= 2 and a**b == x:
                     root_pairs.append((a, b))
             tower_pairs = []
@@ -509,6 +498,37 @@ def test_huge_integers_need_no_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+# -- the perfect-power decomposition against its root loop ------------------
+
+def test_small_power_table_matches_root_loop():
+    table = cx._small_powers()
+    assert len(table) == 1134
+    for x, (m, e) in table.items():
+        n = x.bit_length()
+        assert e >= 2 and m**e == x < 2**20
+        for top in (n - 1, n, n + 5, 40):
+            assert cx._perfect_power(x, top) == perfect_power_ref(x, top) == (m, e), (x, top)
+
+
+def test_perfect_power_matches_root_loop_below_2_16():
+    # the reference depends on top only through the primes <= top, so it is
+    # recomputed where top is prime; the live value is checked at every top
+    for x in range(1 << 16):
+        expected = perfect_power_ref(x, 1)
+        for top in range(1, x.bit_length() + 2):
+            if top in (2, 3, 5, 7, 11, 13, 17):
+                expected = perfect_power_ref(x, top)
+            assert cx._perfect_power(x, top) == expected, (x, top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 2**20), st.integers(2**20, 2**64),
+                 st.builds(pow, st.integers(2, 2**12), st.integers(2, 12))),
+       st.integers(1, 70))
+def test_perfect_power_matches_root_loop(x, top):
+    assert cx._perfect_power(x, top) == perfect_power_ref(x, top)
+
+
 # -- the text search against the node-building oracle ---------------------------
 
 oracle = NodeSearch()
@@ -526,10 +546,50 @@ def _check_against_oracle(x, budget):
     assert desc.value() == x
 
 
+class _SingleSpends(cx._Budget):
+    """A budget that records how much was spent before each one-unit spend;
+    the integer search spends one unit at a time only in its add and
+    divisor loops."""
+
+    def __init__(self, left):
+        super().__init__(left)
+        self.total = left
+        self.starts = []
+
+    def spend(self, n):
+        if n == 1:
+            self.starts.append(self.total - self.left)
+        return super().spend(n)
+
+
+def _loop_cut_budgets(x):
+    """Budgets that leave nothing at one of x's add or divisor loop steps,
+    or exactly nothing after it: the loops' cut edges."""
+    b = _SingleSpends(4096)
+    oracle.search(x, b)
+    return sorted({s + k for s in b.starts for k in (0, 1)} - {0})
+
+
+@st.composite
+def ints_and_budgets(draw):
+    x = draw(branch_ints)
+    edges = _loop_cut_budgets(x)
+    return x, draw(st.one_of(budgets, st.sampled_from(edges)) if edges else budgets)
+
+
 @settings(max_examples=200, deadline=None)
-@given(branch_ints, budgets)
-def test_int_text_search_matches_node_oracle(x, budget):
-    _check_against_oracle(x, budget)
+@given(ints_and_budgets())
+def test_int_text_search_matches_node_oracle(case):
+    _check_against_oracle(*case)
+
+
+def test_window_search_matches_node_oracle():
+    cuts = 0
+    for x in range(1, 1025):
+        got = _searched(proxy, x, 4096)
+        assert got == _searched(oracle, x, 4096), x
+        cuts += got[2]
+    assert cuts == 21
 
 
 SYMBOLS = st.sampled_from(cx.WORD_SYMBOLS)

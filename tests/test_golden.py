@@ -9,6 +9,7 @@ import hashlib
 
 from kolmex import codes
 from kolmex import complexity as cx
+from kolmex.halting import integer_window_order
 
 # One integer per branch of the integer search: perfect powers, a^e + r,
 # small-divisor products, the towers 2^^4, 3^^3, 4^^3 and 5^^3, 10^100, and
@@ -60,3 +61,13 @@ def test_code_params_and_bits_pinned():
     lines.append(f"rs,{codes.code_params(rs).d},{bits}")
     assert _digest(lines) == (
         "6f5c54863a2f275ec5192ccced8760c5e3a54da79b6c089711c66269f6b83294")
+
+
+def test_window_order_and_zipf_corpus_pinned():
+    order = integer_window_order(1024)
+    assert order.budget_cuts == 21
+    assert _digest(map(str, order.objects)) == (
+        "b30093f8cb5b6540a62053267344b38b895964bdeabeb867359af98507cad1fd")
+    corpus = cx.synthetic_zipf_corpus(1000, 100_000, 20260809)
+    assert _digest(corpus) == (
+        "fc0f695bb1ad7234e941769606a6039019e999b7d6ebc3fcd1e42141438d76e0")

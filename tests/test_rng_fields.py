@@ -36,6 +36,32 @@ def test_sample_sorted(seed, n, k):
     assert all(0 <= v < n for v in out)
 
 
+def _sample_sorted_ref(gen, n, k):
+    """sample_sorted as one below() call per draw."""
+    if 2 * k > n:
+        drop = set(_sample_sorted_ref(gen, n, n - k))
+        return [v for v in range(n) if v not in drop]
+    seen = set()
+    while len(seen) < k:
+        seen.add(gen.below(n))
+    return sorted(seen)
+
+
+def test_batched_draws_match_per_call_stream():
+    for seed in range(40):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.next_u64s(7) == [b.next_u64() for _ in range(7)]
+        assert a.uniforms(9) == [b.uniform() for _ in range(9)]
+        assert a.next_u64s(0) == a.uniforms(0) == []
+        assert a.next_u64() == b.next_u64()
+        for n in (1, 2, 3, 5, 8, 64, 100, 1000, 4096):
+            # k = 0, k = n and both sides of the complement branch 2k > n
+            for k in sorted({0, 1, n // 3, n // 2, n // 2 + 1, n - 1, n}):
+                got = a.sample_sorted(n, k)
+                assert got == _sample_sorted_ref(b, n, k), (seed, n, k)
+                assert a.next_u64() == b.next_u64()  # same draws consumed
+
+
 def test_sample_rejects_oversize():
     with pytest.raises(ValueError):
         SplitMix64(1).sample_sorted(4, 5)
