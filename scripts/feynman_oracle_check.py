@@ -68,9 +68,12 @@ def run(argv=None):
         theory, text = draw_theory(gen, args.colors)
         t0 = time.perf_counter()
         e = graph_expansion(theory, args.order)
+        t1 = time.perf_counter()
         o = gaussian_oracle(theory, args.order)
+        t2 = time.perf_counter()
         status = "ok" if e.coeffs == o.coeffs else "MISMATCH"
-        print(f"trial {trial}: {text} -> {status} ({time.perf_counter() - t0:.2f}s)")
+        print(f"trial {trial}: {text} -> {status} "
+              f"(expansion {t1 - t0:.2f}s oracle {t2 - t1:.2f}s)")
         if status != "ok":
             print(f"  expansion: {e.pretty()}")
             print(f"  oracle:    {o.pretty()}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -78,6 +79,9 @@ def _echo_config(args, config: dict):
 def _build_ensemble(args):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.q >= 2 and (args.n > 64 or args.q**args.n > 1 << 64):
+        raise UsageError(f"--n {args.n} is too large: q^n = {args.q}^{args.n} "
+                         "exceeds the sampler's 2^64 word indices")
     if args.count < 0:
         raise UsageError("--count must be >= 0")
     return codes_mod.sample_codes(args.q, args.n, args.size, args.count, args.seed)
@@ -117,6 +121,12 @@ def cmd_codes_sweep(args) -> int:
     _echo_config(args, config)
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
+    for option, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max),
+                          ("--eta", args.eta)):
+        if not math.isfinite(value):
+            raise UsageError(f"{option} must be finite, not {value}")
+    if args.beta_min > args.beta_max:
+        raise UsageError("--beta-min must be <= --beta-max")
     ensemble = _build_ensemble(args)
     if args.steps == 1:
         betas = [args.beta_min]
@@ -163,6 +173,10 @@ def cmd_hopf_verify(args) -> int:
         "max_vertices": args.max_vertices, "max_flags": args.max_flags,
     }
     _echo_config(args, config)
+    for option, bound in (("--max-vertices", args.max_vertices),
+                          ("--max-flags", args.max_flags)):
+        if bound < 0:
+            raise UsageError(f"{option} must be >= 0")
     from .hopf import (
         HopfElement,
         ZERO,

@@ -365,6 +365,8 @@ def sample_codes(q: int, n: int, size: int, count: int, seed: int,
     the ensemble byte-identically.
     """
     space = q**n
+    if space > 1 << 64:
+        raise CodeError(f"q^n = {space} exceeds the sampler's 2^64 word indices")
     if size > space:
         raise CodeError(f"size {size} exceeds q^n = {space}")
     if size < 2:

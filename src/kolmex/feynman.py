@@ -15,18 +15,35 @@ vertices are contracted one at a time in a fixed order, and a frontier
 maps the colors of the flags still open to an integer partial sum.  Each
 theory scales g^{-1} and each valence's tensor to integers over one
 denominator apiece, so the contraction runs on ints and divides once at
-the end.
+the end.  An eliminated vertex acts on a frontier state only through the
+colors of the flags it closes against, so its factor, summed over the
+colors of its closing and loop flags, is built once per expansion for
+each such color tuple and shared by every class.
+
+Where it is exact, only connected classes are contracted.  By the
+linked-cluster theorem the sum is exp(W), where W(lambda) =
+sum_n w_n lambda^n sums weight / |Aut| over the connected non-empty
+classes: a disjoint union holding m_i copies of class i has weight
+prod w_i^m_i and |Aut| = prod |Aut_i|^m_i * m_i!.  The exponential is
+taken in exact truncated arithmetic, e_0 = 1 and
+e_m = (1/m) sum_{k=1..m} k w_k e_{m-k}.  It is exact when every valence
+is >= 3, since then each component has order >= 1 and at most 2 * order
+vertices.  The sum over every class stays where a vertex cap below
+2 * order bounds the total vertex count, which covers every theory with
+valence 1 or 2 tensors.
 
 The oracle never touches graphs: it expands exp(S_1 / lambda) in the
 interaction tensors and evaluates every Gaussian moment as a sum over Wick
-pairings with propagator lambda * g^{ab}.  Products of vertices are
-visited as multisets with multinomial weights, and pairings are
-aggregated by the color multiset of the remaining slots (interchangeable
-slots collapse into counts), which is exact; the literal pairing
-enumeration cross-checks it in the tests.  Both routes drop orders
-outside [0, N]; theories with valence 1 or 2 tensors generate such orders
-and unbounded fixed-order families, so they additionally require an
-explicit vertex cap applied to both routes.
+pairings with propagator lambda * g^{ab}.  A moment depends on a product
+of vertices only through the combined color counts of its slots, so the
+products are summed by a dynamic program over the tensor entries, keyed
+by (color counts, vertex count, slot count), and the pairing sum runs once
+per state.  Pairings are aggregated by the color multiset of the
+remaining slots (interchangeable slots collapse into counts), which is
+exact; the literal pairing enumeration cross-checks it in the tests.  Both
+routes drop orders outside [0, N]; theories with valence 1 or 2 tensors
+generate such orders and unbounded fixed-order families, so they
+additionally require an explicit vertex cap applied to both routes.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -34,12 +51,12 @@ Everything here is exact rational arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
 from math import factorial, lcm
+from operator import add
 from typing import Optional
 
 from .graphs import Graph, GraphError, _vacuum_classes_with_aut, euler_characteristic
@@ -47,11 +64,15 @@ from .graphs import Graph, GraphError, _vacuum_classes_with_aut, euler_character
 
 @lru_cache(maxsize=64)
 def _vacuum_classes(max_order: int, valences: tuple, max_vertices, budget: int):
-    """Classes with their symmetry factors and contraction plans;
+    """(graph, |Aut|, contraction plan, order E - V, connected) per class;
     theory-independent, so cached.  |Aut| comes from the search that
-    labelled each class during enumeration."""
-    classes = _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)
-    return tuple((g, aut, _contraction_plan(g)) for g, aut in classes)
+    labelled each class during enumeration; `connected` is false for the
+    empty graph."""
+    return tuple(
+        (g, aut, _contraction_plan(g), -euler_characteristic(g),
+         g.n_vertices > 0 and len(g.connected_components()) == 1)
+        for g, aut in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)
+    )
 
 
 class TheoryError(ValueError):
@@ -151,6 +172,29 @@ class Theory:
                 for colors in _orderings(idx)
             ))
         return dg, G, tensors
+
+    def _vertex_factor(self, valence: int, n_loops: int, closed: tuple) -> tuple:
+        """((open colors, integer factor), ...) for an eliminated vertex.
+
+        Its flags close edges against frontier flags of colors `closed`,
+        then form `n_loops` self-loops, then open; the factor sums d_k * C
+        times the G of each closed edge and loop over the colors of the
+        closing and loop flags, so a step depends on a frontier state only
+        through `closed`.  Zero sums are dropped.  `graph_weight` memoizes
+        these per theory through its `factors` argument.
+        """
+        _, G, tensors = self._integer_tables
+        first_open = len(closed) + 2 * n_loops
+        sums: dict = {}
+        for colors, c in tensors[valence][1]:
+            for b, a in zip(closed, colors):
+                c *= G[b][a]
+            for i in range(len(closed), first_open, 2):
+                c *= G[colors[i]][colors[i + 1]]
+            if c:
+                new = colors[first_open:]
+                sums[new] = sums.get(new, 0) + c
+        return tuple((new, c) for new, c in sums.items() if c)
 
     def tensor(self, valence: int) -> dict:
         for k, entries in self.tensors:
@@ -262,45 +306,41 @@ def _contraction_plan(g: Graph) -> tuple:
     return tuple(steps), g.n_flags // 2
 
 
-def graph_weight(g: Graph, theory: Theory, plan: Optional[tuple] = None) -> Fraction:
+def graph_weight(g: Graph, theory: Theory, plan: Optional[tuple] = None,
+                 factors: Optional[defaultdict] = None) -> Fraction:
     """Full contraction of the graph's tensor network: the sum over flag
     colorings of prod_edges g^{ab} * prod_vertices C, by vertex elimination.
 
     The frontier maps the colors of the open flags to an integer partial
     sum over G = dg * g^{-1} and the scaled tensors d_k * C; the weight is
     the final sum over dg^E * prod_vertices d_k.  `plan` is the graph's
-    `_contraction_plan`, built here when not given.
+    `_contraction_plan`, built here when not given.  `factors` maps
+    (valence, n_loops) to {closed colors: `Theory._vertex_factor`}; calls
+    for one theory may share it, calls for different theories must not.
     """
     if g.tails():
         raise GraphError("weights are defined for tail-free graphs")
     steps, n_edges = plan if plan is not None else _contraction_plan(g)
-    dg, G, tensors = theory._integer_tables
+    dg, _, tensors = theory._integer_tables
+    if factors is None:
+        factors = defaultdict(dict)
     den = dg**n_edges
     frontier = {(): 1}
     for valence, keep, closes, n_loops in steps:
         if valence not in tensors:
             return Fraction(0)
-        d, entries = tensors[valence]
-        den *= d
-        first_open = len(closes) + 2 * n_loops
-        local = []
-        for colors, c in entries:
-            for i in range(len(closes), first_open, 2):
-                c *= G[colors[i]][colors[i + 1]]
-            if c:
-                local.append((colors, colors[first_open:], c))
+        den *= tensors[valence][0]
+        by_closed = factors[valence, n_loops]
         nxt: dict = {}
         for state, value in frontier.items():
+            closed = tuple(map(state.__getitem__, closes))
+            opened = by_closed.get(closed)
+            if opened is None:
+                opened = by_closed[closed] = theory._vertex_factor(valence, n_loops, closed)
             kept = tuple(map(state.__getitem__, keep))
-            for colors, new, c in local:
-                term = value * c
-                for p, a in zip(closes, colors):
-                    term *= G[state[p]][a]
-                    if not term:
-                        break
-                else:
-                    key = kept + new
-                    nxt[key] = nxt.get(key, 0) + term
+            for new, c in opened:
+                key = kept + new
+                nxt[key] = nxt.get(key, 0) + value * c
         frontier = nxt
     return Fraction(sum(frontier.values()), den)
 
@@ -308,17 +348,49 @@ def graph_weight(g: Graph, theory: Theory, plan: Optional[tuple] = None) -> Frac
 def graph_expansion(theory: Theory, order: int,
                     max_vertices: Optional[int] = None,
                     budget: int = 200_000) -> LambdaSeries:
-    """Sum lambda^(E-V) * weight / |Aut| over tail-free classes."""
-    coeffs = [Fraction(0)] * (order + 1)
+    """Sum lambda^(E-V) * weight / |Aut| over tail-free classes.
+
+    With every valence >= 3 and no vertex cap below 2 * order, the sum is
+    exp(W) truncated at `order`, where W sums over the connected non-empty
+    classes alone (the linked-cluster theorem); only those are contracted.
+    """
     valences = tuple(theory.valences())
-    for g, aut, plan in _vacuum_classes(order, valences, max_vertices, budget):
-        n = -euler_characteristic(g)
-        if not 0 <= n <= order:
-            continue
-        w = graph_weight(g, theory, plan)
-        if w:
-            coeffs[n] += w / aut
-    return LambdaSeries(tuple(coeffs))
+    classes = _vacuum_classes(order, valences, max_vertices, budget)
+    if valences and (min(valences) <= 2
+                     or max_vertices is not None and max_vertices < 2 * order):
+        return LambdaSeries(_full_class_sum(theory, order, classes))
+    w = [Fraction(0)] * (order + 1)
+    factors: defaultdict = defaultdict(dict)
+    for g, aut, plan, n, connected in classes:
+        if connected:
+            weight = graph_weight(g, theory, plan, factors)
+            if weight:
+                w[n] += weight / aut
+    # Z = exp(W): e_0 = 1 and m e_m = sum_k k w_k e_{m-k}, exactly, because a
+    # disjoint union with m_i copies of class i has |Aut| = prod |Aut_i|^m_i m_i!
+    e = [Fraction(1)] if order >= 0 else []
+    for m in range(1, order + 1):
+        e.append(sum(k * w[k] * e[m - k] for k in range(1, m + 1)) / m)
+    return LambdaSeries(tuple(e))
+
+
+def _full_class_sum(theory: Theory, order: int, classes: tuple) -> list:
+    """The sum over every class, connected or not.
+
+    It stays where exp(W) is not exact: a vertex cap bounds the total vertex
+    count, not each component's, so under any cap below 2 * order the
+    family lacks unions that exp(W) would count.  Valence-1/2 theories need
+    a cap, and their components of order <= 0 also combine with the others
+    inside the window.
+    """
+    coeffs = [Fraction(0)] * (order + 1)
+    factors: defaultdict = defaultdict(dict)
+    for g, aut, plan, n, _ in classes:
+        if 0 <= n <= order:
+            w = graph_weight(g, theory, plan, factors)
+            if w:
+                coeffs[n] += w / aut
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +441,13 @@ def gaussian_oracle(theory: Theory, order: int,
 
     which is the (1/p!)-weighted sum over its p!/prod_i m_i! orderings;
     sym(alpha) is the product of color-multiplicity factorials and M the
-    total slot count.  Orders outside [0, N] are dropped to match the
-    expansion's truncation window.
+    total slot count.  The pairing sum depends on the multiset only through
+    its color counts, so the multisets are summed by a dynamic program over
+    the options, keyed by (color counts, p, M): each option extends every
+    state by m copies with factor c^m / m!, and the pairing sum runs once
+    per final state.  With every valence >= 3 each further vertex raises
+    M - 2p, so a state with M - 2p > 2N is dropped at once.  Orders outside
+    [0, N] are dropped to match the expansion's truncation window.
     """
     if theory.n_colors > max_colors:
         raise TheoryError(
@@ -383,35 +460,45 @@ def gaussian_oracle(theory: Theory, order: int,
             for c in set(idx):
                 sym *= factorial(idx.count(c))
             options.append((valence, idx, coeff / sym))
+    low_valence = bool(options) and min(k for k, _, _ in options) <= 2
     if max_vertices is None:
-        if options and min(k for k, _, _ in options) <= 2:
+        if low_valence:
             raise TheoryError(
                 "valences <= 2 make vertex counts unbounded; pass max_vertices"
             )
         max_vertices = 2 * order
+    max_excess = None if low_valence else 2 * order  # bound on M - 2p
+    # a state's value is an integer N standing for N / (den^p * p!), den the
+    # common denominator of the options: m more copies of option a / den
+    # multiply N by a^m * C(p + m, m), which is c^m / m! on the value
+    den = lcm(*(c.denominator for _, _, c in options))
+    states = {((0,) * theory.n_colors, 0, 0): 1}
+    for valence, idx, coeff in options:
+        a = coeff.numerator * (den // coeff.denominator)
+        step = tuple(idx.count(c) for c in range(theory.n_colors))
+        extended: dict = {}
+        for (counts, p, slots), value in states.items():
+            m = 0
+            while True:
+                key = (counts, p + m, slots)
+                extended[key] = extended.get(key, 0) + value
+                m += 1
+                slots += valence
+                if p + m > max_vertices or (
+                        max_excess is not None and slots - 2 * (p + m) > max_excess):
+                    break
+                counts = tuple(map(add, counts, step))
+                value = value * a * (p + m) // m
+        states = extended
     g_inv = theory.metric_inverse
     coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)  # the empty product
     memo: dict = {}
-    for p in range(1, max_vertices + 1):
-        for combo in combinations_with_replacement(options, p):
-            slots = sum(k for k, _, _ in combo)
-            if slots % 2:
-                continue
-            n = slots // 2 - p
-            if not 0 <= n <= order:
-                continue
-            counts = [0] * theory.n_colors
-            factor = Fraction(1)
-            for _, idx, coeff in combo:
-                factor *= coeff
-                for c in idx:
-                    counts[c] += 1
-            for m in Counter(combo).values():
-                factor /= factorial(m)
-            moment = wick_pairing_sum(tuple(counts), g_inv, memo)
+    for (counts, p, slots), value in states.items():
+        n = slots // 2 - p
+        if slots % 2 == 0 and 0 <= n <= order:
+            moment = wick_pairing_sum(counts, g_inv, memo)
             if moment:
-                coeffs[n] += factor * moment
+                coeffs[n] += moment * Fraction(value, den**p * factorial(p))
     return LambdaSeries(tuple(coeffs))
 
 

@@ -11,6 +11,7 @@ the stream for a given seed is pinned forever.
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
+_SPAN = 1 << 64  # the largest population a 64-bit draw can index
 _UNIT = 2.0**-53  # a 53-bit integer times this is a float in [0, 1)
 
 
@@ -42,6 +43,8 @@ class SplitMix64:
         """Uniform integer in [0, n), rejection sampled (no modulo bias)."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
+        if n > _SPAN:
+            raise ValueError(f"below() draws from at most 2^64 values, not {n}")
         bits = (n - 1).bit_length()
         if bits == 0:
             return 0
@@ -65,6 +68,8 @@ class SplitMix64:
         """
         if k < 0 or k > n:
             raise ValueError(f"cannot draw {k} distinct values from {n}")
+        if n > _SPAN:
+            raise ValueError(f"sample_sorted() draws from at most 2^64 values, not {n}")
         if 2 * k > n:
             drop = set(self.sample_sorted(n, n - k))
             return [v for v in range(n) if v not in drop]

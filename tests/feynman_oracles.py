@@ -1,6 +1,14 @@
-"""Literal references for the Wick pairing sums of `kolmex.feynman`."""
+"""Literal references for `kolmex.feynman`: the Wick pairing enumeration,
+the expansion summed over every vacuum class, and the Gaussian oracle
+summed over vertex multisets."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
+
+from kolmex.feynman import LambdaSeries, TheoryError, graph_weight, wick_pairing_sum
+from kolmex.graphs import _vacuum_classes_with_aut, euler_characteristic
 
 
 def wick_pairings_naive(colors: tuple, g_inv: tuple) -> Fraction:
@@ -16,3 +24,58 @@ def wick_pairings_naive(colors: tuple, g_inv: tuple) -> Fraction:
             rest[:i] + rest[i + 1 :], g_inv
         )
     return total
+
+
+def oracle_options(theory) -> list:
+    """(valence, sorted index tuple, C_alpha / sym(alpha)) per tensor entry."""
+    options = []
+    for valence, entries in theory.tensors:
+        for idx, coeff in entries:
+            sym = Fraction(1)
+            for c in set(idx):
+                sym *= factorial(idx.count(c))
+            options.append((valence, idx, coeff / sym))
+    return options
+
+
+def full_class_expansion(theory, order, max_vertices=None, budget=200_000):
+    """Sum lambda^(E-V) * weight / |Aut| over every tail-free class,
+    connected or not."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for g, aut in _vacuum_classes_with_aut(order, theory.valences(), max_vertices, budget):
+        n = -euler_characteristic(g)
+        if 0 <= n <= order:
+            w = graph_weight(g, theory)
+            if w:
+                coeffs[n] += w / aut
+    return LambdaSeries(tuple(coeffs))
+
+
+def multiset_oracle(theory, order, max_vertices=None):
+    """The Gaussian oracle over every multiset of at most `max_vertices`
+    vertices (2 * order by default), each weighted 1 / prod_i m_i!."""
+    options = oracle_options(theory)
+    if max_vertices is None:
+        if options and min(k for k, _, _ in options) <= 2:
+            raise TheoryError("valences <= 2 need max_vertices")
+        max_vertices = 2 * order
+    g_inv = theory.metric_inverse
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)  # the empty product
+    memo: dict = {}
+    for p in range(1, max_vertices + 1):
+        for combo in combinations_with_replacement(options, p):
+            slots = sum(k for k, _, _ in combo)
+            n = slots // 2 - p
+            if slots % 2 or not 0 <= n <= order:
+                continue
+            counts = [0] * theory.n_colors
+            factor = Fraction(1)
+            for _, idx, coeff in combo:
+                factor *= coeff
+                for c in idx:
+                    counts[c] += 1
+            for m in Counter(combo).values():
+                factor /= factorial(m)
+            coeffs[n] += factor * wick_pairing_sum(tuple(counts), g_inv, memo)
+    return LambdaSeries(tuple(coeffs))

@@ -244,6 +244,38 @@ def test_bad_fraction_exits_2(tmp_path, capsys, argv, option):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("betas, option", [
+    (["--beta-min", "0", "--beta-max", "nan"], "--beta-max must be finite"),
+    (["--beta-min=-inf", "--beta-max", "1"], "--beta-min must be finite"),
+    (["--beta-min", "0", "--beta-max", "1e400"], "--beta-max must be finite"),
+    (["--beta-min", "2", "--beta-max", "1"], "--beta-min must be <= --beta-max"),
+    (["--beta-min", "0", "--beta-max", "1", "--eta", "inf"], "--eta must be finite"),
+], ids=["nan", "inf", "overflow", "reversed", "eta_inf"])
+def test_sweep_bad_beta_range_exits_2(tmp_path, capsys, betas, option):
+    assert run(["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
+                "--steps", "3", "--rate", "1/3", "--delta", "1/6",
+                "--out", str(tmp_path / "s.csv")] + betas) == 2
+    assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cloud_rejects_n_past_the_sampler_span(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["codes", "cloud", "--q", "2", "--n", "80", "--size", "4",
+                "--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n 80" in err and "2^64" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["--max-vertices", "--max-flags"])
+def test_hopf_verify_negative_bound_exits_2(capsys, option):
+    assert run(["algebra", "hopf-verify", option, "-3"]) == 2
+    captured = capsys.readouterr()
+    assert f"{option} must be >= 0" in captured.err
+    assert "all axioms pass" not in captured.out
+
+
 def test_failed_write_leaves_no_tmp_file(tmp_path):
     taken = tmp_path / "taken"
     taken.mkdir()  # the final rename onto a directory fails

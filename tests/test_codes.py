@@ -312,6 +312,13 @@ def test_sample_rejects_oversize():
         sample_codes(2, 2, 5, 1, seed=1)
 
 
+def test_sample_rejects_word_space_past_2_64():
+    with pytest.raises(CodeError, match=rf"q\^n = {2**80} exceeds .*2\^64"):
+        sample_codes(2, 80, 4, 1, seed=1)
+    with pytest.raises(CodeError, match=rf"q\^n = {3**41} exceeds"):
+        sample_codes(3, 41, 4, 1, seed=1)
+
+
 def test_sampled_codes_satisfy_singleton_exactly():
     ensemble = sample_codes(3, 6, 9, 40, seed=11)
     for entry in ensemble.entries:

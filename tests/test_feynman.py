@@ -4,10 +4,15 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from feynman_oracles import wick_pairings_naive
+from feynman_oracles import (
+    full_class_expansion,
+    multiset_oracle,
+    oracle_options,
+    wick_pairings_naive,
+)
 from kolmex import feynman
 from kolmex.feynman import (
     LambdaSeries,
@@ -184,7 +189,7 @@ def test_contraction_matches_brute_force_on_random_graphs(theory, g):
 @settings(max_examples=6, deadline=None)
 @given(theories(colors=(1, 2), valences=(3, 4)))
 def test_contraction_matches_brute_force_on_cubic_quartic_classes(theory):
-    for g, _, plan in feynman._vacuum_classes(2, (3, 4), None, 200_000):
+    for g, _, plan, _, _ in feynman._vacuum_classes(2, (3, 4), None, 200_000):
         w = brute_force_weight(g, theory)
         assert graph_weight(g, theory, plan) == w
         assert graph_weight(g, theory) == w
@@ -193,7 +198,7 @@ def test_contraction_matches_brute_force_on_cubic_quartic_classes(theory):
 @settings(max_examples=10, deadline=None)
 @given(theories(valences=(1, 2)))
 def test_contraction_matches_brute_force_on_capped_low_valence_classes(theory):
-    for g, _, plan in feynman._vacuum_classes(2, (1, 2), 4, 200_000):
+    for g, _, plan, _, _ in feynman._vacuum_classes(2, (1, 2), 4, 200_000):
         assert graph_weight(g, theory, plan) == brute_force_weight(g, theory)
 
 
@@ -292,13 +297,7 @@ def test_single_color_moments_are_double_factorials():
 def ordered_tuple_oracle(theory, order, max_vertices):
     """Reference: gaussian_oracle over ordered p-tuples of vertices, each
     weighted 1/p!, instead of over multisets."""
-    options = []
-    for valence, entries in theory.tensors:
-        for idx, coeff in entries:
-            sym = Fraction(1)
-            for c in set(idx):
-                sym *= factorial(idx.count(c))
-            options.append((valence, idx, coeff / sym))
+    options = oracle_options(theory)
     g_inv = theory.metric_inverse
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[0] = Fraction(1)
@@ -320,10 +319,98 @@ def ordered_tuple_oracle(theory, order, max_vertices):
 
 
 @settings(max_examples=40, deadline=None)
-@given(theories(max_entries=2), st.integers(0, 2), st.integers(1, 3))
+@given(theories(max_entries=2), st.integers(0, 3), st.integers(0, 4))
 def test_multiset_oracle_matches_ordered_tuples(theory, order, max_vertices):
+    # and the color-count dp of gaussian_oracle matches both
+    multisets = multiset_oracle(theory, order, max_vertices)
+    assert multisets == ordered_tuple_oracle(theory, order, max_vertices)
+    assert gaussian_oracle(theory, order, max_vertices=max_vertices) == multisets
+
+
+@settings(max_examples=25, deadline=None)
+@given(theories(valences=(3, 4), max_entries=3), st.integers(0, 3),
+       st.sampled_from([None, 0, 1, 2, 3]))
+def test_pruned_count_dp_oracle_matches_multisets(theory, order, cap_shortfall):
+    # every valence >= 3: the dp drops states past the window; a cap of
+    # 2 * order - shortfall also bounds the vertex count
+    max_vertices = None if cap_shortfall is None else max(0, 2 * order - cap_shortfall)
     assert gaussian_oracle(theory, order, max_vertices=max_vertices) == \
-        ordered_tuple_oracle(theory, order, max_vertices)
+        multiset_oracle(theory, order, max_vertices)
+
+
+def test_count_dp_oracle_matches_multisets_at_four_colors():
+    t = Theory.build(
+        4,
+        tuple(tuple(F(2) if i == j else F(1, 1 + i + j) for j in range(4)) for i in range(4)),
+        {3: {(0, 1, 2): F(1, 2), (3, 3, 3): F(-2), (0, 0, 1): F(3)},
+         4: {(0, 1, 2, 3): F(1, 3), (1, 1, 2, 2): F(-1, 4)}},
+    )
+    assert gaussian_oracle(t, 3) == multiset_oracle(t, 3)
+
+
+# -- the linked-cluster expansion against the sum over every class -----------------
+
+@st.composite
+def linked_cases(draw):
+    """A theory of 1-4 colors with cubic and/or quartic tensors, an order
+    (at most 2 at four colors) and no cap or a cap of at least 2 * order."""
+    colors = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 2 if colors == 4 else 3))
+    valences = draw(st.sampled_from([(3,), (4,), (3, 4)]))
+    theory = draw(theories(colors=(colors, colors), valences=valences))
+    max_vertices = draw(st.one_of(st.none(), st.integers(2 * order, 2 * order + 2)))
+    return theory, order, max_vertices
+
+
+def dense_theory(colors, valences):
+    """Every index multiset of every valence, with entries that vary, over
+    a non-diagonal metric."""
+    metric = tuple(tuple(F(3) if i == j else F(1, 2 + i + j) for j in range(colors))
+                   for i in range(colors))
+    return Theory.build(colors, metric, {
+        k: {idx: F(1 + sum(idx), k + len(set(idx)))
+            for idx in combinations_with_replacement(range(colors), k)}
+        for k in valences
+    })
+
+
+@settings(max_examples=30, deadline=None)
+@given(linked_cases())
+@example((dense_theory(4, (3, 4)), 2, None))
+@example((dense_theory(3, (3, 4)), 3, 7))
+def test_linked_expansion_matches_full_class_sum(case):
+    theory, order, max_vertices = case
+    assert graph_expansion(theory, order, max_vertices=max_vertices) == \
+        full_class_expansion(theory, order, max_vertices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(theories(colors=(1, 2), max_entries=2), st.integers(0, 3), st.integers(0, 5))
+def test_capped_expansion_matches_full_class_sum(theory, order, max_vertices):
+    # low valences or a cap below 2 * order: the full-class fallback
+    assume(min(theory.valences(), default=3) <= 2 or max_vertices < 2 * order)
+    assert graph_expansion(theory, order, max_vertices=max_vertices) == \
+        full_class_expansion(theory, order, max_vertices)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_cubic_quartic_expansion_under_small_cap_matches_full_class_sum(order):
+    # a cap below 2 * order drops unions that exp(W) would count
+    t = Theory.single_color(c3=F(2, 3), c4=F(-5, 7))
+    for cap in range(2 * order):
+        assert graph_expansion(t, order, max_vertices=cap) == \
+            full_class_expansion(t, order, cap)
+
+
+def test_linked_expansion_contracts_connected_classes_only(monkeypatch):
+    calls = []
+    weight = feynman.graph_weight
+    monkeypatch.setattr(feynman, "graph_weight",
+                        lambda g, t, *rest: calls.append(g) or weight(g, t, *rest))
+    t = Theory.single_color(c3=F(1, 3), c4=F(-5, 2))
+    assert graph_expansion(t, 3) == full_class_expansion(t, 3)
+    assert len(calls) == 88
+    assert all(len(g.connected_components()) == 1 for g in calls)
 
 
 # -- the equivalence theorem at desk scale ---------------------------------------

@@ -599,8 +599,9 @@ def test_vacuum_classes_and_symmetry_factors_pinned():
     from kolmex import feynman
 
     classes = feynman._vacuum_classes(3, (3, 4), None, 200_000)
-    text = "\n".join(f"{canonical_label(g)} {aut}" for g, aut, _plan in classes)
+    text = "\n".join(f"{canonical_label(g)} {aut}" for g, aut, *_ in classes)
     assert len(classes) == 141
+    assert sum(connected for *_, connected in classes) == 88
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "638f2e115b389a8d8bc570d606664c068994333a12092366e3ff8740e3b9cfc3"
     )

@@ -67,6 +67,18 @@ def test_sample_rejects_oversize():
         SplitMix64(1).sample_sorted(4, 5)
 
 
+def test_population_limited_to_2_64():
+    for n in (2**64 + 1, 2**80):
+        with pytest.raises(ValueError, match=r"at most 2\^64 values"):
+            SplitMix64(1).below(n)
+        with pytest.raises(ValueError, match=r"at most 2\^64 values"):
+            SplitMix64(1).sample_sorted(n, 3)
+    # at the limit a draw is the raw 64-bit output, as before
+    a, b = SplitMix64(5), SplitMix64(5)
+    assert a.below(2**64) == b.next_u64()
+    assert a.sample_sorted(2**64, 3) == sorted(b.next_u64s(3))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_field_axioms_exhaustive(q):
     f = fields.field(q)  # construction itself verifies the axioms
