@@ -77,13 +77,13 @@ def _echo_config(args, config: dict):
 # ---------------------------------------------------------------------------
 
 def _build_ensemble(args):
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.q >= 2 and (args.n > 64 or args.q**args.n > 1 << 64):
+    for option, value, least in (("--n", args.n, 1), ("--q", args.q, 2),
+                                 ("--size", args.size, 2), ("--count", args.count, 0)):
+        if value < least:
+            raise UsageError(f"{option} must be >= {least}")
+    if args.n > 64 or args.q**args.n > 1 << 64:
         raise UsageError(f"--n {args.n} is too large: q^n = {args.q}^{args.n} "
                          "exceeds the sampler's 2^64 word indices")
-    if args.count < 0:
-        raise UsageError("--count must be >= 0")
     return codes_mod.sample_codes(args.q, args.n, args.size, args.count, args.seed)
 
 
@@ -151,6 +151,8 @@ def cmd_feynman_check(args) -> int:
     _echo_config(args, config)
     if args.order < 0:
         raise UsageError("--order must be >= 0")
+    if args.budget < 0:
+        raise UsageError("--budget must be >= 0")
     theory = Theory.single_color(c3=args.c3, c4=args.c4)
     expansion = graph_expansion(theory, args.order, budget=args.budget)
     oracle = gaussian_oracle(theory, args.order)
@@ -203,7 +205,7 @@ def cmd_hopf_verify(args) -> int:
             monomial_degree(l) + monomial_degree(r) != generator_degree(label)
             for (l, r) in delta
         ):
-            failures.append(f"coproduct degrade fails on {label}")
+            failures.append(f"coproduct degree fails on {label}")
         counit_left = {}
         for (l, r), c in delta.items():
             if l == ():
@@ -225,18 +227,14 @@ def cmd_hopf_verify(args) -> int:
                 failures.append(f"bialgebra compatibility fails on {a} * {b}")
     print(f"bialgebra compatibility: checked {pairs} products")
 
-    checked = 0
     for label in family:
-        if generator_degree(label) > args.max_flags:
-            continue
         x = HopfElement.generator(label)
         acc = ZERO
         for (l, r), c in coproduct(x).items():
             acc = acc + c * (antipode(HopfElement({l: 1})) * HopfElement({r: 1}))
         if acc != ZERO:
             failures.append(f"antipode law fails on {label}")
-        checked += 1
-    print(f"antipode law: checked {checked} generators")
+    print(f"antipode law: checked {len(family)} generators")
 
     if failures:
         for f in failures:

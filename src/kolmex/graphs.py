@@ -18,12 +18,14 @@ the vertex automorphisms.  The tests keep the full permutation scan, an
 individualization-refinement search and an explicit flag-level search as
 independent oracles.
 
-Vacuum enumeration builds each degree sequence one closed vertex at a
-time and keeps one partial graph per class, coloured by residual degree,
-after every step (isomorph rejection during generation, McKay,
-J. Algorithms 26, 1998).  The key is the coloured label, so after the
-last step it is the pinned label itself, and the search that found it
-has counted the class's automorphisms.
+One generator builds both graph families: the vacuum classes of each
+degree sequence, and the connected oriented generators of the flowchart
+bialgebra for each multiset of per-vertex tails and in/out degrees.  It
+closes one vertex at a time and keeps one partial graph per class,
+coloured by residual degree, after every step (isomorph rejection during
+generation, McKay, J. Algorithms 26, 1998).  The key is the coloured
+label, so after the last step it is the pinned label itself, and the
+search that found it has counted the class's automorphisms.
 """
 
 from __future__ import annotations
@@ -625,7 +627,7 @@ def enumerate_cuts(g: Graph, orientation=None, max_vertices: int = 16) -> list[C
 
 
 # ---------------------------------------------------------------------------
-# vacuum-graph enumeration
+# closed-vertex generation: vacuum classes and oriented generators
 # ---------------------------------------------------------------------------
 
 def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
@@ -663,7 +665,10 @@ def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
     found = [(canonical_label(EMPTY_GRAPH), EMPTY_GRAPH, 1)]
     spent = [0]
     for degree_seq in _degree_sequences(valences, max_order, max_vertices):
-        for label, aut in _classes_with_degrees(degree_seq, spent, budget).items():
+        zeros = (0,) * len(degree_seq)
+        classes = _classes_with_degrees(_closings, zeros, zeros, degree_seq,
+                                        spent, budget, connected=False)
+        for label, aut in classes.items():
             found.append((label, graph_from_label(label), aut))
     found.sort(key=lambda item: (item[1].n_flags, item[0]))
     return [(g, aut) for _, g, aut in found]
@@ -697,77 +702,106 @@ def _degree_sequences(valences, max_order, max_vertices):
     return out
 
 
-def _classes_with_degrees(degrees, spent, budget) -> dict:
-    """pinned label -> |Aut|, one entry per isomorphism class with this
-    degree sequence (isomorph rejection during generation, after McKay,
-    J. Algorithms 26, 1998).
+def _classes_with_degrees(closings, tails_in, tails_out, residual,
+                          spent, budget, connected) -> dict:
+    """pinned label -> |Aut| per isomorphism class of graphs with these
+    tails whose edges spend `residual` (each vertex's degree or, when
+    oriented, each in-degree and then each out-degree) exactly.  Both
+    families come from here: the vacuum classes (`_closings`, no tails)
+    and the connected generators of `hopf` (`_oriented_closings`).
 
-    A state is a partial multigraph whose vertices below k are closed and
-    whose other vertices are open with a residual degree; step k closes
-    vertex k by choosing its loops and its multiplicities to the open
-    vertices after it.  The completions of a state are every multigraph on
-    its open vertices with the residual degrees, so they depend only on the
-    state's isomorphism class with each vertex coloured by its residual
-    degree (closed vertices and open ones with residual 0 alike).  Keeping
-    one state per coloured class after every step, keyed by the coloured
-    lexmin of `_min_serialization`, therefore leaves one graph per class
-    after the last step.  There every colour is None, so each key is the
-    pinned label and the search behind it has counted the class's vertex
-    automorphisms.  Every state built counts once against `budget`
-    (through `spent[0]`).
+    Isomorph rejection during generation (after McKay, J. Algorithms 26,
+    1998): step k closes vertex k by one of its `closings`, its loops and
+    its multiplicities to the open vertices after it.  The completions of
+    a state depend only on its class with each vertex coloured by its
+    residual, so one state is kept per coloured lexmin of
+    `_min_serialization`.  After the last step no colour is left: each key
+    is the pinned label, and its search has counted the vertex
+    automorphisms.  With `connected`, a state is dropped once the
+    component of the vertex just closed has nothing left to spend but
+    misses a vertex.  Every closing counts against `budget` (via `spent`).
     """
-    n = len(degrees)
+    n = len(tails_in)
+    oriented = len(residual) > n
+    shift = n if oriented else 0  # from a vertex's in-degree to its out-degree
+
+    def colours(res):
+        return tuple(f"r{a}/{b}" if a or b else None for a, b in zip(res[:n], res[shift:]))
+
     zeros = (0,) * n
-    # key -> (loops, multiplicities, residual degrees, vertex |Aut|)
-    states: dict = {None: (zeros, {}, tuple(degrees), 1)}
+    key, aut = _min_serialization(MultigraphData(
+        n, oriented, zeros, tails_in, tails_out, {}, colours(residual)))
+    # key -> (loops, multiplicities, residual, vertex |Aut|)
+    states: dict = {key: (zeros, {}, residual, aut)}
     for v in range(n):
         kept: dict = {}
         for key, state in states.items():
             loops, mult, residual, _ = state
-            for l, bundle in _closings(v, residual):
+            for l, bundle in closings(v, residual):
                 spent[0] += 1
                 if spent[0] > budget:
                     raise BudgetError(f"vacuum enumeration exceeded budget {budget}")
-                if not residual[v]:  # nothing to close: the same coloured state
+                after = list(residual)
+                for (a, b), m in bundle:
+                    after[a + shift] -= m
+                    after[b] -= m
+                after[v] = after[v + shift] = 0
+                after = tuple(after)
+                new_mult = dict(mult)
+                new_mult.update(bundle)
+                tint = colours(after)
+                if connected and _sealed_off(v, new_mult, tint):
+                    continue
+                if not l and not bundle:  # nothing to close: the same coloured state
                     kept.setdefault(key, state)
                     continue
-                new_residual = list(residual)
-                new_residual[v] = 0
-                new_mult = dict(mult)
-                for j, m in bundle:
-                    new_residual[j] -= m
-                    new_mult[(v, j)] = m
                 new_loops = loops[:v] + (l,) + loops[v + 1:]
-                colours = tuple(f"r{r}" if r else None for r in new_residual)
                 new_key, aut = _min_serialization(MultigraphData(
-                    n, False, new_loops, zeros, zeros, new_mult, colours,
-                ))
-                kept.setdefault(new_key, (new_loops, new_mult, tuple(new_residual), aut))
+                    n, oriented, new_loops, tails_in, tails_out, new_mult, tint))
+                kept.setdefault(new_key, (new_loops, new_mult, after, aut))
         states = kept
-    return {
-        label: aut * _flag_choices(MultigraphData(n, False, loops, zeros, zeros, mult, (None,) * n))
-        for label, (loops, mult, _, aut) in states.items()
-    }
+    return {label: aut * _flag_choices(MultigraphData(
+                n, oriented, loops, tails_in, tails_out, mult, (None,) * n))
+            for label, (loops, mult, _, aut) in states.items()}
+
+
+def _sealed_off(v, mult, colours) -> bool:
+    """Whether v's component has no residual left but misses a vertex."""
+    comp, size = {v}, 0
+    while size < len(comp):
+        size = len(comp)
+        comp.update(w for edge in mult if not comp.isdisjoint(edge) for w in edge)
+    return size < len(colours) and all(colours[w] is None for w in comp)
+
+
+def _spread(caps, j, stop, rest):
+    """((slot, m), ...) over slots j..stop-1, 0 < m <= caps[slot], summing to rest."""
+    if not rest:
+        yield ()
+    elif j < stop:
+        for m in range(min(rest, caps[j]), -1, -1):
+            for tail in _spread(caps, j + 1, stop, rest - m):
+                yield ((j, m),) + tail if m else tail
 
 
 def _closings(v, residual):
-    """(loops, ((w, multiplicity), ...)) for every way to spend vertex v's
-    residual degree on loops and on edges to the vertices after it."""
-    n = len(residual)
-
-    def spread(j, rest):
-        if not rest:
-            yield ()
-            return
-        if j == n:
-            return
-        for m in range(min(rest, residual[j]), -1, -1):
-            for tail in spread(j + 1, rest - m):
-                yield ((j, m),) + tail if m else tail
-
+    """(loops, ((edge, multiplicity), ...)) for every way to spend vertex
+    v's residual degree on loops and on edges to the vertices after it."""
     for l in range(residual[v] // 2 + 1):
-        for bundle in spread(v + 1, residual[v] - 2 * l):
-            yield l, bundle
+        for spend in _spread(residual, v + 1, len(residual), residual[v] - 2 * l):
+            yield l, tuple(((v, j), m) for j, m in spend)
+
+
+def _oriented_closings(v, residual):
+    """The same for in-degrees followed by out-degrees: a loop spends one
+    of each at v, an edge v -> w spends w's in-degree and an edge w -> v
+    spends w's out-degree."""
+    n = len(residual) // 2
+    for l in range(min(residual[v], residual[n + v]) + 1):
+        for sent in _spread(residual, v + 1, n, residual[n + v] - l):
+            for got in _spread(residual, n + v + 1, 2 * n, residual[v] - l):
+                yield l, (tuple(((v, j), m) for j, m in sent)
+                          + tuple(((j - n, v), m) for j, m in got))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
 from .graphs import (
     Graph,
-    MultigraphData,
+    _classes_with_degrees,
     _induced_with_severed_tails,
     _min_serialization,
+    _oriented_closings,
     _serialize_under,
     enumerate_cuts,
     graph_from_label,
@@ -320,79 +322,41 @@ def coassociativity_sides(label: str) -> tuple[dict, dict]:
 
 def enumerate_connected_oriented(max_vertices: int, max_flags: int) -> list[str]:
     """Canonical labels of all connected oriented graphs within the bounds,
-    sorted by (flag count, label).
-
-    Raw multigraphs are deduplicated on their pinned label.  Only those
-    whose per-vertex keys (loops, tails_in, tails_out) are nondecreasing
-    are labelled: the raw family holds every relabelling of each of its
-    graphs, so sorting a graph's vertices by key gives a member of its class
-    that passes."""
-    labels = set()
-    for n in range(1, max_vertices + 1):
-        for loops, mult in _edge_structures(n, max_flags // 2):
-            if not _nondecreasing(loops) or not _connected(n, mult):
-                continue
-            used = 2 * (sum(loops) + sum(mult.values()))
-            for tin, tout in _tail_assignments(n, max_flags - used):
-                if _nondecreasing(list(zip(loops, tin, tout))):
-                    data = MultigraphData(n, True, loops, tin, tout, mult, (None,) * n)
-                    labels.add(_min_serialization(data)[0])
+    sorted by (flag count, label): the classes of each vertex signature
+    multiset, from the closed-vertex generator of the vacuum classes."""
+    labels = []
+    for signature in _signatures(max_vertices, max_flags):
+        tails_in, tails_out, ins, outs = zip(*signature)
+        labels += _classes_with_degrees(_oriented_closings, tails_in, tails_out,
+                                        ins + outs, [0], float("inf"), connected=True)
     return sorted(labels, key=lambda l: (generator_degree(l), l))
 
 
-def _nondecreasing(keys) -> bool:
-    return all(a <= b for a, b in zip(keys, keys[1:]))
+def _signatures(max_vertices: int, max_flags: int):
+    """Nondecreasing tuples of per-vertex (tails in, tails out, in-degree,
+    out-degree) that a connected oriented graph with 1..max_vertices
+    vertices and at most max_flags flags can have: as many in-degrees as
+    out-degrees and, apart from a lone vertex, every vertex on an edge and
+    at least n - 1 edges on n vertices."""
+    vertex = sorted((sum(s), s) for s in product(range(max_flags + 1), repeat=4)
+                    if sum(s) <= max_flags)
+    yield from ((s,) for _, s in vertex if s[2] == s[3] and max_vertices > 0)
+    vertex = [(more, s) for more, s in vertex if s[2] or s[3]]
 
-
-def _edge_structures(n: int, max_edges: int):
-    """(loops per vertex, directed multiplicity dict) with a total budget."""
-    pair_slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    slots = n + len(pair_slots)
-
-    def rec(idx: int, budget: int, acc: list):
-        if idx == slots:
-            loops = tuple(acc[:n])
-            mult = {
-                pair_slots[i]: acc[n + i]
-                for i in range(len(pair_slots))
-                if acc[n + i]
-            }
-            yield loops, mult
+    def rec(prefix, start, flags, balance, edges):
+        if len(prefix) > 1 and not balance and edges >= len(prefix) - 1:
+            yield tuple(prefix)
+        if len(prefix) >= max_vertices:
             return
-        for v in range(budget + 1):
-            yield from rec(idx + 1, budget - v, acc + [v])
+        for i in range(start, len(vertex)):
+            more, s = vertex[i]
+            if more > max_flags - flags:
+                break
+            tilt = balance + s[2] - s[3]
+            if abs(tilt) <= max_flags - flags - more:
+                yield from rec(prefix + [s], i, flags + more, tilt, edges + s[2])
 
-    yield from rec(0, max_edges, [])
-
-
-def _connected(n: int, mult: dict) -> bool:
-    if n == 1:
-        return True
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (u, v), m in mult.items():
-        if m:
-            parent[find(u)] = find(v)
-    return len({find(v) for v in range(n)}) == 1
-
-
-def _tail_assignments(n: int, budget: int):
-    """(tails_in, tails_out) tuples with total count <= budget."""
-
-    def rec(idx: int, budget: int, acc: list):
-        if idx == 2 * n:
-            yield tuple(acc[:n]), tuple(acc[n:])
-            return
-        for v in range(budget + 1):
-            yield from rec(idx + 1, budget - v, acc + [v])
-
-    yield from rec(0, budget, [])
+    yield from rec([], 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ certificate, and counts vertex automorphisms by visiting every leaf.
 `automorphism_order_flag_search` counts automorphisms over literal flag
 bijections.  `raw_vacuum_classes` is the generate-then-deduplicate route:
 every labelled multigraph with each degree sequence, deduplicated on the
-refinement certificate, labelled once per class.  `cut_coproduct` is the
-coproduct of an oriented graph read from its own cuts, with no
-multiplicative extension.
+refinement certificate, labelled once per class.  `raw_oriented_family`
+is the same route for the connected oriented family: every raw oriented
+multigraph within the bounds, labelled when its per-vertex keys are
+nondecreasing.  `cut_coproduct` is the coproduct of an oriented graph read
+from its own cuts, with no multiplicative extension.
 """
 
 from itertools import permutations, product
@@ -22,12 +24,13 @@ from kolmex.graphs import (
     MultigraphData,
     _degree_sequences,
     _flag_choices,
+    _min_serialization,
     _serialize_under,
     enumerate_cuts,
     graph_from_label,
     multigraph_data,
 )
-from kolmex.hopf import monomial_of_graph
+from kolmex.hopf import generator_degree, monomial_of_graph
 
 
 def candidate_permutations(data: MultigraphData):
@@ -250,6 +253,82 @@ def raw_vacuum_classes(max_order, valences, max_vertices=None):
 def _refinement_aut(g: Graph) -> int:
     data = multigraph_data(g)
     return refinement_search(data)[1] * _flag_choices(data)
+
+
+def raw_oriented_family(max_vertices, max_flags):
+    """Labels of the connected oriented graphs within the bounds, sorted by
+    (flag count, label), from every raw oriented multigraph.
+
+    Only raw graphs whose per-vertex keys (loops, tails_in, tails_out) are
+    nondecreasing are labelled: the raw family holds every relabelling of
+    each of its graphs, so sorting a graph's vertices by key gives a member
+    of its class that passes."""
+    labels = set()
+    for n in range(1, max_vertices + 1):
+        for loops, mult in _edge_structures(n, max_flags // 2):
+            if not _nondecreasing(loops) or not _connected(n, mult):
+                continue
+            used = 2 * (sum(loops) + sum(mult.values()))
+            for tin, tout in _tail_assignments(n, max_flags - used):
+                if _nondecreasing(list(zip(loops, tin, tout))):
+                    data = MultigraphData(n, True, loops, tin, tout, mult, (None,) * n)
+                    labels.add(_min_serialization(data)[0])
+    return sorted(labels, key=lambda l: (generator_degree(l), l))
+
+
+def _nondecreasing(keys) -> bool:
+    return all(a <= b for a, b in zip(keys, keys[1:]))
+
+
+def _edge_structures(n: int, max_edges: int):
+    """(loops per vertex, directed multiplicity dict) with a total budget."""
+    pair_slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    slots = n + len(pair_slots)
+
+    def rec(idx: int, budget: int, acc: list):
+        if idx == slots:
+            loops = tuple(acc[:n])
+            mult = {
+                pair_slots[i]: acc[n + i]
+                for i in range(len(pair_slots))
+                if acc[n + i]
+            }
+            yield loops, mult
+            return
+        for v in range(budget + 1):
+            yield from rec(idx + 1, budget - v, acc + [v])
+
+    yield from rec(0, max_edges, [])
+
+
+def _connected(n: int, mult: dict) -> bool:
+    if n == 1:
+        return True
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (u, v), m in mult.items():
+        if m:
+            parent[find(u)] = find(v)
+    return len({find(v) for v in range(n)}) == 1
+
+
+def _tail_assignments(n: int, budget: int):
+    """(tails_in, tails_out) tuples with total count <= budget."""
+
+    def rec(idx: int, budget: int, acc: list):
+        if idx == 2 * n:
+            yield tuple(acc[:n]), tuple(acc[n:])
+            return
+        for v in range(budget + 1):
+            yield from rec(idx + 1, budget - v, acc + [v])
+
+    yield from rec(0, budget, [])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -211,6 +211,10 @@ def test_zipf_missing_corpus(tmp_path):
 
 
 PROBE = ["halting", "probe", "--function", "collatz", "--x", "3", "--y", "5"]
+CLOUD = ["codes", "cloud", "--n", "6", "--count", "5"]
+SWEEP = ["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
+         "--beta-min", "0", "--beta-max", "1", "--steps", "3"]
+SWEEP_RATE = ["--rate", "1/3", "--delta", "1/6"]
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -218,16 +222,22 @@ PROBE = ["halting", "probe", "--function", "collatz", "--x", "3", "--y", "5"]
     (PROBE + ["--budget", "50", "--fuel", "-5"], "--fuel"),
     (["zipf", "fit", "--tokens", "-5"], "--tokens"),
     (["zipf", "fit", "--types", "0"], "--types"),
-], ids=["probe_budget", "probe_fuel", "zipf_tokens", "zipf_types"])
+    (CLOUD + ["--q", "1"], "--q must be >= 2"),
+    (CLOUD + ["--q", "0"], "--q must be >= 2"),
+    (CLOUD + ["--q", "-3"], "--q must be >= 2"),
+    (SWEEP + SWEEP_RATE + ["--q", "1"], "--q must be >= 2"),
+    (CLOUD + ["--size", "0"], "--size must be >= 2"),
+    (SWEEP + SWEEP_RATE + ["--size", "-1"], "--size must be >= 2"),
+    (["algebra", "feynman-check", "--c4", "1", "--order", "2", "--budget", "-1"],
+     "--budget must be >= 0"),
+], ids=["probe_budget", "probe_fuel", "zipf_tokens", "zipf_types", "cloud_q1", "cloud_q0",
+        "cloud_q_negative", "sweep_q1", "cloud_size0", "sweep_size_negative",
+        "feynman_budget"])
 def test_negative_count_exits_2(tmp_path, capsys, argv, option):
     out = tmp_path / "out"
-    assert run(argv + ["--out", str(out)]) == 2
+    assert run(argv + (["--out", str(out)] if argv[0] != "algebra" else [])) == 2
     assert option in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-SWEEP = ["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
-         "--beta-min", "0", "--beta-max", "1", "--steps", "3"]
 
 
 @pytest.mark.parametrize("argv, option", [

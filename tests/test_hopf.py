@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from graph_oracles import brute_min_serialization, cut_coproduct, disjoint_union
+from graph_oracles import (
+    _connected,
+    _edge_structures,
+    _tail_assignments,
+    brute_min_serialization,
+    cut_coproduct,
+    disjoint_union,
+    raw_oriented_family,
+)
 from kolmex import cli
 from kolmex.graphs import (
     Graph,
@@ -20,9 +28,6 @@ from kolmex.hopf import (
     ZERO,
     HopfError,
     HopfElement,
-    _connected,
-    _edge_structures,
-    _tail_assignments,
     antipode,
     coassociativity_sides,
     coproduct,
@@ -470,12 +475,23 @@ def ref_enumerate_connected_oriented(max_vertices, max_flags):
 
 
 def test_family_matches_brute_force_labels():
-    assert enumerate_connected_oriented(3, 5) == ref_enumerate_connected_oriented(3, 5)
-    assert enumerate_connected_oriented(2, 6) == ref_enumerate_connected_oriented(2, 6)
-    # four vertices: the sorted-key filter of the family on larger blocks
-    family = enumerate_connected_oriented(4, 6)
-    assert len(family) == 269
-    assert family == ref_enumerate_connected_oriented(4, 6)
+    for max_vertices, max_flags, size in [
+        (0, 6, 0),
+        (1, 0, 1),     # the bare vertex alone
+        (1, 3, 13),    # lone vertices: tails only, or a loop with a tail
+        (2, 4, 41),    # a vertex with loops only never joins a second one
+        (3, 3, 18),    # tails-only vertices beside edges
+        (3, 5, 104),
+        (2, 6, 182),
+        (4, 6, 269),   # four vertices: larger blocks of equal vertex keys
+        (4, 8, 1922),  # raw route only: the full lexmin scan is too slow here
+    ]:
+        family = enumerate_connected_oriented(max_vertices, max_flags)
+        assert len(family) == size
+        assert family == raw_oriented_family(max_vertices, max_flags)
+        if max_flags < 8:
+            assert family == ref_enumerate_connected_oriented(max_vertices, max_flags)
+    assert enumerate_connected_oriented(1, 0) == ["og:1|-.0.0.0|"]
 
 
 @settings(max_examples=40, deadline=None)
