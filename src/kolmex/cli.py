@@ -15,6 +15,10 @@ Exit codes: 0 success / property holds, 1 checked property fails,
 All randomness flows through one --seed per command; every output file
 carries a version-stamped header, and identical (config, version) pairs
 give byte-identical outputs.
+
+Each handler imports the modules it runs, so a command loads only its own
+layers (hopf-verify never loads codes or complexity, a halting probe never
+loads the graph algebra).
 """
 
 from __future__ import annotations
@@ -28,12 +32,6 @@ import sys
 from fractions import Fraction
 
 from . import PROXY_VERSION, __version__
-from . import codes as codes_mod
-from . import halting as halting_mod
-from . import renorm as renorm_mod
-from .complexity import synthetic_zipf_corpus, zipf_analyze
-from .feynman import Theory, gaussian_oracle, graph_expansion
-from .svgplot import cloud_svg
 
 
 class UsageError(Exception):
@@ -84,7 +82,12 @@ def _build_ensemble(args):
     if args.n > 64 or args.q**args.n > 1 << 64:
         raise UsageError(f"--n {args.n} is too large: q^n = {args.q}^{args.n} "
                          "exceeds the sampler's 2^64 word indices")
-    return codes_mod.sample_codes(args.q, args.n, args.size, args.count, args.seed)
+    if args.size > args.q**args.n:
+        raise UsageError(f"--size {args.size} exceeds the {args.q}^{args.n} = "
+                         f"{args.q**args.n} words of length --n {args.n}")
+    from .codes import sample_codes
+
+    return sample_codes(args.q, args.n, args.size, args.count, args.seed)
 
 
 def cmd_codes_cloud(args) -> int:
@@ -94,7 +97,9 @@ def cmd_codes_cloud(args) -> int:
     }
     _echo_config(args, config)
     ensemble = _build_ensemble(args)
-    rows = codes_mod.cloud_rows(ensemble)
+    from .codes import BOUND_KINDS, bound_curve, cloud_rows
+
+    rows = cloud_rows(ensemble)
     _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} code points to {args.out}")
     if args.svg:
@@ -103,9 +108,11 @@ def cmd_codes_cloud(args) -> int:
         ]
         grid = [i / 400 for i in range(401)]
         curves = [
-            (kind, [(d, codes_mod.bound_curve(kind, args.q, d)) for d in grid])
-            for kind in codes_mod.BOUND_KINDS
+            (kind, [(d, bound_curve(kind, args.q, d)) for d in grid])
+            for kind in BOUND_KINDS
         ]
+        from .svgplot import cloud_svg
+
         _write_atomic(args.svg, cloud_svg(points, curves, _stamp(config)))
         print(f"wrote plot to {args.svg}")
     return 0
@@ -133,7 +140,9 @@ def cmd_codes_sweep(args) -> int:
     else:
         span = args.beta_max - args.beta_min
         betas = [args.beta_min + i * span / (args.steps - 1) for i in range(args.steps)]
-    rows = codes_mod.sweep_rows(ensemble, args.rate, args.delta, betas, args.eta)
+    from .codes import sweep_rows
+
+    rows = sweep_rows(ensemble, args.rate, args.delta, betas, args.eta)
     _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
     print(f"wrote {len(betas)} sweep rows to {args.out}")
     return 0
@@ -153,6 +162,8 @@ def cmd_feynman_check(args) -> int:
         raise UsageError("--order must be >= 0")
     if args.budget < 0:
         raise UsageError("--budget must be >= 0")
+    from .feynman import Theory, gaussian_oracle, graph_expansion
+
     theory = Theory.single_color(c3=args.c3, c4=args.c4)
     expansion = graph_expansion(theory, args.order, budget=args.budget)
     oracle = gaussian_oracle(theory, args.order)
@@ -255,12 +266,12 @@ def cmd_birkhoff(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from None
-    phi = renorm_mod.character_from_json(text)
+    from .renorm import Character, birkhoff, character_from_json
+
+    phi = character_from_json(text)
     if args.degree is not None:
-        phi = renorm_mod.Character(
-            phi.generator_values, args.degree, phi.trunc, phi.name
-        )
-    minus, plus = renorm_mod.birkhoff(phi)
+        phi = Character(phi.generator_values, args.degree, phi.trunc, phi.name)
+    minus, plus = birkhoff(phi)
     doc = {
         "version": f"kolmex {__version__}",
         "proxy_version": PROXY_VERSION,
@@ -293,27 +304,27 @@ def _gmap_values(gmap, phi) -> list:
 # halting + zipf
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS = {
-    "empty": halting_mod.PartialFunction.empty,
-    "identity": halting_mod.PartialFunction.identity,
-    "evens": halting_mod.PartialFunction.on_evens,
-}
+_FUNCTIONS = ("collatz", "empty", "evens", "identity")
 
 
-def _collatz() -> "halting_mod.PartialFunction":
-    def compute(y: int, fuel: int):
-        steps, current = 0, y
-        while current != 1:
-            if steps >= fuel:
-                return None
-            current = current // 2 if current % 2 == 0 else 3 * current + 1
-            steps += 1
-        return steps + 1
-
-    return halting_mod.PartialFunction(compute, None, "collatz")
+def _collatz_steps(y: int, fuel: int):
+    steps, current = 0, y
+    while current != 1:
+        if steps >= fuel:
+            return None
+        current = current // 2 if current % 2 == 0 else 3 * current + 1
+        steps += 1
+    return steps + 1
 
 
-_FUNCTIONS["collatz"] = _collatz
+def _probe_function(name: str):
+    """The halting.PartialFunction that --function names."""
+    from .halting import PartialFunction
+
+    if name == "collatz":
+        return PartialFunction(_collatz_steps, None, "collatz")
+    return {"empty": PartialFunction.empty, "evens": PartialFunction.on_evens,
+            "identity": PartialFunction.identity}[name]()
 
 
 def cmd_halting_probe(args) -> int:
@@ -326,14 +337,16 @@ def cmd_halting_probe(args) -> int:
         raise UsageError("--budget must be >= 0")
     if args.fuel < 0:
         raise UsageError("--fuel must be >= 0")
-    f = _FUNCTIONS[args.function]()
+    from .halting import classify_orbit, lift_to_permutation, zigzag
+
+    f = _probe_function(args.function)
     if args.mode == "opaque":
         f = f.opaque()
     elif not f.transparent:
         print(f"note: {args.function} has no domain predicate; probing opaquely")
-    lifted = halting_mod.lift_to_permutation(f, fuel=args.fuel)
-    pair = (halting_mod.zigzag(args.x), halting_mod.zigzag(args.y))
-    report = halting_mod.classify_orbit(pair, lifted, budget=args.budget)
+    lifted = lift_to_permutation(f, fuel=args.fuel)
+    pair = (zigzag(args.x), zigzag(args.y))
+    report = classify_orbit(pair, lifted, budget=args.budget)
     doc = json.loads(report.to_json())
     doc["config"] = config
     doc["version"] = f"kolmex {__version__}"
@@ -350,6 +363,9 @@ def cmd_zipf_fit(args) -> int:
         "corpus": os.path.basename(args.corpus) if args.corpus else None,
     }
     _echo_config(args, config)
+    from .codes import fmt17
+    from .complexity import synthetic_zipf_corpus, zipf_analyze
+
     if args.corpus:
         try:
             with open(args.corpus, encoding="utf-8") as fh:
@@ -367,7 +383,7 @@ def cmd_zipf_fit(args) -> int:
     rows = ["rank,token,count,frequency"]
     for row in fit.table:
         rows.append(
-            f"{row.rank},{row.token},{row.count},{codes_mod.fmt17(row.frequency)}"
+            f"{row.rank},{row.token},{row.count},{fmt17(row.frequency)}"
         )
     _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
     if fit.fit_defined:
@@ -478,17 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _truncation_error() -> tuple:
+    """renorm.TruncationError when a handler has loaded renorm, the only
+    way it can have been raised; no other command loads renorm to name it."""
+    renorm = sys.modules.get(f"{__package__}.renorm")
+    return (renorm.TruncationError,) if renorm else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (codes_mod.CodeError, OSError, json.JSONDecodeError,
-            halting_mod.HaltingError, renorm_mod.RenormError,
-            renorm_mod.TruncationError, ValueError) as exc:
+    except (UsageError, OSError, ValueError, *_truncation_error()) as exc:
+        # every package error but TruncationError is a ValueError, and so
+        # is json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,11 @@ mappings.  Only the unit terms x (x) 1 and 1 (x) x have an empty side
 the reduced coproduct is those mappings without their empty-sided terms.
 `_cut_sum` is the one recursion step "first + sum' c rec(x') psi(x'')"
 over it: the antipode (psi = -x'', memoized across calls),
-`renorm.conv_inverse` and Birkhoff's bracket all go through it.
+`renorm.conv_inverse` and Birkhoff's bracket all go through it.  It hands
+its (c, rec(x'), psi(x'')) terms to `first.accumulate`, which sums them in
+one pass with no intermediate products or partial sums:
+`HopfElement.accumulate` in one dict, `renorm.MSElement.accumulate` on
+integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -161,11 +165,17 @@ class HopfElement:
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
         """Bilinear extension of multiset union."""
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = _union(m1, m2)
-                out[key] = out.get(key, 0) + c1 * c2
+        return ZERO.accumulate(((1, self, other),))
+
+    def accumulate(self, terms) -> "HopfElement":
+        """self + sum c * (x * y) over (count, x, y) terms, summed in one
+        dict: the pairwise fold without its intermediate elements."""
+        out = dict(self.terms)
+        for c, x, y in terms:
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y.terms.items():
+                    key = _union(m1, m2)
+                    out[key] = out.get(key, 0) + c * c1 * c2
         return HopfElement(out)
 
     def __eq__(self, other) -> bool:
@@ -249,12 +259,13 @@ def is_primitive(label: str) -> bool:
 def _cut_sum(mono: Monomial, first, rec, psi):
     """first + sum c * (rec(x') * psi(x'')) over the reduced coproduct
     c x' (x) x'' of mono: the recursion step of the antipode, of
-    `renorm.conv_inverse` and of Birkhoff's bracket.  Every x' has fewer
-    vertices than mono, so the recursion terminates."""
-    acc = first
-    for (left, right), c in reduced_coproduct_of_monomial(mono).items():
-        acc = acc + c * (rec(left) * psi(right))
-    return acc
+    `renorm.conv_inverse` and of Birkhoff's bracket, summed by
+    `first.accumulate`.  Terms are evaluated in coproduct order, as the
+    sum reads them.  Every x' has fewer vertices than mono, so the
+    recursion terminates."""
+    return first.accumulate(
+        (c, rec(left), psi(right))
+        for (left, right), c in reduced_coproduct_of_monomial(mono).items())
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,11 @@ algebra, stored on connected generators; convolution, the recursive
 inverse and the BPHZ recursion work on arbitrary unit-preserving linear
 maps, evaluated monomial by monomial with per-object caches.  The inverse
 and the BPHZ bracket share one recursion over the reduced coproduct,
-`hopf._cut_sum`, which the antipode takes as well.
+`hopf._cut_sum`, which the antipode takes as well.  Each step of it, and
+each value of a convolution, is one `MSElement.accumulate`: the sum
+first + sum c * (x * y) found in a single integer pass (result window
+first, each product only through it, one denominator, one gcd) with
+exactly the value, window and errors of the pairwise fold.
 """
 
 from __future__ import annotations
@@ -201,19 +205,47 @@ class MSElement:
         window = min(len(xs) - 1 - px - py, len(ys) - 1 - py - px)
         if window < 0:
             raise TruncationError("truncated windows too short for this product")
-        size = px + py + window + 1
-        out = [0] * size
-        # most numerators are zero (polar-only factors, short regular
-        # parts), so pair only the nonzero ones
-        ys = [(j, b) for j, b in enumerate(ys[:size]) if b]
-        for i, a in enumerate(xs[:size]):
-            if a:
-                room = size - i
-                for j, b in ys:
-                    if j >= room:
-                        break
-                    out[i + j] += a * b
+        out = [0] * (px + py + window + 1)
+        _convolve_into(out, 0, xs, ys, 1)
         return _new(*_reduced(out, self._den * other._den, px + py), False)
+
+    def accumulate(self, terms: Iterable) -> "MSElement":
+        """self + sum c * (x * y) over (count, x, y) terms, count an int.
+
+        The same element, window and TruncationError as the pairwise fold
+        `self + c * (x * y) + ...`, in one pass: the result window is the
+        minimum of self's and every product's (by the rule of `__mul__`),
+        each product is computed only through it, and the numerators are
+        summed over one common denominator with a single gcd at the end.
+        Terms are read in order, and a product whose windows are too short
+        raises as soon as it is read."""
+        regular = len(self._nums) - self._depth  # regular orders kept
+        depth, den, rzero = self._depth, self._den, self._rzero
+        live = []
+        for c, x, y in terms:
+            xs, ys = x._nums, y._nums
+            px, py = x._depth, y._depth
+            if x._is_exact_zero() or y._is_exact_zero():
+                regular = min(regular, max(len(xs) - px, len(ys) - py))
+                continue
+            kept = min(len(xs), len(ys)) - px - py
+            if kept <= 0:
+                raise TruncationError("truncated windows too short for this product")
+            regular = min(regular, kept)
+            depth = max(depth, px + py)
+            den = lcm(den, x._den * y._den)
+            live.append((c, x, y))
+        if live:
+            rzero = False
+        size = depth + regular
+        out = [0] * size
+        offset, scale = depth - self._depth, den // self._den
+        for k, n in enumerate(self._nums[:size - offset]):
+            out[offset + k] = n * scale
+        for c, x, y in live:
+            _convolve_into(out, depth - x._depth - y._depth, x._nums, y._nums,
+                           c * (den // (x._den * y._den)))
+        return _new(*_reduced(out, den, depth), rzero)
 
     def __rmul__(self, scalar) -> "MSElement":
         scalar = _rational(scalar)
@@ -257,6 +289,23 @@ class MSElement:
 def _rational(c):
     """c as an exact rational with .numerator and .denominator."""
     return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
+def _convolve_into(out: list, offset: int, xs, ys, scale: int):
+    """out[offset + k] += scale * (xs convolved with ys)[k], for every k
+    that fits in out."""
+    size = len(out) - offset
+    # most numerators are zero (polar-only factors, short regular parts),
+    # so pair only the nonzero ones
+    ys = [(j, b) for j, b in enumerate(ys[:size]) if b]
+    for i, a in enumerate(xs[:size]):
+        if a:
+            a *= scale
+            room, base = size - i, offset + i
+            for j, b in ys:
+                if j >= room:
+                    break
+                out[base + j] += a * b
 
 
 def _reduced(nums, den: int, depth: int) -> tuple[tuple, int, int]:
@@ -360,10 +409,9 @@ def convolution(phi: GMap, psi: GMap, degree_bound: Optional[int] = None) -> GMa
     trunc = min(phi.trunc, psi.trunc)
 
     def fn(mono: Monomial) -> MSElement:
-        acc = MSElement.zero(trunc)
-        for (left, right), c in coproduct_of_monomial(mono).items():
-            acc = acc + c * (phi(left) * psi(right))
-        return acc
+        return MSElement.zero(trunc).accumulate(
+            (c, phi(left), psi(right))
+            for (left, right), c in coproduct_of_monomial(mono).items())
 
     return GMap(fn, bound, trunc, f"({phi.name}*{psi.name})")
 
@@ -522,7 +570,21 @@ def _coeffs(val: dict, key: str, where: str) -> list:
     out = []
     for j, c in enumerate(_field(val, key, list, where)):
         try:
-            out.append(Fraction(c))
+            out.append(_coefficient(c))
         except (TypeError, ValueError, ZeroDivisionError):
             raise RenormError(f"{where}.{key}[{j}]: bad coefficient {c!r}") from None
     return out
+
+
+def _coefficient(c):
+    """Fraction(c), with plain ASCII `-?digits` and `-?digits/digits` text
+    (nonzero denominator) read by int() instead of Fraction's parser."""
+    if type(c) is str and c.isascii():
+        num, slash, den = c.removeprefix("-").partition("/")
+        if num.isdigit() and (not slash or den.isdigit()):
+            n = -int(num) if c[0] == "-" else int(num)
+            if not slash:
+                return n
+            if d := int(den):
+                return Fraction(n, d)
+    return Fraction(c)

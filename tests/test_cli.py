@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,11 +96,12 @@ def test_feynman_check_runs_higher_order(capsys):
 
 
 def test_feynman_check_reports_mismatch(capsys, monkeypatch):
-    # a defective oracle must be caught: exit 1 with the first bad order
-    import kolmex.cli as cli_mod
+    # a defective oracle must be caught: exit 1 with the first bad order;
+    # the handler imports the oracle from kolmex.feynman when it runs
+    import kolmex.feynman as feynman_mod
     from kolmex.feynman import LambdaSeries
 
-    real = cli_mod.gaussian_oracle
+    real = feynman_mod.gaussian_oracle
 
     def broken(theory, order):
         series = real(theory, order)
@@ -104,7 +109,7 @@ def test_feynman_check_reports_mismatch(capsys, monkeypatch):
         coeffs[-1] += 1
         return LambdaSeries(tuple(coeffs))
 
-    monkeypatch.setattr(cli_mod, "gaussian_oracle", broken)
+    monkeypatch.setattr(feynman_mod, "gaussian_oracle", broken)
     assert run(["algebra", "feynman-check", "--c3", "1", "--c4", "1",
                 "--order", "1"]) == 1
     out = capsys.readouterr().out
@@ -278,6 +283,18 @@ def test_cloud_rejects_n_past_the_sampler_span(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["codes", "cloud", "--q", "2", "--n", "3", "--size", "9", "--count", "1"],
+    ["codes", "sweep", "--q", "3", "--n", "2", "--size", "10", "--count", "1",
+     "--beta-min", "0", "--beta-max", "1", "--steps", "2"] + SWEEP_RATE,
+], ids=["cloud", "sweep"])
+def test_size_past_q_to_the_n_names_its_options(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--size" in err and "--n" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", ["--max-vertices", "--max-flags"])
 def test_hopf_verify_negative_bound_exits_2(capsys, option):
     assert run(["algebra", "hopf-verify", option, "-3"]) == 2
@@ -340,3 +357,38 @@ def test_birkhoff_exhausted_window_exits_2(tmp_path, capsys):
     assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
     assert "window" in capsys.readouterr().err
+
+
+# -- each command loads only its own layers ------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_modules(argv) -> set:
+    """The kolmex modules in sys.modules after `cli.main(argv)` in a fresh
+    interpreter."""
+    script = ("import sys\n"
+              "from kolmex import cli\n"
+              f"assert cli.main({argv!r}) == 0\n"
+              "print(' '.join(m for m in sys.modules if m.startswith('kolmex.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_hopf_verify_loads_no_codes_or_complexity_layers():
+    loaded = loaded_modules(["algebra", "hopf-verify", "--max-vertices", "1",
+                             "--max-flags", "0"])
+    assert "kolmex.hopf" in loaded
+    for name in ("codes", "complexity", "fields", "rng", "halting", "feynman", "svgplot"):
+        assert f"kolmex.{name}" not in loaded
+
+
+def test_halting_probe_loads_no_graph_algebra(tmp_path):
+    loaded = loaded_modules(["halting", "probe", "--function", "evens", "--x", "1",
+                             "--y", "3", "--budget", "10",
+                             "--out", str(tmp_path / "probe.json")])
+    assert "kolmex.halting" in loaded
+    for name in ("graphs", "hopf", "renorm", "feynman"):
+        assert f"kolmex.{name}" not in loaded

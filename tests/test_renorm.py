@@ -566,6 +566,64 @@ def test_declared_exact_zeros():
     assert (pole.regular_part() * pole).valid_order == 2
 
 
+# -- the fused cut-sum kernel against the pairwise fold ---------------------------
+
+FACTOR_KINDS = ["general", "regular_only", "reads_zero", "polar_only",
+                "declared_zero", "polar_part_of_regular"]
+
+
+@st.composite
+def factors(draw):
+    """Elements of polar depth 0-3 and window 0-16: general, regular-only,
+    a regular side that reads zero without being declared, polar-only
+    (`polar_part()`), and the declared exact zeros `MSElement.zero` and
+    the `polar_part()` of a regular element."""
+    kind = draw(st.sampled_from(FACTOR_KINDS))
+    window = draw(st.integers(0, 16))
+    if kind == "declared_zero":
+        return MSElement.zero(window)
+    depth = 0 if kind in ("regular_only", "polar_part_of_regular") else draw(st.integers(0, 3))
+    polar = draw(st.lists(coeff, min_size=depth, max_size=depth))
+    regular = ([F(0)] * (window + 1) if kind == "reads_zero"
+               else draw(st.lists(coeff, min_size=window + 1, max_size=window + 1)))
+    x = MSElement(polar, regular)
+    return x.polar_part() if kind in ("polar_only", "polar_part_of_regular") else x
+
+
+def stored(x: MSElement) -> tuple:
+    return x._nums, x._den, x._depth, x._rzero, x.valid_order
+
+
+@settings(max_examples=150)
+@given(factors(), st.lists(st.tuples(st.integers(1, 4), factors(), factors()), max_size=5))
+def test_accumulate_matches_pairwise_fold(first, terms):
+    """first.accumulate(terms) is first + c*(x*y) + ... exactly: numerators,
+    denominator, depth, declared zero and window; both raise TruncationError
+    when a product's windows are too short."""
+    try:
+        want = first
+        for c, x, y in terms:
+            want = want + c * (x * y)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            first.accumulate(terms)
+        return
+    assert stored(first.accumulate(terms)) == stored(want)
+
+
+def test_accumulate_stops_reading_at_a_short_product():
+    # like the fold, it raises before it reads (evaluates) the next term
+    pole = MSElement.from_coeffs({-2: F(1)}, trunc=1)
+
+    def terms():
+        yield 1, pole, MSElement.one()
+        yield 2, pole, pole
+        raise AssertionError("term read after the short product")
+
+    with pytest.raises(TruncationError):
+        MSElement.zero().accumulate(terms())
+
+
 # -- the recursive inverse against phi o S and the geometric series ---------------
 
 def geometric_inverse(phi):
@@ -663,3 +721,27 @@ def test_malformed_character_json_is_positioned(doc, message):
     with pytest.raises(RenormError) as info:
         character_from_json(doc)
     assert message in str(info.value)
+
+
+COEFFICIENT_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/._eE \t\u0663", max_size=8),
+)
+
+
+@settings(max_examples=300)
+@given(COEFFICIENT_TEXT)
+def test_coefficient_text_matches_fraction_parser(text):
+    """Character JSON reads a coefficient string as Fraction(text) does:
+    the same values, and the same strings refused (whitespace, signs,
+    decimals, exponents, underscores and zero denominators included)."""
+    doc = json.dumps({"degree_bound": 1, "truncation": 0, "values": [
+        {"graph": "g", "value": {"polar": [], "regular": [text]}}]})
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(RenormError) as info:
+            character_from_json(doc)
+        assert str(info.value) == f"values[0].value.regular[0]: bad coefficient {text!r}"
+        return
+    assert character_from_json(doc).generator_values["g"].regular == (want,)
