@@ -261,6 +261,8 @@ def cmd_birkhoff(args) -> int:
         "degree": args.degree,
     }
     _echo_config(args, config)
+    if args.degree is not None and args.degree < 0:
+        raise UsageError("--degree must be >= 0")
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()

@@ -26,12 +26,19 @@ coloured by residual degree, after every step (isomorph rejection during
 generation, McKay, J. Algorithms 26, 1998).  The key is the coloured
 label, so after the last step it is the pinned label itself, and the
 search that found it has counted the class's automorphisms.
+
+A cut of an oriented graph is a vertex bipartition with no edge from its
+lower side to its upper side.  That one rule also keeps every oriented
+wheel on one side: a wheel with vertices on both sides crosses back from
+lower to upper somewhere.  A `Cut` builds its two flag-level halves only
+when they are read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -479,7 +486,7 @@ def _flag_choices(data: MultigraphData) -> int:
 
 
 # ---------------------------------------------------------------------------
-# orientation: directedness, wheels, cuts
+# orientation: directedness and cuts
 # ---------------------------------------------------------------------------
 
 def _check_orientation(g: Graph, orientation) -> Graph:
@@ -513,58 +520,26 @@ def is_directed(g: Graph, orientation=None) -> bool:
     return all(state[v] != 0 or dfs(v) for v in range(g.n_vertices))
 
 
-def strongly_connected_components(g: Graph) -> list[frozenset[int]]:
-    """Tarjan SCCs of the edge-direction relation (loops make singles cyclic,
-    which is irrelevant here: SCC membership already captures wheels)."""
-    adjacency: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
-    for s, t in g.directed_edges():
-        adjacency[s].append(t)
-    index = {}
-    low = {}
-    stack: list[int] = []
-    on_stack = set()
-    out: list[frozenset[int]] = []
-    counter = [0]
-
-    def strong(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in adjacency[v]:
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.add(w)
-                if w == v:
-                    break
-            out.append(frozenset(comp))
-
-    for v in range(g.n_vertices):
-        if v not in index:
-            strong(v)
-    return out
-
-
 @dataclass(frozen=True)
 class Cut:
-    """Bipartition of the vertices; both halves carry the severed graphs."""
+    """Bipartition of a graph's vertices.  Each half, the subgraph on its
+    side with the severed edges left as tails, is built when first read."""
 
+    graph: Graph
     upper: frozenset[int]
     lower: frozenset[int]
-    upper_graph: Graph
-    lower_graph: Graph
 
     @property
     def proper(self) -> bool:
         return bool(self.upper) and bool(self.lower)
+
+    @cached_property
+    def upper_graph(self) -> Graph:
+        return _induced_with_severed_tails(self.graph, self.upper)
+
+    @cached_property
+    def lower_graph(self) -> Graph:
+        return _induced_with_severed_tails(self.graph, self.lower)
 
 
 def _induced_with_severed_tails(g: Graph, keep: frozenset[int]) -> Graph:
@@ -589,40 +564,24 @@ def _induced_with_severed_tails(g: Graph, keep: frozenset[int]) -> Graph:
 
 
 def enumerate_cuts(g: Graph, orientation=None, max_vertices: int = 16) -> list[Cut]:
-    """Both improper cuts plus every proper cut: a vertex bipartition that
-    keeps each oriented wheel on one side and orients every crossing edge
-    from upper to lower.  Crossing halves become tails of their side."""
+    """Every cut, in the order of its upper side's vertex bitmask: a vertex
+    bipartition with no edge from lower to upper.  The two improper cuts
+    come first (all lower) and last (all upper).  No oriented wheel is
+    split, since a wheel with vertices on both sides has an edge crossing
+    back from lower to upper.  Crossing halves become tails of their side."""
     g = _check_orientation(g, orientation)
-    if g.n_vertices > max_vertices:
-        raise BudgetError(
-            f"{g.n_vertices} vertices exceed the cut-enumeration bound {max_vertices}"
-        )
-    all_v = frozenset(range(g.n_vertices))
-    cuts = [
-        Cut(all_v, frozenset(), g, _induced_with_severed_tails(g, frozenset())),
-    ]
-    if g.n_vertices > 0:
-        cuts.append(Cut(frozenset(), all_v,
-                        _induced_with_severed_tails(g, frozenset()), g))
-    scc_of = {}
-    for comp in strongly_connected_components(g):
-        for v in comp:
-            scc_of[v] = comp
-    directed = g.directed_edges()
     n = g.n_vertices
-    for mask in range(1, 2**n - 1):
-        upper = frozenset(v for v in range(n) if mask >> v & 1)
-        lower = all_v - upper
-        # (i) wheels unseparated: every oriented cycle lies inside one SCC,
-        # so monochromatic SCCs are exactly the unseparated-wheel condition
-        ok = all(scc_of[v] <= upper for v in upper)
-        # (ii) crossing edges flow from upper to lower only
-        if ok:
-            ok = not any(s in lower and t in upper for s, t in directed)
-        if ok:
-            cuts.append(Cut(upper, lower,
-                            _induced_with_severed_tails(g, upper),
-                            _induced_with_severed_tails(g, lower)))
+    if n > max_vertices:
+        raise BudgetError(
+            f"{n} vertices exceed the cut-enumeration bound {max_vertices}"
+        )
+    all_v = frozenset(range(n))
+    directed = g.directed_edges()
+    cuts = []
+    for mask in range(2**n):
+        if not any(mask >> t & 1 and not mask >> s & 1 for s, t in directed):
+            upper = frozenset(v for v in range(n) if mask >> v & 1)
+            cuts.append(Cut(g, upper, all_v - upper))
     return cuts
 
 

@@ -6,7 +6,9 @@ free commutative algebra on the generators with the empty multiset as
 unit.  The coproduct of a generator sums upper x lower over all cuts of a
 representative (both improper cuts included, giving tau x 1 + 1 x tau),
 decomposing each side into its connected components; it extends
-multiplicatively to monomials and linearly throughout.
+multiplicatively to monomials and linearly throughout.  The sides are
+labelled on the representative's multigraph data, a severed edge left as
+a tail at each end: no flag graph is built per cut or per piece.
 
 Grading is by total flag count, which both halves of a cut split exactly
 (severed halves stay with their side as tails).  Bare vertices have degree
@@ -44,11 +46,10 @@ from typing import Mapping
 
 from .graphs import (
     Graph,
+    MultigraphData,
     _classes_with_degrees,
-    _induced_with_severed_tails,
     _min_serialization,
     _oriented_closings,
-    _serialize_under,
     enumerate_cuts,
     graph_from_label,
     multigraph_data,
@@ -90,27 +91,49 @@ def monomial_vertices(mono: Monomial) -> int:
     return sum(generator_vertices(l) for l in mono)
 
 
-_labels: dict = {}  # identity serialization of a component -> its label
+_labels: dict = {}  # a component's multigraph data, as a tuple -> its label
 
 
 def monomial_of_graph(g: Graph) -> Monomial:
-    """Connected-component decomposition as a sorted label tuple.
+    """Connected-component decomposition as a sorted label tuple."""
+    if g.orientation is None:
+        raise HopfError("the flowchart algebra takes oriented graphs")
+    data = multigraph_data(g)
+    return _side_monomial(data, range(data.n_vertices))
+
+
+def _side_monomial(data: MultigraphData, keep) -> Monomial:
+    """The sorted labels of the connected components of the subgraph on
+    the vertices `keep` of an oriented graph's multigraph data.  An edge
+    with one end kept leaves a tail there: 'out' at its source, 'in' at
+    its target.
 
     A component's pinned label is the lexmin of `_min_serialization`; it
     is memoized (up to LABEL_CACHE_SIZE entries) under the component's
-    serialization in its own vertex order, which determines the multigraph
-    exactly."""
-    if g.orientation is None:
-        raise HopfError("the flowchart algebra takes oriented graphs")
+    own multigraph data, vertices ascending, which fixes it exactly."""
+    comp = {v: {v} for v in keep}
+    tin, tout = list(data.tails_in), list(data.tails_out)
+    for (s, t), m in data.edge_mult.items():
+        if s in comp and t in comp:
+            merged = comp[s] | comp[t]
+            for v in merged:
+                comp[v] = merged
+        elif s in comp:
+            tout[s] += m
+        elif t in comp:
+            tin[t] += m
     labels = []
-    comps = g.connected_components()
-    for comp in comps:
-        piece = g if len(comps) == 1 else _induced_with_severed_tails(g, comp)
-        data = multigraph_data(piece)
-        key = _serialize_under(data, range(data.n_vertices))
+    for piece in {frozenset(c) for c in comp.values()}:
+        slot = {v: i for i, v in enumerate(sorted(piece))}
+        verts = tuple((data.decorations[v], data.loops[v], tin[v], tout[v]) for v in slot)
+        edges = {(slot[s], slot[t]): m for (s, t), m in data.edge_mult.items()
+                 if s in piece and t in piece}
+        key = (verts, tuple(sorted(edges.items())))
         label = _labels.get(key)
         if label is None:
-            label = _min_serialization(data)[0]
+            decos, loops, ins, outs = zip(*verts)
+            piece_data = MultigraphData(len(slot), True, loops, ins, outs, edges, decos)
+            label = _min_serialization(piece_data)[0]
             if len(_labels) < LABEL_CACHE_SIZE:
                 _labels[key] = label
         labels.append(label)
@@ -212,11 +235,13 @@ def _union(m1: Monomial, m2: Monomial) -> Monomial:
 
 @lru_cache(maxsize=None)
 def coproduct_of_generator(label: str) -> tuple:
-    """Cut coproduct of one generator as ((monoL, monoR, count), ...)."""
+    """Cut coproduct of one generator as ((monoL, monoR, count), ...), each
+    side labelled from the generator's multigraph data."""
     rep = generator_graph(label)
+    data = multigraph_data(rep)
     acc: dict = {}
     for cut in enumerate_cuts(rep):
-        key = (monomial_of_graph(cut.upper_graph), monomial_of_graph(cut.lower_graph))
+        key = (_side_monomial(data, cut.upper), _side_monomial(data, cut.lower))
         acc[key] = acc.get(key, 0) + 1
     return tuple((l, r, c) for (l, r), c in sorted(acc.items()))
 
@@ -406,7 +431,7 @@ def element_from_json(text: str) -> HopfElement:
             if not isinstance(label, str):
                 raise HopfError(f"{where}.monomial[{j}] is not a string: {label!r}")
         try:
-            if isinstance(coeff, bool):
+            if isinstance(coeff, (bool, float)):
                 raise TypeError
             coeff = _exact(coeff)
         except (TypeError, ValueError, ZeroDivisionError):

@@ -577,8 +577,9 @@ def _coeffs(val: dict, key: str, where: str) -> list:
 
 
 def _coefficient(c):
-    """Fraction(c), with plain ASCII `-?digits` and `-?digits/digits` text
-    (nonzero denominator) read by int() instead of Fraction's parser."""
+    """Fraction(c) of a JSON integer or string, with plain ASCII `-?digits`
+    and `-?digits/digits` text (nonzero denominator) read by int() instead
+    of Fraction's parser.  A boolean or a float raises TypeError."""
     if type(c) is str and c.isascii():
         num, slash, den = c.removeprefix("-").partition("/")
         if num.isdigit() and (not slash or den.isdigit()):
@@ -587,4 +588,6 @@ def _coefficient(c):
                 return n
             if d := int(den):
                 return Fraction(n, d)
+    if isinstance(c, (bool, float)):
+        raise TypeError(c)
     return Fraction(c)

@@ -13,7 +13,9 @@ refinement certificate, labelled once per class.  `raw_oriented_family`
 is the same route for the connected oriented family: every raw oriented
 multigraph within the bounds, labelled when its per-vertex keys are
 nondecreasing.  `cut_coproduct` is the coproduct of an oriented graph read
-from its own cuts, with no multiplicative extension.
+from its own cuts, with no multiplicative extension, each half labelled at
+flag level.  `scc_cut_masks` is the two-condition cut rule (no oriented
+wheel split, by Tarjan SCCs, and no edge from lower to upper).
 """
 
 from itertools import permutations, product
@@ -24,13 +26,15 @@ from kolmex.graphs import (
     MultigraphData,
     _degree_sequences,
     _flag_choices,
+    _induced_with_severed_tails,
     _min_serialization,
     _serialize_under,
+    canonical_label,
     enumerate_cuts,
     graph_from_label,
     multigraph_data,
 )
-from kolmex.hopf import generator_degree, monomial_of_graph
+from kolmex.hopf import generator_degree
 
 
 def candidate_permutations(data: MultigraphData):
@@ -346,9 +350,65 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def cut_coproduct(g: Graph) -> dict:
-    """(upper monomial, lower monomial) -> number of cuts of g."""
+    """(upper monomial, lower monomial) -> number of cuts of g, each half
+    split into its connected components as induced flag graphs."""
     out: dict = {}
     for cut in enumerate_cuts(g):
-        key = (monomial_of_graph(cut.upper_graph), monomial_of_graph(cut.lower_graph))
+        key = tuple(
+            tuple(sorted(canonical_label(_induced_with_severed_tails(side, comp))
+                         for comp in side.connected_components()))
+            for side in (cut.upper_graph, cut.lower_graph))
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def strongly_connected_components(g: Graph) -> list[frozenset[int]]:
+    """Tarjan SCCs of the edge-direction relation of an oriented graph."""
+    adjacency: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
+    for s, t in g.directed_edges():
+        adjacency[s].append(t)
+    index: dict = {}
+    low: dict = {}
+    stack: list[int] = []
+    on_stack = set()
+    out: list[frozenset[int]] = []
+
+    def strong(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in adjacency[v]:
+            if w not in index:
+                strong(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = set()
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.add(w)
+                if w == v:
+                    break
+            out.append(frozenset(comp))
+
+    for v in range(g.n_vertices):
+        if v not in index:
+            strong(v)
+    return out
+
+
+def scc_cut_masks(g: Graph) -> list[int]:
+    """Upper-vertex bitmasks, ascending, of the cuts of g by the
+    two-condition rule: every SCC lies on one side, and no edge runs from
+    lower to upper."""
+    scc_of = {v: comp for comp in strongly_connected_components(g) for v in comp}
+    n = g.n_vertices
+    masks = []
+    for mask in range(2**n):
+        upper = {v for v in range(n) if mask >> v & 1}
+        if all(scc_of[v] <= upper for v in upper) and not any(
+                s not in upper and t in upper for s, t in g.directed_edges()):
+            masks.append(mask)
+    return masks

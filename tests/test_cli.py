@@ -331,6 +331,12 @@ MALFORMED_CHARACTERS = {
                    '"value": {"polar": []}}]}', "values[0].value lacks 'regular'"),
     "negative_truncation": ('{"degree_bound": 4, "truncation": -2, "values": []}',
                             "truncation must be a non-negative integer"),
+    "bool_coefficient": ('{"degree_bound": 4, "values": [{"graph": "g", '
+                         '"value": {"polar": [], "regular": [true]}}]}',
+                         "values[0].value.regular[0]: bad coefficient True"),
+    "float_coefficient": ('{"degree_bound": 4, "values": [{"graph": "g", '
+                          '"value": {"polar": [], "regular": [0.1]}}]}',
+                          "values[0].value.regular[0]: bad coefficient 0.1"),
 }
 
 
@@ -343,6 +349,16 @@ def test_birkhoff_malformed_character_exits_2(tmp_path, capsys, name):
     assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_birkhoff_negative_degree_names_its_option(tmp_path, capsys):
+    src = tmp_path / "char.json"
+    src.write_text(character_to_json(Character({}, degree_bound=3)))
+    out = tmp_path / "factors.json"
+    assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out),
+                "--degree", "-1"]) == 2
+    assert not out.exists()
+    assert "--degree must be >= 0" in capsys.readouterr().err
 
 
 def test_birkhoff_exhausted_window_exits_2(tmp_path, capsys):

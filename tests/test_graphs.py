@@ -13,6 +13,8 @@ from graph_oracles import (
     multigraphs_with_degrees,
     raw_vacuum_classes,
     refinement_search,
+    scc_cut_masks,
+    strongly_connected_components,
 )
 from kolmex import graphs as G
 from kolmex.graphs import (
@@ -411,8 +413,6 @@ def test_wheel_with_pendant_vertex():
         3, (1, 0, 3, 2, 5, 4), (0, 1, 1, 0, 1, 2),
         orientation=("out", "in", "out", "in", "out", "in"),
     )
-    from kolmex.graphs import strongly_connected_components
-
     sccs = [c for c in strongly_connected_components(g) if len(c) > 1]
     cuts = enumerate_cuts(g)
     for cut in cuts:
@@ -420,6 +420,43 @@ def test_wheel_with_pendant_vertex():
             assert comp <= cut.upper or comp <= cut.lower
     proper = {(frozenset(c.upper), frozenset(c.lower)) for c in cuts if c.proper}
     assert proper == {(frozenset({0, 1}), frozenset({2}))}
+
+
+@st.composite
+def oriented_graphs(draw):
+    """Oriented graphs on 0-7 vertices: a wheel through distinct vertices,
+    more edges (loops and parallel edges included) and tails."""
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return Graph(0, (), (), orientation=())
+    vertex = st.integers(0, n - 1)
+    wheel = draw(st.lists(vertex, max_size=n, unique=True))
+    edges = list(zip(wheel, wheel[1:] + wheel[:1])) if len(wheel) > 1 else []
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    tails = draw(st.lists(st.tuples(vertex, st.sampled_from(("in", "out"))), max_size=4))
+    involution, incidence, orientation = [], [], []
+    for s, t in edges:
+        f = len(involution)
+        involution += [f + 1, f]
+        incidence += [s, t]
+        orientation += ["out", "in"]
+    for v, lab in tails:
+        involution.append(len(involution))
+        incidence.append(v)
+        orientation.append(lab)
+    return Graph(n, tuple(involution), tuple(incidence), orientation=tuple(orientation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oriented_graphs())
+@example(CYCLE2)
+def test_one_cut_rule_matches_the_scc_rule(g):
+    """No edge from lower to upper: the same cuts, in mask order, as the
+    two-condition rule that also keeps each SCC on one side."""
+    all_v = frozenset(range(g.n_vertices))
+    cuts = enumerate_cuts(g)
+    assert all(c.upper | c.lower == all_v and not c.upper & c.lower for c in cuts)
+    assert [sum(1 << v for v in c.upper) for c in cuts] == scc_cut_masks(g)
 
 
 # -- vacuum enumeration ---------------------------------------------------------

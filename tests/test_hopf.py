@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -201,6 +202,37 @@ def test_bialgebra_compatibility_on_family():
             assert tensor_mul(da, db) == cut_coproduct(union), (a, b)
 
 
+FAMILY_4_8 = enumerate_connected_oriented(4, 8)
+
+
+def test_generator_coproducts_match_the_flag_level_oracle():
+    for label in FAMILY_4_8:
+        want = cut_coproduct(generator_graph(label))
+        assert {(l, r): c for l, r, c in coproduct_of_generator(label)} == want, label
+
+
+def test_generator_coproducts_are_pinned():
+    # sha256 of the 1,922 coproducts at 4/8, in family order, as computed
+    # on the flag-level cut route
+    blob = repr([coproduct_of_generator(label) for label in FAMILY_4_8]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "807abf26b809e4a0db836ea5a9d268a72cc7bf35e17b2e7286389e35c8f88e93")
+
+
+def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
+    labels = enumerate_connected_oriented(3, 6)
+    for label in labels:
+        generator_graph(label)
+    built = []
+    validate = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
+    coproduct_of_generator.cache_clear()
+    for label in labels:
+        coproduct_of_generator(label)
+    assert coproduct_of_generator.cache_info().misses == len(labels)
+    assert built == []
+
+
 def test_grading_split_by_coproduct():
     for label in FAMILY:
         n = generator_degree(label)
@@ -234,6 +266,7 @@ def test_unoriented_graphs_rejected():
     ('[{"monomial": [], "coeff": "1/0"}]', "terms[0].coeff: bad coefficient '1/0'"),
     ('[{"monomial": [], "coeff": "x"}]', "terms[0].coeff: bad coefficient 'x'"),
     ('[{"monomial": [], "coeff": true}]', "terms[0].coeff: bad coefficient True"),
+    ('[{"monomial": [], "coeff": 0.1}]', "terms[0].coeff: bad coefficient 0.1"),
     ('[{"monomial": ["a", 3], "coeff": "1"}]', "terms[0].monomial[1] is not a string: 3"),
     ('[{"monomial": "ab", "coeff": "1"}]', "terms[0]: monomial must be a list"),
     ("[3]", "terms[0] must be an object"),

@@ -709,6 +709,10 @@ def test_recursive_inverse_matches_geometric_series(seed):
      '"regular": []}}]}', "values[0].value: polar must be a list"),
     ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [], '
      '"regular": ["1/0"]}}]}', "values[0].value.regular[0]: bad coefficient"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [], '
+     '"regular": [true]}}]}', "values[0].value.regular[0]: bad coefficient True"),
+    ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [0.1], '
+     '"regular": []}}]}', "values[0].value.polar[0]: bad coefficient 0.1"),
     ("{", "bad character JSON"),
     ('{"degree_bound": 4, "values": [{"graph": "g", "value": {"polar": [], '
      '"regular": ["1"]}}, {"graph": "g", "value": {"polar": [], "regular": ["2"]}}]}',
