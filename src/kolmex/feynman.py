@@ -18,7 +18,9 @@ denominator apiece, so the contraction runs on ints and divides once at
 the end.  An eliminated vertex acts on a frontier state only through the
 colors of the flags it closes against, so its factor, summed over the
 colors of its closing and loop flags, is built once per expansion for
-each such color tuple and shared by every class.
+each such color tuple and shared by every class.  A class is contracted
+on the multigraph data its label spells out: the elimination plan and
+the weight read its loops and edge bundles, with no flag graph built.
 
 Where it is exact, only connected classes are contracted.  By the
 linked-cluster theorem the sum is exp(W), where W(lambda) =
@@ -59,20 +61,21 @@ from math import factorial, lcm
 from operator import add
 from typing import Optional
 
-from .graphs import Graph, GraphError, _vacuum_classes_with_aut, euler_characteristic
+from .graphs import GraphError, MultigraphData, _vacuum_classes_with_aut, components
 
 
 @lru_cache(maxsize=64)
 def _vacuum_classes(max_order: int, valences: tuple, max_vertices, budget: int):
-    """(graph, |Aut|, contraction plan, order E - V, connected) per class;
-    theory-independent, so cached.  |Aut| comes from the search that
-    labelled each class during enumeration; `connected` is false for the
-    empty graph."""
-    return tuple(
-        (g, aut, _contraction_plan(g), -euler_characteristic(g),
-         g.n_vertices > 0 and len(g.connected_components()) == 1)
-        for g, aut in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)
-    )
+    """(label, multigraph data, |Aut|, contraction plan, order E - V,
+    connected) per class; theory-independent, so cached.  |Aut| comes from
+    the search that labelled each class during enumeration; `connected` is
+    false for the empty graph."""
+    classes = []
+    for label, data, aut in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget):
+        plan = _contraction_plan(data)
+        classes.append((label, data, aut, plan, plan[1] - data.n_vertices,
+                        len(components(data, range(data.n_vertices))) == 1))
+    return tuple(classes)
 
 
 class TheoryError(ValueError):
@@ -268,7 +271,7 @@ class LambdaSeries:
 # weights and the graph expansion
 # ---------------------------------------------------------------------------
 
-def _contraction_plan(g: Graph) -> tuple:
+def _contraction_plan(data: MultigraphData) -> tuple:
     """Theory-independent elimination order for a tail-free graph.
 
     Returns (steps, n_edges).  Vertices are taken greedily: the one that
@@ -278,38 +281,43 @@ def _contraction_plan(g: Graph) -> tuple:
 
       the flags that close an edge against frontier positions `closes`,
       then `n_loops` self-loops as adjacent flag pairs,
-      then the flags that open, appended to the frontier in that order,
+      then the flags that open, appended to the frontier in that order
+      (bundle by bundle, in label order),
 
     and `keep` lists the frontier positions that stay open.  Tensors are
     symmetric, so any order of a vertex's flags gives the same weight.
     """
-    inv, inc = g.involution, g.incidence
-    flags_at = [g.flags_at(v) for v in range(g.n_vertices)]
-    done = [False] * g.n_vertices
+    n = data.n_vertices
+    bundles: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (other end, m)
+    for (u, w), m in data.edge_mult.items():
+        bundles[u].append((w, m))
+        bundles[w].append((u, m))
+    done = [False] * n
 
     def cost(v):
-        closes = sum(1 for f in flags_at[v] if done[inc[inv[f]]])
-        opens = sum(1 for f in flags_at[v] if inc[inv[f]] != v and not done[inc[inv[f]]])
-        return -closes, opens, v
+        closes = sum(m for w, m in bundles[v] if done[w])
+        return -closes, sum(m for w, m in bundles[v] if not done[w]), v
 
-    frontier: list[int] = []  # open flags, by id
+    frontier: list[int] = []  # per open flag, the vertex that will close it
     steps = []
-    for _ in range(g.n_vertices):
-        v = min((w for w in range(g.n_vertices) if not done[w]), key=cost)
-        closes = tuple(sorted(frontier.index(inv[f]) for f in flags_at[v] if done[inc[inv[f]]]))
-        n_loops = sum(1 for f in flags_at[v] if inc[inv[f]] == v) // 2
-        opened = [f for f in flags_at[v] if inc[inv[f]] != v and not done[inc[inv[f]]]]
-        keep = tuple(p for p in range(len(frontier)) if p not in closes)
-        frontier = [frontier[p] for p in keep] + opened
+    for _ in range(n):
+        v = min((w for w in range(n) if not done[w]), key=cost)
+        closes = tuple(p for p, w in enumerate(frontier) if w == v)
+        keep = tuple(p for p, w in enumerate(frontier) if w != v)
+        frontier = [frontier[p] for p in keep]
+        frontier += [w for w, m in bundles[v] if not done[w] for _ in range(m)]
         done[v] = True
-        steps.append((len(flags_at[v]), keep, closes, n_loops))
-    return tuple(steps), g.n_flags // 2
+        valence = (2 * data.loops[v] + data.tails_in[v] + data.tails_out[v]
+                   + sum(m for _, m in bundles[v]))
+        steps.append((valence, keep, closes, data.loops[v]))
+    return tuple(steps), sum(data.loops) + sum(data.edge_mult.values())
 
 
-def graph_weight(g: Graph, theory: Theory, plan: Optional[tuple] = None,
+def graph_weight(data: MultigraphData, theory: Theory, plan: Optional[tuple] = None,
                  factors: Optional[defaultdict] = None) -> Fraction:
-    """Full contraction of the graph's tensor network: the sum over flag
-    colorings of prod_edges g^{ab} * prod_vertices C, by vertex elimination.
+    """Full contraction of the tensor network of a graph, given by its
+    multigraph data: the sum over flag colorings of prod_edges g^{ab} *
+    prod_vertices C, by vertex elimination.
 
     The frontier maps the colors of the open flags to an integer partial
     sum over G = dg * g^{-1} and the scaled tensors d_k * C; the weight is
@@ -318,9 +326,9 @@ def graph_weight(g: Graph, theory: Theory, plan: Optional[tuple] = None,
     (valence, n_loops) to {closed colors: `Theory._vertex_factor`}; calls
     for one theory may share it, calls for different theories must not.
     """
-    if g.tails():
+    if any(data.tails_in) or any(data.tails_out):
         raise GraphError("weights are defined for tail-free graphs")
-    steps, n_edges = plan if plan is not None else _contraction_plan(g)
+    steps, n_edges = plan if plan is not None else _contraction_plan(data)
     dg, _, tensors = theory._integer_tables
     if factors is None:
         factors = defaultdict(dict)
@@ -361,9 +369,9 @@ def graph_expansion(theory: Theory, order: int,
         return LambdaSeries(_full_class_sum(theory, order, classes))
     w = [Fraction(0)] * (order + 1)
     factors: defaultdict = defaultdict(dict)
-    for g, aut, plan, n, connected in classes:
+    for _, data, aut, plan, n, connected in classes:
         if connected:
-            weight = graph_weight(g, theory, plan, factors)
+            weight = graph_weight(data, theory, plan, factors)
             if weight:
                 w[n] += weight / aut
     # Z = exp(W): e_0 = 1 and m e_m = sum_k k w_k e_{m-k}, exactly, because a
@@ -385,9 +393,9 @@ def _full_class_sum(theory: Theory, order: int, classes: tuple) -> list:
     """
     coeffs = [Fraction(0)] * (order + 1)
     factors: defaultdict = defaultdict(dict)
-    for g, aut, plan, n, _ in classes:
+    for _, data, aut, plan, n, _ in classes:
         if 0 <= n <= order:
-            w = graph_weight(g, theory, plan, factors)
+            w = graph_weight(data, theory, plan, factors)
             if w:
                 coeffs[n] += w / aut
     return coeffs

@@ -18,6 +18,12 @@ the vertex automorphisms.  The tests keep the full permutation scan, an
 individualization-refinement search and an explicit flag-level search as
 independent oracles.
 
+A label spells out its multigraph data, so `label_data` is the one label
+parser and the algebra runs on that data: `hopf` cuts and labels it and
+`feynman` contracts it, with no flag graph in between.  `graph_from_label`
+lays out flags from the data for callers that want a `Graph`, and
+`components` is the one connected-component split.
+
 One generator builds both graph families: the vacuum classes of each
 degree sequence, and the connected oriented generators of the flowchart
 bialgebra for each multiset of per-vertex tails and in/out degrees.  It
@@ -30,15 +36,14 @@ search that found it has counted the class's automorphisms.
 A cut of an oriented graph is a vertex bipartition with no edge from its
 lower side to its upper side.  That one rule also keeps every oriented
 wheel on one side: a wheel with vertices on both sides crosses back from
-lower to upper somewhere.  A `Cut` builds its two flag-level halves only
-when they are read.
+lower to upper somewhere.  `enumerate_cuts` lists each cut as the bitmask
+of its upper side.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -124,9 +129,6 @@ class Graph:
     def valence(self, v: int) -> int:
         return sum(1 for w in self.incidence if w == v)
 
-    def decoration(self, v: int) -> Optional[str]:
-        return None if self.decorations is None else self.decorations[v]
-
     def directed_edges(self) -> list[tuple[int, int]]:
         """(source vertex, target vertex) per edge; needs an orientation.
 
@@ -144,26 +146,10 @@ class Graph:
         return out
 
     def connected_components(self) -> list[frozenset[int]]:
-        parent = list(range(self.n_vertices))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for f, g in self.edges():
-            a, b = find(self.incidence[f]), find(self.incidence[g])
-            if a != b:
-                parent[a] = b
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n_vertices):
-            groups.setdefault(find(v), set()).add(v)
-        return [frozenset(g) for g in groups.values()]
+        return components(multigraph_data(self), range(self.n_vertices))
 
 
 EMPTY_GRAPH = Graph(0, (), ())
-EMPTY_ORIENTED = Graph(0, (), (), orientation=())
 
 
 def euler_characteristic(g: Graph) -> int:
@@ -184,6 +170,23 @@ class MultigraphData:
     tails_out: tuple[int, ...]             # per vertex (zeros if unoriented)
     edge_mult: dict                        # oriented: (u,v)->m ; unoriented: (min,max)->m
     decorations: tuple[Optional[str], ...]
+
+    @property
+    def n_flags(self) -> int:
+        return (2 * (sum(self.loops) + sum(self.edge_mult.values()))
+                + sum(self.tails_in) + sum(self.tails_out))
+
+
+def components(data: MultigraphData, keep: Iterable[int]) -> list[frozenset[int]]:
+    """The vertex sets of the connected components of the subgraph on the
+    vertices `keep`, in the order of their first vertex in `keep`."""
+    comp = {v: frozenset((v,)) for v in keep}
+    for s, t in data.edge_mult:
+        if s in comp and t in comp and comp[s] is not comp[t]:
+            merged = comp[s] | comp[t]
+            for v in merged:
+                comp[v] = merged
+    return list(dict.fromkeys(comp.values()))
 
 
 def multigraph_data(g: Graph) -> MultigraphData:
@@ -383,69 +386,76 @@ def canonical_label(g: Graph, max_vertices: int = 10) -> str:
     return _min_serialization(multigraph_data(g))[0]
 
 
-def graph_from_label(label: str) -> Graph:
-    """A representative graph of a canonical label, laid out deterministically.
+def label_data(label: str) -> MultigraphData:
+    """The multigraph data a label spells out, edge bundles in label order.
 
-    Per vertex ascending: loop flag pairs, then 'in' tails, then 'out'
-    tails; then edge bundles in serialization order (out-flag first when
-    oriented).  A malformed label raises GraphError naming it.
+    Any label of that form parses, canonical or not; a malformed one (a
+    field that is not a decimal count, a zero, repeated or self bundle, a
+    bundle end out of range, an out-tail on an unoriented label) raises
+    GraphError naming it.
     """
     try:
-        return _graph_from_label(label)
-    except (ValueError, IndexError) as exc:  # GraphError included
+        head, _, rest = label.partition(":")
+        if head not in ("ug", "og"):
+            raise GraphError(f"unknown label head {head!r}")
+        oriented = head == "og"
+        nstr, verts, edges = rest.split("|")
+        n = _count(nstr)
+        vert_parts = verts.split(";") if verts else []
+        if len(vert_parts) != n:
+            raise GraphError(f"label lists {len(vert_parts)} vertices, header says {n}")
+        decorations, counts = [], []
+        for part in vert_parts:
+            deco, *fields = part.split(".")
+            if not deco or len(fields) != 3:
+                raise GraphError(f"vertex field {part!r} is not 'deco.loops.in.out'")
+            decorations.append(None if deco == "-" else deco)
+            counts.append(tuple(map(_count, fields)))
+        loops, tails_in, tails_out = zip(*counts) if counts else ((), (), ())
+        if not oriented and any(tails_out):
+            raise GraphError("an unoriented label has out-tails")
+        mult: dict = {}
+        for part in edges.split(",") if edges else ():
+            ends, m = part.split("x")
+            (u, v), m = map(_count, ends.split(">")), _count(m)
+            if max(u, v) >= n or u == v or not m:
+                raise GraphError(f"bundle {part!r} is out of range, a loop or empty")
+            key = (u, v) if oriented else (min(u, v), max(u, v))
+            if key in mult:
+                raise GraphError(f"bundle {part!r} repeats an earlier one")
+            mult[key] = m
+    except ValueError as exc:  # GraphError included
         raise GraphError(f"malformed label {label!r}: {exc}") from None
+    return MultigraphData(n, oriented, loops, tails_in, tails_out, mult, tuple(decorations))
 
 
-def _graph_from_label(label: str) -> Graph:
-    head, nstr, verts, edges = (
-        label.split(":", 1)[0],
-        label.split(":", 1)[1].split("|")[0],
-        label.split("|")[1],
-        label.split("|")[2],
-    )
-    if head not in ("ug", "og"):
-        raise GraphError(f"unknown label head {head!r}")
-    oriented = head == "og"
-    n = int(nstr)
-    involution: list[int] = []
-    incidence: list[int] = []
-    orientation: list[str] = []
-    decorations: list[Optional[str]] = []
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise GraphError(f"{text!r} is not a count")
+    return int(text)
 
-    def add_flag(v: int, lab: str) -> int:
-        involution.append(len(involution))
-        incidence.append(v)
-        orientation.append(lab)
-        return len(involution) - 1
 
-    vert_parts = verts.split(";") if verts else []
-    if len(vert_parts) != n:
-        raise GraphError(f"label lists {len(vert_parts)} vertices, header says {n}")
-    for v, part in enumerate(vert_parts):
-        deco, loops, tin, tout = part.split(".")
-        decorations.append(None if deco == "-" else deco)
-        for _ in range(int(loops)):
-            a = add_flag(v, OUT)
-            b = add_flag(v, IN)
-            involution[a], involution[b] = b, a
-        for _ in range(int(tin)):
-            add_flag(v, IN)
-        for _ in range(int(tout)):
-            add_flag(v, OUT)
-    if edges:
-        for part in edges.split(","):
-            uv, mult = part.split("x")
-            u, v = uv.split(">")
-            for _ in range(int(mult)):
-                a = add_flag(int(u), OUT)
-                b = add_flag(int(v), IN)
-                involution[a], involution[b] = b, a
+def graph_from_label(label: str) -> Graph:
+    """A representative graph of a label, laid out deterministically.
+
+    Per vertex ascending: loop flag pairs, then 'in' tails, then 'out'
+    tails; then edge bundles in label order (out-flag first when oriented).
+    A malformed label raises GraphError naming it.
+    """
+    data = label_data(label)
+    flags = []  # (vertex, orientation label, step to the partner flag)
+    for v in range(data.n_vertices):
+        flags += [(v, OUT, 1), (v, IN, -1)] * data.loops[v]
+        flags += [(v, IN, 0)] * data.tails_in[v] + [(v, OUT, 0)] * data.tails_out[v]
+    for (u, v), m in data.edge_mult.items():
+        flags += [(u, OUT, 1), (v, IN, -1)] * m
+    decorations = data.decorations
     return Graph(
-        n,
-        tuple(involution),
-        tuple(incidence),
-        orientation=tuple(orientation) if oriented else None,
-        decorations=tuple(decorations) if any(d is not None for d in decorations) else None,
+        data.n_vertices,
+        tuple(f + step for f, (_, _, step) in enumerate(flags)),
+        tuple(v for v, _, _ in flags),
+        orientation=tuple(lab for _, lab, _ in flags) if data.oriented else None,
+        decorations=decorations if any(d is not None for d in decorations) else None,
     )
 
 
@@ -489,19 +499,12 @@ def _flag_choices(data: MultigraphData) -> int:
 # orientation: directedness and cuts
 # ---------------------------------------------------------------------------
 
-def _check_orientation(g: Graph, orientation) -> Graph:
-    if orientation is not None:
-        g = Graph(g.n_vertices, g.involution, g.incidence,
-                  orientation=tuple(orientation), decorations=g.decorations)
-    if g.orientation is None:
-        raise GraphError("operation needs an oriented graph")
-    return g
-
-
 def is_directed(g: Graph, orientation=None) -> bool:
     """True iff a strictly increasing time function exists along every flag
     direction, i.e. the edge-direction relation has no oriented cycle."""
-    g = _check_orientation(g, orientation)
+    if orientation is not None:
+        g = Graph(g.n_vertices, g.involution, g.incidence,
+                  orientation=tuple(orientation), decorations=g.decorations)
     adjacency: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
     for s, t in g.directed_edges():
         if s == t:
@@ -520,69 +523,22 @@ def is_directed(g: Graph, orientation=None) -> bool:
     return all(state[v] != 0 or dfs(v) for v in range(g.n_vertices))
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Bipartition of a graph's vertices.  Each half, the subgraph on its
-    side with the severed edges left as tails, is built when first read."""
-
-    graph: Graph
-    upper: frozenset[int]
-    lower: frozenset[int]
-
-    @property
-    def proper(self) -> bool:
-        return bool(self.upper) and bool(self.lower)
-
-    @cached_property
-    def upper_graph(self) -> Graph:
-        return _induced_with_severed_tails(self.graph, self.upper)
-
-    @cached_property
-    def lower_graph(self) -> Graph:
-        return _induced_with_severed_tails(self.graph, self.lower)
-
-
-def _induced_with_severed_tails(g: Graph, keep: frozenset[int]) -> Graph:
-    """Subgraph on `keep`; crossing edges leave their half as a tail."""
-    flag_ids = [f for f in range(g.n_flags) if g.incidence[f] in keep]
-    new_id = {f: i for i, f in enumerate(flag_ids)}
-    vertex_ids = sorted(keep)
-    new_vertex = {v: i for i, v in enumerate(vertex_ids)}
-    involution = []
-    for f in flag_ids:
-        partner = g.involution[f]
-        involution.append(new_id[partner] if partner in new_id else new_id[f])
-    incidence = [new_vertex[g.incidence[f]] for f in flag_ids]
-    orientation = (
-        tuple(g.orientation[f] for f in flag_ids) if g.orientation is not None else None
-    )
-    decorations = (
-        tuple(g.decorations[v] for v in vertex_ids) if g.decorations is not None else None
-    )
-    return Graph(len(vertex_ids), tuple(involution), tuple(incidence),
-                 orientation=orientation, decorations=decorations)
-
-
-def enumerate_cuts(g: Graph, orientation=None, max_vertices: int = 16) -> list[Cut]:
-    """Every cut, in the order of its upper side's vertex bitmask: a vertex
-    bipartition with no edge from lower to upper.  The two improper cuts
-    come first (all lower) and last (all upper).  No oriented wheel is
-    split, since a wheel with vertices on both sides has an edge crossing
-    back from lower to upper.  Crossing halves become tails of their side."""
-    g = _check_orientation(g, orientation)
-    n = g.n_vertices
+def enumerate_cuts(data: MultigraphData, max_vertices: int = 16) -> list[int]:
+    """Every cut of an oriented graph's multigraph data, as the bitmask of
+    its upper side, ascending: a vertex bipartition with no edge from lower
+    to upper.  The two improper cuts come first (all lower) and last (all
+    upper).  No oriented wheel is split, since a wheel with vertices on both
+    sides has an edge crossing back from lower to upper."""
+    if not data.oriented:
+        raise GraphError("operation needs an oriented graph")
+    n = data.n_vertices
     if n > max_vertices:
         raise BudgetError(
             f"{n} vertices exceed the cut-enumeration bound {max_vertices}"
         )
-    all_v = frozenset(range(n))
-    directed = g.directed_edges()
-    cuts = []
-    for mask in range(2**n):
-        if not any(mask >> t & 1 and not mask >> s & 1 for s, t in directed):
-            upper = frozenset(v for v in range(n) if mask >> v & 1)
-            cuts.append(Cut(g, upper, all_v - upper))
-    return cuts
+    edges = list(data.edge_mult)
+    return [mask for mask in range(2**n)
+            if not any(mask >> t & 1 and not mask >> s & 1 for s, t in edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -604,33 +560,34 @@ def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
     states built over all degree sequences; BudgetError is raised as soon as
     one more is needed.
     """
-    return [g for g, _ in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)]
+    return [graph_from_label(label) for label, _, _ in
+            _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)]
 
 
 def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
                              max_vertices: Optional[int],
-                             budget: int) -> list[tuple[Graph, int]]:
-    """`enumerate_vacuum_graphs` with each class's |Aut|, taken from the
-    search that labelled the class."""
+                             budget: int) -> list[tuple[str, MultigraphData, int]]:
+    """(label, multigraph data, |Aut|) per class of `enumerate_vacuum_graphs`,
+    in its order; |Aut| is taken from the search that labelled the class."""
     valences = sorted(set(valences))
     if any(v < 1 for v in valences):
         raise GraphError("valences must be >= 1")
+    empty = canonical_label(EMPTY_GRAPH)
     if not valences or max_order < 0:
-        return [(EMPTY_GRAPH, 1)]
+        return [(empty, label_data(empty), 1)]
     if max_vertices is None:
         if min(valences) <= 2:
             raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
         max_vertices = 2 * max_order
-    found = [(canonical_label(EMPTY_GRAPH), EMPTY_GRAPH, 1)]
+    found = [(empty, 1)]
     spent = [0]
     for degree_seq in _degree_sequences(valences, max_order, max_vertices):
         zeros = (0,) * len(degree_seq)
-        classes = _classes_with_degrees(_closings, zeros, zeros, degree_seq,
-                                        spent, budget, connected=False)
-        for label, aut in classes.items():
-            found.append((label, graph_from_label(label), aut))
-    found.sort(key=lambda item: (item[1].n_flags, item[0]))
-    return [(g, aut) for _, g, aut in found]
+        found += _classes_with_degrees(_closings, zeros, zeros, degree_seq,
+                                       spent, budget, connected=False).items()
+    classes = [(label, label_data(label), aut) for label, aut in found]
+    classes.sort(key=lambda item: (item[1].n_flags, item[0]))
+    return classes
 
 
 def _degree_sequences(valences, max_order, max_vertices):

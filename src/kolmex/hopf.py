@@ -3,12 +3,14 @@
 Generators are canonical labels of *connected* oriented graphs; monomials
 are multisets of generators (sorted label tuples), so the algebra is the
 free commutative algebra on the generators with the empty multiset as
-unit.  The coproduct of a generator sums upper x lower over all cuts of a
-representative (both improper cuts included, giving tau x 1 + 1 x tau),
+unit.  The coproduct of a generator sums upper x lower over all cuts of
+its graph (both improper cuts included, giving tau x 1 + 1 x tau),
 decomposing each side into its connected components; it extends
-multiplicatively to monomials and linearly throughout.  The sides are
-labelled on the representative's multigraph data, a severed edge left as
-a tail at each end: no flag graph is built per cut or per piece.
+multiplicatively to monomials and linearly throughout.  A generator's
+label parses straight to its multigraph data (`generator_data`), and the
+cuts and sides are read and labelled on that data, a severed edge left as
+a tail at each end: no flag graph is built for a generator, a cut or a
+piece.  Labels read from JSON must be generators (`check_generator`).
 
 Grading is by total flag count, which both halves of a cut split exactly
 (severed halves stay with their side as tails).  Bare vertices have degree
@@ -46,12 +48,15 @@ from typing import Mapping
 
 from .graphs import (
     Graph,
+    GraphError,
     MultigraphData,
     _classes_with_degrees,
     _min_serialization,
     _oriented_closings,
+    components,
     enumerate_cuts,
     graph_from_label,
+    label_data,
     multigraph_data,
 )
 
@@ -74,13 +79,17 @@ def generator_graph(label: str) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def generator_degree(label: str) -> int:
-    return generator_graph(label).n_flags
+def generator_data(label: str) -> MultigraphData:
+    return label_data(label)
 
 
 @lru_cache(maxsize=None)
+def generator_degree(label: str) -> int:
+    return generator_data(label).n_flags
+
+
 def generator_vertices(label: str) -> int:
-    return generator_graph(label).n_vertices
+    return generator_data(label).n_vertices
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -111,23 +120,22 @@ def _side_monomial(data: MultigraphData, keep) -> Monomial:
     A component's pinned label is the lexmin of `_min_serialization`; it
     is memoized (up to LABEL_CACHE_SIZE entries) under the component's
     own multigraph data, vertices ascending, which fixes it exactly."""
-    comp = {v: {v} for v in keep}
-    tin, tout = list(data.tails_in), list(data.tails_out)
-    for (s, t), m in data.edge_mult.items():
-        if s in comp and t in comp:
-            merged = comp[s] | comp[t]
-            for v in merged:
-                comp[v] = merged
-        elif s in comp:
-            tout[s] += m
-        elif t in comp:
-            tin[t] += m
     labels = []
-    for piece in {frozenset(c) for c in comp.values()}:
+    for piece in components(data, keep):
         slot = {v: i for i, v in enumerate(sorted(piece))}
-        verts = tuple((data.decorations[v], data.loops[v], tin[v], tout[v]) for v in slot)
-        edges = {(slot[s], slot[t]): m for (s, t), m in data.edge_mult.items()
-                 if s in piece and t in piece}
+        tin = [data.tails_in[v] for v in slot]
+        tout = [data.tails_out[v] for v in slot]
+        edges = {}
+        for (s, t), m in data.edge_mult.items():
+            if s in slot:
+                if t in slot:
+                    edges[slot[s], slot[t]] = m
+                else:
+                    tout[slot[s]] += m
+            elif t in slot:
+                tin[slot[t]] += m
+        verts = tuple(zip((data.decorations[v] for v in slot),
+                          (data.loops[v] for v in slot), tin, tout))
         key = (verts, tuple(sorted(edges.items())))
         label = _labels.get(key)
         if label is None:
@@ -138,6 +146,22 @@ def _side_monomial(data: MultigraphData, keep) -> Monomial:
                 _labels[key] = label
         labels.append(label)
     return tuple(sorted(labels))
+
+
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def check_generator(label: str) -> None:
+    """Raise HopfError unless `label` is a generator: the pinned label of
+    a connected oriented graph, checked on its parsed data.  Accepted
+    labels are memoized; a raise is not."""
+    try:
+        data = generator_data(label)
+    except GraphError as exc:
+        raise HopfError(str(exc)) from None
+    if not data.oriented:
+        raise HopfError(f"{label!r} is not an oriented graph's label")
+    mono = _side_monomial(data, range(data.n_vertices))
+    if mono != (label,):
+        raise HopfError(f"{label!r} is not a generator: its graph is the monomial {list(mono)}")
 
 
 def _exact(c):
@@ -237,11 +261,13 @@ def _union(m1: Monomial, m2: Monomial) -> Monomial:
 def coproduct_of_generator(label: str) -> tuple:
     """Cut coproduct of one generator as ((monoL, monoR, count), ...), each
     side labelled from the generator's multigraph data."""
-    rep = generator_graph(label)
-    data = multigraph_data(rep)
+    data = generator_data(label)
+    vertices = range(data.n_vertices)
     acc: dict = {}
-    for cut in enumerate_cuts(rep):
-        key = (_side_monomial(data, cut.upper), _side_monomial(data, cut.lower))
+    for mask in enumerate_cuts(data):
+        upper = [v for v in vertices if mask >> v & 1]
+        lower = [v for v in vertices if not mask >> v & 1]
+        key = (_side_monomial(data, upper), _side_monomial(data, lower))
         acc[key] = acc.get(key, 0) + 1
     return tuple((l, r, c) for (l, r), c in sorted(acc.items()))
 
@@ -408,8 +434,9 @@ def element_to_json(elem: HopfElement) -> str:
 
 
 def element_from_json(text: str) -> HopfElement:
-    """Parse element JSON; malformed input raises HopfError naming the
-    entry and key at fault."""
+    """Parse element JSON; malformed input, a label that is not a
+    generator included, raises HopfError naming the entry and key at
+    fault."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -436,6 +463,11 @@ def element_from_json(text: str) -> HopfElement:
             coeff = _exact(coeff)
         except (TypeError, ValueError, ZeroDivisionError):
             raise HopfError(f"{where}.coeff: bad coefficient {coeff!r}") from None
+        for j, label in enumerate(labels):
+            try:
+                check_generator(label)
+            except HopfError as exc:
+                raise HopfError(f"{where}.monomial[{j}]: {exc}") from None
         mono = tuple(sorted(labels))
         terms[mono] = terms.get(mono, 0) + coeff
     return HopfElement(terms)

@@ -46,8 +46,10 @@ from typing import Callable, Iterable, Optional
 
 from .hopf import (
     UNIT_MONOMIAL,
+    HopfError,
     Monomial,
     _cut_sum,
+    check_generator,
     coproduct_of_monomial,
     monomial_degree,
 )
@@ -505,9 +507,10 @@ def character_to_json(chi: Character) -> str:
 
 def character_from_json(text: str) -> Character:
     """Parse character JSON; malformed input raises RenormError naming the
-    entry and key at fault.  A value is known through its optional "valid"
-    order (0..truncation, default truncation); its regular list is padded
-    with zeros up to that order."""
+    entry and key at fault, and so does a graph that is not a generator
+    (checked once the rest has parsed).  A value is known through its optional "valid" order
+    (0..truncation, default truncation); its regular list is padded with
+    zeros up to that order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -541,6 +544,11 @@ def character_from_json(text: str) -> Character:
                 f"{bound} + 1 = {valid + 1}")
         regular += [Fraction(0)] * (valid + 1 - len(regular))
         values[label] = MSElement(polar, regular)
+    for label, i in first.items():
+        try:
+            check_generator(label)
+        except HopfError as exc:
+            raise RenormError(f"values[{i}].graph: {exc}") from None
     return Character(values, degree_bound, trunc)
 
 

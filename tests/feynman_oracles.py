@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from kolmex.feynman import LambdaSeries, TheoryError, graph_weight, wick_pairing_sum
-from kolmex.graphs import _vacuum_classes_with_aut, euler_characteristic
+from kolmex.graphs import _vacuum_classes_with_aut, euler_characteristic, graph_from_label
 
 
 def wick_pairings_naive(colors: tuple, g_inv: tuple) -> Fraction:
@@ -42,10 +42,10 @@ def full_class_expansion(theory, order, max_vertices=None, budget=200_000):
     """Sum lambda^(E-V) * weight / |Aut| over every tail-free class,
     connected or not."""
     coeffs = [Fraction(0)] * (order + 1)
-    for g, aut in _vacuum_classes_with_aut(order, theory.valences(), max_vertices, budget):
-        n = -euler_characteristic(g)
+    for label, data, aut in _vacuum_classes_with_aut(order, theory.valences(), max_vertices, budget):
+        n = -euler_characteristic(graph_from_label(label))
         if 0 <= n <= order:
-            w = graph_weight(g, theory)
+            w = graph_weight(data, theory)
             if w:
                 coeffs[n] += w / aut
     return LambdaSeries(tuple(coeffs))

@@ -13,28 +13,110 @@ refinement certificate, labelled once per class.  `raw_oriented_family`
 is the same route for the connected oriented family: every raw oriented
 multigraph within the bounds, labelled when its per-vertex keys are
 nondecreasing.  `cut_coproduct` is the coproduct of an oriented graph read
-from its own cuts, with no multiplicative extension, each half labelled at
-flag level.  `scc_cut_masks` is the two-condition cut rule (no oriented
-wheel split, by Tarjan SCCs, and no edge from lower to upper).
+from its own cuts, with no multiplicative extension: the cuts come from
+`scc_cut_masks`, the two-condition cut rule (no oriented wheel split, by
+Tarjan SCCs, and no edge from lower to upper), and each half is a
+flag-level `Cut` side split and labelled at flag level.
+`flag_graph_from_label` is the label parser that builds flags straight
+from the text, and `is_generator` decides from it whether a label is the
+pinned label of a connected oriented graph.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
+from typing import Optional
 
 from kolmex.graphs import (
+    IN,
+    OUT,
     BudgetError,
     Graph,
+    GraphError,
     MultigraphData,
     _degree_sequences,
     _flag_choices,
-    _induced_with_severed_tails,
     _min_serialization,
     _serialize_under,
     canonical_label,
-    enumerate_cuts,
-    graph_from_label,
     multigraph_data,
 )
 from kolmex.hopf import generator_degree
+
+
+def flag_graph_from_label(label: str) -> Graph:
+    """The flag graph of a label, built field by field from its text: per
+    vertex ascending loop flag pairs, 'in' tails and 'out' tails, then the
+    edge bundles in label order (out-flag first)."""
+    try:
+        return _flag_graph_from_label(label)
+    except (ValueError, IndexError) as exc:  # GraphError included
+        raise GraphError(f"malformed label {label!r}: {exc}") from None
+
+
+def _flag_graph_from_label(label: str) -> Graph:
+    head, nstr, verts, edges = (
+        label.split(":", 1)[0],
+        label.split(":", 1)[1].split("|")[0],
+        label.split("|")[1],
+        label.split("|")[2],
+    )
+    if head not in ("ug", "og"):
+        raise GraphError(f"unknown label head {head!r}")
+    oriented = head == "og"
+    n = int(nstr)
+    involution: list[int] = []
+    incidence: list[int] = []
+    orientation: list[str] = []
+    decorations: list[Optional[str]] = []
+
+    def add_flag(v: int, lab: str) -> int:
+        involution.append(len(involution))
+        incidence.append(v)
+        orientation.append(lab)
+        return len(involution) - 1
+
+    vert_parts = verts.split(";") if verts else []
+    if len(vert_parts) != n:
+        raise GraphError(f"label lists {len(vert_parts)} vertices, header says {n}")
+    for v, part in enumerate(vert_parts):
+        deco, loops, tin, tout = part.split(".")
+        decorations.append(None if deco == "-" else deco)
+        for _ in range(int(loops)):
+            a = add_flag(v, OUT)
+            b = add_flag(v, IN)
+            involution[a], involution[b] = b, a
+        for _ in range(int(tin)):
+            add_flag(v, IN)
+        for _ in range(int(tout)):
+            add_flag(v, OUT)
+    if edges:
+        for part in edges.split(","):
+            uv, mult = part.split("x")
+            u, v = uv.split(">")
+            for _ in range(int(mult)):
+                a = add_flag(int(u), OUT)
+                b = add_flag(int(v), IN)
+                involution[a], involution[b] = b, a
+    return Graph(
+        n,
+        tuple(involution),
+        tuple(incidence),
+        orientation=tuple(orientation) if oriented else None,
+        decorations=tuple(decorations) if any(d is not None for d in decorations) else None,
+    )
+
+
+def is_generator(label: str) -> bool:
+    """Whether the label is the pinned label of a connected oriented
+    graph: it parses at flag level, is oriented, has a vertex, is
+    connected, and is its graph's canonical label."""
+    try:
+        g = flag_graph_from_label(label)
+    except GraphError:
+        return False
+    return (g.orientation is not None and len(_flag_components(g)) == 1
+            and canonical_label(g) == label)
 
 
 def candidate_permutations(data: MultigraphData):
@@ -249,7 +331,7 @@ def raw_vacuum_classes(max_order, valences, max_vertices=None):
             if certificate not in certificates:
                 certificates.add(certificate)
                 labels.append(brute_min_serialization(data))
-    graphs = {label: graph_from_label(label) for label in labels}
+    graphs = {label: flag_graph_from_label(label) for label in labels}
     labels.sort(key=lambda label: (graphs[label].n_flags, label))
     return [(label, _refinement_aut(graphs[label])) for label in labels]
 
@@ -349,14 +431,81 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     )
 
 
+@dataclass(frozen=True)
+class Cut:
+    """Bipartition of a graph's vertices.  Each half, the subgraph on its
+    side with the severed edges left as tails, is built when first read."""
+
+    graph: Graph
+    upper: frozenset[int]
+    lower: frozenset[int]
+
+    @cached_property
+    def upper_graph(self) -> Graph:
+        return induced_with_severed_tails(self.graph, self.upper)
+
+    @cached_property
+    def lower_graph(self) -> Graph:
+        return induced_with_severed_tails(self.graph, self.lower)
+
+
+def induced_with_severed_tails(g: Graph, keep: frozenset[int]) -> Graph:
+    """Subgraph on `keep`; crossing edges leave their half as a tail."""
+    flag_ids = [f for f in range(g.n_flags) if g.incidence[f] in keep]
+    new_id = {f: i for i, f in enumerate(flag_ids)}
+    vertex_ids = sorted(keep)
+    new_vertex = {v: i for i, v in enumerate(vertex_ids)}
+    involution = []
+    for f in flag_ids:
+        partner = g.involution[f]
+        involution.append(new_id[partner] if partner in new_id else new_id[f])
+    incidence = [new_vertex[g.incidence[f]] for f in flag_ids]
+    orientation = (
+        tuple(g.orientation[f] for f in flag_ids) if g.orientation is not None else None
+    )
+    decorations = (
+        tuple(g.decorations[v] for v in vertex_ids) if g.decorations is not None else None
+    )
+    return Graph(len(vertex_ids), tuple(involution), tuple(incidence),
+                 orientation=orientation, decorations=decorations)
+
+
+def flag_cuts(g: Graph) -> list[Cut]:
+    """The cuts of `scc_cut_masks`, in its order, as flag-level `Cut`s."""
+    all_v = frozenset(range(g.n_vertices))
+    cuts = []
+    for mask in scc_cut_masks(g):
+        upper = frozenset(v for v in all_v if mask >> v & 1)
+        cuts.append(Cut(g, upper, all_v - upper))
+    return cuts
+
+
+def _flag_components(g: Graph) -> list[frozenset[int]]:
+    """Vertex sets of g's connected components, by union-find on its flags."""
+    parent = list(range(g.n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for f, h in g.edges():
+        parent[find(g.incidence[f])] = find(g.incidence[h])
+    groups: dict = {}
+    for v in range(g.n_vertices):
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(c) for c in groups.values()]
+
+
 def cut_coproduct(g: Graph) -> dict:
     """(upper monomial, lower monomial) -> number of cuts of g, each half
     split into its connected components as induced flag graphs."""
     out: dict = {}
-    for cut in enumerate_cuts(g):
+    for cut in flag_cuts(g):
         key = tuple(
-            tuple(sorted(canonical_label(_induced_with_severed_tails(side, comp))
-                         for comp in side.connected_components()))
+            tuple(sorted(canonical_label(induced_with_severed_tails(side, comp))
+                         for comp in _flag_components(side)))
             for side in (cut.upper_graph, cut.lower_graph))
         out[key] = out.get(key, 0) + 1
     return out

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+import hypothesis.strategies as st
 
+from graph_oracles import disjoint_union, flag_graph_from_label, is_generator
 from kolmex.cli import main
+from kolmex.graphs import canonical_label
 from kolmex.hopf import enumerate_connected_oriented
 from kolmex.renorm import Character, MSElement, character_to_json
 from kolmex import __version__
@@ -349,6 +356,81 @@ def test_birkhoff_malformed_character_exits_2(tmp_path, capsys, name):
     assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", [
+    "og:2|-.0.0.0;-.0.0.0|",  # a product of two bare vertices
+    "og:1|-.-1.0.0|",         # a negative count
+    "og:1|-.0.0.0|0>0x1",     # a loop written as an edge
+])
+def test_birkhoff_rejects_a_graph_that_is_not_a_generator(tmp_path, capsys, label):
+    src = tmp_path / "char.json"
+    src.write_text(json.dumps({"degree_bound": 4, "values": [
+        {"graph": label, "value": {"polar": [], "regular": ["1"]}}]}))
+    out = tmp_path / "factors.json"
+    assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: values[0].graph: ") and repr(label) in err
+
+
+SMALL_GENERATORS = enumerate_connected_oriented(2, 3)
+LABEL_TEXT = "0123-.;|>x,:ogu"
+
+
+@st.composite
+def fuzzed_labels(draw):
+    """A generator, a product of two, a generator with one or two
+    characters mutated, or garbage text."""
+    kind = draw(st.sampled_from(["generator"] * 3 + ["product", "mutated", "garbage"]))
+    label = draw(st.sampled_from(SMALL_GENERATORS))
+    if kind == "product":
+        other = draw(st.sampled_from(SMALL_GENERATORS))
+        return canonical_label(disjoint_union(flag_graph_from_label(label),
+                                              flag_graph_from_label(other)))
+    if kind == "mutated":
+        for _ in range(draw(st.integers(1, 2))):
+            i = draw(st.integers(0, len(label)))
+            cut = draw(st.integers(0, 1))  # replace the character at i, or insert
+            label = label[:i] + draw(st.sampled_from(LABEL_TEXT)) + label[i + cut:]
+        return label
+    if kind == "garbage":
+        return draw(st.text(alphabet=LABEL_TEXT, max_size=16) | st.text(max_size=6))
+    return label
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Up to three coefficients; half the lists hold one bad one."""
+    coeffs = draw(st.lists(st.integers(-5, 5) | st.sampled_from(["1", "-2/3"]), max_size=3))
+    if draw(st.booleans()):
+        bad = draw(st.booleans() | st.floats() | st.sampled_from(["1/0", "nan", "x", ""]))
+        coeffs.insert(draw(st.integers(0, len(coeffs))), bad)
+    return coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(fuzzed_labels(), min_size=1, max_size=3),
+       st.lists(coefficient_lists(), min_size=2, max_size=2),
+       st.integers(0, 6), st.integers(0, 3))
+def test_birkhoff_on_fuzzed_characters_exits_0_or_2_and_leaves_no_partial_file(
+        labels, coeffs, degree, truncation):
+    doc = {"degree_bound": degree, "truncation": truncation, "values": [
+        {"graph": label, "value": {"polar": coeffs[0], "regular": coeffs[1]}}
+        for label in labels]}
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "char.json"), Path(tmp, "factors.json")
+        src.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)])
+        event(f"exit {code}")
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        assert sorted(os.listdir(tmp)) == (["char.json", "factors.json"] if code == 0
+                                           else ["char.json"])
+    if not all(is_generator(label) for label in labels):
+        assert code == 2
 
 
 def test_birkhoff_negative_degree_names_its_option(tmp_path, capsys):

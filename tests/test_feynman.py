@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from graph_oracles import _connected
 from feynman_oracles import (
     full_class_expansion,
     multiset_oracle,
@@ -26,9 +27,20 @@ from kolmex.feynman import (
     theory_to_json,
     wick_pairing_sum,
 )
-from kolmex.graphs import EMPTY_GRAPH, Graph, GraphError
+from kolmex.graphs import (
+    EMPTY_GRAPH,
+    Graph,
+    GraphError,
+    graph_from_label,
+    multigraph_data,
+)
 
 F = Fraction
+
+
+def weight(g: Graph, theory: Theory, *rest) -> Fraction:
+    """graph_weight of a flag graph, through its multigraph data."""
+    return graph_weight(multigraph_data(g), theory, *rest)
 
 TWO_LOOPS = Graph(1, (1, 0, 3, 2), (0, 0, 0, 0))
 THETA = Graph(2, (3, 4, 5, 0, 1, 2), (0, 0, 0, 1, 1, 1))
@@ -65,25 +77,25 @@ def test_tensor_symmetrization():
 
 def test_weight_single_coloring():
     t = Theory.single_color(c4=F("5/9"))
-    assert graph_weight(TWO_LOOPS, t) == F(5, 9)
+    assert weight(TWO_LOOPS, t) == F(5, 9)
 
 
 def test_weight_zero_tensor_kills_graph():
     t = Theory.single_color(c4=F(2))  # no valence-3 tensor
-    assert graph_weight(THETA, t) == 0
+    assert weight(THETA, t) == 0
 
 
 def test_weight_theta_formula():
     # g^{11} = p, C_3 = c  ->  p^3 c^2
     p, c = F(7, 3), F(2, 5)
     t = Theory.build(1, ((1 / p,),), {3: {(0, 0, 0): c}})
-    assert graph_weight(THETA, t) == p**3 * c**2
+    assert weight(THETA, t) == p**3 * c**2
 
 
 def test_weight_rejects_tails():
     with_tail = Graph(1, (0,), (0,))
     with pytest.raises(GraphError):
-        graph_weight(with_tail, Theory.single_color(c1=F(1)))
+        weight(with_tail, Theory.single_color(c1=F(1)))
 
 
 def test_weight_isomorphism_invariant():
@@ -93,7 +105,7 @@ def test_weight_isomorphism_invariant():
         {3: {(0, 0, 0): F(1), (0, 1, 1): F(2)}},
     )
     theta_relabeled = Graph(2, (5, 4, 3, 2, 1, 0), (1, 1, 1, 0, 0, 0))
-    assert graph_weight(THETA, t) == graph_weight(theta_relabeled, t)
+    assert weight(THETA, t) == weight(theta_relabeled, t)
 
 
 def test_weight_multiplicative_over_disjoint_union():
@@ -105,7 +117,7 @@ def test_weight_multiplicative_over_disjoint_union():
             tuple(list(g.involution) + [f + nf for f in g.involution]),
             tuple(list(g.incidence) + [v + nv for v in g.incidence]),
         )
-        assert graph_weight(double, t) == graph_weight(g, t) ** 2
+        assert weight(double, t) == weight(g, t) ** 2
 
 
 # -- contraction against the colouring sum ----------------------------------------
@@ -183,32 +195,33 @@ def tail_free_graphs(draw, max_vertices=4, max_flags=8):
 @settings(max_examples=80, deadline=None)
 @given(theories(colors=(2, 3)), tail_free_graphs())
 def test_contraction_matches_brute_force_on_random_graphs(theory, g):
-    assert graph_weight(g, theory) == brute_force_weight(g, theory)
+    assert weight(g, theory) == brute_force_weight(g, theory)
 
 
 @settings(max_examples=6, deadline=None)
 @given(theories(colors=(1, 2), valences=(3, 4)))
 def test_contraction_matches_brute_force_on_cubic_quartic_classes(theory):
-    for g, _, plan, _, _ in feynman._vacuum_classes(2, (3, 4), None, 200_000):
-        w = brute_force_weight(g, theory)
-        assert graph_weight(g, theory, plan) == w
-        assert graph_weight(g, theory) == w
+    for label, data, _, plan, _, _ in feynman._vacuum_classes(2, (3, 4), None, 200_000):
+        w = brute_force_weight(graph_from_label(label), theory)
+        assert graph_weight(data, theory, plan) == w
+        assert graph_weight(data, theory) == w
 
 
 @settings(max_examples=10, deadline=None)
 @given(theories(valences=(1, 2)))
 def test_contraction_matches_brute_force_on_capped_low_valence_classes(theory):
-    for g, _, plan, _, _ in feynman._vacuum_classes(2, (1, 2), 4, 200_000):
-        assert graph_weight(g, theory, plan) == brute_force_weight(g, theory)
+    for label, data, _, plan, _, _ in feynman._vacuum_classes(2, (1, 2), 4, 200_000):
+        assert graph_weight(data, theory, plan) == brute_force_weight(
+            graph_from_label(label), theory)
 
 
 def test_contraction_edge_cases():
     t = Theory.build(2, ((F(2), F(1, 2)), (F(1, 2), F(3))), {3: {(0, 0, 1): F(1, 3)}})
-    assert graph_weight(EMPTY_GRAPH, t) == 1
-    assert graph_weight(TWO_LOOPS, t) == 0  # no valence-4 tensor
-    assert graph_weight(Graph(1, (), ()), t) == 0  # nor a valence-0 one
+    assert weight(EMPTY_GRAPH, t) == 1
+    assert weight(TWO_LOOPS, t) == 0  # no valence-4 tensor
+    assert weight(Graph(1, (), ()), t) == 0  # nor a valence-0 one
     with pytest.raises(GraphError):
-        graph_weight(Graph(2, (0, 2, 1), (0, 1, 1)), t)
+        weight(Graph(2, (0, 2, 1), (0, 1, 1)), t)
 
 
 def test_expansion_equals_oracle_two_colors_order_three():
@@ -404,13 +417,13 @@ def test_cubic_quartic_expansion_under_small_cap_matches_full_class_sum(order):
 
 def test_linked_expansion_contracts_connected_classes_only(monkeypatch):
     calls = []
-    weight = feynman.graph_weight
+    contract = feynman.graph_weight
     monkeypatch.setattr(feynman, "graph_weight",
-                        lambda g, t, *rest: calls.append(g) or weight(g, t, *rest))
+                        lambda data, t, *rest: calls.append(data) or contract(data, t, *rest))
     t = Theory.single_color(c3=F(1, 3), c4=F(-5, 2))
     assert graph_expansion(t, 3) == full_class_expansion(t, 3)
     assert len(calls) == 88
-    assert all(len(g.connected_components()) == 1 for g in calls)
+    assert all(_connected(data.n_vertices, data.edge_mult) for data in calls)
 
 
 # -- the equivalence theorem at desk scale ---------------------------------------

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from graph_oracles import (
+    Cut,
     automorphism_order_flag_search,
     brute_min_serialization,
     candidate_permutations,
+    flag_graph_from_label,
     multigraphs_with_degrees,
     raw_vacuum_classes,
     refinement_search,
@@ -190,11 +192,38 @@ def test_label_tokens_in_decorations_round_trip():
     "ug", "ug:1", "ug:1|a|b.0.0.0|", "ug:1|x.0.0|", "ug:x|-.0.0.0|",
     "ug:1|-.0.z.0|", "zz:1|-.0.0.0|", "ug:2|-.0.0.0;-.0.0.0|0>5x1",
     "ug:2|-.0.0.0;-.0.0.0|0-1x1", "ug:1|-.0.0.0;-.0.0.0|",
+    "og:1|-.-1.0.0|",                         # a negative count
+    "og:1|-.+1.0.0|", "og:1|-.\u0663.0.0|",   # counts in other digit forms
+    "og:1|-.0.0.0|0>0x1",                     # a loop written as an edge
+    "og:2|-.0.0.0;-.0.0.0|0>1x0",             # an empty bundle
+    "og:2|-.0.0.0;-.0.0.0|0>1x1,0>1x2",       # a repeated bundle
+    "ug:2|-.0.0.0;-.0.0.0|0>1x1,1>0x1",       # the same, unoriented
+    "og:2|-.0.0.0;-.0.0.0|2>0x1",             # an end out of range
+    "ug:1|-.0.0.1|",                          # an out-tail, unoriented
+    "og:1|.0.0.0|",                           # an empty decoration
+    "og:1|-.0.0.0||",                         # a fourth field
 ])
 def test_malformed_labels_raise_graph_error_naming_the_label(label):
-    with pytest.raises(GraphError, match="malformed label") as info:
-        graph_from_label(label)
-    assert repr(label) in str(info.value)
+    for parse in (G.label_data, graph_from_label):
+        with pytest.raises(GraphError, match="malformed label") as info:
+            parse(label)
+        assert repr(label) in str(info.value)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.deferred(lambda: multigraph_records(max_vertices=6)),
+       st.randoms(use_true_random=False))
+def test_label_parser_matches_the_flag_level_parser(data, rnd):
+    # the canonical label and a serialization under a random relabelling
+    n = data.n_vertices
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    for label in (G._min_serialization(data)[0], G._serialize_under(data, perm)):
+        parsed = G.label_data(label)
+        assert G._serialize_under(parsed, range(n)) == label
+        g = graph_from_label(label)
+        assert g == flag_graph_from_label(label)
+        assert parsed.n_flags == g.n_flags
 
 
 @st.composite
@@ -351,31 +380,41 @@ def test_orientation_can_be_supplied_separately():
         is_directed(bare_edge)
 
 
+def _cuts(g):
+    """The upper-side masks of g's cuts, read on its multigraph data."""
+    return enumerate_cuts(G.multigraph_data(g))
+
+
+def _sides(mask, n):
+    upper = frozenset(v for v in range(n) if mask >> v & 1)
+    return upper, frozenset(range(n)) - upper
+
+
 def test_cut_examples():
     single = Graph(1, (), (), orientation=())
-    assert len(enumerate_cuts(single)) == 2
-
-    cuts = enumerate_cuts(EDGE)
-    assert len(cuts) == 3
-    proper = [c for c in cuts if c.proper]
-    assert len(proper) == 1
-    assert proper[0].upper == frozenset({0}) and proper[0].lower == frozenset({1})
-
-    assert len(enumerate_cuts(CYCLE2)) == 2  # the wheel blocks every bipartition
+    assert _cuts(single) == [0, 1]
+    assert _cuts(EDGE) == [0, 1, 3]  # the one proper cut has upper {0}
+    assert _cuts(CYCLE2) == [0, 3]  # the wheel blocks every bipartition
+    with pytest.raises(GraphError, match="oriented"):
+        enumerate_cuts(G.multigraph_data(THETA))
 
 
 def test_cut_halves_partition_flags():
+    from kolmex.hopf import _side_monomial, monomial_degree
+
     chain = Graph(
         3, (1, 0, 3, 2), (0, 1, 1, 2),
         orientation=("out", "in", "out", "in"),
     )
-    for cut in enumerate_cuts(chain):
-        total = cut.upper_graph.n_flags + cut.lower_graph.n_flags
-        assert total == chain.n_flags
-        # severed halves become tails that keep their orientation label
-        for side in (cut.upper_graph, cut.lower_graph):
-            for f in side.tails():
-                assert side.orientation[f] in ("in", "out")
+    data = G.multigraph_data(chain)
+    for mask in _cuts(chain):
+        upper, lower = _sides(mask, 3)
+        # severed halves stay with their side as tails, so the sides'
+        # labels split the flags exactly
+        assert monomial_degree(_side_monomial(data, sorted(upper))) + monomial_degree(
+            _side_monomial(data, sorted(lower))) == chain.n_flags
+        cut = Cut(chain, upper, lower)
+        assert cut.upper_graph.n_flags + cut.lower_graph.n_flags == chain.n_flags
 
 
 def test_cuts_revalidate_conditions():
@@ -383,13 +422,11 @@ def test_cuts_revalidate_conditions():
         3, (1, 0, 3, 2), (0, 1, 1, 2),
         orientation=("out", "in", "out", "in"),
     )
-    cuts = enumerate_cuts(chain)
-    for cut in cuts:
-        if not cut.proper:
-            continue
+    cuts = [_sides(mask, 3) for mask in _cuts(chain)]
+    for upper, lower in cuts:
         for s, t in chain.directed_edges():
-            assert not (s in cut.lower and t in cut.upper)
-    proper = {(frozenset(c.upper), frozenset(c.lower)) for c in cuts if c.proper}
+            assert not (s in lower and t in upper)
+    proper = {(upper, lower) for upper, lower in cuts if upper and lower}
     # hand enumeration for the chain 0 -> 1 -> 2: only past|future splits
     assert proper == {
         (frozenset({0}), frozenset({1, 2})),
@@ -404,7 +441,7 @@ def test_directed_cut_count_bound():
         3, (1, 0, 3, 2), (0, 1, 0, 2),
         orientation=("out", "in", "out", "in"),
     )
-    assert len(enumerate_cuts(star)) <= 2**3
+    assert len(_cuts(star)) <= 2**3
 
 
 def test_wheel_with_pendant_vertex():
@@ -414,11 +451,11 @@ def test_wheel_with_pendant_vertex():
         orientation=("out", "in", "out", "in", "out", "in"),
     )
     sccs = [c for c in strongly_connected_components(g) if len(c) > 1]
-    cuts = enumerate_cuts(g)
-    for cut in cuts:
+    cuts = [_sides(mask, 3) for mask in _cuts(g)]
+    for upper, lower in cuts:
         for comp in sccs:
-            assert comp <= cut.upper or comp <= cut.lower
-    proper = {(frozenset(c.upper), frozenset(c.lower)) for c in cuts if c.proper}
+            assert comp <= upper or comp <= lower
+    proper = {(upper, lower) for upper, lower in cuts if upper and lower}
     assert proper == {(frozenset({0, 1}), frozenset({2}))}
 
 
@@ -453,10 +490,7 @@ def oriented_graphs(draw):
 def test_one_cut_rule_matches_the_scc_rule(g):
     """No edge from lower to upper: the same cuts, in mask order, as the
     two-condition rule that also keeps each SCC on one side."""
-    all_v = frozenset(range(g.n_vertices))
-    cuts = enumerate_cuts(g)
-    assert all(c.upper | c.lower == all_v and not c.upper & c.lower for c in cuts)
-    assert [sum(1 << v for v in c.upper) for c in cuts] == scc_cut_masks(g)
+    assert _cuts(g) == scc_cut_masks(g)
 
 
 # -- vacuum enumeration ---------------------------------------------------------
@@ -636,7 +670,7 @@ def test_vacuum_classes_and_symmetry_factors_pinned():
     from kolmex import feynman
 
     classes = feynman._vacuum_classes(3, (3, 4), None, 200_000)
-    text = "\n".join(f"{canonical_label(g)} {aut}" for g, aut, *_ in classes)
+    text = "\n".join(f"{label} {aut}" for label, _, aut, *_ in classes)
     assert len(classes) == 141
     assert sum(connected for *_, connected in classes) == 88
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -685,7 +719,7 @@ def test_canonical_label_bound():
 def test_cut_enumeration_bound():
     wide = Graph(20, (), (), orientation=())
     with pytest.raises(G.BudgetError):
-        enumerate_cuts(wide)
+        _cuts(wide)
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from graph_oracles import (
     disjoint_union,
     raw_oriented_family,
 )
-from kolmex import cli
+from kolmex import cli, feynman, hopf
 from kolmex.graphs import (
     Graph,
     MultigraphData,
@@ -37,6 +37,8 @@ from kolmex.hopf import (
     element_from_json,
     element_to_json,
     enumerate_connected_oriented,
+    check_generator,
+    generator_data,
     generator_degree,
     generator_graph,
     generator_vertices,
@@ -46,7 +48,15 @@ from kolmex.hopf import (
     reduced_coproduct_of_monomial,
     tensor_mul,
 )
-from kolmex.renorm import Character, MSElement, birkhoff, conv_inverse, convolution
+from kolmex.renorm import (
+    Character,
+    MSElement,
+    RenormError,
+    birkhoff,
+    character_from_json,
+    conv_inverse,
+    convolution,
+)
 
 F = Fraction
 
@@ -220,17 +230,61 @@ def test_generator_coproducts_are_pinned():
 
 
 def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
-    labels = enumerate_connected_oriented(3, 6)
-    for label in labels:
-        generator_graph(label)
+    # labels parse straight to multigraph data: from a cold start, neither
+    # the 4/8 family with its degrees and coproducts nor the order-4 vacuum
+    # classes with an expansion over them validates a single flag graph
     built = []
     validate = Graph.__post_init__
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
-    coproduct_of_generator.cache_clear()
+    for cache in (generator_data, generator_degree, coproduct_of_generator,
+                  feynman._vacuum_classes):
+        cache.cache_clear()
+    hopf._labels.clear()
+    labels = enumerate_connected_oriented(4, 8)
     for label in labels:
+        generator_degree(label)
         coproduct_of_generator(label)
-    assert coproduct_of_generator.cache_info().misses == len(labels)
+    assert coproduct_of_generator.cache_info().misses == len(labels) == 1922
+    assert len(feynman._vacuum_classes(4, (3, 4), None, 200_000)) == 1115
+    assert feynman.graph_expansion(feynman.Theory.single_color(c3=1, c4=1), 4)[4] == F(
+        715715, 15552)
     assert built == []
+
+
+NOT_GENERATORS = {
+    "og:2|-.0.0.0;-.0.0.0|": "the monomial ['og:1|-.0.0.0|', 'og:1|-.0.0.0|']",
+    "og:0||": "the monomial []",
+    "og:2|-.0.0.0;-.0.0.0|1>0x1": "the monomial ['og:2|-.0.0.0;-.0.0.0|0>1x1']",
+    "ug:1|-.0.0.0|": "is not an oriented graph's label",
+    "og:1|-.-1.0.0|": "malformed label",
+    "og:1|-.0.0.0|0>0x1": "malformed label",
+    "og:2|-.0.0.0;-.0.0.0|0>1x0": "malformed label",
+    "g": "malformed label",
+}
+
+
+@pytest.mark.parametrize("label", sorted(NOT_GENERATORS))
+def test_labels_read_from_json_must_be_generators(label):
+    message = NOT_GENERATORS[label]
+    with pytest.raises(HopfError) as info:
+        check_generator(label)
+    assert message in str(info.value)
+    with pytest.raises(HopfError) as info:
+        element_from_json(json.dumps([{"monomial": [L_EDGE, label], "coeff": 1}]))
+    assert str(info.value).startswith("terms[0].monomial[1]: ")
+    assert message in str(info.value)
+    doc = {"degree_bound": 4, "values": [
+        {"graph": graph, "value": {"polar": [], "regular": ["1"]}}
+        for graph in (L_VERTEX, label)]}
+    with pytest.raises(RenormError) as info:
+        character_from_json(json.dumps(doc))
+    assert str(info.value).startswith("values[1].graph: ")
+    assert message in str(info.value)
+
+
+def test_every_generator_passes_the_check():
+    for label in FAMILY:
+        check_generator(label)
 
 
 def test_grading_split_by_coproduct():
@@ -286,10 +340,11 @@ def test_zero_coefficients_are_pruned_after_conversion():
 
 
 def test_element_json_sums_repeated_monomials():
-    text = json.dumps([{"monomial": ["b", "a"], "coeff": "1/2"},
-                       {"monomial": ["a", "b"], "coeff": 1}, {"monomial": [], "coeff": "2/3"}])
+    text = json.dumps([{"monomial": [L_EDGE, L_VERTEX], "coeff": "1/2"},
+                       {"monomial": [L_VERTEX, L_EDGE], "coeff": 1},
+                       {"monomial": [], "coeff": "2/3"}])
     x = element_from_json(text)
-    assert x.terms == {("a", "b"): F(3, 2), UNIT_MONOMIAL: F(2, 3)}
+    assert x.terms == {tuple(sorted((L_EDGE, L_VERTEX))): F(3, 2), UNIT_MONOMIAL: F(2, 3)}
     assert element_from_json("[]") == ZERO
 
 

@@ -32,6 +32,7 @@ from kolmex.renorm import (
 from kolmex.rng import SplitMix64
 
 F = Fraction
+VERTEX = "og:1|-.0.0.0|"  # the bare vertex, a generator
 
 FAMILY = enumerate_connected_oriented(3, 4)
 PRIMITIVES = [l for l in FAMILY if is_primitive(l)]
@@ -314,17 +315,17 @@ def test_character_json_round_trip():
     for l in FAMILY:
         assert back((l,)) == phi((l,))
     # values known past the declared truncation are written up to it
-    long = Character({"g": MSElement([1], [1] * 20)}, 4, trunc=4)
-    back = character_from_json(character_to_json(long)).generator_values["g"]
+    long = Character({VERTEX: MSElement([1], [1] * 20)}, 4, trunc=4)
+    back = character_from_json(character_to_json(long)).generator_values[VERTEX]
     assert (back.polar, back.regular) == ((1,), (1,) * 5)
 
 
 def test_character_json_keeps_short_windows():
-    chi = Character({"g": MSElement([], [1, 2, 3])}, 4, trunc=16)
+    chi = Character({VERTEX: MSElement([], [1, 2, 3])}, 4, trunc=16)
     text = character_to_json(chi)
     assert json.loads(text)["values"][0]["value"]["valid"] == 2
     back = character_from_json(text)
-    value = back.generator_values["g"]
+    value = back.generator_values[VERTEX]
     assert value.valid_order == 2
     assert value.regular == (1, 2, 3)
     assert character_to_json(back) == text
@@ -332,19 +333,19 @@ def test_character_json_keeps_short_windows():
 
 def test_character_json_without_valid_keeps_its_meaning():
     doc = {"degree_bound": 4, "truncation": 6, "values": [
-        {"graph": "g", "value": {"polar": ["1"], "regular": ["1", "2"]}}]}
-    value = character_from_json(json.dumps(doc)).generator_values["g"]
+        {"graph": VERTEX, "value": {"polar": ["1"], "regular": ["1", "2"]}}]}
+    value = character_from_json(json.dumps(doc)).generator_values[VERTEX]
     assert value.valid_order == 6
     assert value.regular == (1, 2, 0, 0, 0, 0, 0)
     # full windows are written without the field, so such files keep their bytes
-    full = Character({"g": MSElement([], [1] * 7)}, 4, trunc=6)
+    full = Character({VERTEX: MSElement([], [1] * 7)}, 4, trunc=6)
     assert '"valid"' not in character_to_json(full)
 
 
 def test_character_json_valid_pads_to_its_window():
     doc = {"degree_bound": 4, "truncation": 6, "values": [
-        {"graph": "g", "value": {"polar": [], "regular": ["1"], "valid": 3}}]}
-    value = character_from_json(json.dumps(doc)).generator_values["g"]
+        {"graph": VERTEX, "value": {"polar": [], "regular": ["1"], "valid": 3}}]}
+    value = character_from_json(json.dumps(doc)).generator_values[VERTEX]
     assert value.valid_order == 3
     assert value.regular == (1, 0, 0, 0)
 
@@ -358,7 +359,7 @@ def test_character_json_valid_pads_to_its_window():
 ])
 def test_character_json_bad_valid_is_positioned(valid, message):
     doc = {"degree_bound": 4, "truncation": 4, "values": [
-        {"graph": "g", "value": {"polar": [], "regular": ["1", "2", "3"], "valid": valid}}]}
+        {"graph": VERTEX, "value": {"polar": [], "regular": ["1", "2", "3"], "valid": valid}}]}
     with pytest.raises(RenormError) as info:
         character_from_json(json.dumps(doc))
     assert message in str(info.value)
@@ -740,7 +741,7 @@ def test_coefficient_text_matches_fraction_parser(text):
     the same values, and the same strings refused (whitespace, signs,
     decimals, exponents, underscores and zero denominators included)."""
     doc = json.dumps({"degree_bound": 1, "truncation": 0, "values": [
-        {"graph": "g", "value": {"polar": [], "regular": [text]}}]})
+        {"graph": VERTEX, "value": {"polar": [], "regular": [text]}}]})
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -748,4 +749,4 @@ def test_coefficient_text_matches_fraction_parser(text):
             character_from_json(doc)
         assert str(info.value) == f"values[0].value.regular[0]: bad coefficient {text!r}"
         return
-    assert character_from_json(doc).generator_values["g"].regular == (want,)
+    assert character_from_json(doc).generator_values[VERTEX].regular == (want,)
