@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     fey.add_argument("--c4", type=_fraction, default=Fraction(0))
     fey.add_argument("--order", type=int, required=True)
     fey.add_argument("--budget", type=int, default=200_000,
-                     help="cap on generator states built in the class enumeration")
+                     help="cap on generator states built while enumerating the "
+                          "connected vacuum classes")
     fey.set_defaults(handler=cmd_feynman_check)
 
     hv = algebra_sub.add_parser("hopf-verify", help="bialgebra + antipode axioms")

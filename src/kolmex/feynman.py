@@ -19,11 +19,15 @@ the end.  An eliminated vertex acts on a frontier state only through the
 colors of the flags it closes against, so its factor, summed over the
 colors of its closing and loop flags, is built once per expansion for
 each such color tuple and shared by every class.  A class is contracted
-on the multigraph data its label spells out: the elimination plan and
-the weight read its loops and edge bundles, with no flag graph built.
+on the multigraph data its label spells out: the elimination plan reads
+its loops and edge bundles, with no flag graph built.  The plans of a
+family's classes are merged into one cached trie of elimination steps,
+which each theory walks depth first, so a prefix of steps that several
+classes share is contracted once.  Each order's sum stays one integer
+over the lcm of its classes' denominators until one Fraction ends it.
 
-Where it is exact, only connected classes are contracted.  By the
-linked-cluster theorem the sum is exp(W), where W(lambda) =
+Where it is exact, only connected classes are generated and contracted.
+By the linked-cluster theorem the sum is exp(W), where W(lambda) =
 sum_n w_n lambda^n sums weight / |Aut| over the connected non-empty
 classes: a disjoint union holding m_i copies of class i has weight
 prod w_i^m_i and |Aut| = prod |Aut_i|^m_i * m_i!.  The exponential is
@@ -61,21 +65,7 @@ from math import factorial, lcm
 from operator import add
 from typing import Optional
 
-from .graphs import GraphError, MultigraphData, _vacuum_classes_with_aut, components
-
-
-@lru_cache(maxsize=64)
-def _vacuum_classes(max_order: int, valences: tuple, max_vertices, budget: int):
-    """(label, multigraph data, |Aut|, contraction plan, order E - V,
-    connected) per class; theory-independent, so cached.  |Aut| comes from
-    the search that labelled each class during enumeration; `connected` is
-    false for the empty graph."""
-    classes = []
-    for label, data, aut in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget):
-        plan = _contraction_plan(data)
-        classes.append((label, data, aut, plan, plan[1] - data.n_vertices,
-                        len(components(data, range(data.n_vertices))) == 1))
-    return tuple(classes)
+from .graphs import GraphError, MultigraphData, _vacuum_classes_with_aut
 
 
 class TheoryError(ValueError):
@@ -183,8 +173,8 @@ class Theory:
         then form `n_loops` self-loops, then open; the factor sums d_k * C
         times the G of each closed edge and loop over the colors of the
         closing and loop flags, so a step depends on a frontier state only
-        through `closed`.  Zero sums are dropped.  `graph_weight` memoizes
-        these per theory through its `factors` argument.
+        through `closed`.  Zero sums are dropped.  A `_trie_sums` walk
+        memoizes these for its theory.
         """
         _, G, tensors = self._integer_tables
         first_open = len(closed) + 2 * n_loops
@@ -274,10 +264,10 @@ class LambdaSeries:
 def _contraction_plan(data: MultigraphData) -> tuple:
     """Theory-independent elimination order for a tail-free graph.
 
-    Returns (steps, n_edges).  Vertices are taken greedily: the one that
-    closes the most open flags, then the one that opens the fewest, then
-    the lowest index.  A step is (valence, keep, closes, n_loops); the
-    vertex's flags are taken in the order
+    Returns its steps.  Vertices are taken greedily: the one that closes
+    the most open flags, then the one that opens the fewest, then the
+    lowest index.  A step is (valence, keep, closes, n_loops); the vertex's
+    flags are taken in the order
 
       the flags that close an edge against frontier positions `closes`,
       then `n_loops` self-loops as adjacent flag pairs,
@@ -310,47 +300,119 @@ def _contraction_plan(data: MultigraphData) -> tuple:
         valence = (2 * data.loops[v] + data.tails_in[v] + data.tails_out[v]
                    + sum(m for _, m in bundles[v]))
         steps.append((valence, keep, closes, data.loops[v]))
-    return tuple(steps), sum(data.loops) + sum(data.edge_mult.values())
+    return tuple(steps)
 
 
-def graph_weight(data: MultigraphData, theory: Theory, plan: Optional[tuple] = None,
-                 factors: Optional[defaultdict] = None) -> Fraction:
+def _plan_trie(plans) -> tuple:
+    """Merge (steps, end) pairs into one trie of elimination steps.
+
+    A node is (((step, child node), ...), (end, ...)), the ends being those
+    of the plans that stop there.  Plans that share a prefix of steps share
+    its path, so a walk of the trie contracts each prefix once for all of
+    them.  The trie is built of tuples, so a cached one stays unchanged.
+    """
+    root: tuple = ({}, [])
+    for steps, end in plans:
+        node = root
+        for step in steps:
+            node = node[0].setdefault(step, ({}, []))
+        node[1].append(end)
+
+    def freeze(node):
+        children, ends = node
+        return tuple((step, freeze(child)) for step, child in children.items()), tuple(ends)
+
+    return freeze(root)
+
+
+@lru_cache(maxsize=64)
+def _class_trie(max_order: int, valences: tuple, max_vertices, budget: int,
+                connected: bool) -> tuple:
+    """The plans of the vacuum classes (only the connected ones with
+    `connected`) merged by `_plan_trie`, each class ending in (label,
+    |Aut|); theory-independent, so cached.  |Aut| comes from the search
+    that labelled the class during enumeration."""
+    return _plan_trie(
+        (_contraction_plan(data), (label, aut)) for label, data, aut in
+        _vacuum_classes_with_aut(max_order, valences, max_vertices, budget, connected))
+
+
+def _eliminate(frontier: dict, step: tuple, theory: Theory, by_closed: dict) -> dict:
+    """The frontier after one elimination step: each state's kept colors
+    followed by the colors the vertex opens, weighted by the vertex factor
+    of the colors it closes.  `by_closed` memoizes `Theory._vertex_factor`
+    for this theory and the step's (valence, n_loops)."""
+    valence, keep, closes, n_loops = step
+    nxt: dict = {}
+    for state, value in frontier.items():
+        closed = tuple(map(state.__getitem__, closes))
+        opened = by_closed.get(closed)
+        if opened is None:
+            opened = by_closed[closed] = theory._vertex_factor(valence, n_loops, closed)
+        kept = tuple(map(state.__getitem__, keep))
+        for new, c in opened:
+            key = kept + new
+            nxt[key] = nxt.get(key, 0) + value * c
+    return nxt
+
+
+def _trie_sums(root: tuple, theory: Theory) -> dict:
+    """order E - V -> the sum of weight / |Aut| over the ends of a plan
+    trie, each end a (label, |Aut|) pair.
+
+    The walk goes depth first from the frontier {(): 1}, and each node's
+    frontier is its parent's after one `_eliminate` step, so a prefix that
+    several plans share is contracted once.  A subtree is skipped when the
+    theory has no tensor of its step's valence or the frontier empties.
+    Each step multiplies the path's denominator by d_k and by dg per edge it
+    closes.  An end adds its integer sum to the numerator kept for (order,
+    denominator * |Aut|), and each order becomes one Fraction over the lcm
+    of its denominators.
+    """
+    dg, _, tensors = theory._integer_tables
+    factors: defaultdict = defaultdict(dict)
+    numerators: defaultdict = defaultdict(dict)  # order -> {denominator: integer sum}
+
+    def walk(node, frontier, den, order):
+        children, ends = node
+        if ends:
+            total = sum(frontier.values())
+            if total:
+                by_den = numerators[order]
+                for _, aut in ends:
+                    by_den[den * aut] = by_den.get(den * aut, 0) + total
+        for step, child in children:
+            valence, _, closes, n_loops = step
+            if valence in tensors:
+                nxt = _eliminate(frontier, step, theory, factors[valence, n_loops])
+                if nxt:
+                    edges = len(closes) + n_loops
+                    walk(child, nxt, den * tensors[valence][0] * dg**edges, order + edges - 1)
+
+    walk(root, {(): 1}, 1, 0)
+    sums = {}
+    for order, by_den in numerators.items():
+        common = lcm(*by_den)
+        sums[order] = Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
+    return sums
+
+
+def graph_weight(data: MultigraphData, theory: Theory, plan: Optional[tuple] = None) -> Fraction:
     """Full contraction of the tensor network of a graph, given by its
     multigraph data: the sum over flag colorings of prod_edges g^{ab} *
     prod_vertices C, by vertex elimination.
 
     The frontier maps the colors of the open flags to an integer partial
     sum over G = dg * g^{-1} and the scaled tensors d_k * C; the weight is
-    the final sum over dg^E * prod_vertices d_k.  `plan` is the graph's
-    `_contraction_plan`, built here when not given.  `factors` maps
-    (valence, n_loops) to {closed colors: `Theory._vertex_factor`}; calls
-    for one theory may share it, calls for different theories must not.
+    the final sum over dg^E * prod_vertices d_k.  It is the `_trie_sums`
+    walk of the one-path trie of `plan`, the graph's `_contraction_plan`,
+    built here when not given.
     """
     if any(data.tails_in) or any(data.tails_out):
         raise GraphError("weights are defined for tail-free graphs")
-    steps, n_edges = plan if plan is not None else _contraction_plan(data)
-    dg, _, tensors = theory._integer_tables
-    if factors is None:
-        factors = defaultdict(dict)
-    den = dg**n_edges
-    frontier = {(): 1}
-    for valence, keep, closes, n_loops in steps:
-        if valence not in tensors:
-            return Fraction(0)
-        den *= tensors[valence][0]
-        by_closed = factors[valence, n_loops]
-        nxt: dict = {}
-        for state, value in frontier.items():
-            closed = tuple(map(state.__getitem__, closes))
-            opened = by_closed.get(closed)
-            if opened is None:
-                opened = by_closed[closed] = theory._vertex_factor(valence, n_loops, closed)
-            kept = tuple(map(state.__getitem__, keep))
-            for new, c in opened:
-                key = kept + new
-                nxt[key] = nxt.get(key, 0) + value * c
-        frontier = nxt
-    return Fraction(sum(frontier.values()), den)
+    steps = plan if plan is not None else _contraction_plan(data)
+    sums = _trie_sums(_plan_trie([(steps, (None, 1))]), theory)
+    return sum(sums.values(), Fraction(0))
 
 
 def graph_expansion(theory: Theory, order: int,
@@ -360,29 +422,23 @@ def graph_expansion(theory: Theory, order: int,
 
     With every valence >= 3 and no vertex cap below 2 * order, the sum is
     exp(W) truncated at `order`, where W sums over the connected non-empty
-    classes alone (the linked-cluster theorem); only those are contracted.
+    classes alone (the linked-cluster theorem); only those are generated
+    and contracted.
     """
     valences = tuple(theory.valences())
-    classes = _vacuum_classes(order, valences, max_vertices, budget)
     if valences and (min(valences) <= 2
                      or max_vertices is not None and max_vertices < 2 * order):
-        return LambdaSeries(_full_class_sum(theory, order, classes))
-    w = [Fraction(0)] * (order + 1)
-    factors: defaultdict = defaultdict(dict)
-    for _, data, aut, plan, n, connected in classes:
-        if connected:
-            weight = graph_weight(data, theory, plan, factors)
-            if weight:
-                w[n] += weight / aut
+        return LambdaSeries(_full_class_sum(theory, order, max_vertices, budget))
+    w = _trie_sums(_class_trie(order, valences, max_vertices, budget, True), theory)
     # Z = exp(W): e_0 = 1 and m e_m = sum_k k w_k e_{m-k}, exactly, because a
     # disjoint union with m_i copies of class i has |Aut| = prod |Aut_i|^m_i m_i!
     e = [Fraction(1)] if order >= 0 else []
     for m in range(1, order + 1):
-        e.append(sum(k * w[k] * e[m - k] for k in range(1, m + 1)) / m)
+        e.append(sum(k * w.get(k, 0) * e[m - k] for k in range(1, m + 1)) / m)
     return LambdaSeries(tuple(e))
 
 
-def _full_class_sum(theory: Theory, order: int, classes: tuple) -> list:
+def _full_class_sum(theory: Theory, order: int, max_vertices, budget: int) -> list:
     """The sum over every class, connected or not.
 
     It stays where exp(W) is not exact: a vertex cap bounds the total vertex
@@ -391,14 +447,9 @@ def _full_class_sum(theory: Theory, order: int, classes: tuple) -> list:
     a cap, and their components of order <= 0 also combine with the others
     inside the window.
     """
-    coeffs = [Fraction(0)] * (order + 1)
-    factors: defaultdict = defaultdict(dict)
-    for _, data, aut, plan, n, _ in classes:
-        if 0 <= n <= order:
-            w = graph_weight(data, theory, plan, factors)
-            if w:
-                coeffs[n] += w / aut
-    return coeffs
+    sums = _trie_sums(_class_trie(order, tuple(theory.valences()), max_vertices, budget, False),
+                      theory)
+    return [sums.get(n, Fraction(0)) for n in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------

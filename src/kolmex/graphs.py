@@ -565,26 +565,27 @@ def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
 
 
 def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
-                             max_vertices: Optional[int],
-                             budget: int) -> list[tuple[str, MultigraphData, int]]:
+                             max_vertices: Optional[int], budget: int,
+                             connected: bool = False) -> list[tuple[str, MultigraphData, int]]:
     """(label, multigraph data, |Aut|) per class of `enumerate_vacuum_graphs`,
-    in its order; |Aut| is taken from the search that labelled the class."""
+    in its order; |Aut| is taken from the search that labelled the class.
+    With `connected`, a state is dropped once it seals off a component, so
+    only the connected non-empty classes are built and `budget` counts the
+    closings of the states that remain."""
     valences = sorted(set(valences))
     if any(v < 1 for v in valences):
         raise GraphError("valences must be >= 1")
-    empty = canonical_label(EMPTY_GRAPH)
-    if not valences or max_order < 0:
-        return [(empty, label_data(empty), 1)]
-    if max_vertices is None:
-        if min(valences) <= 2:
-            raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
-        max_vertices = 2 * max_order
-    found = [(empty, 1)]
-    spent = [0]
-    for degree_seq in _degree_sequences(valences, max_order, max_vertices):
-        zeros = (0,) * len(degree_seq)
-        found += _classes_with_degrees(_closings, zeros, zeros, degree_seq,
-                                       spent, budget, connected=False).items()
+    found = [] if connected else [(canonical_label(EMPTY_GRAPH), 1)]
+    if valences and max_order >= 0:
+        if max_vertices is None:
+            if min(valences) <= 2:
+                raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
+            max_vertices = 2 * max_order
+        spent = [0]
+        for degree_seq in _degree_sequences(valences, max_order, max_vertices):
+            zeros = (0,) * len(degree_seq)
+            found += _classes_with_degrees(_closings, zeros, zeros, degree_seq,
+                                           spent, budget, connected).items()
     classes = [(label, label_data(label), aut) for label, aut in found]
     classes.sort(key=lambda item: (item[1].n_flags, item[0]))
     return classes

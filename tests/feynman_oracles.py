@@ -38,17 +38,27 @@ def oracle_options(theory) -> list:
     return options
 
 
-def full_class_expansion(theory, order, max_vertices=None, budget=200_000):
-    """Sum lambda^(E-V) * weight / |Aut| over every tail-free class,
-    connected or not."""
+def class_by_class_sums(theory, valences, order, max_vertices=None, budget=200_000,
+                        connected=False):
+    """The sum of weight / |Aut| at each order 0..order, one `graph_weight`
+    per class of the vacuum family of `valences` (only its connected
+    non-empty classes with `connected`)."""
     coeffs = [Fraction(0)] * (order + 1)
-    for label, data, aut in _vacuum_classes_with_aut(order, theory.valences(), max_vertices, budget):
+    for label, data, aut in _vacuum_classes_with_aut(order, valences, max_vertices, budget,
+                                                     connected):
         n = -euler_characteristic(graph_from_label(label))
         if 0 <= n <= order:
             w = graph_weight(data, theory)
             if w:
                 coeffs[n] += w / aut
-    return LambdaSeries(tuple(coeffs))
+    return coeffs
+
+
+def full_class_expansion(theory, order, max_vertices=None, budget=200_000):
+    """Sum lambda^(E-V) * weight / |Aut| over every tail-free class,
+    connected or not."""
+    return LambdaSeries(tuple(
+        class_by_class_sums(theory, theory.valences(), order, max_vertices, budget)))
 
 
 def multiset_oracle(theory, order, max_vertices=None):

@@ -123,6 +123,41 @@ def test_feynman_check_reports_mismatch(capsys, monkeypatch):
     assert "MISMATCH at L^1" in out
 
 
+def test_feynman_check_budget_counts_connected_states_only(capsys):
+    # the linked expansion generates the connected classes alone: order 3
+    # needs 561 states, where every class would need 791
+    check = ["algebra", "feynman-check", "--c3", "1", "--c4", "1", "--order", "3"]
+    assert run(check + ["--budget", "560"]) == 2
+    assert "exceeded budget 560" in capsys.readouterr().err
+    assert run(check + ["--budget", "561"]) == 0
+    assert "match through L^3" in capsys.readouterr().out
+
+
+COUPLING_TEXTS = st.sampled_from(
+    ["0", "1", "-1", "1/3", "-5/2", "2.5", "1e-3", "1/0", "0/0", "nan", "inf", "-inf",
+     "", "x", "10**40", "1e40", "-99999999999999999999/7"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.none() | COUPLING_TEXTS, st.none() | COUPLING_TEXTS, st.integers(-3, 3),
+       st.none() | st.integers(-2, 60))
+def test_feynman_check_fuzz_exits_0_1_or_2(c3, c4, order, budget):
+    argv = ["algebra", "feynman-check", "--order", str(order)]
+    argv += [f"--c3={c3}"] * (c3 is not None) + [f"--c4={c4}"] * (c4 is not None)
+    argv += ["--budget", str(budget)] * (budget is not None)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refuses the text of an option
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert f"match through L^{order}" in out.getvalue()
+
+
 def test_hopf_verify_small(capsys):
     assert run(["algebra", "hopf-verify", "--max-vertices", "2",
                 "--max-flags", "4"]) == 0

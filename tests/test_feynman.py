@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from graph_oracles import _connected
 from feynman_oracles import (
+    class_by_class_sums,
     full_class_expansion,
     multiset_oracle,
     oracle_options,
@@ -31,6 +32,7 @@ from kolmex.graphs import (
     EMPTY_GRAPH,
     Graph,
     GraphError,
+    _vacuum_classes_with_aut,
     graph_from_label,
     multigraph_data,
 )
@@ -201,18 +203,17 @@ def test_contraction_matches_brute_force_on_random_graphs(theory, g):
 @settings(max_examples=6, deadline=None)
 @given(theories(colors=(1, 2), valences=(3, 4)))
 def test_contraction_matches_brute_force_on_cubic_quartic_classes(theory):
-    for label, data, _, plan, _, _ in feynman._vacuum_classes(2, (3, 4), None, 200_000):
+    for label, data, _ in _vacuum_classes_with_aut(2, (3, 4), None, 200_000):
         w = brute_force_weight(graph_from_label(label), theory)
-        assert graph_weight(data, theory, plan) == w
+        assert graph_weight(data, theory, feynman._contraction_plan(data)) == w
         assert graph_weight(data, theory) == w
 
 
 @settings(max_examples=10, deadline=None)
 @given(theories(valences=(1, 2)))
 def test_contraction_matches_brute_force_on_capped_low_valence_classes(theory):
-    for label, data, _, plan, _, _ in feynman._vacuum_classes(2, (1, 2), 4, 200_000):
-        assert graph_weight(data, theory, plan) == brute_force_weight(
-            graph_from_label(label), theory)
+    for label, data, _ in _vacuum_classes_with_aut(2, (1, 2), 4, 200_000):
+        assert graph_weight(data, theory) == brute_force_weight(graph_from_label(label), theory)
 
 
 def test_contraction_edge_cases():
@@ -415,15 +416,55 @@ def test_cubic_quartic_expansion_under_small_cap_matches_full_class_sum(order):
             full_class_expansion(t, order, cap)
 
 
-def test_linked_expansion_contracts_connected_classes_only(monkeypatch):
-    calls = []
-    contract = feynman.graph_weight
-    monkeypatch.setattr(feynman, "graph_weight",
-                        lambda data, t, *rest: calls.append(data) or contract(data, t, *rest))
+def trie_ends(node) -> list:
+    """The (label, |Aut|) ends of a plan trie, depth first."""
+    children, ends = node
+    return list(ends) + [end for _, child in children for end in trie_ends(child)]
+
+
+def test_linked_expansion_contracts_connected_classes_only():
+    # the linked path walks a trie whose class ends are the 88 connected
+    # order-3 classes, each with the |Aut| of the pinned full class list
     t = Theory.single_color(c3=F(1, 3), c4=F(-5, 2))
     assert graph_expansion(t, 3) == full_class_expansion(t, 3)
-    assert len(calls) == 88
-    assert all(_connected(data.n_vertices, data.edge_mult) for data in calls)
+    ends = trie_ends(feynman._class_trie(3, (3, 4), None, 200_000, True))
+    connected = [(label, aut)
+                 for label, data, aut in _vacuum_classes_with_aut(3, (3, 4), None, 200_000)
+                 if _connected(data.n_vertices, data.edge_mult)]
+    assert len(ends) == len(connected) == 88
+    assert sorted(ends) == sorted(connected)
+
+
+@st.composite
+def trie_cases(draw):
+    """A theory of 1-3 colors whose valences may miss some of the family's
+    or have zero entries, an order 0-3, and a family: cubic/quartic with
+    no cap for the linked path, or capped (low valences included) for the
+    full-class path."""
+    colors = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 3 if colors < 3 else 2))
+    if draw(st.booleans()):
+        family, cap, connected = draw(st.sampled_from([(3,), (4,), (3, 4)])), None, True
+    else:
+        family = draw(st.sampled_from([(3, 4), (1, 2), (2, 3), (1, 3)]))
+        cap, connected = draw(st.integers(0, min(4, 2 * order))), False
+    valences = tuple(draw(st.lists(st.sampled_from(family), unique=True, min_size=1)))
+    theory = draw(theories(colors=(colors, colors), valences=valences, max_entries=3))
+    return theory, family, order, cap, connected
+
+
+@settings(max_examples=40, deadline=None)
+@given(trie_cases())
+@example((dense_theory(3, (3, 4)), (3, 4), 3, None, True))
+@example((dense_theory(2, (3,)), (3, 4), 3, None, True))
+@example((dense_theory(2, (1, 2)), (1, 2), 2, 4, False))
+def test_trie_sums_match_class_by_class_sums(case):
+    # one walk over the shared plan trie, summed on integers, against one
+    # graph_weight / |Aut| per class
+    theory, family, order, cap, connected = case
+    sums = feynman._trie_sums(feynman._class_trie(order, family, cap, 200_000, connected), theory)
+    assert [sums.get(n, 0) for n in range(order + 1)] == \
+        class_by_class_sums(theory, family, order, cap, connected=connected)
 
 
 # -- the equivalence theorem at desk scale ---------------------------------------

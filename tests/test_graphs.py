@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from graph_oracles import (
     Cut,
+    _connected,
     automorphism_order_flag_search,
     brute_min_serialization,
     candidate_permutations,
@@ -667,15 +668,25 @@ def test_pruned_lexmin_matches_brute_force(data):
 
 
 def test_vacuum_classes_and_symmetry_factors_pinned():
-    from kolmex import feynman
-
-    classes = feynman._vacuum_classes(3, (3, 4), None, 200_000)
+    classes = G._vacuum_classes_with_aut(3, (3, 4), None, 200_000)
     text = "\n".join(f"{label} {aut}" for label, _, aut, *_ in classes)
     assert len(classes) == 141
-    assert sum(connected for *_, connected in classes) == 88
+    assert len(G._vacuum_classes_with_aut(3, (3, 4), None, 200_000, connected=True)) == 88
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "638f2e115b389a8d8bc570d606664c068994333a12092366e3ff8740e3b9cfc3"
     )
+
+
+@pytest.mark.parametrize("valences", [{3}, {4}, {3, 4}, {3, 5}])
+def test_connected_generation_is_the_connected_subset(valences):
+    # dropping a state once it seals off a component loses no connected
+    # class and keeps no other: the same labels, |Aut| and order
+    for order in range(5):
+        full = G._vacuum_classes_with_aut(order, valences, None, 200_000)
+        linked = G._vacuum_classes_with_aut(order, valences, None, 200_000, connected=True)
+        assert [(label, aut) for label, _, aut in linked] == [
+            (label, aut) for label, data, aut in full
+            if _connected(data.n_vertices, data.edge_mult)]
 
 
 def test_hopf_generator_labels_pinned():

@@ -21,6 +21,7 @@ from kolmex import cli, feynman, hopf
 from kolmex.graphs import (
     Graph,
     MultigraphData,
+    _vacuum_classes_with_aut,
     canonical_label,
     multigraph_data,
 )
@@ -237,7 +238,7 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     validate = Graph.__post_init__
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     for cache in (generator_data, generator_degree, coproduct_of_generator,
-                  feynman._vacuum_classes):
+                  feynman._class_trie):
         cache.cache_clear()
     hopf._labels.clear()
     labels = enumerate_connected_oriented(4, 8)
@@ -245,7 +246,7 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
         generator_degree(label)
         coproduct_of_generator(label)
     assert coproduct_of_generator.cache_info().misses == len(labels) == 1922
-    assert len(feynman._vacuum_classes(4, (3, 4), None, 200_000)) == 1115
+    assert len(_vacuum_classes_with_aut(4, (3, 4), None, 200_000)) == 1115
     assert feynman.graph_expansion(feynman.Theory.single_color(c3=1, c4=1), 4)[4] == F(
         715715, 15552)
     assert built == []
