@@ -145,9 +145,6 @@ class Graph:
                 out.append((self.incidence[g], self.incidence[f]))
         return out
 
-    def connected_components(self) -> list[frozenset[int]]:
-        return components(multigraph_data(self), range(self.n_vertices))
-
 
 EMPTY_GRAPH = Graph(0, (), ())
 
@@ -741,33 +738,55 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _check_ints(doc: dict, key: str) -> None:
+    """Raise GraphError unless doc[key] is a list of integers (booleans
+    refused)."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise GraphError(f"{key} must be a list, not {type(value).__name__}")
+    for i, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise GraphError(f"{key}[{i}] must be an integer, not {x!r}")
+
+
 def graph_from_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"bad graph JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GraphError(f"graph JSON must be an object, not {type(doc).__name__}")
     for key in ("flags", "vertices", "involution", "incidence"):
         if key not in doc:
             raise GraphError(f"graph JSON lacks {key!r}")
+        _check_ints(doc, key)
     flags = doc["flags"]
     if flags != list(range(len(flags))):
-        raise GraphError("flag ids must be dense integers 0..n-1")
+        raise GraphError("flags must be the dense ids 0..n-1")
     vertices = doc["vertices"]
     if vertices != list(range(len(vertices))):
-        raise GraphError("vertex ids must be dense integers 0..n-1")
+        raise GraphError("vertices must be the dense ids 0..n-1")
+    orientation = doc.get("orientation")
+    if "orientation" in doc and not isinstance(orientation, list):
+        raise GraphError(f"orientation must be a list, not {type(orientation).__name__}")
     decorations = None
     if "decorations" in doc:
+        given = doc["decorations"]
+        if not isinstance(given, dict):
+            raise GraphError(f"decorations must be an object, not {type(given).__name__}")
+        ids = {str(v): v for v in vertices}
         decorations = [None] * len(vertices)
-        for key, token in doc["decorations"].items():
-            v = int(key)
-            if not 0 <= v < len(vertices):
-                raise GraphError(f"decoration names missing vertex {key}")
-            decorations[v] = str(token)
+        for key, token in given.items():
+            if key not in ids:
+                raise GraphError(f"decorations key {key!r} is not a vertex id")
+            if not isinstance(token, str):
+                raise GraphError(f"decorations[{key!r}] must be a string, not {token!r}")
+            decorations[ids[key]] = token
         decorations = tuple(decorations)
     return Graph(
         len(vertices),
         tuple(doc["involution"]),
         tuple(doc["incidence"]),
-        orientation=tuple(doc["orientation"]) if "orientation" in doc else None,
+        orientation=None if orientation is None else tuple(orientation),
         decorations=decorations,
     )

@@ -133,36 +133,45 @@ def test_feynman_check_budget_counts_connected_states_only(capsys):
     assert "match through L^3" in capsys.readouterr().out
 
 
-COUPLING_TEXTS = st.sampled_from(
-    ["0", "1", "-1", "1/3", "-5/2", "2.5", "1e-3", "1/0", "0/0", "nan", "inf", "-inf",
-     "", "x", "10**40", "1e40", "-99999999999999999999/7"])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.none() | COUPLING_TEXTS, st.none() | COUPLING_TEXTS, st.integers(-3, 3),
-       st.none() | st.integers(-2, 60))
-def test_feynman_check_fuzz_exits_0_1_or_2(c3, c4, order, budget):
-    argv = ["algebra", "feynman-check", "--order", str(order)]
-    argv += [f"--c3={c3}"] * (c3 is not None) + [f"--c4={c4}"] * (c4 is not None)
-    argv += ["--budget", str(budget)] * (budget is not None)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse refuses the text of an option
-            code = exc.code
-    event(f"exit {code}")
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        assert f"match through L^{order}" in out.getvalue()
-
-
 def test_hopf_verify_small(capsys):
     assert run(["algebra", "hopf-verify", "--max-vertices", "2",
                 "--max-flags", "4"]) == 0
     out = capsys.readouterr().out
     assert "all axioms pass" in out
+
+
+def test_hopf_verify_catches_a_wrong_cut_count(capsys, monkeypatch):
+    # S comes from the left law's recursion, so that law holds for any
+    # coproduct; doubling one proper cut count of one generator must fail
+    # the right law on that generator.  The cut needs a side with proper
+    # cuts of its own: with primitive sides, S(x')x'' = x'S(x'')
+    import kolmex.hopf as hopf
+
+    real = hopf.coproduct_of_generator
+    label, i = next((g, i) for g in enumerate_connected_oriented(3, 6)
+                    for i, (left, right, _) in enumerate(real(g))
+                    if left and right and (hopf.reduced_coproduct_of_monomial(left)
+                                           or hopf.reduced_coproduct_of_monomial(right)))
+
+    def doubled(generator):
+        terms = real(generator)
+        if generator != label:
+            return terms
+        left, right, count = terms[i]
+        return terms[:i] + ((left, right, 2 * count),) + terms[i + 1:]
+
+    caches = (hopf.coproduct_of_monomial, hopf._antipode_monomial)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(hopf, "coproduct_of_generator", doubled)
+    try:
+        code = run(["algebra", "hopf-verify", "--max-vertices", "3", "--max-flags", "6"])
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1
+    assert f"FAIL: antipode law fails on {label}\n" in capsys.readouterr().out
 
 
 def test_birkhoff_cli(tmp_path):
@@ -264,27 +273,52 @@ SWEEP = ["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
 SWEEP_RATE = ["--rate", "1/3", "--delta", "1/6"]
 
 
-@pytest.mark.parametrize("argv, option", [
-    (PROBE + ["--budget", "-5"], "--budget"),
-    (PROBE + ["--budget", "50", "--fuel", "-5"], "--fuel"),
-    (["zipf", "fit", "--tokens", "-5"], "--tokens"),
-    (["zipf", "fit", "--types", "0"], "--types"),
-    (CLOUD + ["--q", "1"], "--q must be >= 2"),
-    (CLOUD + ["--q", "0"], "--q must be >= 2"),
-    (CLOUD + ["--q", "-3"], "--q must be >= 2"),
-    (SWEEP + SWEEP_RATE + ["--q", "1"], "--q must be >= 2"),
-    (CLOUD + ["--size", "0"], "--size must be >= 2"),
-    (SWEEP + SWEEP_RATE + ["--size", "-1"], "--size must be >= 2"),
+@pytest.mark.parametrize("argv, message", [
+    (PROBE + ["--budget", "-5"], "--budget: must be >= 0, not -5"),
+    (PROBE + ["--budget", "50", "--fuel", "-5"], "--fuel: must be >= 0, not -5"),
+    (PROBE + ["--budget", "50", "--x", "-1"], "--x: must be >= 0, not -1"),
+    (PROBE + ["--budget", "50", "--y", "-1"], "--y: must be >= 0, not -1"),
+    (["zipf", "fit", "--tokens", "-5"], "--tokens: must be >= 0, not -5"),
+    (["zipf", "fit", "--types", "0"], "--types: must be >= 1, not 0"),
+    (CLOUD + ["--q", "1"], "--q: must be >= 2, not 1"),
+    (CLOUD + ["--q", "0"], "--q: must be >= 2, not 0"),
+    (CLOUD + ["--q", "-3"], "--q: must be >= 2, not -3"),
+    (SWEEP + SWEEP_RATE + ["--q", "1"], "--q: must be >= 2, not 1"),
+    (CLOUD + ["--size", "0"], "--size: must be >= 2, not 0"),
+    (SWEEP + SWEEP_RATE + ["--size", "-1"], "--size: must be >= 2, not -1"),
+    (CLOUD + ["--count", "ten"], "--count: not an integer: 'ten'"),
+    (SWEEP + SWEEP_RATE + ["--steps", "0"], "--steps: must be >= 1, not 0"),
     (["algebra", "feynman-check", "--c4", "1", "--order", "2", "--budget", "-1"],
-     "--budget must be >= 0"),
-], ids=["probe_budget", "probe_fuel", "zipf_tokens", "zipf_types", "cloud_q1", "cloud_q0",
-        "cloud_q_negative", "sweep_q1", "cloud_size0", "sweep_size_negative",
-        "feynman_budget"])
-def test_negative_count_exits_2(tmp_path, capsys, argv, option):
+     "--budget: must be >= 0, not -1"),
+    (["algebra", "feynman-check", "--order", "-1"], "--order: must be >= 0, not -1"),
+], ids=["probe_budget", "probe_fuel", "probe_x", "probe_y", "zipf_tokens", "zipf_types",
+        "cloud_q1", "cloud_q0", "cloud_q_negative", "sweep_q1", "cloud_size0",
+        "sweep_size_negative", "cloud_count_text", "sweep_steps", "feynman_budget",
+        "feynman_order"])
+def test_negative_count_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run(argv + (["--out", str(out)] if argv[0] != "algebra" else [])) == 2
-    assert option in capsys.readouterr().err
+    assert f"error: argument {message}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--types", "0"], ["--tokens", "-5"]],
+                         ids=["types", "tokens"])
+def test_zipf_checks_synthetic_options_with_a_corpus_too(tmp_path, capsys, argv):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat\n")
+    out = tmp_path / "ranks.csv"
+    assert run(["zipf", "fit", "--corpus", str(corpus), "--out", str(out)] + argv) == 2
+    assert f"error: argument {argv[0]}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["halting", "probe", "--help"], 0), ([], 2), (["zipf"], 2),
+], ids=["help", "command_help", "no_group", "no_command"])
+def test_main_returns_the_parser_exit_code(capsys, argv, code):
+    assert run(argv) == code
+    assert "usage: kolmex" in capsys.readouterr()[code // 2]  # stdout on 0, stderr on 2
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -294,19 +328,17 @@ def test_negative_count_exits_2(tmp_path, capsys, argv, option):
     (["algebra", "feynman-check", "--c4", "3/0", "--order", "2"], "--c4"),
 ], ids=["sweep_rate", "sweep_delta", "feynman_c3", "feynman_c4"])
 def test_bad_fraction_exits_2(tmp_path, capsys, argv, option):
-    with pytest.raises(SystemExit) as exc:
-        run(argv + (["--out", str(tmp_path / "s.csv")] if argv[0] == "codes" else []))
-    assert exc.value.code == 2
+    assert run(argv + (["--out", str(tmp_path / "s.csv")] if argv[0] == "codes" else [])) == 2
     assert f"argument {option}: " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("betas, option", [
-    (["--beta-min", "0", "--beta-max", "nan"], "--beta-max must be finite"),
-    (["--beta-min=-inf", "--beta-max", "1"], "--beta-min must be finite"),
-    (["--beta-min", "0", "--beta-max", "1e400"], "--beta-max must be finite"),
-    (["--beta-min", "2", "--beta-max", "1"], "--beta-min must be <= --beta-max"),
-    (["--beta-min", "0", "--beta-max", "1", "--eta", "inf"], "--eta must be finite"),
+    (["--beta-min", "0", "--beta-max", "nan"], "argument --beta-max: must be finite"),
+    (["--beta-min=-inf", "--beta-max", "1"], "argument --beta-min: must be finite"),
+    (["--beta-min", "0", "--beta-max", "1e400"], "argument --beta-max: must be finite"),
+    (["--beta-min", "2", "--beta-max", "1"], "error: --beta-min must be <= --beta-max"),
+    (["--beta-min", "0", "--beta-max", "1", "--eta", "inf"], "argument --eta: must be finite"),
 ], ids=["nan", "inf", "overflow", "reversed", "eta_inf"])
 def test_sweep_bad_beta_range_exits_2(tmp_path, capsys, betas, option):
     assert run(["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
@@ -341,7 +373,7 @@ def test_size_past_q_to_the_n_names_its_options(tmp_path, capsys, argv):
 def test_hopf_verify_negative_bound_exits_2(capsys, option):
     assert run(["algebra", "hopf-verify", option, "-3"]) == 2
     captured = capsys.readouterr()
-    assert f"{option} must be >= 0" in captured.err
+    assert f"argument {option}: must be >= 0, not -3" in captured.err
     assert "all axioms pass" not in captured.out
 
 
@@ -468,6 +500,145 @@ def test_birkhoff_on_fuzzed_characters_exits_0_or_2_and_leaves_no_partial_file(
         assert code == 2
 
 
+# -- every command: a contract fuzz of cli.main ----------------------------------
+
+@st.composite
+def mostly(draw, good, bad):
+    """Drawn seven times in eight from `good`, else from `bad`."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+
+
+FRACTION_TEXTS = mostly(["0", "1", "-1", "1/3", "-5/2", "2.5", "1e-3", "1e40",
+                         "-99999999999999999999/7"],
+                        ["1/0", "0/0", "nan", "inf", "-inf", "", "x", "10**40"])
+FLOAT_TEXTS = mostly(["0", "0.25", "1", "-1", "2.5"],
+                     ["nan", "inf", "-inf", "1e400", "-1e400", "", "x"])
+BAD_INTEGERS = ["0", "-1", "-7", str(-2**70), "", "x", "1.5", "1/2", "nan", "inf", "1e400"]
+OUTS = mostly(["DIR/out"], ["DIR/missing/out", "DIR/taken"])
+PASS_LINES = {"feynman-check": "match through L^", "hopf-verify": "all axioms pass"}
+
+
+def integer_texts(low, high, huge=False):
+    """An integer in low..high, or a zero, negative or non-numeric text; a
+    huge one only where the command refuses it without running."""
+    return mostly([str(i) for i in range(low, high + 1)],
+                  BAD_INTEGERS + [str(2**70)] * huge)
+
+
+@st.composite
+def character_texts(draw):
+    """Character JSON with fuzzed labels and coefficients, booleans, floats
+    and strings for its integers, or cut short."""
+    bound = mostly(range(7), [True, 2.5, -1, "4", None])
+    doc = {"degree_bound": draw(bound), "truncation": draw(bound), "values": [
+        {"graph": label, "value": {"polar": draw(coefficient_lists()),
+                                   "regular": draw(coefficient_lists())}}
+        for label in draw(st.lists(fuzzed_labels(), max_size=2))]}
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 7)) == 7 else text
+
+
+@st.composite
+def command_lines(draw):
+    """(subcommand, argv, input files), paths under DIR.  A required
+    option is left out one time in ten, one with a cheap default half the
+    time; one with a costly default is always given, small."""
+    REQUIRED, CHEAP, COSTLY = 1, 5, 0  # tenths of the draws that leave it out
+
+    def option(name, texts, left_out):
+        if draw(st.integers(0, 9)) < left_out:
+            return []
+        return [f"{name}={draw(texts)}"]
+
+    seeds = mostly(["-5", "0", "7", str(2**70)], ["", "x"])
+    files = {}
+    command = draw(st.sampled_from(["cloud", "sweep", "feynman-check", "hopf-verify",
+                                    "birkhoff", "probe", "fit"]))
+    if command in ("cloud", "sweep"):
+        argv = (["codes", command] + option("--q", integer_texts(2, 5, huge=True), CHEAP)
+                + option("--n", integer_texts(1, 8, huge=True), REQUIRED)
+                + option("--size", integer_texts(2, 16, huge=True),
+                         CHEAP if command == "cloud" else REQUIRED)
+                + option("--count", integer_texts(0, 3), REQUIRED)
+                + option("--seed", seeds, CHEAP))
+        if command == "cloud":
+            argv += option("--svg", OUTS, CHEAP)
+        else:
+            argv += (option("--rate", FRACTION_TEXTS, REQUIRED)
+                     + option("--delta", FRACTION_TEXTS, REQUIRED)
+                     + option("--eta", FLOAT_TEXTS, CHEAP)
+                     + option("--beta-min", FLOAT_TEXTS, REQUIRED)
+                     + option("--beta-max", FLOAT_TEXTS, REQUIRED)
+                     + option("--steps", integer_texts(1, 5), REQUIRED))
+    elif command == "feynman-check":
+        argv = (["algebra", command] + option("--c3", FRACTION_TEXTS, CHEAP)
+                + option("--c4", FRACTION_TEXTS, CHEAP)
+                + option("--order", integer_texts(0, 3), REQUIRED)
+                + option("--budget", integer_texts(0, 600, huge=True), CHEAP))
+    elif command == "hopf-verify":
+        argv = (["algebra", command] + option("--max-vertices", integer_texts(0, 3), COSTLY)
+                + option("--max-flags", integer_texts(0, 4), COSTLY))
+    elif command == "birkhoff":
+        files["char.json"] = draw(character_texts())
+        argv = (["algebra", command]
+                + option("--in", mostly(["DIR/char.json"], ["DIR/none.json"]), REQUIRED)
+                + option("--degree", integer_texts(0, 6), CHEAP))
+    elif command == "probe":
+        argv = (["halting", command]
+                + option("--function", mostly(["collatz", "empty", "evens", "identity"],
+                                              ["", "nope"]), REQUIRED)
+                + option("--mode", mostly(["transparent", "opaque"], ["x"]), CHEAP)
+                + option("--x", integer_texts(0, 30, huge=True), CHEAP)
+                + option("--y", integer_texts(0, 30, huge=True), CHEAP)
+                + option("--budget", integer_texts(0, 50), REQUIRED)
+                + option("--fuel", integer_texts(0, 200), COSTLY))
+    else:
+        argv = ["zipf", command]
+        corpus = draw(st.sampled_from([None, "DIR/corpus.txt", "DIR/none.txt"]))
+        if corpus:
+            files["corpus.txt"] = draw(st.text(st.characters(blacklist_categories=["Cs"]),
+                                               max_size=80))
+            argv += ["--corpus", corpus] + ["--lowercase"] * draw(st.booleans())
+        argv += (option("--types", integer_texts(1, 20), COSTLY)
+                 + option("--tokens", integer_texts(0, 200), COSTLY)
+                 + option("--seed", seeds, CHEAP))
+    if command not in PASS_LINES:
+        argv += option("--out", OUTS, REQUIRED)
+    return command, ["--verbose"] * draw(st.booleans()) + argv, files
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_every_command_exits_0_1_or_2_and_leaves_only_what_it_wrote(line):
+    # fuzzed options, missing ones, unwritable outputs and malformed inputs:
+    # cli.main returns 0, 1 or 2, never raises, and every file left behind
+    # is one it announced writing; a run that exits 0 wrote all it was asked
+    command, argv, files = line
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "taken"))
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = [a.replace("DIR", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        written = {row.rsplit(" to ", 1)[1] for row in out.getvalue().splitlines()
+                   if row.startswith("wrote ")}
+        left = {os.path.join(tmp, name) for name in os.listdir(tmp)
+                if name not in files and name != "taken"}
+        assert os.listdir(os.path.join(tmp, "taken")) == []
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert left == written
+    if code == 0:
+        assert PASS_LINES.get(command, "") in out.getvalue()
+        assert {a.split("=", 1)[1] for a in argv
+                if a.startswith(("--out=", "--svg="))} <= written
+    elif code == 2:
+        assert "error: " in err.getvalue()
+
+
 def test_birkhoff_negative_degree_names_its_option(tmp_path, capsys):
     src = tmp_path / "char.json"
     src.write_text(character_to_json(Character({}, degree_bound=3)))
@@ -475,7 +646,7 @@ def test_birkhoff_negative_degree_names_its_option(tmp_path, capsys):
     assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out),
                 "--degree", "-1"]) == 2
     assert not out.exists()
-    assert "--degree must be >= 0" in capsys.readouterr().err
+    assert "argument --degree: must be >= 0, not -1" in capsys.readouterr().err
 
 
 def test_birkhoff_exhausted_window_exits_2(tmp_path, capsys):

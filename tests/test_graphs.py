@@ -756,3 +756,21 @@ def test_json_rejects_bad_documents():
             '{"flags": [0, 1], "vertices": [0], "involution": [1, 0],'
             ' "incidence": [0, 0], "orientation": ["out", "out"]}'
         )
+    # documents of the wrong shape raise a GraphError naming the key, not
+    # the TypeError, ValueError or AttributeError of reading them blindly
+    edge = '"flags": [0, 1], "vertices": [0], "involution": [1, 0], "incidence": [0, 0]'
+    for text, key in [
+        ("5", "graph JSON must be an object"),
+        ('{"flags": 5, "vertices": [0], "involution": [], "incidence": []}', "flags"),
+        ('{"flags": [0, 1], "vertices": [0], "involution": [1, "a"],'
+         ' "incidence": [0, 0]}', "involution[1]"),
+        ('{"flags": [0, 1], "vertices": [0], "involution": [1, 0],'
+         ' "incidence": [0, true]}', "incidence[1]"),
+        ("{" + edge + ', "orientation": 5}', "orientation"),
+        ("{" + edge + ', "decorations": {"x": "op"}}', "decorations key 'x'"),
+        ("{" + edge + ', "decorations": [1]}', "decorations"),
+        ("{" + edge + ', "decorations": {"0": 5}}', "decorations['0']"),
+    ]:
+        with pytest.raises(GraphError) as info:
+            graph_from_json(text)
+        assert type(info.value) is GraphError and str(info.value).startswith(key)
