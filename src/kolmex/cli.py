@@ -125,7 +125,6 @@ def cmd_codes_cloud(args) -> int:
 
     rows = cloud_rows(ensemble)
     _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} code points to {args.out}")
     if args.svg:
         points = [
             (float(e.params.delta), float(e.params.rate)) for e in ensemble.entries
@@ -137,7 +136,14 @@ def cmd_codes_cloud(args) -> int:
         ]
         from .svgplot import cloud_svg
 
-        _write_atomic(args.svg, cloud_svg(points, curves, _stamp(config)))
+        try:
+            _write_atomic(args.svg, cloud_svg(points, curves, _stamp(config)))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)  # a failed run leaves no output
+            raise
+    print(f"wrote {len(rows) - 1} code points to {args.out}")
+    if args.svg:
         print(f"wrote plot to {args.svg}")
     return 0
 
@@ -358,6 +364,14 @@ def cmd_halting_probe(args) -> int:
     return 0
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field (RFC 4180): quoted, with each quote doubled,
+    only if it holds a comma or a quote; tokens hold no line breaks."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def cmd_zipf_fit(args) -> int:
     config = {
         "cmd": "zipf fit", "lowercase": args.lowercase, "seed": args.seed,
@@ -381,7 +395,7 @@ def cmd_zipf_fit(args) -> int:
     rows = ["rank,token,count,frequency"]
     for row in fit.table:
         rows.append(
-            f"{row.rank},{row.token},{row.count},{fmt17(row.frequency)}"
+            f"{row.rank},{_csv_field(row.token)},{row.count},{fmt17(row.frequency)}"
         )
     _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
     if fit.fit_defined:

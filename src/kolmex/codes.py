@@ -469,22 +469,25 @@ def partition_sum(ensemble: CodeEnsemble, rate: Fraction, delta_min: Fraction,
     Terms are 2**(bits * exponent), evaluated in binary64 and combined with
     compensated summation.
     """
+    selected = _selection(ensemble, rate, delta_min, eta)
+    return _z(selected, beta), len(selected)
+
+
+def _selection(ensemble: CodeEnsemble, rate: Fraction, delta_min: Fraction,
+               eta: float) -> list[tuple[int, float]]:
+    """(K bits, float delta) of each code the partition sum selects, in
+    ensemble order."""
     if eta < 0:
         raise CodeError("eta must be >= 0")
     eta_exact = Fraction(eta)
-    terms = []
-    count = 0
-    for entry in ensemble.entries:
-        if abs(entry.params.rate - rate) > eta_exact:
-            continue
-        delta = entry.params.delta
-        if not delta_min <= delta <= 1:
-            continue
-        exponent = -beta + float(delta) - 1.0
-        log2_term = entry.complexity_bits * exponent
-        terms.append(math.exp(log2_term * math.log(2.0)))
-        count += 1
-    return math.fsum(terms), count
+    return [(e.complexity_bits, float(e.params.delta)) for e in ensemble.entries
+            if abs(e.params.rate - rate) <= eta_exact and delta_min <= e.params.delta <= 1]
+
+
+def _z(selected: list[tuple[int, float]], beta: float) -> float:
+    ln2 = math.log(2.0)
+    return math.fsum([math.exp(bits * (-beta + delta - 1.0) * ln2)
+                      for bits, delta in selected])
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +513,11 @@ def cloud_rows(ensemble: CodeEnsemble) -> list[str]:
 def sweep_rows(ensemble: CodeEnsemble, rate: Fraction, delta_min: Fraction,
                betas: Sequence[float], eta: float = 0.01) -> list[str]:
     """Rows in the pinned sweep schema: R,Delta,beta,Z,terms."""
+    selected = _selection(ensemble, rate, delta_min, eta)  # the same at every beta
     rows = ["R,Delta,beta,Z,terms"]
     for beta in betas:
-        z, terms = partition_sum(ensemble, rate, delta_min, beta, eta)
         rows.append(
             f"{fmt17(float(rate))},{fmt17(float(delta_min))},"
-            f"{fmt17(beta)},{fmt17(z)},{terms}"
+            f"{fmt17(beta)},{fmt17(_z(selected, beta))},{len(selected)}"
         )
     return rows

@@ -44,8 +44,12 @@ mod-64 residue filter and isqrt), and towers from the same decomposition.
 Candidates are ranked as canonical text, never as nodes: an integer
 sub-search returns its text as a child (digits, or parenthesized), each
 candidate is formatted from its children's texts, and the least
-(length, text) wins.  `complexity_bits` is 8 * len(winning text) and builds
-no node; `search` parses only the winner, and reports budget exhaustion.
+(length, text) wins.  A blob candidate is sized from its payload's value and
+its base-58 digits are built only when its text is read: by `search`, or to
+break a tie with a hint.  Among the other candidates a blob never ties on
+text, since "b(" sorts before "r(" and "w(", and "c(" before "cb(".
+`complexity_bits` is 8 * len(winning text) and builds no node; `search`
+parses only the winner, and reports budget exhaustion.
 
 The 1,134 perfect powers below 2**20 come from a table built on first use,
 which keeps each value's smallest base and so its maximal exponent.  The
@@ -253,6 +257,26 @@ def _b58_encode(data: bytes) -> str:
             chunk, p = divmod(chunk, 3364)
             parts.append(pairs[2 * p : 2 * p + 2])
     return "".join(reversed(parts)).lstrip(_BASE58[0]) or _BASE58[0]
+
+
+_LOG2_58 = math.log2(58)
+
+
+def _b58_size(data: bytes) -> int:
+    """len(_b58_encode(data)) without its digits: the least k with
+    58**k > value, or 1 for a zero value."""
+    value = int.from_bytes(data, "big")
+    if not value:
+        return 1
+    k = int((value.bit_length() - 1) / _LOG2_58)  # 58**k <= value, up to rounding
+    power = 58**k
+    while power > value:
+        power //= 58
+        k -= 1
+    while power <= value:
+        power *= 58
+        k += 1
+    return k
 
 
 def _b58_decode(text: str, n_bytes: int) -> bytes:
@@ -717,6 +741,25 @@ def _text_key(text: str) -> tuple[int, str]:
     return len(text), text
 
 
+class _BlobText:
+    """The text of a blob candidate, `head` + base-58 payload + ")", sized
+    from the payload's value.  Ranking reads only its length; str() builds
+    the digits for a reader of the text."""
+
+    __slots__ = ("head", "payload", "size")
+
+    def __init__(self, head: str, payload: bytes):
+        self.head = head
+        self.payload = payload
+        self.size = len(head) + _b58_size(payload) + 1
+
+    def __len__(self):
+        return self.size
+
+    def __str__(self):
+        return f"{self.head}{_b58_encode(self.payload)})"
+
+
 class _Budget:
     """Candidates left to generate, and whether a request was ever cut."""
 
@@ -815,7 +858,7 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
     return text
 
 
-def _word_text(x: str, budget: _Budget) -> str:
+def _word_text(x: str, budget: _Budget) -> Union[str, _BlobText]:
     if any(ch not in WORD_SYMBOLS for ch in x):
         raise DescriptionError(f"bad word symbols {x!r}")
     if not x:
@@ -831,22 +874,28 @@ def _word_text(x: str, budget: _Budget) -> str:
         if x == x[:period] * (n // period):
             count = _int_text(budget, memo, 1, n // period)
             cands.append(f"r({x[:period]},{_unwrap(count)})")
+    best = min(cands, key=_text_key)
     if budget.spend(1):
         payload, n_codes = lzw_compress(x.encode("ascii"))
-        cands.append(f"b({len(payload)},{n_codes},{_b58_encode(payload)})")
-    return min(cands, key=_text_key)
+        blob = _BlobText(f"b({len(payload)},{n_codes},", payload)
+        if len(blob) <= len(best):  # "b(" sorts before "r(" and "w("
+            return blob
+    return best
 
 
-def _code_text(x: CodeWords, budget: _Budget) -> str:
-    cands = [f"c({x.q},{x.n},{','.join(x.words)})"]
+def _code_text(x: CodeWords, budget: _Budget) -> Union[str, _BlobText]:
+    literal = f"c({x.q},{x.n},{','.join(x.words)})"
     if budget.spend(1):
         payload, n_codes = lzw_compress("".join(x.words).encode("ascii"))
-        cands.append(f"cb({x.q},{x.n},{len(payload)},{n_codes},{_b58_encode(payload)})")
-    return min(cands, key=_text_key)
+        blob = _BlobText(f"cb({x.q},{x.n},{len(payload)},{n_codes},", payload)
+        if len(blob) < len(literal):  # "c(" sorts before "cb("
+            return blob
+    return literal
 
 
-def _search_text(x: Obj, budget: _Budget) -> str:
-    """Canonical text of the least candidate the search generates for x."""
+def _search_text(x: Obj, budget: _Budget) -> Union[str, _BlobText]:
+    """Canonical text of the least candidate the search generates for x; a
+    winning blob is a _BlobText, whose str() is the text."""
     if isinstance(x, int):
         return _unwrap(_int_text(budget, dict(_SMALL_TEXTS), 0, x))
     if isinstance(x, str):
@@ -872,7 +921,7 @@ class ComplexityProxy:
         hint is returned as given, any other winner is parsed from its text.
         """
         text, hint, cut = self._best(x, hints)
-        return (parse(text) if hint is None else hint), cut
+        return (parse(str(text)) if hint is None else hint), cut
 
     def shortest_description(self, x: Obj, hints: tuple = ()) -> Description:
         return self.search(x, hints)[0]
@@ -894,7 +943,8 @@ class ComplexityProxy:
 
     # -- search internals ---------------------------------------------------
 
-    def _best(self, x: Obj, hints: tuple) -> tuple[str, Optional[Description], bool]:
+    def _best(self, x: Obj, hints: tuple
+              ) -> tuple[Union[str, _BlobText], Optional[Description], bool]:
         """(winning text, the winning hint or None, budget cut) of one search."""
         if self.budget <= 0:
             raise BudgetExhausted("search budget is 0")
@@ -904,7 +954,8 @@ class ComplexityProxy:
         for hint in hints:
             if hint.value() == x:
                 h = hint.serialize()
-                if _text_key(h) < _text_key(text):
+                # only a tie of lengths reads a winning blob's digits
+                if len(h) < len(text) or len(h) == len(text) and h < str(text):
                     text, winner = h, hint
         return text, winner, budget.cut
 

@@ -5,9 +5,11 @@ Sampled codes used to be decoded word by word into tuples of base-q digits
 and re-packed into ints for the distance (`pack_words`); `sampled_codes_ref`
 is that route end to end.  `lzw_compress_ref` is the pinned LZW built on
 byte strings, and `b58_encode_ref`/`b58_decode_ref` are base 58 one digit at
-a time.
+a time.  `partition_sum_ref` is the partition sum with its selection and its
+terms in one loop over the ensemble.
 """
 
+import math
 from fractions import Fraction
 
 from kolmex.codes import CodeParams, floor_log, hamming_distance
@@ -91,3 +93,18 @@ def b58_decode_ref(text: str, n_bytes: int) -> bytes:
     for ch in text:
         value = value * 58 + BASE58.index(ch)
     return value.to_bytes(n_bytes, "big")
+
+
+def partition_sum_ref(ensemble, rate, delta_min, beta, eta) -> tuple[float, int]:
+    """(Z, terms): each entry is selected and its term evaluated in turn."""
+    terms = []
+    for entry in ensemble.entries:
+        if abs(entry.params.rate - rate) > Fraction(eta):
+            continue
+        delta = entry.params.delta
+        if not delta_min <= delta <= 1:
+            continue
+        exponent = -beta + float(delta) - 1.0
+        log2_term = entry.complexity_bits * exponent
+        terms.append(math.exp(log2_term * math.log(2.0)))
+    return math.fsum(terms), len(terms)

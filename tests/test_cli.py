@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -47,6 +48,24 @@ def test_cloud_outputs_and_determinism(tmp_path):
     assert lines[1] == "q,n,size,k,d,R,delta,K_bits"
     assert len(lines) == 2 + 40
     assert "<svg" in svg1.read_text() and 'viewBox="0 0 800 600"' in svg1.read_text()
+
+
+def test_cloud_failed_svg_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["codes", "cloud", "--n", "6", "--count", "5", "--out", str(out),
+                "--svg", str(tmp_path / "nodir" / "x.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+    assert list(tmp_path.iterdir()) == []  # neither the CSV nor a .tmp file
+
+
+def test_cloud_stdout_names_both_outputs(tmp_path, capsys):
+    out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    assert run(["codes", "cloud", "--n", "6", "--count", "5", "--out", str(out),
+                "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == (f"wrote 5 code points to {out}\n"
+                                       f"wrote plot to {svg}\n")
+    assert sorted(tmp_path.iterdir()) == [out, svg]
 
 
 def test_cloud_rejects_bad_n(tmp_path, capsys):
@@ -250,6 +269,20 @@ def test_zipf_corpus_file(tmp_path, capsys):
                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[2].startswith("1,the,4,")
+
+
+def test_zipf_quotes_tokens_with_commas_or_quotes(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text('a,b a,b c "q" x"y,z\n')
+    out = tmp_path / "ranks.csv"
+    assert run(["zipf", "fit", "--corpus", str(corpus), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["rank", "token", "count", "frequency"]
+    assert [row[:3] for row in rows[1:]] == [
+        ["1", "a,b", "2"], ["2", '"q"', "1"], ["3", "c", "1"], ["4", 'x"y,z', "1"]]
+    assert out.read_text().splitlines()[2:4] == ['1,"a,b",2,0.40000000000000002',
+                                                 '2,"""q""",1,0.20000000000000001']
 
 
 def test_zipf_single_type_flagged(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from code_oracles import lzw_compress_ref, pack_words, sampled_codes_ref
+from code_oracles import lzw_compress_ref, pack_words, partition_sum_ref, sampled_codes_ref
 from kolmex import codes, complexity
 from kolmex.rng import SplitMix64
 from kolmex.codes import (
@@ -427,6 +427,64 @@ def test_partition_monotone_in_beta_and_delta():
 def test_partition_rejects_negative_eta():
     with pytest.raises(CodeError):
         partition_sum(_one_code_ensemble(2), F(1, 2), F(0), 1.0, eta=-1)
+    with pytest.raises(CodeError, match="eta must be >= 0"):
+        codes.sweep_rows(_one_code_ensemble(2), F(1, 2), F(0), [1.0], eta=-1e-9)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A sampled ensemble, a selection (eta = 0, empty selections and
+    delta_min = 1 among them) and a beta grid."""
+    n = draw(st.integers(2, 6))
+    size = draw(st.integers(2, min(8, 2**n)))
+    ensemble = sample_codes(2, n, size, draw(st.integers(0, 12)), draw(st.integers(0, 2**32)))
+    rate = draw(st.sampled_from([F(k, n) for k in range(n + 1)] + [F(9, 10)]))
+    delta_min = draw(st.sampled_from([F(0), F(1, n), F(1, 2), F(1)]))
+    eta = draw(st.sampled_from([0.0, 0.01, 0.2, 1.0]))
+    betas = draw(st.lists(st.floats(-3, 3), max_size=6))
+    return ensemble, rate, delta_min, betas, eta
+
+
+def _per_beta_rows(ensemble, rate, delta_min, betas, eta):
+    rows = ["R,Delta,beta,Z,terms"]
+    for beta in betas:
+        z, terms = partition_sum(ensemble, rate, delta_min, beta, eta)
+        assert (z, terms) == partition_sum_ref(ensemble, rate, delta_min, beta, eta)
+        rows.append(f"{codes.fmt17(float(rate))},{codes.fmt17(float(delta_min))},"
+                    f"{codes.fmt17(beta)},{codes.fmt17(z)},{terms}")
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_sweep_rows_match_per_beta_partition_sums(case):
+    assert codes.sweep_rows(*case) == _per_beta_rows(*case)
+
+
+FIXTURE_WORDS = [  # (R, delta) of each code at n = 4
+    ["0000", "1111"],                                   # (1/4, 1)
+    ["0101", "1010"],                                   # (1/4, 1)
+    ["0000", "1111", "0011"],                           # (1/4, 1/2)
+    ["0000", "0111", "1011", "1101"],                   # (1/2, 1/2)
+    ["0000", "0111", "1011", "1101", "1110"],           # (1/2, 1/2)
+    ["0000", "0111", "1011", "1101", "1111"],           # (1/2, 1/4)
+]
+
+
+@pytest.mark.parametrize("rate, delta_min, eta, terms", [
+    (F(1, 2), F(0), 0.0, 3),      # eta = 0: rate exactly 1/2
+    (F(9, 10), F(0), 0.05, 0),    # empty selection: every Z is 0
+    (F(1, 4), F(1), 0.0, 2),      # delta_min = 1: d = n only
+])
+def test_sweep_rows_on_fixed_selections(rate, delta_min, eta, terms):
+    ensemble = codes.CodeEnsemble.build(
+        [Code(Alphabet(2), 4, frozenset(tuple(map(int, w)) for w in ws))
+         for ws in FIXTURE_WORDS], {"kind": "fixture"})
+    betas = [0.0, 0.5, 1.0, 2.5]
+    rows = codes.sweep_rows(ensemble, rate, delta_min, betas, eta)
+    assert rows == _per_beta_rows(ensemble, rate, delta_min, betas, eta)
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == [str(terms)] * len(betas)
+    assert (float(rows[1].split(",")[3]) == 0.0) == (terms == 0)
 
 
 # -- CSV schemas --------------------------------------------------------------

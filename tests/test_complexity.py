@@ -136,6 +136,30 @@ def test_b58_at_chunk_boundaries(j, k, step, zeros):
     assert cx._b58_decode(b58_encode_ref(data), len(data)) == data
 
 
+@st.composite
+def b58_payloads(draw):
+    """Payloads with 0-4 leading zero bytes: random bytes (empty and all-zero
+    ones included), or a value next to a power of 58."""
+    zeros = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return bytes(zeros) + draw(st.binary(max_size=300))
+    value = 58 ** draw(st.integers(1, 400)) + draw(st.sampled_from([-1, 0, 1]))
+    return bytes(zeros) + value.to_bytes(-(-value.bit_length() // 8), "big")
+
+
+@given(b58_payloads())
+def test_b58_size_is_the_encoded_length(data):
+    assert cx._b58_size(data) == len(cx._b58_encode(data)) == len(b58_encode_ref(data))
+
+
+def test_b58_size_next_to_every_power_of_58():
+    assert cx._b58_size(b"") == cx._b58_size(bytes(7)) == 1
+    for k in range(1, 300):
+        for value in (58**k - 1, 58**k, 58**k + 1):
+            data = bytes(2) + value.to_bytes(-(-value.bit_length() // 8), "big")
+            assert cx._b58_size(data) == len(b58_encode_ref(data)) == k + (value >= 58**k)
+
+
 def test_b58_decode_rejects_bad_digits_and_overflow():
     with pytest.raises(cx.DescriptionError, match="digit 'I'"):
         cx._b58_decode("I0", 2)
@@ -354,7 +378,7 @@ def _searched(p, x, budget):
     the live proxy's winning text, or the serialized node of a reference."""
     b = cx._Budget(budget)
     if isinstance(p, cx.ComplexityProxy):
-        text = cx._search_text(x, b)
+        text = str(cx._search_text(x, b))
     else:
         text = p.search(x, b).serialize()
     return text, b.left, b.cut
@@ -644,6 +668,109 @@ def test_text_search_matches_node_oracle_on_fixed_cases():
     for x in cases:
         for budget in (1, 2, 3, 40, 4096):
             _check_against_oracle(x, budget)
+
+
+# words and codes that LZW shortens, so a blob often wins their search
+blob_words = st.one_of(st.text(st.sampled_from("01"), min_size=1, max_size=300),
+                       st.text(st.sampled_from("0123"), min_size=20, max_size=200))
+
+
+@st.composite
+def blob_codes(draw):
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 10))
+    word = st.text(st.sampled_from(cx.WORD_SYMBOLS[:q]), min_size=n, max_size=n)
+    return cx.CodeWords(q, n, tuple(draw(st.lists(word, min_size=4, max_size=80,
+                                                  unique=True))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(blob_words, blob_codes()))
+def test_complexity_bits_is_the_length_of_the_searched_text(x):
+    _check_against_oracle(x, proxy.budget)
+    desc, _ = proxy.search(x)
+    assert proxy.complexity_bits(x) == cx.BITS_PER_CHAR * len(desc.serialize())
+
+
+def _blob_won_codes():
+    """Code words of 20 sampled binary codes, each won by a blob."""
+    from kolmex.codes import sample_codes
+
+    out = [e.code.to_code_words() for e in sample_codes(2, 12, 64, 20, 7).entries]
+    assert all(proxy.search(x)[0].serialize().startswith("cb(") for x in out)
+    return out
+
+
+def _count_b58_encodes(monkeypatch) -> list:
+    calls = []
+    encode = cx._b58_encode
+
+    def counted(data):
+        calls.append(data)
+        return encode(data)
+
+    monkeypatch.setattr(cx, "_b58_encode", counted)
+    return calls
+
+
+def test_blob_winners_are_ranked_without_their_digits(monkeypatch):
+    codes = _blob_won_codes()
+    texts = [proxy.search(x)[0].serialize() for x in codes]
+    calls = _count_b58_encodes(monkeypatch)
+    bits = [proxy.complexity_bits(x) for x in codes]
+    assert calls == []
+    assert bits == [cx.BITS_PER_CHAR * len(t) for t in texts]
+    # search reads the winning text, so it builds the digits
+    assert [proxy.search(x)[0].serialize() for x in codes] == texts
+    assert len(calls) >= len(codes)
+
+
+def test_blob_length_ties_break_on_the_first_character():
+    # a blob as long as the word literal wins: "b(" sorts before "w("
+    word = "00000000010000"
+    text = proxy.search(word)[0].serialize()
+    assert text.startswith("b(") and len(text) == len(f"w({word})")
+    # a code literal as long as the blob wins: "c(" sorts before "cb("
+    code = cx.CodeWords(2, 3, ("000", "001", "010", "101", "110", "111"))
+    payload, n_codes = cx.lzw_compress("".join(code.words).encode("ascii"))
+    blob = cx.CodeBlob(2, 3, payload, n_codes).serialize()
+    text = proxy.search(code)[0].serialize()
+    assert text == "c(2,3,000,001,010,101,110,111)" and len(text) == len(blob)
+    for x in (word, code):
+        _check_against_oracle(x, proxy.budget)
+
+
+class _TextHint(cx.Description):
+    """A hint with a given text and value."""
+
+    def __init__(self, text, value):
+        self.text = text
+        self.x = value
+
+    def _serialize(self):
+        return self.text
+
+    def value(self):
+        return self.x
+
+
+def test_a_hint_tying_a_blob_is_decided_by_the_text(monkeypatch):
+    x = next(x for x in _blob_won_codes() if proxy.search(x)[0].serialize()[-2] not in "0z")
+    text = proxy.search(x)[0].serialize()
+    # hints differing only in the last base-58 digit: '0' is the least
+    # digit and 'z' the greatest
+    below, above = _TextHint(text[:-2] + "0)", x), _TextHint(text[:-2] + "z)", x)
+    calls = _count_b58_encodes(monkeypatch)
+    assert proxy.search(x, hints=(below,))[0] is below
+    assert proxy.search(x, hints=(above,))[0].serialize() == text
+    assert proxy.complexity_bits(x, hints=(above, below)) == cx.BITS_PER_CHAR * len(text)
+    assert calls  # the ties read the blob's digits
+    calls.clear()
+    # a hint of another length is ranked without them
+    longer, shorter = _TextHint(text + "0", x), _TextHint(text[:-2] + ")", x)
+    assert proxy.complexity_bits(x, hints=(longer,)) == cx.BITS_PER_CHAR * len(text)
+    assert proxy.complexity_bits(x, hints=(shorter,)) == cx.BITS_PER_CHAR * (len(text) - 1)
+    assert calls == []
 
 
 def test_hint_wins_only_when_shorter_and_equal():
