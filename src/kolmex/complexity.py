@@ -44,19 +44,27 @@ mod-64 residue filter and isqrt), and towers from the same decomposition.
 Candidates are ranked as canonical text, never as nodes: an integer
 sub-search returns its text as a child (digits, or parenthesized), each
 candidate is formatted from its children's texts, and the least
-(length, text) wins.  A blob candidate is sized from its payload's value and
-its base-58 digits are built only when its text is read: by `search`, or to
-break a tie with a hint.  Among the other candidates a blob never ties on
-text, since "b(" sorts before "r(" and "w(", and "c(" before "cb(".
-`complexity_bits` is 8 * len(winning text) and builds no node; `search`
-parses only the winner, and reports budget exhaustion.
+(length, text) wins.  A blob candidate is a Blob or CodeBlob node sized from
+its payload's value; its base-58 digits are built only when its text is
+read, once, by the node's serialization: to break a tie with a hint, or by a
+reader of the node `search` returns.  Among the other candidates a blob
+never ties on text, since "b(" sorts before "r(" and "w(", and "c(" before
+"cb(".  `complexity_bits` is 8 * len(winning text); `search` returns a
+winning blob's node as it is, parses any other winner, and reports budget
+exhaustion.
+
+A child at depth 2..11 below 2**20 that is not a perfect power is a leaf:
+it has no root or tower, and depth >= 2 lists no sum or divisor, so its text
+is its literal.  The search settles it in one step, spending the exponent
+and tower-base grants at once, cut unless both are granted in full.
 
 The 1,134 perfect powers below 2**20 come from a table built on first use,
 which keeps each value's smallest base and so its maximal exponent.  The
 table answers only when the exponent grant `top` is at least
 bit_length - 1: then `top` excludes no prime exponent of x.  A budget-cut
 grant below that, and every larger x, take the roots.  Either way the
-spends, the candidates and the per-search memo are the same.
+spends, the candidates and the per-search memo are the same.  The leaf test
+reads the same table.
 """
 
 from __future__ import annotations
@@ -463,8 +471,12 @@ class Blob(Description):
         self.payload = payload
         self.n_codes = n_codes
 
+    def _head(self):
+        """The text before the base-58 payload."""
+        return f"b({len(self.payload)},{self.n_codes},"
+
     def _serialize(self):
-        return f"b({len(self.payload)},{self.n_codes},{_b58_encode(self.payload)})"
+        return f"{self._head()}{_b58_encode(self.payload)})"
 
     def value(self):
         return _blob_text(self.payload, self.n_codes)
@@ -490,11 +502,11 @@ class CodeBlob(Description):
         self.payload = payload
         self.n_codes = n_codes
 
+    def _head(self):
+        return f"cb({self.q},{self.n},{len(self.payload)},{self.n_codes},"
+
     def _serialize(self):
-        return (
-            f"cb({self.q},{self.n},{len(self.payload)},"
-            f"{self.n_codes},{_b58_encode(self.payload)})"
-        )
+        return f"{self._head()}{_b58_encode(self.payload)})"
 
     def value(self):
         if self.n < 1:
@@ -665,6 +677,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
 # bit r is set iff r is a square mod 64: 12 of the 64 residues pass
 _SQUARES_MOD_64 = sum(1 << r for r in {k * k % 64 for k in range(64)})
 _SMALL_POWER_BITS = 20
+_SMALL_POWER_LIMIT = 1 << _SMALL_POWER_BITS
 
 
 def _exact_root(y: int, p: int) -> Optional[int]:
@@ -692,10 +705,9 @@ def _small_powers() -> dict[int, tuple[int, int]]:
     filled by ascending base, so the first base to reach a value is not itself
     a perfect power."""
     table: dict[int, tuple[int, int]] = {}
-    limit = 1 << _SMALL_POWER_BITS
     for m in range(2, 1 << (_SMALL_POWER_BITS // 2)):
         v, e = m * m, 2
-        while v < limit:
+        while v < _SMALL_POWER_LIMIT:
             table.setdefault(v, (m, e))
             v, e = v * m, e + 1
     return table
@@ -742,22 +754,22 @@ def _text_key(text: str) -> tuple[int, str]:
 
 
 class _BlobText:
-    """The text of a blob candidate, `head` + base-58 payload + ")", sized
-    from the payload's value.  Ranking reads only its length; str() builds
-    the digits for a reader of the text."""
+    """The text of a Blob or CodeBlob candidate, sized from its payload's
+    value.  Ranking reads only its length; str() is the node's serialization,
+    which builds the digits once, and a search that wins with it returns
+    the node itself."""
 
-    __slots__ = ("head", "payload", "size")
+    __slots__ = ("node", "size")
 
-    def __init__(self, head: str, payload: bytes):
-        self.head = head
-        self.payload = payload
-        self.size = len(head) + _b58_size(payload) + 1
+    def __init__(self, node: Union[Blob, CodeBlob]):
+        self.node = node
+        self.size = len(node._head()) + _b58_size(node.payload) + 1
 
     def __len__(self):
         return self.size
 
     def __str__(self):
-        return f"{self.head}{_b58_encode(self.payload)})"
+        return self.node.serialize()
 
 
 class _Budget:
@@ -795,6 +807,18 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
         return text
     if x < 0:
         raise DescriptionError("negative integers are not in the grammar")
+    if 2 <= depth < 12 and x < _SMALL_POWER_LIMIT and x not in _small_powers():
+        # a leaf: e == 1 lists no root or tower and depth >= 2 no sum or
+        # divisor, so the literal wins and the search only spends the
+        # exponent and tower-base grants, fused: spend(bit_length - 1),
+        # then spend(35), cut unless both are granted in full
+        n = x.bit_length() + 34
+        if budget.left < n:
+            budget.left, budget.cut = 0, True
+        else:
+            budget.left -= n
+        text = memo[x] = str(x)
+        return text
     cands = [_decimal(x)]
     child = depth + 1
     if depth < 12:
@@ -803,18 +827,19 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
         # exponents 2..bit_length, then tower bases 2..36, cost one each
         top = 1 + budget.spend(x.bit_length() - 1)
         m, e = _perfect_power(x, top)
-        root_pairs = [(m ** (e // b), b)
-                      for b in range(2, min(e, top) + 1) if e % b == 0]
         # bases get budget only after every exponent did, so e is maximal
         bases = budget.spend(35)
-        tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
-        for a, b in root_pairs:
-            cands.append(f"{get(a) or _int_text(budget, memo, child, a)}^"
-                         f"{get(b) or _int_text(budget, memo, child, b)}")
-        for base, height in tower_pairs:
-            b = get(base) or _int_text(budget, memo, child, base)
-            h = get(height) or _int_text(budget, memo, child, height)
-            cands.append(f"{b}^^" if b == h else f"{b}^^{h}")
+        if e > 1:  # e == 1: x has no root and no tower
+            root_pairs = [(m ** (e // b), b)
+                          for b in range(2, min(e, top) + 1) if e % b == 0]
+            tower_pairs = _tower_pairs(m, e, 1 + bases) if bases else []
+            for a, b in root_pairs:
+                cands.append(f"{get(a) or _int_text(budget, memo, child, a)}^"
+                             f"{get(b) or _int_text(budget, memo, child, b)}")
+            for base, height in tower_pairs:
+                b = get(base) or _int_text(budget, memo, child, base)
+                h = get(height) or _int_text(budget, memo, child, height)
+                cands.append(f"{b}^^" if b == h else f"{b}^^{h}")
     if depth < 2:
         # x = a^e + r with a small base and small remainder; this loop and
         # the divisor loop spend their one unit each inline
@@ -876,8 +901,7 @@ def _word_text(x: str, budget: _Budget) -> Union[str, _BlobText]:
             cands.append(f"r({x[:period]},{_unwrap(count)})")
     best = min(cands, key=_text_key)
     if budget.spend(1):
-        payload, n_codes = lzw_compress(x.encode("ascii"))
-        blob = _BlobText(f"b({len(payload)},{n_codes},", payload)
+        blob = _BlobText(Blob(*lzw_compress(x.encode("ascii"))))
         if len(blob) <= len(best):  # "b(" sorts before "r(" and "w("
             return blob
     return best
@@ -886,8 +910,8 @@ def _word_text(x: str, budget: _Budget) -> Union[str, _BlobText]:
 def _code_text(x: CodeWords, budget: _Budget) -> Union[str, _BlobText]:
     literal = f"c({x.q},{x.n},{','.join(x.words)})"
     if budget.spend(1):
-        payload, n_codes = lzw_compress("".join(x.words).encode("ascii"))
-        blob = _BlobText(f"cb({x.q},{x.n},{len(payload)},{n_codes},", payload)
+        data = "".join(x.words).encode("ascii")
+        blob = _BlobText(CodeBlob(x.q, x.n, *lzw_compress(data)))
         if len(blob) < len(literal):  # "c(" sorts before "cb("
             return blob
     return literal
@@ -918,10 +942,13 @@ class ComplexityProxy:
 
         Ties break on lexicographic serialization.  `hints` are extra
         candidate descriptions (verified against x before use); a winning
-        hint is returned as given, any other winner is parsed from its text.
+        hint is returned as given, a winning blob as the node it was sized
+        from, and any other winner is parsed from its text.
         """
-        text, hint, cut = self._best(x, hints)
-        return (parse(str(text)) if hint is None else hint), cut
+        text, winner, cut = self._best(x, hints)
+        if winner is None:
+            winner = text.node if isinstance(text, _BlobText) else parse(text)
+        return winner, cut
 
     def shortest_description(self, x: Obj, hints: tuple = ()) -> Description:
         return self.search(x, hints)[0]

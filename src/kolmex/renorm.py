@@ -39,6 +39,7 @@ exactly the value, window and errors of the pairwise fold.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -584,18 +585,30 @@ def _coeffs(val: dict, key: str, where: str) -> list:
     return out
 
 
+# Fraction's decimal exponent, at the end of the text
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# the interpreter's default int/str digit limit: 10**4300 is built in
+# microseconds, 10**700000 takes a tenth of a second
+_MAX_EXPONENT = 4300
+
+
 def _coefficient(c):
     """Fraction(c) of a JSON integer or string, with plain ASCII `-?digits`
     and `-?digits/digits` text (nonzero denominator) read by int() instead
-    of Fraction's parser.  A boolean or a float raises TypeError."""
-    if type(c) is str and c.isascii():
-        num, slash, den = c.removeprefix("-").partition("/")
-        if num.isdigit() and (not slash or den.isdigit()):
-            n = -int(num) if c[0] == "-" else int(num)
-            if not slash:
-                return n
-            if d := int(den):
-                return Fraction(n, d)
+    of Fraction's parser.  A boolean or a float raises TypeError; a text
+    whose decimal exponent exceeds 4300 in magnitude raises ValueError
+    before Fraction builds its power of ten."""
+    if type(c) is str:
+        if c.isascii():
+            num, slash, den = c.removeprefix("-").partition("/")
+            if num.isdigit() and (not slash or den.isdigit()):
+                n = -int(num) if c[0] == "-" else int(num)
+                if not slash:
+                    return n
+                if d := int(den):
+                    return Fraction(n, d)
+        if (m := _EXPONENT.search(c)) and abs(int(m[1])) > _MAX_EXPONENT:
+            raise ValueError(c)
     if isinstance(c, (bool, float)):
         raise TypeError(c)
     return Fraction(c)

@@ -570,34 +570,34 @@ def _check_against_oracle(x, budget):
     assert desc.value() == x
 
 
-class _SingleSpends(cx._Budget):
-    """A budget that records how much was spent before each one-unit spend;
-    the integer search spends one unit at a time only in its add and
-    divisor loops."""
+class _Spends(cx._Budget):
+    """A budget that records each spend: how much was spent before it, and
+    how much it asked for."""
 
     def __init__(self, left):
         super().__init__(left)
         self.total = left
-        self.starts = []
+        self.spends = []
 
     def spend(self, n):
-        if n == 1:
-            self.starts.append(self.total - self.left)
+        self.spends.append((self.total - self.left, n))
         return super().spend(n)
 
 
-def _loop_cut_budgets(x):
-    """Budgets that leave nothing at one of x's add or divisor loop steps,
-    or exactly nothing after it: the loops' cut edges."""
-    b = _SingleSpends(4096)
-    oracle.search(x, b)
-    return sorted({s + k for s in b.starts for k in (0, 1)} - {0})
+def _cut_budgets(x, depth=0):
+    """Budgets one unit short of each spend of x's search at `depth`, exactly
+    enough for it, and one unit more: the cut edges of the exponent and
+    tower-base grants, of a leaf's fused grant and of the add and divisor
+    loop steps."""
+    b = _Spends(4096)
+    oracle._search(x, b, {}, depth)
+    return sorted({s + n + k for s, n in b.spends for k in (-1, 0, 1)} - {0})
 
 
 @st.composite
 def ints_and_budgets(draw):
     x = draw(branch_ints)
-    edges = _loop_cut_budgets(x)
+    edges = _cut_budgets(x)
     return x, draw(st.one_of(budgets, st.sampled_from(edges)) if edges else budgets)
 
 
@@ -607,6 +607,12 @@ def test_int_text_search_matches_node_oracle(case):
     _check_against_oracle(*case)
 
 
+def test_window_search_matches_node_oracle_at_every_cut_edge():
+    for x in range(16, 1025, 37):
+        for budget in _cut_budgets(x):
+            assert _searched(proxy, x, budget) == _searched(oracle, x, budget), (x, budget)
+
+
 def test_window_search_matches_node_oracle():
     cuts = 0
     for x in range(1, 1025):
@@ -614,6 +620,38 @@ def test_window_search_matches_node_oracle():
         assert got == _searched(oracle, x, 4096), x
         cuts += got[2]
     assert cuts == 21
+
+
+def _child_searched(p, x, depth, budget):
+    """(child text, spends left, cut) of x searched as a child at `depth`
+    with a fresh budget and memo, by the live search or the node oracle."""
+    b = cx._Budget(budget)
+    if p is proxy:
+        text = cx._int_text(b, dict(cx._SMALL_TEXTS), depth, x)
+    else:
+        text = p._search(x, b, {}, depth)._wrapped()
+    return text, b.left, b.cut
+
+
+@pytest.mark.parametrize("x, depth", [
+    (2**20, 2), (3**13, 2),  # perfect powers at and past 2^20: the bound
+    (1024, 2), (3**12, 2),  # perfect powers below 2^20: the table lookup
+    (1001, 1), (999983, 0),  # depths that list sums and divisors
+    (17, 12), (1001, 11),  # depth 12 lists nothing; depth 11 is a leaf
+])
+def test_leaf_test_guards(x, depth):
+    """Each guard of the one-step leaf settles a child the full listing
+    would treat differently, at every cut edge of the oracle's spends."""
+    for budget in [1, *_cut_budgets(x, depth), 4096]:
+        got = _child_searched(proxy, x, depth, budget)
+        assert got == _child_searched(oracle, x, depth, budget), budget
+
+
+def test_a_root_chain_reaches_a_leaf_guard_at_depth_12():
+    # 17^(2^12): each root child halves the exponent, so 17 is searched at
+    # depth 12, where nothing is listed and nothing spent
+    x = 17 ** 2**12
+    assert _searched(proxy, x, 10**6) == _searched(oracle, x, 10**6)
 
 
 SYMBOLS = st.sampled_from(cx.WORD_SYMBOLS)
@@ -701,28 +739,43 @@ def _blob_won_codes():
     return out
 
 
-def _count_b58_encodes(monkeypatch) -> list:
+def _count_b58_calls(monkeypatch) -> list:
+    """Records ("encode", payload) for each base-58 encoding and ("decode",
+    digits) for each decoding."""
     calls = []
-    encode = cx._b58_encode
+    encode, decode = cx._b58_encode, cx._b58_decode
 
-    def counted(data):
-        calls.append(data)
+    def counted_encode(data):
+        calls.append(("encode", data))
         return encode(data)
 
-    monkeypatch.setattr(cx, "_b58_encode", counted)
+    def counted_decode(text, n_bytes):
+        calls.append(("decode", text))
+        return decode(text, n_bytes)
+
+    monkeypatch.setattr(cx, "_b58_encode", counted_encode)
+    monkeypatch.setattr(cx, "_b58_decode", counted_decode)
     return calls
 
 
 def test_blob_winners_are_ranked_without_their_digits(monkeypatch):
-    codes = _blob_won_codes()
-    texts = [proxy.search(x)[0].serialize() for x in codes]
-    calls = _count_b58_encodes(monkeypatch)
-    bits = [proxy.complexity_bits(x) for x in codes]
+    words = ["0110" * 3 + format(3**150, "b"), "0123" * 9 + "3210" * 7]
+    blobs = _blob_won_codes() + words
+    texts = [proxy.search(x)[0].serialize() for x in blobs]
+    assert [t[:2] for t in texts[-2:]] == ["b(", "b("]
+    calls = _count_b58_calls(monkeypatch)
+    bits = [proxy.complexity_bits(x) for x in blobs]
     assert calls == []
     assert bits == [cx.BITS_PER_CHAR * len(t) for t in texts]
-    # search reads the winning text, so it builds the digits
-    assert [proxy.search(x)[0].serialize() for x in codes] == texts
-    assert len(calls) >= len(codes)
+    # search returns the node it sized: no digits are built or read back
+    # until its first serialize, which encodes once and keeps the text
+    nodes = [proxy.search(x)[0] for x in blobs]
+    assert calls == []
+    assert [d.serialize() for d in nodes] == texts
+    assert [d.serialize() for d in nodes] == texts
+    assert calls == [("encode", d.payload) for d in nodes]
+    assert nodes == [cx.parse(t) for t in texts]
+    assert [d.value() for d in nodes] == blobs
 
 
 def test_blob_length_ties_break_on_the_first_character():
@@ -760,7 +813,7 @@ def test_a_hint_tying_a_blob_is_decided_by_the_text(monkeypatch):
     # hints differing only in the last base-58 digit: '0' is the least
     # digit and 'z' the greatest
     below, above = _TextHint(text[:-2] + "0)", x), _TextHint(text[:-2] + "z)", x)
-    calls = _count_b58_encodes(monkeypatch)
+    calls = _count_b58_calls(monkeypatch)
     assert proxy.search(x, hints=(below,))[0] is below
     assert proxy.search(x, hints=(above,))[0].serialize() == text
     assert proxy.complexity_bits(x, hints=(above, below)) == cx.BITS_PER_CHAR * len(text)

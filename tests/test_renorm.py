@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from kolmex.hopf import (
@@ -734,15 +734,32 @@ COEFFICIENT_TEXT = st.one_of(
 )
 
 
+def _huge_exponent(text):
+    """Whether text ends in an exponent past 4300 in magnitude, which
+    Fraction would read as a power of ten of more digits than that."""
+    _, e, exponent = text.strip().lower().rpartition("e")
+    try:
+        return bool(e) and abs(int(exponent)) > 4300
+    except ValueError:
+        return False
+
+
 @settings(max_examples=300)
 @given(COEFFICIENT_TEXT)
+@example("0E700000")
+@example("1e4301")
+@example("-2.5e-4301")
+@example("1e4300")
 def test_coefficient_text_matches_fraction_parser(text):
     """Character JSON reads a coefficient string as Fraction(text) does:
     the same values, and the same strings refused (whitespace, signs,
-    decimals, exponents, underscores and zero denominators included)."""
+    decimals, exponents, underscores and zero denominators included), and
+    it also refuses an exponent past 4300 in magnitude."""
     doc = json.dumps({"degree_bound": 1, "truncation": 0, "values": [
         {"graph": VERTEX, "value": {"polar": [], "regular": [text]}}]})
     try:
+        if _huge_exponent(text):
+            raise ValueError(text)
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(RenormError) as info:
