@@ -36,6 +36,7 @@ import sys
 from fractions import Fraction
 
 from . import PROXY_VERSION, __version__
+from .rational import MAX_EXPONENT, checked_fraction
 
 
 class UsageError(Exception):
@@ -63,10 +64,11 @@ def _fraction(text: str) -> Fraction:
     """argparse type of an exact rational such as 1/3; argparse names the
     option in its exit-2 message."""
     try:
-        return Fraction(text)
+        return checked_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"not a rational with a nonzero denominator: {text!r}") from None
+            "not a rational with a nonzero denominator and a decimal exponent "
+            f"of at most {MAX_EXPONENT}: {text!r}") from None
 
 
 def _at_least(least: int):

@@ -72,6 +72,7 @@ from __future__ import annotations
 import decimal
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -1105,11 +1106,8 @@ def zipf_analyze(tokens: Iterable[str]) -> ZipfFit:
     Ties rank lexicographically.  With fewer than two distinct types the
     ranking is still returned but the fit is flagged undefined.
     """
-    counts: dict[str, int] = {}
-    total = 0
-    for tok in tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-        total += 1
+    counts = Counter(tokens)
+    total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     table = tuple(
         ZipfRow(i + 1, tok, cnt, cnt / total) for i, (tok, cnt) in enumerate(ranked)
@@ -1126,13 +1124,54 @@ def zipf_analyze(tokens: Iterable[str]) -> ZipfFit:
     return ZipfFit(table, slope, r2)
 
 
+_GUIDE_SHIFT = 52  # a draw's guide bucket is its top 12 bits
+
+
+def _u64_ranker(cumulative: Sequence[float], labels: Sequence):
+    """The function that maps a list of raw 64-bit draws v to the labels[j]
+    of the first j with cumulative[j] >= (v >> 11) * 2**-53, the float that
+    `SplitMix64.uniform` makes of v; cumulative must be ascending and end
+    at 1.0 or above.
+
+    The test runs on integers: with F = floor(c * 2**53), c >= (v >> 11) /
+    2**53 holds iff (v >> 11) <= F, iff v <= ((F + 1) << 11) - 1, the end of
+    c.  A guide table (Chen and Asau, 1974) over the top 12 bits of v names
+    the label of each bucket that holds no end; a draw in any other bucket
+    bisects the ends from the bucket's first candidate.
+    """
+    ends = [((math.floor(math.ldexp(c, 53)) + 1) << 11) - 1 for c in cumulative]
+    first: list[int] = []
+    whole: list = []
+    j = 0
+    for b in range(1 << (64 - _GUIDE_SHIFT)):
+        while ends[j] < b << _GUIDE_SHIFT:
+            j += 1
+        first.append(j)
+        whole.append(labels[j] if ends[j] >= ((b + 1) << _GUIDE_SHIFT) - 1 else None)
+
+    def rank(draws: Iterable[int]) -> list:
+        return [
+            t if (t := whole[v >> _GUIDE_SHIFT]) is not None
+            else labels[bisect_left(ends, v, first[v >> _GUIDE_SHIFT])]
+            for v in draws
+        ]
+
+    return rank
+
+
 def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int,
                           exponent: float = 1.0) -> list[str]:
     """Tokens drawn i.i.d. from p_k proportional to 1/k**exponent."""
     if n_types < 1:
         raise ValueError("need at least one type")
-    weights = [1.0 / (k**exponent) for k in range(1, n_types + 1)]
-    total = math.fsum(weights)
+    if not math.isfinite(exponent):
+        raise ValueError(f"the Zipf exponent must be finite, not {exponent}")
+    try:
+        weights = [1.0 / (k**exponent) for k in range(1, n_types + 1)]
+        total = math.fsum(weights)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"the Zipf exponent {exponent} overflows a float weight "
+                         f"over {n_types} types") from None
     cumulative = []
     acc = 0.0
     for w in weights:
@@ -1140,12 +1179,13 @@ def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int,
         cumulative.append(acc)
     cumulative[-1] = 1.0
     width = len(str(n_types))
-    names = [f"w{str(k).zfill(width)}" for k in range(1, n_types + 1)]
+    rank = _u64_ranker(
+        cumulative, [f"w{str(k).zfill(width)}" for k in range(1, n_types + 1)])
     gen = SplitMix64(seed)
     out: list[str] = []
-    # uniforms come in batches of 4096, so no list of all the draws is held;
-    # each token is the first type whose cumulative weight reaches u
+    # draws come in batches of 4096, so no list of all the draws is held;
+    # each token is the first type whose cumulative weight reaches the
+    # draw's uniform(), as with one float bisect per draw
     for start in range(0, n_tokens, 4096):
-        out += [names[bisect_left(cumulative, u)]
-                for u in gen.uniforms(min(4096, n_tokens - start))]
+        out += rank(gen.next_u64s(min(4096, n_tokens - start)))
     return out

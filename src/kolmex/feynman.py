@@ -66,6 +66,7 @@ from operator import add
 from typing import Optional
 
 from .graphs import GraphError, MultigraphData, _vacuum_classes_with_aut
+from .rational import checked_fraction
 
 
 class TheoryError(ValueError):
@@ -601,7 +602,7 @@ def _fraction_at(value, where: str) -> Fraction:
     """An exact coefficient: a JSON integer or a string such as "-7/2"."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return Fraction(value)
+            return checked_fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise TheoryError(f"{where} is not a fraction: {value!r}")

@@ -59,6 +59,7 @@ from .graphs import (
     label_data,
     multigraph_data,
 )
+from .rational import checked_fraction
 
 Monomial = tuple  # sorted tuple of generator labels
 UNIT_MONOMIAL: Monomial = ()
@@ -169,7 +170,7 @@ def _exact(c):
     if type(c) is int:
         return c
     if not isinstance(c, Fraction):
-        c = Fraction(c)
+        c = checked_fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -39,7 +39,6 @@ exactly the value, window and errors of the pairwise fold.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -54,6 +53,7 @@ from .hopf import (
     coproduct_of_monomial,
     monomial_degree,
 )
+from .rational import checked_fraction
 
 DEFAULT_TRUNC = 16
 
@@ -585,19 +585,12 @@ def _coeffs(val: dict, key: str, where: str) -> list:
     return out
 
 
-# Fraction's decimal exponent, at the end of the text
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-# the interpreter's default int/str digit limit: 10**4300 is built in
-# microseconds, 10**700000 takes a tenth of a second
-_MAX_EXPONENT = 4300
-
-
 def _coefficient(c):
     """Fraction(c) of a JSON integer or string, with plain ASCII `-?digits`
     and `-?digits/digits` text (nonzero denominator) read by int() instead
     of Fraction's parser.  A boolean or a float raises TypeError; a text
     whose decimal exponent exceeds 4300 in magnitude raises ValueError
-    before Fraction builds its power of ten."""
+    (`rational.checked_fraction`)."""
     if type(c) is str:
         if c.isascii():
             num, slash, den = c.removeprefix("-").partition("/")
@@ -607,8 +600,6 @@ def _coefficient(c):
                     return n
                 if d := int(den):
                     return Fraction(n, d)
-        if (m := _EXPONENT.search(c)) and abs(int(m[1])) > _MAX_EXPONENT:
-            raise ValueError(c)
     if isinstance(c, (bool, float)):
         raise TypeError(c)
-    return Fraction(c)
+    return checked_fraction(c)

@@ -10,9 +10,25 @@ the stream for a given seed is pinned forever.
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
+
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64  # the largest population a 64-bit draw can index
 _UNIT = 2.0**-53  # a 53-bit integer times this is a float in [0, 1)
+_GAMMA = 0x9E3779B97F4A7C15  # the state's step
+_CHUNK = 1024  # the most lanes mixed in one int; bounds the cached constants
+
+
+@lru_cache(maxsize=16)
+def _lanes(n: int):
+    """The per-size constants of an n-lane chunk: a 1 in every lane, the
+    steps (i+1)*gamma, a 64-bit mask per lane, and the unpacker that reads
+    each lane's low word, little-endian whatever the machine."""
+    lanes = struct.Struct("<" + "Q8x" * n)
+    ones = int.from_bytes(lanes.pack(*[1] * n), "little")
+    gammas = int.from_bytes(lanes.pack(*range(1, n + 1)), "little") * _GAMMA
+    return ones, gammas, ones * _MASK64, lanes.unpack
 
 
 class SplitMix64:
@@ -25,17 +41,28 @@ class SplitMix64:
         return self.next_u64s(1)[0]
 
     def next_u64s(self, count: int) -> list[int]:
-        """The next `count` outputs of the stream, drawn with the state in a
-        local: the batch draws that samplers use, and the one place the
-        mixing constants are applied."""
+        """The next `count` outputs of the stream: the batch draws that
+        samplers use, and the one place the mixing constants are applied.
+
+        A chunk of n draws is mixed as n 128-bit lanes of one int, lane i
+        holding the state s + (i+1)*gamma, so each xor-shift and each
+        multiply is one big-int operation.  Every lane is cut to 64 bits
+        before each multiply, so a 128-bit product never carries into the
+        next lane, and the bits a right shift pulls in from the next lane
+        land above bit 64, where the next mask (or the unpack) drops them.
+        """
+        out: list[int] = []
         s = self._state
-        out = []
-        append = out.append
-        for _ in range(count):
-            s = (s + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            append(z ^ (z >> 31))
+        for start in range(0, count, _CHUNK):
+            n = min(_CHUNK, count - start)
+            ones, gammas, mask, unpack = _lanes(n)
+            z = (s * ones + gammas) & mask
+            s = (s + n * _GAMMA) & _MASK64
+            z = (z ^ (z >> 30)) & mask
+            z = (z * 0xBF58476D1CE4E5B9) & mask
+            z = (z ^ (z >> 27)) & mask
+            z = (z * 0x94D049BB133111EB) & mask
+            out += unpack((z ^ (z >> 31)).to_bytes(16 * n, "little"))
         self._state = s
         return out
 

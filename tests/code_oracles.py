@@ -6,7 +6,9 @@ and re-packed into ints for the distance (`pack_words`); `sampled_codes_ref`
 is that route end to end.  `lzw_compress_ref` is the pinned LZW built on
 byte strings, and `b58_encode_ref`/`b58_decode_ref` are base 58 one digit at
 a time.  `partition_sum_ref` is the partition sum with its selection and its
-terms in one loop over the ensemble.
+terms in one loop over the ensemble.  `splitmix64_ref` is the SplitMix64
+stream one 64-bit value at a time, the loop the lane-parallel batch
+replaces.
 """
 
 import math
@@ -17,6 +19,21 @@ from kolmex.complexity import CodeWords, WORD_SYMBOLS
 from kolmex.rng import SplitMix64
 
 BASE58 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHJKMNPQRSTVWXYZ"
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_ref(state: int, count: int) -> tuple[list[int], int]:
+    """The next `count` SplitMix64 outputs from `state`, and the state after
+    them, mixed one value at a time."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out, state
 
 
 def decode_word(value: int, q: int, n: int) -> tuple:

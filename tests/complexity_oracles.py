@@ -9,10 +9,17 @@ parses only the winner; `NodeSearch` is what it must agree with.
 `perfect_power_ref` is the integer search's root loop alone, without the live
 search's table of small perfect powers or its square-residue filter;
 `NodeSearch` uses it, so the two searches share no perfect-power code.
+
+`synthetic_zipf_corpus_ref` draws the Zipf corpus as floats: one uniform in
+[0, 1) per token from the one-value SplitMix64 stream, and one float bisect
+of the cumulative weights; `zipf_cumulative_ref` is those weights.
 """
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
+
+from code_oracles import splitmix64_ref
 
 from kolmex.complexity import (
     BITS_PER_CHAR,
@@ -173,3 +180,32 @@ class NodeSearch:
             data = "".join(x.words).encode("ascii")
             candidates.append(CodeBlob(x.q, x.n, *lzw_compress(data)))
         return min(candidates, key=desc_sort_key)
+
+
+def zipf_cumulative_ref(n_types: int, exponent: float) -> list[float]:
+    """The cumulative weights of p_k proportional to 1/k**exponent, the last
+    set to 1.0."""
+    weights = [1.0 / (k**exponent) for k in range(1, n_types + 1)]
+    total = math.fsum(weights)
+    cumulative = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cumulative.append(acc)
+    cumulative[-1] = 1.0
+    return cumulative
+
+
+def zipf_rank_ref(cumulative, v: int) -> int:
+    """The first j with cumulative[j] >= u, for the uniform u = (v >> 11) *
+    2**-53 of the 64-bit draw v."""
+    return bisect_left(cumulative, (v >> 11) * 2.0**-53)
+
+
+def synthetic_zipf_corpus_ref(n_types: int, n_tokens: int, seed: int,
+                              exponent: float = 1.0) -> list[str]:
+    cumulative = zipf_cumulative_ref(n_types, exponent)
+    width = len(str(n_types))
+    names = [f"w{str(k).zfill(width)}" for k in range(1, n_types + 1)]
+    draws, _ = splitmix64_ref(seed, n_tokens)
+    return [names[zipf_rank_ref(cumulative, v)] for v in draws]

@@ -304,6 +304,8 @@ CLOUD = ["codes", "cloud", "--n", "6", "--count", "5"]
 SWEEP = ["codes", "sweep", "--n", "6", "--size", "4", "--count", "5",
          "--beta-min", "0", "--beta-max", "1", "--steps", "3"]
 SWEEP_RATE = ["--rate", "1/3", "--delta", "1/6"]
+HUGE_EXPONENT = ("not a rational with a nonzero denominator and a decimal exponent "
+                 "of at most 4300: '1e700000'")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -324,10 +326,13 @@ SWEEP_RATE = ["--rate", "1/3", "--delta", "1/6"]
     (["algebra", "feynman-check", "--c4", "1", "--order", "2", "--budget", "-1"],
      "--budget: must be >= 0, not -1"),
     (["algebra", "feynman-check", "--order", "-1"], "--order: must be >= 0, not -1"),
+    (["algebra", "feynman-check", "--c3", "1e700000", "--order", "1"],
+     "--c3: " + HUGE_EXPONENT),
+    (SWEEP + ["--rate", "1/3", "--delta", "1e700000"], "--delta: " + HUGE_EXPONENT),
 ], ids=["probe_budget", "probe_fuel", "probe_x", "probe_y", "zipf_tokens", "zipf_types",
         "cloud_q1", "cloud_q0", "cloud_q_negative", "sweep_q1", "cloud_size0",
         "sweep_size_negative", "cloud_count_text", "sweep_steps", "feynman_budget",
-        "feynman_order"])
+        "feynman_order", "feynman_c3_exponent", "sweep_delta_exponent"])
 def test_negative_count_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run(argv + (["--out", str(out)] if argv[0] != "algebra" else [])) == 2
@@ -543,7 +548,7 @@ def mostly(draw, good, bad):
 
 FRACTION_TEXTS = mostly(["0", "1", "-1", "1/3", "-5/2", "2.5", "1e-3", "1e40",
                          "-99999999999999999999/7"],
-                        ["1/0", "0/0", "nan", "inf", "-inf", "", "x", "10**40"])
+                        ["1/0", "0/0", "nan", "inf", "-inf", "", "x", "10**40", "1e700000"])
 FLOAT_TEXTS = mostly(["0", "0.25", "1", "-1", "2.5"],
                      ["nan", "inf", "-inf", "1e400", "-1e400", "", "x"])
 BAD_INTEGERS = ["0", "-1", "-7", str(-2**70), "", "x", "1.5", "1/2", "nan", "inf", "1e400"]

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from random import Random
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from code_oracles import b58_decode_ref, b58_encode_ref, lzw_compress_ref
-from complexity_oracles import NodeSearch, desc_sort_key, iroot_ref, perfect_power_ref
+from complexity_oracles import (
+    NodeSearch,
+    desc_sort_key,
+    iroot_ref,
+    perfect_power_ref,
+    synthetic_zipf_corpus_ref,
+    zipf_cumulative_ref,
+    zipf_rank_ref,
+)
 from kolmex import complexity as cx
 from kolmex.rng import SplitMix64
 
@@ -369,6 +378,66 @@ def test_synthetic_corpus_deterministic():
     a = cx.synthetic_zipf_corpus(50, 2000, seed=3)
     b = cx.synthetic_zipf_corpus(50, 2000, seed=3)
     assert a == b
+
+
+def test_zipf_counts_any_iterable():
+    assert cx.zipf_analyze(iter("b a b c".split())) == cx.zipf_analyze(["b", "a", "b", "c"])
+    assert cx.zipf_analyze([]).table == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000),
+       st.one_of(st.integers(0, 100), st.sampled_from([4095, 4096, 4097, 8191, 8193]),
+                 st.integers(0, 9000)),
+       st.integers(0, 2**64 - 1),
+       st.floats(0.0, 3.0))
+def test_zipf_corpus_matches_float_bisect_reference(n_types, n_tokens, seed, exponent):
+    assert (cx.synthetic_zipf_corpus(n_types, n_tokens, seed, exponent)
+            == synthetic_zipf_corpus_ref(n_types, n_tokens, seed, exponent))
+
+
+def _threshold_draws(c: float) -> set[int]:
+    """The 64-bit draws at and next to the last one whose uniform is <= c:
+    (F << 11) has the uniform F / 2**53, which is c itself when c * 2**53
+    is an integer, and ((F + 1) << 11) - 1 is the last draw with that
+    uniform."""
+    f = math.floor(Fraction(c) * 2**53)
+    near = {(f << 11) - 1, f << 11, ((f + 1) << 11) - 1, (f + 1) << 11}
+    return {v for v in near if 0 <= v < 2**64}
+
+
+@pytest.mark.parametrize("cumulative", [
+    [0.25, 0.5, 0.75, 1.0],
+    [0.5, 0.5, 1.0],  # a type of weight 0 is never drawn
+    [1.0],
+    [2.0**-60, 0.1, 1.0 - 2.0**-53, 1.0],
+    zipf_cumulative_ref(10, 0.5),
+    zipf_cumulative_ref(1000, 1.0),
+    zipf_cumulative_ref(3000, 3.0),
+], ids=["quarters", "tie", "one", "extremes", "10x0.5", "1000x1", "3000x3"])
+def test_integer_ranks_agree_with_floats_at_every_threshold(cumulative):
+    """Each type's integer end is exactly where its float comparison flips:
+    at the last draw whose uniform reaches no further than its cumulative
+    weight, at the draw after it, and at a draw whose uniform equals that
+    weight."""
+    rank = cx._u64_ranker(cumulative, range(len(cumulative)))
+    draws = sorted({0, 2**64 - 1}.union(*map(_threshold_draws, cumulative)))
+    assert rank(draws) == [zipf_rank_ref(cumulative, v) for v in draws]
+    uniforms = {(v >> 11) * 2.0**-53 for v in draws}
+    assert all(c in uniforms for c in cumulative if c < 1 and (c * 2**53).is_integer())
+
+
+@pytest.mark.parametrize("n_types, exponent, message", [
+    (5, math.nan, "exponent must be finite, not nan"),
+    (5, math.inf, "exponent must be finite, not inf"),
+    (5, -math.inf, "exponent must be finite, not -inf"),
+    (1000, 200.0, "exponent 200.0 overflows a float weight over 1000 types"),
+    (10, -400.0, "exponent -400.0 overflows"),
+    (1000, -103.0, "exponent -103.0 overflows"),
+])
+def test_zipf_corpus_refuses_an_exponent_it_cannot_weigh(n_types, exponent, message):
+    with pytest.raises(ValueError, match=message):
+        cx.synthetic_zipf_corpus(n_types, 10, 1, exponent)
 
 
 # -- budget exhaustion --------------------------------------------------------

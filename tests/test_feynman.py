@@ -597,6 +597,7 @@ def test_theory_json_non_list(path, value, where):
     (("metric", 1, 0), 0.5, "metric[1][0]"),
     (("tensors", 1, "value"), None, "tensors[1].value"),
     (("tensors", 1, "value"), True, "tensors[1].value"),
+    (("metric", 0, 0), "1e700000", "metric[0][0]"),
 ])
 def test_theory_json_bad_fraction(path, value, where):
     with pytest.raises(TheoryError) as info:

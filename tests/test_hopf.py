@@ -322,6 +322,7 @@ def test_unoriented_graphs_rejected():
     ('[{"monomial": [], "coeff": "x"}]', "terms[0].coeff: bad coefficient 'x'"),
     ('[{"monomial": [], "coeff": true}]', "terms[0].coeff: bad coefficient True"),
     ('[{"monomial": [], "coeff": 0.1}]', "terms[0].coeff: bad coefficient 0.1"),
+    ('[{"monomial": [], "coeff": "1e700000"}]', "terms[0].coeff: bad coefficient '1e700000'"),
     ('[{"monomial": ["a", 3], "coeff": "1"}]', "terms[0].monomial[1] is not a string: 3"),
     ('[{"monomial": "ab", "coeff": "1"}]', "terms[0]: monomial must be a list"),
     ("[3]", "terms[0] must be an object"),

@@ -29,6 +29,7 @@ from kolmex.renorm import (
     identity_map,
     polar_split,
 )
+from kolmex.rational import checked_fraction
 from kolmex.rng import SplitMix64
 
 F = Fraction
@@ -742,6 +743,18 @@ def _huge_exponent(text):
         return bool(e) and abs(int(exponent)) > 4300
     except ValueError:
         return False
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e4_301", "0E700000 ",
+                                  pytest.param("1e" + "9" * 5000, id="1e9x5000")])
+def test_checked_fraction_refuses_exponents_past_the_digit_limit(text):
+    with pytest.raises(ValueError):
+        checked_fraction(text)
+
+
+def test_checked_fraction_is_fraction_within_the_limit():
+    for value in ["1e4300", "-2.5E-4300", "3/4", " 7 ", "1_0e1_0", 3, Fraction(1, 3)]:
+        assert checked_fraction(value) == Fraction(value)
 
 
 @settings(max_examples=300)

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from code_oracles import MASK64, splitmix64_ref
 from kolmex import fields
 from kolmex.rng import SplitMix64
 
@@ -20,6 +21,26 @@ def test_stream_is_pinned():
 def test_same_seed_same_stream():
     a, b = SplitMix64(1234), SplitMix64(1234)
     assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+
+
+SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64))
+# 1024 lanes make one chunk; counts reach past eight chunks
+COUNTS = st.one_of(st.integers(0, 70), st.integers(1020, 1030), st.integers(0, 9000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.lists(COUNTS, min_size=1, max_size=3))
+@example(0, [2])
+@example(MASK64, [1024, 1025])
+@example(0, [0, 8193, 1])
+def test_lane_batches_match_the_one_value_stream(seed, counts):
+    """Back-to-back batches give the stream, and leave the state, that
+    mixing one value at a time gives."""
+    gen, state = SplitMix64(seed), seed
+    for count in counts:
+        want, state = splitmix64_ref(state, count)
+        assert gen.next_u64s(count) == want
+        assert gen._state == state
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(1, 10_000))
