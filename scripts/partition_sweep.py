@@ -15,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from kolmex.cli import _fraction
 from kolmex.codes import partition_sum, sample_codes
 
 
@@ -25,7 +26,7 @@ def run(argv=None):
     ap.add_argument("--size", type=int, default=4)
     ap.add_argument("--count", type=int, default=300)
     ap.add_argument("--seed", type=int, default=17)
-    ap.add_argument("--rate", type=Fraction, default=Fraction(1, 3))
+    ap.add_argument("--rate", type=_fraction, default=Fraction(1, 3))
     ap.add_argument("--eta", type=float, default=0.02)
     args = ap.parse_args(argv)
 

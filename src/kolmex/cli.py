@@ -36,7 +36,7 @@ import sys
 from fractions import Fraction
 
 from . import PROXY_VERSION, __version__
-from .rational import MAX_EXPONENT, checked_fraction
+from . import rational
 
 
 class UsageError(Exception):
@@ -60,15 +60,25 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str) -> int | Fraction:
     """argparse type of an exact rational such as 1/3; argparse names the
     option in its exit-2 message."""
     try:
-        return checked_fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return rational.exact(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             "not a rational with a nonzero denominator and a decimal exponent "
-            f"of at most {MAX_EXPONENT}: {text!r}") from None
+            f"of at most {rational.MAX_EXPONENT}: {text!r}") from None
+
+
+def _float_sized(text: str) -> int | Fraction:
+    """argparse type of an exact rational that the sweep also writes as a float."""
+    value = _fraction(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"too large for a float: {text!r}") from None
+    return value
 
 
 def _at_least(least: int):
@@ -153,8 +163,8 @@ def cmd_codes_cloud(args) -> int:
 def cmd_codes_sweep(args) -> int:
     config = {
         "cmd": "codes sweep", "q": args.q, "n": args.n, "size": args.size,
-        "count": args.count, "seed": args.seed, "rate": str(args.rate),
-        "delta": str(args.delta), "eta": args.eta,
+        "count": args.count, "seed": args.seed, "rate": rational.text(args.rate),
+        "delta": rational.text(args.delta), "eta": args.eta,
         "beta_min": args.beta_min, "beta_max": args.beta_max, "steps": args.steps,
     }
     _echo_config(args, config)
@@ -180,8 +190,8 @@ def cmd_codes_sweep(args) -> int:
 
 def cmd_feynman_check(args) -> int:
     config = {
-        "cmd": "algebra feynman-check", "c3": str(args.c3), "c4": str(args.c4),
-        "order": args.order, "budget": args.budget,
+        "cmd": "algebra feynman-check", "c3": rational.text(args.c3),
+        "c4": rational.text(args.c4), "order": args.order, "budget": args.budget,
     }
     _echo_config(args, config)
     from .feynman import Theory, gaussian_oracle, graph_expansion
@@ -196,8 +206,8 @@ def cmd_feynman_check(args) -> int:
         print(f"match through L^{args.order}")
         return 0
     print(
-        f"MISMATCH at L^{match + 1}: expansion {expansion[match + 1]} "
-        f"vs oracle {oracle[match + 1]}"
+        f"MISMATCH at L^{match + 1}: expansion {rational.text(expansion[match + 1])} "
+        f"vs oracle {rational.text(oracle[match + 1])}"
     )
     return 1
 
@@ -306,8 +316,8 @@ def _gmap_values(gmap, phi) -> list:
             {
                 "graph": label,
                 "value": {
-                    "polar": [str(c) for c in val.polar],
-                    "regular": [str(c) for c in val.regular],
+                    "polar": [rational.text(c) for c in val.polar],
+                    "regular": [rational.text(c) for c in val.regular],
                 },
             }
         )
@@ -444,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--size", type=_at_least(2), required=True)
     sweep.add_argument("--count", type=_at_least(0), required=True)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--rate", type=_fraction, required=True)
-    sweep.add_argument("--delta", type=_fraction, required=True)
+    sweep.add_argument("--rate", type=_float_sized, required=True)
+    sweep.add_argument("--delta", type=_float_sized, required=True)
     sweep.add_argument("--eta", type=_finite, default=0.01)
     sweep.add_argument("--beta-min", type=_finite, required=True)
     sweep.add_argument("--beta-max", type=_finite, required=True)
@@ -458,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fey = algebra_sub.add_parser("feynman-check",
                                  help="graph expansion against the Gaussian oracle")
-    fey.add_argument("--c3", type=_fraction, default=Fraction(0))
-    fey.add_argument("--c4", type=_fraction, default=Fraction(0))
+    fey.add_argument("--c3", type=_fraction, default=0)
+    fey.add_argument("--c4", type=_fraction, default=0)
     fey.add_argument("--order", type=_at_least(0), required=True)
     fey.add_argument("--budget", type=_at_least(0), default=200_000,
                      help="cap on generator states built while enumerating the "

@@ -69,7 +69,6 @@ reads the same table.
 
 from __future__ import annotations
 
-import decimal
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -82,6 +81,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import PROXY_VERSION
 from . import fields
+from . import rational
 from .rng import SplitMix64
 
 # The 64-symbol serialization alphabet (uppercase skips I, L, O, U).
@@ -165,20 +165,12 @@ def word_strings(packed: Sequence[int], q: int, n: int) -> tuple[str, ...]:
                   for h, v in zip(high, packed)])
 
 
-def _decimal(x: int) -> str:
-    """Decimal form of an int, free of the interpreter's digit-count limit
-    (str() below 2**2000, 603 digits: no limit can be set under 640)."""
-    if x.bit_length() < 2000:
-        return str(x)
-    return str(decimal.Decimal(x))
-
-
 def object_key(x: Obj) -> str:
     """Canonical serialization of a described object (used for tie-breaks)."""
     if isinstance(x, bool):
         raise DescriptionError("booleans are not describable objects")
     if isinstance(x, int):
-        return _decimal(x)
+        return rational.text(x)
     if isinstance(x, str):
         return x
     if isinstance(x, CodeWords):
@@ -351,7 +343,7 @@ class Description:
 class Lit(Description):
     def __init__(self, digits: Union[str, int]):
         if isinstance(digits, int):
-            digits = _decimal(digits)
+            digits = rational.text(digits)
         if not digits.isdigit() or (digits != "0" and digits[0] == "0"):
             raise DescriptionError(f"bad literal {digits!r}")
         self.digits = digits
@@ -360,7 +352,7 @@ class Lit(Description):
         return self.digits
 
     def value(self):
-        return int(decimal.Decimal(self.digits))
+        return rational.decimal_int(self.digits)
 
 
 class _Binary(Description):
@@ -820,7 +812,7 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
             budget.left -= n
         text = memo[x] = str(x)
         return text
-    cands = [_decimal(x)]
+    cands = [rational.text(x)]
     child = depth + 1
     if depth < 12:
         # collect cheap structural facts before any recursion, so deep

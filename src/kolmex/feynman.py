@@ -65,8 +65,8 @@ from math import factorial, lcm
 from operator import add
 from typing import Optional
 
+from . import rational
 from .graphs import GraphError, MultigraphData, _vacuum_classes_with_aut
-from .rational import checked_fraction
 
 
 class TheoryError(ValueError):
@@ -238,7 +238,7 @@ class LambdaSeries:
         return n
 
     def to_json(self) -> str:
-        return json.dumps([str(c) for c in self.coeffs])
+        return json.dumps([rational.text(c) for c in self.coeffs])
 
     @classmethod
     def from_json(cls, text: str) -> "LambdaSeries":
@@ -252,9 +252,9 @@ class LambdaSeries:
         parts = []
         for i, c in enumerate(self.coeffs):
             if i == 0:
-                parts.append(str(c))
+                parts.append(rational.text(c))
             elif c != 0:
-                parts.append(f"({c})*L^{i}")
+                parts.append(f"({rational.text(c)})*L^{i}")
         return " + ".join(parts) if parts else "0"
 
 
@@ -569,9 +569,9 @@ def gaussian_oracle(theory: Theory, order: int,
 def theory_to_json(theory: Theory) -> str:
     doc = {
         "colors": theory.n_colors,
-        "metric": [[str(x) for x in row] for row in theory.metric],
+        "metric": [[rational.text(x) for x in row] for row in theory.metric],
         "tensors": [
-            {"indices": list(idx), "value": str(coeff)}
+            {"indices": list(idx), "value": rational.text(coeff)}
             for _, entries in theory.tensors
             for idx, coeff in entries
         ],
@@ -598,14 +598,12 @@ def _int_at(value, where: str) -> int:
     return value
 
 
-def _fraction_at(value, where: str) -> Fraction:
+def _fraction_at(value, where: str) -> int | Fraction:
     """An exact coefficient: a JSON integer or a string such as "-7/2"."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return checked_fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise TheoryError(f"{where} is not a fraction: {value!r}")
+    try:
+        return rational.exact(value)
+    except (TypeError, ValueError):
+        raise TheoryError(f"{where} is not a fraction: {value!r}") from None
 
 
 def theory_from_json(text: str) -> Theory:

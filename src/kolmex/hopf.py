@@ -46,6 +46,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
+from . import rational
 from .graphs import (
     Graph,
     GraphError,
@@ -59,7 +60,6 @@ from .graphs import (
     label_data,
     multigraph_data,
 )
-from .rational import checked_fraction
 
 Monomial = tuple  # sorted tuple of generator labels
 UNIT_MONOMIAL: Monomial = ()
@@ -165,15 +165,6 @@ def check_generator(label: str) -> None:
         raise HopfError(f"{label!r} is not a generator: its graph is the monomial {list(mono)}")
 
 
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if not isinstance(c, Fraction):
-        c = checked_fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class HopfElement:
     """Finite rational combination of monomials; zero coefficients pruned,
     integral coefficients stored as ints."""
@@ -183,7 +174,7 @@ class HopfElement:
     def __init__(self, terms: dict | None = None):
         self.terms = {
             m: v for m, c in (terms or {}).items()
-            if (v := c if type(c) is int else _exact(c))
+            if (v := c if type(c) is int else rational.exact(c))
         }
 
     @classmethod
@@ -208,7 +199,7 @@ class HopfElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "HopfElement":
-        scalar = _exact(scalar)
+        scalar = rational.exact(scalar)
         return HopfElement({m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
@@ -294,7 +285,7 @@ def coproduct(elem: HopfElement) -> dict:
     for mono, coeff in elem.terms.items():
         for key, c in coproduct_of_monomial(mono).items():
             out[key] = out.get(key, 0) + coeff * c
-    return {key: _exact(c) for key, c in out.items() if c}
+    return {key: rational.exact(c) for key, c in out.items() if c}
 
 
 def reduced_coproduct_of_monomial(mono: Monomial) -> dict:
@@ -428,7 +419,7 @@ def _signatures(max_vertices: int, max_flags: int):
 
 def element_to_json(elem: HopfElement) -> str:
     doc = [
-        {"monomial": list(mono), "coeff": str(coeff)}
+        {"monomial": list(mono), "coeff": rational.text(coeff)}
         for mono, coeff in sorted(elem.terms.items())
     ]
     return json.dumps(doc, indent=1)
@@ -459,10 +450,8 @@ def element_from_json(text: str) -> HopfElement:
             if not isinstance(label, str):
                 raise HopfError(f"{where}.monomial[{j}] is not a string: {label!r}")
         try:
-            if isinstance(coeff, (bool, float)):
-                raise TypeError
-            coeff = _exact(coeff)
-        except (TypeError, ValueError, ZeroDivisionError):
+            coeff = rational.exact(coeff)
+        except (TypeError, ValueError):
             raise HopfError(f"{where}.coeff: bad coefficient {coeff!r}") from None
         for j, label in enumerate(labels):
             try:

@@ -1,29 +1,60 @@
-"""Exact rationals read from outside text, refused before they grow huge.
+"""Exact rationals at the package boundary: `exact` reads every rational
+that comes from outside, and `text` writes every rational, at any size.
 
 `Fraction` reads a decimal exponent by building its power of ten, so the
-text "1e700000" costs a 700,000-digit integer and a tenth of a second
-before a caller can look at it.  `checked_fraction` refuses such a text
-first.  Standard library only, so the CLI's option types can use it
-without loading any layer of the package.
+text "1e700000" costs a tenth of a second before a caller can look at it;
+`exact` refuses such a text first.  `int()` and `str()` refuse more digits
+than the interpreter's limit (4300 by default, never below 640), so longer
+integers go through `Decimal`.  Standard library only, so the CLI's option
+types can use it without loading any layer of the package.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 # Fraction's decimal exponent, at the end of the text
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-# the interpreter's default int/str digit limit: 10**4300 is built in
-# microseconds, 10**700000 takes a tenth of a second
+# the default digit limit: 10**4300 is built in microseconds
 MAX_EXPONENT = 4300
 
 
-def checked_fraction(value) -> Fraction:
-    """Fraction(value), except that a text whose decimal exponent exceeds
-    MAX_EXPONENT in magnitude raises ValueError before Fraction builds its
-    power of ten."""
-    if (isinstance(value, str) and (m := _EXPONENT.search(value))
-            and abs(int(m[1])) > MAX_EXPONENT):
-        raise ValueError(f"decimal exponent past {MAX_EXPONENT}: {value!r}")
-    return Fraction(value)
+def exact(value) -> int | Fraction:
+    """An int (not a bool), a Fraction or a text that Fraction reads, as an
+    int when it is integral, else as a Fraction.  ASCII `-?digits(/digits)`
+    is read at any length.  A text Fraction refuses, a zero denominator or
+    an exponent past MAX_EXPONENT raises ValueError, any other type
+    TypeError."""
+    if isinstance(value, str):
+        num, slash, den = value.removeprefix("-").partition("/")
+        try:
+            if value.isascii() and num.isdigit() and (not slash or den.isdigit()):
+                n = -decimal_int(num) if value[0] == "-" else decimal_int(num)
+                if not slash:
+                    return n
+                value = Fraction(n, decimal_int(den))
+            elif (m := _EXPONENT.search(value)) and abs(int(m[1])) > MAX_EXPONENT:
+                raise ValueError(f"decimal exponent past {MAX_EXPONENT}: {value!r}")
+            else:
+                value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
+    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
+
+
+def decimal_int(digits: str) -> int:
+    """int() of decimal digits, free of the digit limit."""
+    return int(digits) if len(digits) < 640 else int(Decimal(digits))
+
+
+def text(c: int | Fraction) -> str:
+    """str(c) of an int or a Fraction, byte for byte, at any size."""
+    try:
+        return str(c)
+    except ValueError:  # past the digit limit
+        n, d = str(Decimal(c.numerator)), str(Decimal(c.denominator))
+        return n if d == "1" else f"{n}/{d}"

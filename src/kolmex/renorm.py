@@ -44,6 +44,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Optional
 
+from . import rational
 from .hopf import (
     UNIT_MONOMIAL,
     HopfError,
@@ -53,7 +54,6 @@ from .hopf import (
     coproduct_of_monomial,
     monomial_degree,
 )
-from .rational import checked_fraction
 
 DEFAULT_TRUNC = 16
 
@@ -80,8 +80,8 @@ class MSElement:
     __slots__ = ("_nums", "_den", "_depth", "_rzero")
 
     def __init__(self, polar: Iterable = (), regular: Iterable = ()):
-        polar = [_rational(c) for c in polar]  # index i -> t^-(i+1)
-        regular = [_rational(c) for c in regular]  # index j -> t^j
+        polar = list(polar)  # ints and Fractions, index i -> t^-(i+1)
+        regular = list(regular)  # index j -> t^j
         if not regular:
             raise TruncationError("element carries no valid regular window")
         coeffs = polar[::-1] + regular
@@ -251,7 +251,7 @@ class MSElement:
         return _new(*_reduced(out, den, depth), rzero)
 
     def __rmul__(self, scalar) -> "MSElement":
-        scalar = _rational(scalar)
+        scalar = rational.exact(scalar)
         if scalar == 1:
             return self
         num = scalar.numerator
@@ -287,11 +287,6 @@ class MSElement:
         powers = list(range(-1, -depth - 1, -1)) + list(range(self.valid_order + 1))
         bits = [f"{c}*t^{p}" for p in powers if (c := self.coeff(p))]
         return "MS(" + (" + ".join(bits) if bits else "0") + f" |{self.valid_order})"
-
-
-def _rational(c):
-    """c as an exact rational with .numerator and .denominator."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 def _convolve_into(out: list, offset: int, xs, ys, scale: int):
@@ -496,8 +491,8 @@ def character_to_json(chi: Character) -> str:
     values = []
     for label, val in sorted(chi.generator_values.items()):
         value = {
-            "polar": [str(c) for c in val.polar],
-            "regular": [str(c) for c in val.regular[: chi.trunc + 1]],
+            "polar": [rational.text(c) for c in val.polar],
+            "regular": [rational.text(c) for c in val.regular[: chi.trunc + 1]],
         }
         if val.valid_order < chi.trunc:
             value["valid"] = val.valid_order
@@ -579,27 +574,7 @@ def _coeffs(val: dict, key: str, where: str) -> list:
     out = []
     for j, c in enumerate(_field(val, key, list, where)):
         try:
-            out.append(_coefficient(c))
-        except (TypeError, ValueError, ZeroDivisionError):
+            out.append(rational.exact(c))
+        except (TypeError, ValueError):
             raise RenormError(f"{where}.{key}[{j}]: bad coefficient {c!r}") from None
     return out
-
-
-def _coefficient(c):
-    """Fraction(c) of a JSON integer or string, with plain ASCII `-?digits`
-    and `-?digits/digits` text (nonzero denominator) read by int() instead
-    of Fraction's parser.  A boolean or a float raises TypeError; a text
-    whose decimal exponent exceeds 4300 in magnitude raises ValueError
-    (`rational.checked_fraction`)."""
-    if type(c) is str:
-        if c.isascii():
-            num, slash, den = c.removeprefix("-").partition("/")
-            if num.isdigit() and (not slash or den.isdigit()):
-                n = -int(num) if c[0] == "-" else int(num)
-                if not slash:
-                    return n
-                if d := int(den):
-                    return Fraction(n, d)
-    if isinstance(c, (bool, float)):
-        raise TypeError(c)
-    return checked_fraction(c)

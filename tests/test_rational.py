@@ -1,0 +1,151 @@
+import contextlib
+import io
+import json
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
+
+from kolmex import cli, rational
+from kolmex.feynman import LambdaSeries, Theory, theory_from_json, theory_to_json
+from kolmex.hopf import HopfElement, element_from_json, element_to_json
+from kolmex.renorm import Character, MSElement, character_from_json, character_to_json
+
+F = Fraction
+VERTEX = "og:1|-.0.0.0|"  # the bare vertex, a primitive generator
+# 5,000-digit numerator and denominator, coprime (N odd, D - N = 2)
+N = 10**4999 + 7
+D = 10**4999 + 9
+
+
+def long_text(c) -> str:
+    """The decimal text of an int or a Fraction, written through Decimal,
+    which has no digit limit."""
+    c = F(c)
+    den = "" if c.denominator == 1 else f"/{Decimal(c.denominator)}"
+    return f"{Decimal(c.numerator)}{den}"
+
+
+# -- the writer ----------------------------------------------------------------
+
+@settings(max_examples=300)
+@given(st.integers() | st.fractions()
+       | st.integers(10**4200, 10**4300 - 1).map(lambda n: F(-n, 3)))
+@example(10**4299)
+@example(-(10**4300 - 1))
+@example(F(1, 10**4300 - 1))
+def test_text_is_str_below_the_digit_limit(c):
+    assert rational.text(c) == str(c)
+
+
+@pytest.mark.parametrize("c", [10**4300, -N, F(N, D), F(-1, D), F(N, 3)],
+                         ids=["4301_digits", "int", "fraction", "denominator", "numerator"])
+def test_text_writes_every_digit_past_the_limit(c):
+    assert rational.text(c) == long_text(c)
+    assert rational.exact(rational.text(c)) == c
+
+
+# -- the reader ----------------------------------------------------------------
+
+@pytest.mark.parametrize("value, want", [
+    (3, 3), (-2**80, -2**80), (F(4, 2), 2), (F(1, 3), F(1, 3)), ("4/2", 2), ("-0", 0),
+    ("-6/4", F(-3, 2)), ("1e3", 1000), ("2.5", F(5, 2)), (" 7 ", 7),
+])
+def test_exact_is_an_int_when_integral(value, want):
+    got = rational.exact(value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0, None, Decimal(1), [1]])
+def test_exact_refuses_what_is_not_an_int_a_fraction_or_text(value):
+    with pytest.raises(TypeError):
+        rational.exact(value)
+
+
+@pytest.mark.parametrize("value", ["1/0", "0/0", "-7/00", "1/0.5", "", "-", "x", "1e4301"])
+def test_exact_refuses_bad_text_with_value_error(value):
+    with pytest.raises(ValueError):
+        rational.exact(value)
+
+
+# -- round trips past the digit limit -------------------------------------------
+
+def test_character_json_round_trips_long_coefficients():
+    value = MSElement.from_coeffs({-1: F(N, D), 0: N, 1: F(-1, D)}, trunc=1)
+    chi = Character({VERTEX: value}, 1, trunc=1)
+    text = character_to_json(chi)
+    assert json.loads(text)["values"][0]["value"] == {
+        "polar": [long_text(F(N, D))], "regular": [long_text(N), long_text(F(-1, D))]}
+    assert character_from_json(text).generator_values == {VERTEX: value}
+
+
+def test_element_json_round_trips_long_coefficients():
+    x = HopfElement({(): F(N, D), (VERTEX,): -N})
+    text = element_to_json(x)
+    assert [t["coeff"] for t in json.loads(text)] == [long_text(F(N, D)), long_text(-N)]
+    assert element_from_json(text) == x
+
+
+def test_theory_json_round_trips_long_coefficients():
+    t = Theory.build(1, ((F(N, D),),), {3: {(0, 0, 0): F(-1, D)}, 4: {(0,) * 4: N}})
+    text = theory_to_json(t)
+    doc = json.loads(text)
+    assert doc["metric"] == [[long_text(F(N, D))]]
+    assert [e["value"] for e in doc["tensors"]] == [long_text(F(-1, D)), long_text(N)]
+    assert theory_from_json(text) == t
+
+
+def test_series_json_round_trips_long_coefficients():
+    s = LambdaSeries((F(N, D), N, F(-1, D)))
+    assert json.loads(s.to_json()) == [long_text(c) for c in s.coeffs]
+    assert LambdaSeries.from_json(s.to_json()) == s
+    assert s.pretty() == (f"{long_text(F(N, D))} + ({long_text(N)})*L^1 "
+                          f"+ ({long_text(F(-1, D))})*L^2")
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_birkhoff_writes_long_factors(tmp_path):
+    # the bare vertex is primitive: phi- is minus the polar part, phi+ the
+    # regular part
+    value = MSElement.from_coeffs({-1: F(N, D), 0: N, 1: F(-1, D)}, trunc=1)
+    src, out = tmp_path / "char.json", tmp_path / "factors.json"
+    src.write_text(character_to_json(Character({VERTEX: value}, 1, trunc=1)))
+    code, _, err = run_quietly(["algebra", "birkhoff", "--in", str(src), "--out", str(out)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out.read_text())
+    assert doc["minus"][0]["value"] == {"polar": [long_text(F(-N, D))],
+                                        "regular": ["0", "0"]}
+    assert doc["plus"][0]["value"] == {"polar": [],
+                                       "regular": [long_text(N), long_text(F(-1, D))]}
+
+
+@pytest.mark.parametrize("c3", ["1e4300", "-1e-4300", str(10**4299)],
+                         ids=["exponent", "negative_exponent", "4300_digits"])
+def test_feynman_check_takes_couplings_past_the_digit_limit(c3):
+    code, out, err = run_quietly(["--verbose", "algebra", "feynman-check", f"--c3={c3}",
+                                  "--order", "1"])
+    assert code == 0 and out.endswith("match through L^1\n")
+    assert json.loads(err)["c3"] == long_text(rational.exact(c3))
+
+
+@pytest.mark.parametrize("option", ["--rate", "--delta"])
+@pytest.mark.parametrize("value", ["1e400", "-1e4300", str(2**1024)],
+                         ids=["1e400", "-1e4300", "2^1024"])
+def test_sweep_refuses_a_rate_or_delta_past_float_range(tmp_path, option, value):
+    rates = {"--rate": "1/3", "--delta": "1/6", option: value}
+    out = tmp_path / "s.csv"
+    code, _, err = run_quietly(
+        ["codes", "sweep", "--n", "6", "--size", "4", "--count", "5", "--beta-min", "0",
+         "--beta-max", "1", "--steps", "3", "--out", str(out)]
+        + [f"{k}={v}" for k, v in rates.items()])
+    assert code == 2
+    assert err.endswith(f"error: argument {option}: too large for a float: {value!r}\n")
+    assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -6,11 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from kolmex import cli
+from kolmex.feynman import TheoryError, theory_from_json
 from kolmex.hopf import (
     UNIT_MONOMIAL,
     HopfElement,
+    HopfError,
     antipode,
     coproduct_of_monomial,
+    element_from_json,
     enumerate_connected_oriented,
     is_primitive,
     monomial_vertices,
@@ -29,7 +36,6 @@ from kolmex.renorm import (
     identity_map,
     polar_split,
 )
-from kolmex.rational import checked_fraction
 from kolmex.rng import SplitMix64
 
 F = Fraction
@@ -745,38 +751,74 @@ def _huge_exponent(text):
         return False
 
 
-@pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e4_301", "0E700000 ",
-                                  pytest.param("1e" + "9" * 5000, id="1e9x5000")])
-def test_checked_fraction_refuses_exponents_past_the_digit_limit(text):
-    with pytest.raises(ValueError):
-        checked_fraction(text)
-
-
-def test_checked_fraction_is_fraction_within_the_limit():
-    for value in ["1e4300", "-2.5E-4300", "3/4", " 7 ", "1_0e1_0", 3, Fraction(1, 3)]:
-        assert checked_fraction(value) == Fraction(value)
-
-
-@settings(max_examples=300)
-@given(COEFFICIENT_TEXT)
-@example("0E700000")
-@example("1e4301")
-@example("-2.5e-4301")
-@example("1e4300")
-def test_coefficient_text_matches_fraction_parser(text):
-    """Character JSON reads a coefficient string as Fraction(text) does:
-    the same values, and the same strings refused (whitespace, signs,
-    decimals, exponents, underscores and zero denominators included), and
-    it also refuses an exponent past 4300 in magnitude."""
+def _read_everywhere(text):
+    """What each entry point of outside rationals makes of `text`: the
+    value read, or the message refusing it.  The four are a character
+    coefficient, an element coefficient, a theory metric entry and
+    `algebra feynman-check --c3`."""
+    results = []
     doc = json.dumps({"degree_bound": 1, "truncation": 0, "values": [
         {"graph": VERTEX, "value": {"polar": [], "regular": [text]}}]})
+    try:
+        results.append(character_from_json(doc).generator_values[VERTEX].regular[0])
+    except RenormError as exc:
+        results.append(str(exc))
+    try:
+        element = element_from_json(json.dumps([{"monomial": [], "coeff": text}]))
+        results.append(element.counit())
+    except HopfError as exc:
+        results.append(str(exc))
+    doc = json.dumps({"colors": 1, "metric": [[text]], "tensors": []})
+    try:
+        results.append(theory_from_json(doc).metric[0][0])
+    except TheoryError as exc:
+        results.append(str(exc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--verbose", "algebra", "feynman-check", f"--c3={text}",
+                         "--order", "0"])
+    lines = err.getvalue().splitlines()
+    results.append(_long_fraction(json.loads(lines[0])["c3"]) if code == 0
+                   else (code, lines[-1]))
+    return results
+
+
+def _long_fraction(text):
+    """Fraction of written `-?digits(/digits)` text of any length."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFFICIENT_TEXT)
+@example("0E700000")
+@example("0E700000 ")
+@example("1e4301")
+@example("-2.5e-4301")
+@example("-2.5E-4301")
+@example("1e4_301")
+@example("1e" + "9" * 5000)
+@example("1e4300")
+@example("-2.5E-4300")
+@example("1_0e1_0")
+@example(" 7 ")
+@example("3/4")
+def test_coefficient_text_matches_fraction_parser(text):
+    """Every reader of outside rationals reads a text as Fraction(text)
+    does: the same values, and the same texts refused (whitespace, signs,
+    decimals, exponents, underscores and zero denominators included),
+    and each also refuses an exponent past 4300 in magnitude."""
     try:
         if _huge_exponent(text):
             raise ValueError(text)
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        with pytest.raises(RenormError) as info:
-            character_from_json(doc)
-        assert str(info.value) == f"values[0].value.regular[0]: bad coefficient {text!r}"
+        assert _read_everywhere(text) == [
+            f"values[0].value.regular[0]: bad coefficient {text!r}",
+            f"terms[0].coeff: bad coefficient {text!r}",
+            f"metric[0][0] is not a fraction: {text!r}",
+            (2, "kolmex algebra feynman-check: error: argument --c3: not a rational "
+                "with a nonzero denominator and a decimal exponent of at most 4300: "
+                f"{text!r}")]
         return
-    assert character_from_json(doc).generator_values[VERTEX].regular == (want,)
+    assert _read_everywhere(text) == [want] * 4
