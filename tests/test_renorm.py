@@ -36,6 +36,7 @@ from kolmex.renorm import (
     identity_map,
     polar_split,
 )
+from kolmex.rational import exact
 from kolmex.rng import SplitMix64
 
 F = Fraction
@@ -733,6 +734,20 @@ def test_malformed_character_json_is_positioned(doc, message):
     with pytest.raises(RenormError) as info:
         character_from_json(doc)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e4_301", "0E700000 ",
+                                  pytest.param("1e" + "9" * 5000, id="1e9x5000")])
+def test_checked_fraction_refuses_exponents_past_the_digit_limit(text):
+    """The exact reader refuses an exponent past 4300 before Fraction
+    builds its power of ten."""
+    with pytest.raises(ValueError):
+        exact(text)
+
+
+def test_checked_fraction_is_fraction_within_the_limit():
+    for value in ["1e4300", "-2.5E-4300", "3/4", " 7 ", "1_0e1_0", 3, Fraction(1, 3)]:
+        assert exact(value) == Fraction(value)
 
 
 COEFFICIENT_TEXT = st.one_of(
