@@ -344,7 +344,7 @@ class Lit(Description):
     def __init__(self, digits: Union[str, int]):
         if isinstance(digits, int):
             digits = rational.text(digits)
-        if not digits.isdigit() or (digits != "0" and digits[0] == "0"):
+        if not (digits.isascii() and digits.isdigit()) or (digits != "0" and digits[0] == "0"):
             raise DescriptionError(f"bad literal {digits!r}")
         self.digits = digits
 
@@ -571,6 +571,9 @@ def _parse_expr(s: str, pos: int) -> tuple[Description, int]:
     return left, pos
 
 
+_DIGITS = frozenset("0123456789")  # a literal's digits are ASCII only
+
+
 def _parse_operand(s: str, pos: int) -> tuple[Description, int]:
     if pos >= len(s):
         raise DescriptionError("unexpected end of input")
@@ -580,9 +583,9 @@ def _parse_operand(s: str, pos: int) -> tuple[Description, int]:
         if pos >= len(s) or s[pos] != ")":
             raise DescriptionError(f"missing ')' at {pos}")
         return inner, pos + 1
-    if ch.isdigit():
+    if ch in _DIGITS:
         end = pos
-        while end < len(s) and s[end].isdigit():
+        while end < len(s) and s[end] in _DIGITS:
             end += 1
         return Lit(s[pos:end]), end
     for tag in ("rs", "cb", "c", "w", "r", "b"):

@@ -26,6 +26,14 @@ which each theory walks depth first, so a prefix of steps that several
 classes share is contracted once.  Each order's sum stays one integer
 over the lcm of its classes' denominators until one Fraction ends it.
 
+A one-colour theory needs no contraction: each flag has one color, so a
+class with n_k vertices of valence k and E edges weighs
+prod_k C_k^(n_k) * (g^{-1})^E, which depends on its valence profile
+alone.  A second cached, theory-independent table sums 1/|Aut| over the
+family's classes per profile, and such a theory's series is the sum of
+each entry times its monomial at order E - V, where 2E = sum_k k * n_k.
+Theories of more colors walk the trie.
+
 Where it is exact, only connected classes are generated and contracted.
 By the linked-cluster theorem the sum is exp(W), where W(lambda) =
 sum_n w_n lambda^n sums weight / |Aut| over the connected non-empty
@@ -57,7 +65,7 @@ Everything here is exact rational arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -289,6 +297,7 @@ def _contraction_plan(data: MultigraphData) -> tuple:
         closes = sum(m for w, m in bundles[v] if done[w])
         return -closes, sum(m for w, m in bundles[v] if not done[w]), v
 
+    valences = _vertex_valences(data)
     frontier: list[int] = []  # per open flag, the vertex that will close it
     steps = []
     for _ in range(n):
@@ -298,10 +307,18 @@ def _contraction_plan(data: MultigraphData) -> tuple:
         frontier = [frontier[p] for p in keep]
         frontier += [w for w, m in bundles[v] if not done[w] for _ in range(m)]
         done[v] = True
-        valence = (2 * data.loops[v] + data.tails_in[v] + data.tails_out[v]
-                   + sum(m for _, m in bundles[v]))
-        steps.append((valence, keep, closes, data.loops[v]))
+        steps.append((valences[v], keep, closes, data.loops[v]))
     return tuple(steps)
+
+
+def _vertex_valences(data: MultigraphData) -> list[int]:
+    """Each vertex's valence: twice its loops, its tails and its edge ends."""
+    valences = [2 * loops + t_in + t_out
+                for loops, t_in, t_out in zip(data.loops, data.tails_in, data.tails_out)]
+    for (u, w), m in data.edge_mult.items():
+        valences[u] += m
+        valences[w] += m
+    return valences
 
 
 def _plan_trie(plans) -> tuple:
@@ -336,6 +353,58 @@ def _class_trie(max_order: int, valences: tuple, max_vertices, budget: int,
     return _plan_trie(
         (_contraction_plan(data), (label, aut)) for label, data, aut in
         _vacuum_classes_with_aut(max_order, valences, max_vertices, budget, connected))
+
+
+@lru_cache(maxsize=64)
+def _profile_table(max_order: int, valences: tuple, max_vertices, budget: int,
+                   connected: bool) -> tuple:
+    """((profile, E, order, sum of 1/|Aut|), ...) over the classes that
+    `_class_trie` holds for the same key, one entry per valence profile: the
+    sorted (valence, vertex count) pairs of a class.  2E is the sum of
+    valence * count and order = E - V; theory-independent, so cached."""
+    inverse_auts: dict = {}
+    for _, data, aut in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget,
+                                                 connected):
+        profile = tuple(sorted(Counter(_vertex_valences(data)).items()))
+        inverse_auts[profile] = inverse_auts.get(profile, 0) + Fraction(1, aut)
+    table = []
+    for profile, inverse_aut in inverse_auts.items():
+        edges = sum(k * count for k, count in profile) // 2
+        table.append((profile, edges, edges - sum(count for _, count in profile), inverse_aut))
+    return tuple(table)
+
+
+def _profile_sums(table: tuple, theory: Theory) -> dict:
+    """order E - V -> the sum of weight / |Aut| over the classes of a
+    `_profile_table`, for a one-colour theory.
+
+    With one colour a class has one flag coloring, so its weight is
+    prod_k C_k^(n_k) * (g^{-1})^E for n_k vertices of valence k: each
+    profile adds its sum of 1/|Aut| times that monomial, and a profile with
+    a valence the theory lacks adds nothing, as `_trie_sums` skips its
+    subtrees.
+    """
+    ((g_inv,),) = theory.metric_inverse
+    couplings = {k: c for k, ((_, c),) in theory.tensors}
+    sums: dict = {}
+    for profile, edges, order, inverse_aut in table:
+        if all(k in couplings for k, _ in profile):
+            term = inverse_aut * g_inv**edges
+            for k, count in profile:
+                term *= couplings[k] ** count
+            sums[order] = sums.get(order, 0) + term
+    return sums
+
+
+def _class_sums(max_order: int, theory: Theory, max_vertices, budget: int,
+                connected: bool) -> dict:
+    """order -> the sum of weight / |Aut| over the vacuum classes of the
+    theory's valences: summed per valence profile for one colour, else
+    walked on the plan trie."""
+    key = (max_order, tuple(theory.valences()), max_vertices, budget, connected)
+    if theory.n_colors == 1:
+        return _profile_sums(_profile_table(*key), theory)
+    return _trie_sums(_class_trie(*key), theory)
 
 
 def _eliminate(frontier: dict, step: tuple, theory: Theory, by_closed: dict) -> dict:
@@ -430,7 +499,7 @@ def graph_expansion(theory: Theory, order: int,
     if valences and (min(valences) <= 2
                      or max_vertices is not None and max_vertices < 2 * order):
         return LambdaSeries(_full_class_sum(theory, order, max_vertices, budget))
-    w = _trie_sums(_class_trie(order, valences, max_vertices, budget, True), theory)
+    w = _class_sums(order, theory, max_vertices, budget, True)
     # Z = exp(W): e_0 = 1 and m e_m = sum_k k w_k e_{m-k}, exactly, because a
     # disjoint union with m_i copies of class i has |Aut| = prod |Aut_i|^m_i m_i!
     e = [Fraction(1)] if order >= 0 else []
@@ -448,8 +517,7 @@ def _full_class_sum(theory: Theory, order: int, max_vertices, budget: int) -> li
     a cap, and their components of order <= 0 also combine with the others
     inside the window.
     """
-    sums = _trie_sums(_class_trie(order, tuple(theory.valences()), max_vertices, budget, False),
-                      theory)
+    sums = _class_sums(order, theory, max_vertices, budget, False)
     return [sums.get(n, Fraction(0)) for n in range(order + 1)]
 
 

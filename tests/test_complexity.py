@@ -194,6 +194,17 @@ def test_parse_errors_name_the_tag_and_offset(text, where):
         cx.parse(text)
 
 
+@pytest.mark.parametrize("text", ["²", "٣", "１２", "1²", "2^٣", "r(ab,٣)"])
+def test_literals_take_ascii_digits_only(text):
+    # str.isdigit holds for superscripts and other scripts' digits, and
+    # int() reads some of them; the grammar's digits are 0-9
+    with pytest.raises(cx.DescriptionError):
+        cx.parse(text)
+    if "(" not in text and "^" not in text:
+        with pytest.raises(cx.DescriptionError, match="bad literal"):
+            cx.Lit(text)
+
+
 @pytest.mark.parametrize("text", ["c(2,3,012,111)", "c(2,3,01,111)", "c(2,0,)"])
 def test_code_literal_rejects_bad_words(text):
     with pytest.raises(cx.DescriptionError):

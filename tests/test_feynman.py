@@ -458,13 +458,22 @@ def trie_cases(draw):
 @example((dense_theory(3, (3, 4)), (3, 4), 3, None, True))
 @example((dense_theory(2, (3,)), (3, 4), 3, None, True))
 @example((dense_theory(2, (1, 2)), (1, 2), 2, 4, False))
+@example((Theory.single_color(F(-5, 3), c3=F(2, 7), c4=F(-3, 4)), (3, 4), 3, None, True))
+@example((Theory.single_color(F(-2, 3), c1=F(3, 5), c2=F(-7, 4)), (1, 2), 2, 4, False))
+@example((Theory.single_color(F(7, 2), c4=F(-4, 9)), (3, 4), 3, None, True))
+@example((Theory.single_color(F(-3), c3=F(5, 2)), (2, 3), 2, 3, False))
 def test_trie_sums_match_class_by_class_sums(case):
     # one walk over the shared plan trie, summed on integers, against one
-    # graph_weight / |Aut| per class
+    # graph_weight / |Aut| per class; with one colour, also the sum of
+    # 1/|Aut| per valence profile times its monomial
     theory, family, order, cap, connected = case
+    expected = class_by_class_sums(theory, family, order, cap, connected=connected)
     sums = feynman._trie_sums(feynman._class_trie(order, family, cap, 200_000, connected), theory)
-    assert [sums.get(n, 0) for n in range(order + 1)] == \
-        class_by_class_sums(theory, family, order, cap, connected=connected)
+    assert [sums.get(n, 0) for n in range(order + 1)] == expected
+    if theory.n_colors == 1:
+        table = feynman._profile_table(order, family, cap, 200_000, connected)
+        by_profile = feynman._profile_sums(table, theory)
+        assert [by_profile.get(n, 0) for n in range(order + 1)] == expected
 
 
 # -- the equivalence theorem at desk scale ---------------------------------------

@@ -233,12 +233,13 @@ def test_generator_coproducts_are_pinned():
 def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     # labels parse straight to multigraph data: from a cold start, neither
     # the 4/8 family with its degrees and coproducts nor the order-4 vacuum
-    # classes with an expansion over them validates a single flag graph
+    # classes with an expansion over them validates a single flag graph; a
+    # one-colour expansion sums per valence profile and builds no plan trie
     built = []
     validate = Graph.__post_init__
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     for cache in (generator_data, generator_degree, coproduct_of_generator,
-                  feynman._class_trie):
+                  feynman._class_trie, feynman._profile_table):
         cache.cache_clear()
     hopf._labels.clear()
     labels = enumerate_connected_oriented(4, 8)
@@ -249,6 +250,8 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     assert len(_vacuum_classes_with_aut(4, (3, 4), None, 200_000)) == 1115
     assert feynman.graph_expansion(feynman.Theory.single_color(c3=1, c4=1), 4)[4] == F(
         715715, 15552)
+    assert feynman._profile_table.cache_info().misses == 1
+    assert feynman._class_trie.cache_info().currsize == 0
     assert built == []
 
 
