@@ -65,6 +65,22 @@ bit_length - 1: then `top` excludes no prime exponent of x.  A budget-cut
 grant below that, and every larger x, take the roots.  Either way the
 spends, the candidates and the per-search memo are the same.  The leaf test
 reads the same table.
+
+A search of 16 <= x < 2**11 is settled from its exact spend, without
+listing.  Below 10**6 no sum or divisor candidate can win: a sum "(A^E)+R"
+has at least 7 characters and the literal at most 6, and a divisor "D*Q"
+has at least digits(x) + 1, since digits(d) + digits(q) >= digits(dq), or
+7 when a child is parenthesized.  So the text of such a value, at any depth
+below 12, is that of the search at depth 2, which lists only roots and
+towers.  Every grant is non-negative, so a search is cut exactly when its
+untruncated spend exceeds the budget.  That spend is bit_length + 34 for
+each value >= 16 the search reaches, plus 9 sum bases and
+min(63, isqrt(v) - 1) divisors for each value v searched at depth 0 or 1:
+x, and each child of x that no earlier child's search reached.  What a
+depth-1 search of a child reaches depends on the child alone, and a table
+(an lru_cache keyed on the child, below 2**11) keeps it as a bit mask.  A
+search whose spend fits its budget spends it and returns the depth-2 text;
+any other search, and every x >= 2**11, runs the depth-0 search.
 """
 
 from __future__ import annotations
@@ -879,6 +895,77 @@ def _int_text(budget: _Budget, memo: dict, depth: int, x: int) -> str:
     return text
 
 
+# searches of 16 <= x < 2**11 are settled from their spend (module docstring)
+_SPEND_TABLE_LIMIT = 1 << 11
+
+
+def _children(v: int, depth: int) -> list[int]:
+    """The children of v's candidates at `depth` (< 12) when every exponent
+    and tower base is granted, in listing order.  v < 2**11, so a sum's base
+    and exponent are below 16 and are left out."""
+    m, e = _perfect_power(v, v.bit_length())
+    children = []
+    if e > 1:  # e == 1: v has no root and no tower
+        for b in range(2, e + 1):
+            if e % b == 0:
+                children += (m ** (e // b), b)
+        for pair in _tower_pairs(m, e, 36):
+            children += pair
+    if depth < 2:
+        for a, _ in _ADD_BASES:
+            power = a  # a^e for the largest e with a^e <= v
+            while power * a <= v:
+                power *= a
+            if a < power < v:  # e >= 2 and 0 < r <= 10**6: a candidate
+                children.append(v - power)
+        for d in range(2, min(64, math.isqrt(v)) + 1):
+            if v % d == 0:
+                children += (d, v // d)
+    return children
+
+
+def _reach(v: int, depth: int) -> int:
+    """Bit mask of v (>= 16) and the values >= 16 that an uncut search of v
+    at `depth` (1..11) reaches with an empty memo.  v's children sit at
+    depth 2 or more, where what a search lists does not depend on its
+    depth."""
+    mask = 1 << v
+    if depth < 2 or v in _small_powers():  # else v is a leaf
+        for c in _children(v, depth):
+            if c >= 16:
+                mask |= _reach(c, 2)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _depth1_reach(c: int) -> int:
+    """_reach(c, 1), the spend table: its callers pass 16 <= c < 2**11."""
+    return _reach(c, 1)
+
+
+def _listing_spend(v: int) -> int:
+    """Units a search of v >= 16 at depth 0 or 1 spends on sum bases and
+    divisors."""
+    return len(_ADD_BASES) + min(64, math.isqrt(v)) - 1
+
+
+def _small_int_spend(x: int) -> int:
+    """The spend of the depth-0 search of x (16 <= x < 2**11) under an
+    unlimited budget.  Each value >= 16 it reaches spends bit_length + 34
+    on its exponents and tower bases; x, and each child of x that no
+    earlier child's search reached, is searched at depth 0 or 1 and spends
+    its listing too."""
+    reached = 1 << x
+    spend = _listing_spend(x)
+    for c in _children(x, 0):
+        if c >= 16 and not reached >> c & 1:
+            reached |= _depth1_reach(c)
+            spend += _listing_spend(c)
+    # bit_length(v) is the number of j >= 0 with v >= 2**j
+    return spend + 34 * reached.bit_count() + sum(
+        (reached >> (1 << j)).bit_count() for j in range(11))
+
+
 def _word_text(x: str, budget: _Budget) -> Union[str, _BlobText]:
     if any(ch not in WORD_SYMBOLS for ch in x):
         raise DescriptionError(f"bad word symbols {x!r}")
@@ -917,6 +1004,13 @@ def _search_text(x: Obj, budget: _Budget) -> Union[str, _BlobText]:
     """Canonical text of the least candidate the search generates for x; a
     winning blob is a _BlobText, whose str() is the text."""
     if isinstance(x, int):
+        if 16 <= x < _SPEND_TABLE_LIMIT:
+            spend = _small_int_spend(x)
+            if spend <= budget.left:
+                # uncut, and no sum or divisor wins below 10**6: the text
+                # is the one of the search that lists neither
+                budget.left -= spend
+                return _unwrap(_int_text(_Budget(spend), dict(_SMALL_TEXTS), 2, x))
         return _unwrap(_int_text(budget, dict(_SMALL_TEXTS), 0, x))
     if isinstance(x, str):
         return _word_text(x, budget)

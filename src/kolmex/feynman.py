@@ -212,9 +212,10 @@ class Theory:
         """One-color shorthand: single_color(c3=Fraction(1,2), c4=2)."""
         tensors = {}
         for name, value in couplings.items():
-            if not name.startswith("c"):
+            digits = name[1:]
+            if not (name.startswith("c") and digits.isascii() and digits.isdigit()):
                 raise TheoryError(f"unknown coupling {name!r}")
-            k = int(name[1:])
+            k = int(digits)
             tensors[k] = {tuple([0] * k): Fraction(value)}
         return cls.build(1, ((Fraction(metric),),), tensors)
 

@@ -56,6 +56,9 @@ from .hopf import (
 )
 
 DEFAULT_TRUNC = 16
+# the largest truncation character JSON may declare, far above every use
+# (16 at most); each value is padded to it, so it bounds the work
+MAX_TRUNC = 4096
 
 
 class TruncationError(ArithmeticError):
@@ -515,6 +518,10 @@ def character_from_json(text: str) -> Character:
         raise RenormError("character JSON must be an object")
     degree_bound = _count(doc, "degree_bound")
     trunc = _count(doc, "truncation") if "truncation" in doc else DEFAULT_TRUNC
+    if trunc > MAX_TRUNC:
+        raise RenormError(
+            f"character JSON: truncation must be at most {MAX_TRUNC}, "
+            f"got {rational.text(trunc)}")
     entries = _field(doc, "values", list, "character JSON")
     values, first = {}, {}
     for i, entry in enumerate(entries):

@@ -734,6 +734,51 @@ def test_a_root_chain_reaches_a_leaf_guard_at_depth_12():
     assert _searched(proxy, x, 10**6) == _searched(oracle, x, 10**6)
 
 
+# -- the spend table against the depth-0 search -------------------------------
+
+UNLIMITED = 10**9
+
+
+def _depth_searched(x, depth, budget=UNLIMITED):
+    """(text, spends left, cut) of the listing search of x at `depth`, with
+    a fresh budget and memo."""
+    b = cx._Budget(budget)
+    text = cx._unwrap(cx._int_text(b, dict(cx._SMALL_TEXTS), depth, x))
+    return text, b.left, b.cut
+
+
+def test_spend_table_matches_depth_0_search_below_2_11():
+    for x in range(16, cx._SPEND_TABLE_LIMIT):
+        text, left, cut = _depth_searched(x, 0)
+        assert not cut and cx._small_int_spend(x) == UNLIMITED - left, x
+        assert _searched(proxy, x, UNLIMITED) == (text, left, False), x
+
+
+@st.composite
+def small_ints_and_budgets(draw):
+    """x below 2**11 and a budget, often within two units of x's spend."""
+    x = draw(st.integers(1, cx._SPEND_TABLE_LIMIT - 1))
+    budget = draw(st.integers(1, 4096))
+    if x >= 16 and draw(st.booleans()):
+        budget = max(1, cx._small_int_spend(x) + draw(st.integers(-2, 2)))
+    return x, budget
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_ints_and_budgets())
+def test_small_int_search_matches_depth_0_search(case):
+    x, budget = case
+    assert _searched(proxy, x, budget) == _depth_searched(x, 0, budget)
+
+
+def test_no_sum_or_divisor_wins_below_10_6():
+    rnd = Random(24)
+    xs = [rnd.randrange(16, 10**6) for _ in range(4000)]
+    xs += [10**6 - 1, 999983, 2**19, 3**12, 1000, 1024, 100**3, 2**19 + 1]
+    for x in xs:
+        assert _depth_searched(x, 0)[0] == _depth_searched(x, 2)[0], x
+
+
 SYMBOLS = st.sampled_from(cx.WORD_SYMBOLS)
 words = st.one_of(
     st.text(SYMBOLS, min_size=1, max_size=40),

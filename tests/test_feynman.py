@@ -59,6 +59,12 @@ def test_metric_must_be_symmetric_invertible():
         singular.metric_inverse
 
 
+@pytest.mark.parametrize("name", ["cx", "c", "g3", "c3x", "c\u0663", "c 3"])
+def test_single_color_refuses_unknown_couplings(name):
+    with pytest.raises(TheoryError, match=f"unknown coupling {name!r}"):
+        Theory.single_color(**{name: 1})
+
+
 def test_exact_inverse():
     m = ((F(2), F(1, 2)), (F(1, 2), F(3)))
     inv = invert_matrix(m)

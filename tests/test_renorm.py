@@ -25,6 +25,7 @@ from kolmex.hopf import (
 from kolmex.renorm import (
     Character,
     GMap,
+    MAX_TRUNC,
     MSElement,
     RenormError,
     TruncationError,
@@ -729,11 +730,23 @@ def test_recursive_inverse_matches_geometric_series(seed):
     ('{"degree_bound": 4, "truncation": 1, "values": [{"graph": "g", "value": '
      '{"polar": [], "regular": ["1", "0", "5"]}}]}',
      "values[0].value.regular has 3 coefficients, more than truncation + 1 = 2"),
+    ('{"degree_bound": 4, "truncation": 4097, "values": []}',
+     "truncation must be at most 4096, got 4097"),
+    ('{"degree_bound": 4, "truncation": 1000000000000000000000000000000, "values": []}',
+     "truncation must be at most 4096"),
 ])
 def test_malformed_character_json_is_positioned(doc, message):
     with pytest.raises(RenormError) as info:
         character_from_json(doc)
     assert message in str(info.value)
+
+
+def test_character_json_takes_truncations_up_to_the_cap():
+    doc = {"degree_bound": 4, "truncation": MAX_TRUNC, "values": [
+        {"graph": VERTEX, "value": {"polar": [], "regular": ["1"]}}]}
+    chi = character_from_json(json.dumps(doc))
+    assert chi.trunc == MAX_TRUNC == 4096
+    assert list(chi.generator_values[VERTEX].regular) == [1] + [0] * MAX_TRUNC
 
 
 @pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e4_301", "0E700000 ",
