@@ -519,13 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _truncation_error() -> tuple:
-    """renorm.TruncationError when a handler has loaded renorm, the only
-    way it can have been raised; no other command loads renorm to name it."""
-    renorm = sys.modules.get(f"{__package__}.renorm")
-    return (renorm.TruncationError,) if renorm else ()
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -533,9 +526,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.handler(args)
-    except (UsageError, OSError, ValueError, *_truncation_error()) as exc:
-        # every package error but TruncationError is a ValueError, and so
-        # is json.JSONDecodeError
+    except (UsageError, OSError, ValueError) as exc:
+        # every package error is a ValueError, and so is json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,11 +20,10 @@ colors of the flags it closes against, so its factor, summed over the
 colors of its closing and loop flags, is built once per expansion for
 each such color tuple and shared by every class.  A class is contracted
 on the multigraph data its label spells out: the elimination plan reads
-its loops and edge bundles, with no flag graph built.  The plans of a
-family's classes are merged into one cached trie of elimination steps,
-which each theory walks depth first, so a prefix of steps that several
-classes share is contracted once.  Each order's sum stays one integer
-over the lcm of its classes' denominators until one Fraction ends it.
+its loops and edge bundles, with no flag graph built.  A family's plans
+are cached, and each theory contracts them one class at a time.  Each
+order's sum stays one integer over the lcm of its classes' denominators
+until one Fraction ends it.
 
 A one-colour theory needs no contraction: each flag has one color, so a
 class with n_k vertices of valence k and E edges weighs
@@ -32,7 +31,7 @@ prod_k C_k^(n_k) * (g^{-1})^E, which depends on its valence profile
 alone.  A second cached, theory-independent table sums 1/|Aut| over the
 family's classes per profile, and such a theory's series is the sum of
 each entry times its monomial at order E - V, where 2E = sum_k k * n_k.
-Theories of more colors walk the trie.
+Theories of more colors contract each class.
 
 Where it is exact, only connected classes are generated and contracted.
 By the linked-cluster theorem the sum is exp(W), where W(lambda) =
@@ -182,7 +181,7 @@ class Theory:
         then form `n_loops` self-loops, then open; the factor sums d_k * C
         times the G of each closed edge and loop over the colors of the
         closing and loop flags, so a step depends on a frontier state only
-        through `closed`.  Zero sums are dropped.  A `_trie_sums` walk
+        through `closed`.  Zero sums are dropped.  A `_plan_sums` call
         memoizes these for its theory.
         """
         _, G, tensors = self._integer_tables
@@ -322,37 +321,14 @@ def _vertex_valences(data: MultigraphData) -> list[int]:
     return valences
 
 
-def _plan_trie(plans) -> tuple:
-    """Merge (steps, end) pairs into one trie of elimination steps.
-
-    A node is (((step, child node), ...), (end, ...)), the ends being those
-    of the plans that stop there.  Plans that share a prefix of steps share
-    its path, so a walk of the trie contracts each prefix once for all of
-    them.  The trie is built of tuples, so a cached one stays unchanged.
-    """
-    root: tuple = ({}, [])
-    for steps, end in plans:
-        node = root
-        for step in steps:
-            node = node[0].setdefault(step, ({}, []))
-        node[1].append(end)
-
-    def freeze(node):
-        children, ends = node
-        return tuple((step, freeze(child)) for step, child in children.items()), tuple(ends)
-
-    return freeze(root)
-
-
 @lru_cache(maxsize=64)
-def _class_trie(max_order: int, valences: tuple, max_vertices, budget: int,
-                connected: bool) -> tuple:
-    """The plans of the vacuum classes (only the connected ones with
-    `connected`) merged by `_plan_trie`, each class ending in (label,
-    |Aut|); theory-independent, so cached.  |Aut| comes from the search
-    that labelled the class during enumeration."""
-    return _plan_trie(
-        (_contraction_plan(data), (label, aut)) for label, data, aut in
+def _class_plans(max_order: int, valences: tuple, max_vertices, budget: int,
+                 connected: bool) -> tuple:
+    """((plan, |Aut|), ...) of the vacuum classes (only the connected ones
+    with `connected`), in enumeration order; theory-independent, so cached.
+    |Aut| comes from the search that labelled the class during enumeration."""
+    return tuple(
+        (_contraction_plan(data), aut) for _, data, aut in
         _vacuum_classes_with_aut(max_order, valences, max_vertices, budget, connected))
 
 
@@ -360,7 +336,7 @@ def _class_trie(max_order: int, valences: tuple, max_vertices, budget: int,
 def _profile_table(max_order: int, valences: tuple, max_vertices, budget: int,
                    connected: bool) -> tuple:
     """((profile, E, order, sum of 1/|Aut|), ...) over the classes that
-    `_class_trie` holds for the same key, one entry per valence profile: the
+    `_class_plans` holds for the same key, one entry per valence profile: the
     sorted (valence, vertex count) pairs of a class.  2E is the sum of
     valence * count and order = E - V; theory-independent, so cached."""
     inverse_auts: dict = {}
@@ -382,8 +358,8 @@ def _profile_sums(table: tuple, theory: Theory) -> dict:
     With one colour a class has one flag coloring, so its weight is
     prod_k C_k^(n_k) * (g^{-1})^E for n_k vertices of valence k: each
     profile adds its sum of 1/|Aut| times that monomial, and a profile with
-    a valence the theory lacks adds nothing, as `_trie_sums` skips its
-    subtrees.
+    a valence the theory lacks adds nothing, as `_plan_sums` stops its
+    plans.
     """
     ((g_inv,),) = theory.metric_inverse
     couplings = {k: c for k, ((_, c),) in theory.tensors}
@@ -401,11 +377,11 @@ def _class_sums(max_order: int, theory: Theory, max_vertices, budget: int,
                 connected: bool) -> dict:
     """order -> the sum of weight / |Aut| over the vacuum classes of the
     theory's valences: summed per valence profile for one colour, else
-    walked on the plan trie."""
+    contracted class by class."""
     key = (max_order, tuple(theory.valences()), max_vertices, budget, connected)
     if theory.n_colors == 1:
         return _profile_sums(_profile_table(*key), theory)
-    return _trie_sums(_class_trie(*key), theory)
+    return _plan_sums(_class_plans(*key), theory)
 
 
 def _eliminate(frontier: dict, step: tuple, theory: Theory, by_closed: dict) -> dict:
@@ -427,40 +403,36 @@ def _eliminate(frontier: dict, step: tuple, theory: Theory, by_closed: dict) -> 
     return nxt
 
 
-def _trie_sums(root: tuple, theory: Theory) -> dict:
-    """order E - V -> the sum of weight / |Aut| over the ends of a plan
-    trie, each end a (label, |Aut|) pair.
+def _plan_sums(plans, theory: Theory) -> dict:
+    """order E - V -> the sum of weight / |Aut| over (plan, |Aut|) pairs.
 
-    The walk goes depth first from the frontier {(): 1}, and each node's
-    frontier is its parent's after one `_eliminate` step, so a prefix that
-    several plans share is contracted once.  A subtree is skipped when the
-    theory has no tensor of its step's valence or the frontier empties.
-    Each step multiplies the path's denominator by d_k and by dg per edge it
-    closes.  An end adds its integer sum to the numerator kept for (order,
-    denominator * |Aut|), and each order becomes one Fraction over the lcm
-    of its denominators.
+    Each plan is contracted from the frontier {(): 1} one `_eliminate` step
+    at a time, and stops, adding nothing, when the theory has no tensor of a
+    step's valence or the frontier empties.  Each step multiplies the
+    plan's denominator, |Aut| at the start, by d_k and by dg per edge it
+    closes.  The vertex factors are shared by every plan of the call.  A
+    finished plan adds its integer sum to the numerator kept for (order,
+    denominator), and each order becomes one Fraction over the lcm of its
+    denominators.
     """
     dg, _, tensors = theory._integer_tables
     factors: defaultdict = defaultdict(dict)
     numerators: defaultdict = defaultdict(dict)  # order -> {denominator: integer sum}
-
-    def walk(node, frontier, den, order):
-        children, ends = node
-        if ends:
-            total = sum(frontier.values())
-            if total:
-                by_den = numerators[order]
-                for _, aut in ends:
-                    by_den[den * aut] = by_den.get(den * aut, 0) + total
-        for step, child in children:
+    for steps, den in plans:
+        frontier, order = {(): 1}, 0
+        for step in steps:
             valence, _, closes, n_loops = step
-            if valence in tensors:
-                nxt = _eliminate(frontier, step, theory, factors[valence, n_loops])
-                if nxt:
-                    edges = len(closes) + n_loops
-                    walk(child, nxt, den * tensors[valence][0] * dg**edges, order + edges - 1)
-
-    walk(root, {(): 1}, 1, 0)
+            if valence not in tensors:
+                break
+            frontier = _eliminate(frontier, step, theory, factors[valence, n_loops])
+            if not frontier:
+                break
+            edges = len(closes) + n_loops
+            den *= tensors[valence][0] * dg**edges
+            order += edges - 1
+        else:
+            by_den = numerators[order]
+            by_den[den] = by_den.get(den, 0) + sum(frontier.values())
     sums = {}
     for order, by_den in numerators.items():
         common = lcm(*by_den)
@@ -468,21 +440,19 @@ def _trie_sums(root: tuple, theory: Theory) -> dict:
     return sums
 
 
-def graph_weight(data: MultigraphData, theory: Theory, plan: Optional[tuple] = None) -> Fraction:
+def graph_weight(data: MultigraphData, theory: Theory) -> Fraction:
     """Full contraction of the tensor network of a graph, given by its
     multigraph data: the sum over flag colorings of prod_edges g^{ab} *
     prod_vertices C, by vertex elimination.
 
     The frontier maps the colors of the open flags to an integer partial
     sum over G = dg * g^{-1} and the scaled tensors d_k * C; the weight is
-    the final sum over dg^E * prod_vertices d_k.  It is the `_trie_sums`
-    walk of the one-path trie of `plan`, the graph's `_contraction_plan`,
-    built here when not given.
+    the final sum over dg^E * prod_vertices d_k, the `_plan_sums` of the
+    graph's one `_contraction_plan`.
     """
     if any(data.tails_in) or any(data.tails_out):
         raise GraphError("weights are defined for tail-free graphs")
-    steps = plan if plan is not None else _contraction_plan(data)
-    sums = _trie_sums(_plan_trie([(steps, (None, 1))]), theory)
+    sums = _plan_sums([(_contraction_plan(data), 1)], theory)
     return sum(sums.values(), Fraction(0))
 
 
@@ -650,7 +620,7 @@ def theory_to_json(theory: Theory) -> str:
 
 def _json_document(text: str, what: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=rational.decimal_int)
     except json.JSONDecodeError as exc:
         raise TheoryError(f"bad {what} JSON: {exc}") from None
 

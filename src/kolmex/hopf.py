@@ -430,7 +430,7 @@ def element_from_json(text: str) -> HopfElement:
     generator included, raises HopfError naming the entry and key at
     fault."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=rational.decimal_int)
     except json.JSONDecodeError as exc:
         raise HopfError(f"bad element JSON: {exc}") from None
     if not isinstance(doc, list):

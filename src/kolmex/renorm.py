@@ -61,7 +61,7 @@ DEFAULT_TRUNC = 16
 MAX_TRUNC = 4096
 
 
-class TruncationError(ArithmeticError):
+class TruncationError(ArithmeticError, ValueError):
     pass
 
 
@@ -511,7 +511,7 @@ def character_from_json(text: str) -> Character:
     (0..truncation, default truncation); its regular list is padded with
     zeros up to that order."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=rational.decimal_int)
     except json.JSONDecodeError as exc:
         raise RenormError(f"bad character JSON: {exc}") from None
     if not isinstance(doc, dict):

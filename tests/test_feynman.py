@@ -211,7 +211,6 @@ def test_contraction_matches_brute_force_on_random_graphs(theory, g):
 def test_contraction_matches_brute_force_on_cubic_quartic_classes(theory):
     for label, data, _ in _vacuum_classes_with_aut(2, (3, 4), None, 200_000):
         w = brute_force_weight(graph_from_label(label), theory)
-        assert graph_weight(data, theory, feynman._contraction_plan(data)) == w
         assert graph_weight(data, theory) == w
 
 
@@ -422,27 +421,22 @@ def test_cubic_quartic_expansion_under_small_cap_matches_full_class_sum(order):
             full_class_expansion(t, order, cap)
 
 
-def trie_ends(node) -> list:
-    """The (label, |Aut|) ends of a plan trie, depth first."""
-    children, ends = node
-    return list(ends) + [end for _, child in children for end in trie_ends(child)]
-
-
 def test_linked_expansion_contracts_connected_classes_only():
-    # the linked path walks a trie whose class ends are the 88 connected
-    # order-3 classes, each with the |Aut| of the pinned full class list
+    # the linked path contracts the plans of the 88 connected order-3
+    # classes, in enumeration order, each with the |Aut| of the pinned full
+    # class list
     t = Theory.single_color(c3=F(1, 3), c4=F(-5, 2))
     assert graph_expansion(t, 3) == full_class_expansion(t, 3)
-    ends = trie_ends(feynman._class_trie(3, (3, 4), None, 200_000, True))
-    connected = [(label, aut)
-                 for label, data, aut in _vacuum_classes_with_aut(3, (3, 4), None, 200_000)
+    plans = feynman._class_plans(3, (3, 4), None, 200_000, True)
+    connected = [(feynman._contraction_plan(data), aut)
+                 for _, data, aut in _vacuum_classes_with_aut(3, (3, 4), None, 200_000)
                  if _connected(data.n_vertices, data.edge_mult)]
-    assert len(ends) == len(connected) == 88
-    assert sorted(ends) == sorted(connected)
+    assert len(plans) == len(connected) == 88
+    assert list(plans) == connected
 
 
 @st.composite
-def trie_cases(draw):
+def plan_cases(draw):
     """A theory of 1-3 colors whose valences may miss some of the family's
     or have zero entries, an order 0-3, and a family: cubic/quartic with
     no cap for the linked path, or capped (low valences included) for the
@@ -460,7 +454,7 @@ def trie_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trie_cases())
+@given(plan_cases())
 @example((dense_theory(3, (3, 4)), (3, 4), 3, None, True))
 @example((dense_theory(2, (3,)), (3, 4), 3, None, True))
 @example((dense_theory(2, (1, 2)), (1, 2), 2, 4, False))
@@ -468,13 +462,13 @@ def trie_cases(draw):
 @example((Theory.single_color(F(-2, 3), c1=F(3, 5), c2=F(-7, 4)), (1, 2), 2, 4, False))
 @example((Theory.single_color(F(7, 2), c4=F(-4, 9)), (3, 4), 3, None, True))
 @example((Theory.single_color(F(-3), c3=F(5, 2)), (2, 3), 2, 3, False))
-def test_trie_sums_match_class_by_class_sums(case):
-    # one walk over the shared plan trie, summed on integers, against one
-    # graph_weight / |Aut| per class; with one colour, also the sum of
-    # 1/|Aut| per valence profile times its monomial
+def test_plan_sums_match_class_by_class_sums(case):
+    # the family's plans contracted in one call, summed on integers,
+    # against one graph_weight / |Aut| per class; with one colour, also the
+    # sum of 1/|Aut| per valence profile times its monomial
     theory, family, order, cap, connected = case
     expected = class_by_class_sums(theory, family, order, cap, connected=connected)
-    sums = feynman._trie_sums(feynman._class_trie(order, family, cap, 200_000, connected), theory)
+    sums = feynman._plan_sums(feynman._class_plans(order, family, cap, 200_000, connected), theory)
     assert [sums.get(n, 0) for n in range(order + 1)] == expected
     if theory.n_colors == 1:
         table = feynman._profile_table(order, family, cap, 200_000, connected)

@@ -234,12 +234,12 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     # labels parse straight to multigraph data: from a cold start, neither
     # the 4/8 family with its degrees and coproducts nor the order-4 vacuum
     # classes with an expansion over them validates a single flag graph; a
-    # one-colour expansion sums per valence profile and builds no plan trie
+    # one-colour expansion sums per valence profile and builds no class plans
     built = []
     validate = Graph.__post_init__
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     for cache in (generator_data, generator_degree, coproduct_of_generator,
-                  feynman._class_trie, feynman._profile_table):
+                  feynman._class_plans, feynman._profile_table):
         cache.cache_clear()
     hopf._labels.clear()
     labels = enumerate_connected_oriented(4, 8)
@@ -251,7 +251,7 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     assert feynman.graph_expansion(feynman.Theory.single_color(c3=1, c4=1), 4)[4] == F(
         715715, 15552)
     assert feynman._profile_table.cache_info().misses == 1
-    assert feynman._class_trie.cache_info().currsize == 0
+    assert feynman._class_plans.cache_info().currsize == 0
     assert built == []
 
 

@@ -105,6 +105,31 @@ def test_series_json_round_trips_long_coefficients():
                           f"+ ({long_text(F(-1, D))})*L^2")
 
 
+# -- bare JSON integers past the digit limit ------------------------------------
+
+BARE = "1" + "0" * 4400  # 10^4400, past the interpreter's 4300-digit limit
+CHARACTER = ('{"degree_bound": 1, "truncation": 0, "values": [{"graph": "%s", '
+             '"value": {"polar": [@], "regular": [@]}}]}' % VERTEX)
+
+
+def bare_and_quoted(template: str, digits: str) -> tuple[str, str]:
+    """The JSON document with `digits` for each @, bare and as a string."""
+    return template.replace("@", digits), template.replace("@", f'"{digits}"')
+
+
+@pytest.mark.parametrize("digits", [BARE, "-" + BARE], ids=["positive", "negative"])
+@pytest.mark.parametrize("reader, template", [
+    (lambda t: character_from_json(t).generator_values, CHARACTER),
+    (element_from_json, '[{"monomial": ["%s"], "coeff": @}]' % VERTEX),
+    (theory_from_json, '{"colors": 1, "metric": [[@]], '
+                       '"tensors": [{"indices": [0, 0, 0], "value": @}]}'),
+    (LambdaSeries.from_json, "[@, 1, @]"),
+], ids=["character", "element", "theory", "series"])
+def test_json_readers_take_bare_integers_past_the_digit_limit(reader, template, digits):
+    bare, quoted = bare_and_quoted(template, digits)
+    assert reader(bare) == reader(quoted)
+
+
 def run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -125,6 +150,27 @@ def test_birkhoff_writes_long_factors(tmp_path):
                                         "regular": ["0", "0"]}
     assert doc["plus"][0]["value"] == {"polar": [],
                                        "regular": [long_text(N), long_text(F(-1, D))]}
+
+
+def test_birkhoff_reads_a_bare_coefficient_past_the_digit_limit(tmp_path):
+    outputs = []
+    for text in bare_and_quoted(CHARACTER, BARE):
+        src, out = tmp_path / "char.json", tmp_path / "factors.json"
+        src.write_text(text)
+        code, _, err = run_quietly(["algebra", "birkhoff", "--in", str(src), "--out", str(out)])
+        assert (code, err) == (0, "")
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["plus"][0]["value"]["regular"] == [BARE]
+
+
+def test_birkhoff_names_a_truncation_past_the_digit_limit(tmp_path):
+    src, out = tmp_path / "char.json", tmp_path / "factors.json"
+    src.write_text('{"degree_bound": 1, "truncation": %s, "values": []}' % ("9" * 4400))
+    code, _, err = run_quietly(["algebra", "birkhoff", "--in", str(src), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: character JSON: truncation must be at most 4096, got 999")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("c3", ["1e4300", "-1e-4300", str(10**4299)],
