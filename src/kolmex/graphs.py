@@ -1,4 +1,4 @@
-"""Combinatorial graphs with flags and involutions.
+"""Graphs with flags and involutions, worked on as multigraph data.
 
 A graph is a finite set of flags F, a finite set of vertices V, an
 involution j on F pairing flag halves into edges (fixed flags are tails)
@@ -6,15 +6,17 @@ and an incidence map F -> V.  Orientations label every flag 'in' or 'out'
 with the two halves of an edge labelled differently.  This one structure
 underlies both the vacuum-diagram expansion and the flowchart bialgebra.
 
-Isomorphism machinery works at the multigraph level: per-vertex loop
-counts, tail counts (split by label when oriented), decorations and edge
-multiplicities determine a flag graph up to isomorphism, because parallel
-edges, loops and same-label tails are freely interchangeable.  Canonical
-labels take the lexicographic minimum of a pinned serialization over the
-vertex permutations that respect the per-vertex invariant, found by a
-branch and bound on the serialization's edge prefix that keeps every tie;
-the same search counts the permutations reaching the minimum, which are
-the vertex automorphisms.  The tests keep the full permutation scan, an
+Parallel edges, loops and same-label tails are freely interchangeable, so
+per-vertex loop counts, tail counts (split by label when oriented),
+decorations and edge multiplicities determine a graph up to isomorphism.
+That `MultigraphData` is what everything here runs on; `Graph` spells out
+the flags, and `multigraph_data` reads one.  Canonical labels take the
+lexicographic minimum of a pinned serialization over the vertex
+permutations that respect the per-vertex invariant, found by a branch and
+bound on the serialization's edge prefix that keeps every tie; the same
+search counts the permutations reaching the minimum, which are the vertex
+automorphisms.  A class's |Aut| is that count times its per-bundle flag
+choices (`_flag_choices`).  The tests keep the full permutation scan, an
 individualization-refinement search and an explicit flag-level search as
 independent oracles.
 
@@ -42,7 +44,6 @@ of its upper side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Optional, Sequence
@@ -120,9 +121,6 @@ class Graph:
     def tails(self) -> list[int]:
         return [f for f, g in enumerate(self.involution) if f == g]
 
-    def n_edges(self) -> int:
-        return len(self.edges())
-
     def flags_at(self, v: int) -> list[int]:
         return [f for f, w in enumerate(self.incidence) if w == v]
 
@@ -144,14 +142,6 @@ class Graph:
             else:
                 out.append((self.incidence[g], self.incidence[f]))
         return out
-
-
-EMPTY_GRAPH = Graph(0, (), ())
-
-
-def euler_characteristic(g: Graph) -> int:
-    """|V| - |E|; tails are contractible and contribute nothing."""
-    return g.n_vertices - g.n_edges()
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +450,11 @@ def graph_from_label(label: str) -> Graph:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-def automorphism_order(g: Graph, max_flags: int = 16) -> int:
-    """Number of (vertex permutation, flag permutation) pairs commuting with
-    the involution and incidence and preserving decorations/orientation.
-
-    Counts exactly: the lexmin search of the canonical label counts the
-    structure-preserving vertex permutations, and for each of them the
-    compatible flag permutations factor into per-bundle choices (parallel
-    edges m!, loops l! with a factor 2 per loop flip when unoriented, tails
-    t! per label).  The flag-level search in the tests confirms the count.
-    """
-    if g.n_flags > max_flags:
-        raise BudgetError(f"{g.n_flags} flags exceed the bound {max_flags}")
-    return _automorphism_order_unbounded(g)
-
-
-def _automorphism_order_unbounded(g: Graph) -> int:
-    data = multigraph_data(g)
-    return _min_serialization(data)[1] * _flag_choices(data)
-
-
 def _flag_choices(data: MultigraphData) -> int:
-    """Flag permutations that fix every vertex and preserve the structure."""
+    """Flag permutations that fix every vertex and preserve the structure:
+    parallel edges m!, loops l! (times 2 per loop flip when unoriented) and
+    tails t! per label.  A class's |Aut| is this times the vertex
+    automorphisms `_min_serialization` counts."""
     choices = 1
     for v in range(data.n_vertices):
         l, ti, to = data.loops[v], data.tails_in[v], data.tails_out[v]
@@ -493,32 +466,8 @@ def _flag_choices(data: MultigraphData) -> int:
 
 
 # ---------------------------------------------------------------------------
-# orientation: directedness and cuts
+# cuts
 # ---------------------------------------------------------------------------
-
-def is_directed(g: Graph, orientation=None) -> bool:
-    """True iff a strictly increasing time function exists along every flag
-    direction, i.e. the edge-direction relation has no oriented cycle."""
-    if orientation is not None:
-        g = Graph(g.n_vertices, g.involution, g.incidence,
-                  orientation=tuple(orientation), decorations=g.decorations)
-    adjacency: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
-    for s, t in g.directed_edges():
-        if s == t:
-            return False
-        adjacency[s].add(t)
-    state = {v: 0 for v in range(g.n_vertices)}  # 0 new, 1 active, 2 done
-
-    def dfs(v) -> bool:
-        state[v] = 1
-        for w in adjacency[v]:
-            if state[w] == 1 or (state[w] == 0 and not dfs(w)):
-                return False
-        state[v] = 2
-        return True
-
-    return all(state[v] != 0 or dfs(v) for v in range(g.n_vertices))
-
 
 def enumerate_cuts(data: MultigraphData, max_vertices: int = 16) -> list[int]:
     """Every cut of an oriented graph's multigraph data, as the bitmask of
@@ -572,7 +521,7 @@ def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
     valences = sorted(set(valences))
     if any(v < 1 for v in valences):
         raise GraphError("valences must be >= 1")
-    found = [] if connected else [(canonical_label(EMPTY_GRAPH), 1)]
+    found = [] if connected else [_min_serialization(MultigraphData(0, False, (), (), (), {}, ()))]
     if valences and max_order >= 0:
         if max_vertices is None:
             if min(valences) <= 2:
@@ -604,9 +553,9 @@ def _degree_sequences(valences, max_order, max_vertices):
             return
         for i in range(start_idx, len(valences)):
             d = valences[i]
-            # pruning: each further vertex contributes at least d/2 - 1
+            # pruning: with every valence >= 2 no further vertex lowers E - V
             lower = sum(prefix + [d]) / 2 - (len(prefix) + 1)
-            if lower > max_order and d > 2:
+            if lower > max_order and valences[-1] >= 2:
                 continue
             rec(prefix + [d], i)
 
@@ -716,77 +665,3 @@ def _oriented_closings(v, residual):
             for got in _spread(residual, n + v + 1, 2 * n, residual[v] - l):
                 yield l, (tuple(((v, j), m) for j, m in sent)
                           + tuple(((j - n, v), m) for j, m in got))
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-def graph_to_json(g: Graph) -> str:
-    doc = {
-        "flags": list(range(g.n_flags)),
-        "vertices": list(range(g.n_vertices)),
-        "involution": list(g.involution),
-        "incidence": list(g.incidence),
-    }
-    if g.orientation is not None:
-        doc["orientation"] = list(g.orientation)
-    if g.decorations is not None:
-        doc["decorations"] = {
-            str(v): d for v, d in enumerate(g.decorations) if d is not None
-        }
-    return json.dumps(doc, indent=1)
-
-
-def _check_ints(doc: dict, key: str) -> None:
-    """Raise GraphError unless doc[key] is a list of integers (booleans
-    refused)."""
-    value = doc[key]
-    if not isinstance(value, list):
-        raise GraphError(f"{key} must be a list, not {type(value).__name__}")
-    for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise GraphError(f"{key}[{i}] must be an integer, not {x!r}")
-
-
-def graph_from_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"bad graph JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphError(f"graph JSON must be an object, not {type(doc).__name__}")
-    for key in ("flags", "vertices", "involution", "incidence"):
-        if key not in doc:
-            raise GraphError(f"graph JSON lacks {key!r}")
-        _check_ints(doc, key)
-    flags = doc["flags"]
-    if flags != list(range(len(flags))):
-        raise GraphError("flags must be the dense ids 0..n-1")
-    vertices = doc["vertices"]
-    if vertices != list(range(len(vertices))):
-        raise GraphError("vertices must be the dense ids 0..n-1")
-    orientation = doc.get("orientation")
-    if "orientation" in doc and not isinstance(orientation, list):
-        raise GraphError(f"orientation must be a list, not {type(orientation).__name__}")
-    decorations = None
-    if "decorations" in doc:
-        given = doc["decorations"]
-        if not isinstance(given, dict):
-            raise GraphError(f"decorations must be an object, not {type(given).__name__}")
-        ids = {str(v): v for v in vertices}
-        decorations = [None] * len(vertices)
-        for key, token in given.items():
-            if key not in ids:
-                raise GraphError(f"decorations key {key!r} is not a vertex id")
-            if not isinstance(token, str):
-                raise GraphError(f"decorations[{key!r}] must be a string, not {token!r}")
-            decorations[ids[key]] = token
-        decorations = tuple(decorations)
-    return Graph(
-        len(vertices),
-        tuple(doc["involution"]),
-        tuple(doc["incidence"]),
-        orientation=None if orientation is None else tuple(orientation),
-        decorations=decorations,
-    )

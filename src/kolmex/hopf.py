@@ -10,7 +10,9 @@ multiplicatively to monomials and linearly throughout.  A generator's
 label parses straight to its multigraph data (`generator_data`), and the
 cuts and sides are read and labelled on that data, a severed edge left as
 a tail at each end: no flag graph is built for a generator, a cut or a
-piece.  Labels read from JSON must be generators (`check_generator`).
+piece (`generator_graph` lays one out for callers that want a `Graph`).
+Elements are built from labels only, and labels read from JSON must be
+generators (`check_generator`).
 
 Grading is by total flag count, which both halves of a cut split exactly
 (severed halves stay with their side as tails).  Bare vertices have degree
@@ -58,7 +60,6 @@ from .graphs import (
     enumerate_cuts,
     graph_from_label,
     label_data,
-    multigraph_data,
 )
 
 Monomial = tuple  # sorted tuple of generator labels
@@ -102,14 +103,6 @@ def monomial_vertices(mono: Monomial) -> int:
 
 
 _labels: dict = {}  # a component's multigraph data, as a tuple -> its label
-
-
-def monomial_of_graph(g: Graph) -> Monomial:
-    """Connected-component decomposition as a sorted label tuple."""
-    if g.orientation is None:
-        raise HopfError("the flowchart algebra takes oriented graphs")
-    data = multigraph_data(g)
-    return _side_monomial(data, range(data.n_vertices))
 
 
 def _side_monomial(data: MultigraphData, keep) -> Monomial:
@@ -184,10 +177,6 @@ class HopfElement:
     @classmethod
     def generator(cls, label: str) -> "HopfElement":
         return cls({(label,): 1})
-
-    @classmethod
-    def of_graph(cls, g: Graph) -> "HopfElement":
-        return cls({monomial_of_graph(g): 1})
 
     def __add__(self, other: "HopfElement") -> "HopfElement":
         out = dict(self.terms)

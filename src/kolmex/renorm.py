@@ -520,8 +520,7 @@ def character_from_json(text: str) -> Character:
     trunc = _count(doc, "truncation") if "truncation" in doc else DEFAULT_TRUNC
     if trunc > MAX_TRUNC:
         raise RenormError(
-            f"character JSON: truncation must be at most {MAX_TRUNC}, "
-            f"got {rational.text(trunc)}")
+            f"character JSON: truncation must be at most {MAX_TRUNC}, got {_shown(trunc)}")
     entries = _field(doc, "values", list, "character JSON")
     values, first = {}, {}
     for i, entry in enumerate(entries):
@@ -540,7 +539,7 @@ def character_from_json(text: str) -> Character:
             valid, bound = val["valid"], "valid"
             if isinstance(valid, bool) or not isinstance(valid, int) or not 0 <= valid <= trunc:
                 raise RenormError(
-                    f"{where}.value.valid must be an integer in 0..{trunc}, got {valid!r}")
+                    f"{where}.value.valid must be an integer in 0..{trunc}, got {_shown(valid)}")
         if len(regular) > valid + 1:
             raise RenormError(
                 f"{where}.value.regular has {len(regular)} coefficients, more than "
@@ -572,9 +571,19 @@ def _count(doc: dict, key: str) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise RenormError(
-            f"character JSON: {key} must be a non-negative integer, got {value!r}"
+            f"character JSON: {key} must be a non-negative integer, got {_shown(value)}"
         )
     return value
+
+
+def _shown(value) -> str:
+    """repr(value) for a refusal; an integer past 40 digits, which repr may
+    refuse, as its sign, its first 20 digits and its digit count."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        digits = rational.text(abs(value))
+        if len(digits) > 40:
+            return f"{'-' * (value < 0)}{digits[:20]}... ({len(digits)} digits)"
+    return repr(value)
 
 
 def _coeffs(val: dict, key: str, where: str) -> list:

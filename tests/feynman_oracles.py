@@ -4,11 +4,12 @@ summed over vertex multisets."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
+from operator import add
 
 from kolmex.feynman import LambdaSeries, TheoryError, graph_weight, wick_pairing_sum
-from kolmex.graphs import _vacuum_classes_with_aut, euler_characteristic, graph_from_label
+from kolmex.graphs import _vacuum_classes_with_aut
 
 
 def wick_pairings_naive(colors: tuple, g_inv: tuple) -> Fraction:
@@ -44,9 +45,9 @@ def class_by_class_sums(theory, valences, order, max_vertices=None, budget=200_0
     per class of the vacuum family of `valences` (only its connected
     non-empty classes with `connected`)."""
     coeffs = [Fraction(0)] * (order + 1)
-    for label, data, aut in _vacuum_classes_with_aut(order, valences, max_vertices, budget,
-                                                     connected):
-        n = -euler_characteristic(graph_from_label(label))
+    for _, data, aut in _vacuum_classes_with_aut(order, valences, max_vertices, budget,
+                                                 connected):
+        n = data.n_flags // 2 - data.n_vertices  # E - V of a tail-free class
         if 0 <= n <= order:
             w = graph_weight(data, theory)
             if w:
@@ -89,3 +90,44 @@ def multiset_oracle(theory, order, max_vertices=None):
                 factor /= factorial(m)
             coeffs[n] += factor * wick_pairing_sum(tuple(counts), g_inv, memo)
     return LambdaSeries(tuple(coeffs))
+
+
+def wick_profile_sums(order, valences, cap=None, connected=True) -> dict:
+    """profile -> the sum of 1/|Aut| over the vacuum classes with that
+    valence profile (sorted (valence, vertex count) pairs), E - V <= order
+    and at most `cap` vertices (2 * order by default); only the connected
+    non-empty classes with `connected`.
+
+    By Wick's theorem the classes of n_k vertices of valence k, connected
+    or not, sum to (2E-1)!! / prod_k n_k! (k!)^(n_k), the pairings of their
+    2E flags over the vertex and flag relabellings; the connected sums are
+    the coefficients of the logarithm of that series."""
+    valences = sorted(set(valences))
+    if cap is None:
+        if min(valences) <= 2:
+            raise ValueError("valences <= 2 need a cap")
+        cap = 2 * order
+    z = {}
+    for counts in product(range(cap + 1), repeat=len(valences)):
+        flags = sum(k * n for k, n in zip(valences, counts))
+        if sum(counts) <= cap and flags % 2 == 0:
+            pairings = factorial(flags) // (2 ** (flags // 2) * factorial(flags // 2))
+            symmetry = prod(factorial(n) * factorial(k) ** n for k, n in zip(valences, counts))
+            z[counts] = Fraction(pairings, symmetry)
+    if connected:  # log Z = sum_j (-1)^(j+1) (Z - 1)^j / j, truncated at `cap` vertices
+        rest = {m: c for m, c in z.items() if any(m)}
+        z, power = Counter(), {(0,) * len(valences): Fraction(1)}
+        for j in range(1, cap + 1):
+            nxt = Counter()
+            for m, c in power.items():
+                for m2, c2 in rest.items():
+                    m3 = tuple(map(add, m, m2))
+                    if sum(m3) <= cap:
+                        nxt[m3] += c * c2
+            power = nxt
+            for m, c in power.items():
+                z[m] += (-1) ** (j + 1) * c / j
+    return {
+        tuple((k, n) for k, n in zip(valences, m) if n): c for m, c in z.items()
+        if c and sum(k * n for k, n in zip(valences, m)) // 2 - sum(m) <= order
+    }

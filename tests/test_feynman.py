@@ -14,6 +14,7 @@ from feynman_oracles import (
     multiset_oracle,
     oracle_options,
     wick_pairings_naive,
+    wick_profile_sums,
 )
 from kolmex import feynman
 from kolmex.feynman import (
@@ -29,7 +30,6 @@ from kolmex.feynman import (
     wick_pairing_sum,
 )
 from kolmex.graphs import (
-    EMPTY_GRAPH,
     Graph,
     GraphError,
     _vacuum_classes_with_aut,
@@ -223,7 +223,7 @@ def test_contraction_matches_brute_force_on_capped_low_valence_classes(theory):
 
 def test_contraction_edge_cases():
     t = Theory.build(2, ((F(2), F(1, 2)), (F(1, 2), F(3))), {3: {(0, 0, 1): F(1, 3)}})
-    assert weight(EMPTY_GRAPH, t) == 1
+    assert weight(Graph(0, (), ()), t) == 1
     assert weight(TWO_LOOPS, t) == 0  # no valence-4 tensor
     assert weight(Graph(1, (), ()), t) == 0  # nor a valence-0 one
     with pytest.raises(GraphError):
@@ -511,6 +511,33 @@ def test_valence_two_theories_with_matching_cap():
         graph_expansion(t, 1, max_vertices=2).coeffs[0]
         == 1 + c / 2 + c**2 / 4 + c**2 / 8
     )
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_valence_one_theories_with_matching_cap(order, cap):
+    # a valence-1 vertex lowers E - V by 1/2, so (3, 1) lands at order 0
+    # and (3, 3, 3, 1) at order 1 although (3) and (3, 3, 3) lie above them
+    t = Theory.single_color(c1=1, c3=1)
+    assert graph_expansion(t, order, max_vertices=cap) == gaussian_oracle(
+        t, order, max_vertices=cap)
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "all"])
+@pytest.mark.parametrize("valences, cap, max_order", [
+    ((3,), None, 4), ((4,), None, 4), ((3, 4), None, 4), ((3, 5, 6), None, 3),
+    *(((1, 2), cap, 2) for cap in (3, 4, 5)),
+    *(((2, 3), cap, 2) for cap in (3, 4, 5)),
+    *(((1, 3), cap, 2) for cap in (3, 4, 5)),
+    *(((1, 2, 3), cap, 2) for cap in (3, 4, 5)),
+])
+def test_profile_sums_match_wick(valences, cap, max_order, connected):
+    # per valence profile, the sum of 1/|Aut| over the enumerated classes
+    # against the pairing count of Wick's theorem (its log when connected)
+    for order in range(max_order + 1):
+        table = feynman._profile_table(order, valences, cap, 200_000, connected)
+        assert {profile: inverse_aut for profile, _, _, inverse_aut in table} == (
+            wick_profile_sums(order, valences, cap, connected)), order
 
 
 def test_valence_caps_required():

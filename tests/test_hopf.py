@@ -45,7 +45,6 @@ from kolmex.hopf import (
     generator_vertices,
     is_primitive,
     monomial_degree,
-    monomial_of_graph,
     reduced_coproduct_of_monomial,
     tensor_mul,
 )
@@ -85,11 +84,16 @@ def test_commutativity():
     assert a * b == b * a
 
 
+def monomial_of_graph(g: Graph):
+    """The sorted labels of g's connected components."""
+    return hopf._side_monomial(multigraph_data(g), range(g.n_vertices))
+
+
 def test_product_is_disjoint_union_class():
     double = Graph(2, (), (), orientation=())
     assert monomial_of_graph(double) == (L_VERTEX, L_VERTEX)
     prod = HopfElement.generator(L_VERTEX) * HopfElement.generator(L_VERTEX)
-    assert prod == HopfElement.of_graph(double)
+    assert prod == HopfElement({monomial_of_graph(double): 1})
 
 
 # -- coproduct ------------------------------------------------------------------
@@ -313,8 +317,8 @@ def test_element_json_round_trip():
 
 
 def test_unoriented_graphs_rejected():
-    with pytest.raises(Exception):
-        monomial_of_graph(Graph(1, (1, 0), (0, 0)))
+    with pytest.raises(HopfError, match="not an oriented graph's label"):
+        check_generator(canonical_label(Graph(1, (1, 0), (0, 0))))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -164,13 +164,37 @@ def test_birkhoff_reads_a_bare_coefficient_past_the_digit_limit(tmp_path):
     assert json.loads(outputs[0])["plus"][0]["value"]["regular"] == [BARE]
 
 
-def test_birkhoff_names_a_truncation_past_the_digit_limit(tmp_path):
+NINES = "9" * 4400
+
+
+def refuse_briefly(tmp_path, text, message):
+    """`algebra birkhoff` on character JSON `text` exits 2, and its one
+    error line names the field with a bounded prefix of the 4400-digit
+    value and its digit count, not the interpreter's digit-limit error
+    nor every digit."""
     src, out = tmp_path / "char.json", tmp_path / "factors.json"
-    src.write_text('{"degree_bound": 1, "truncation": %s, "values": []}' % ("9" * 4400))
+    src.write_text(text)
     code, _, err = run_quietly(["algebra", "birkhoff", "--in", str(src), "--out", str(out)])
     assert code == 2
-    assert err.startswith("error: character JSON: truncation must be at most 4096, got 999")
+    assert err.startswith(f"error: {message}") and err.endswith(" (4400 digits)\n")
+    assert len(err.encode()) < 200
     assert not out.exists()
+
+
+def test_birkhoff_names_a_truncation_past_the_digit_limit(tmp_path):
+    refuse_briefly(tmp_path, '{"degree_bound": 1, "truncation": %s, "values": []}' % NINES,
+                   "character JSON: truncation must be at most 4096, got 999")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"degree_bound": -%s, "values": []}' % NINES,
+     "character JSON: degree_bound must be a non-negative integer, got -999"),
+    ('{"degree_bound": 1, "truncation": 2, "values": [{"graph": "%s", '
+     '"value": {"polar": [], "regular": [], "valid": %s}}]}' % (VERTEX, NINES),
+     "values[0].value.valid must be an integer in 0..2, got 999"),
+], ids=["degree_bound", "valid"])
+def test_birkhoff_names_other_integers_past_the_digit_limit(tmp_path, text, message):
+    refuse_briefly(tmp_path, text, message)
 
 
 @pytest.mark.parametrize("c3", ["1e4300", "-1e-4300", str(10**4299)],
