@@ -87,7 +87,12 @@ def _at_least(least: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            number = text.strip()
+            digits = number[1:] if number[:1] in ("+", "-") else number
+            if digits.isdecimal():  # int() refuses more digits than its limit
+                raise argparse.ArgumentTypeError(
+                    f"too many digits: {number[:20]}... ({len(digits)} digits)") from None
+            raise argparse.ArgumentTypeError(f"not an integer: {rational.shown(text)}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, not {value}")
         return value

@@ -63,7 +63,6 @@ Everything here is exact rational arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,17 +243,6 @@ class LambdaSeries:
             if self.coeffs[i] != other.coeffs[i]:
                 return i - 1
         return n
-
-    def to_json(self) -> str:
-        return json.dumps([rational.text(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "LambdaSeries":
-        doc = _json_document(text, "series")
-        return cls(tuple(
-            _fraction_at(c, f"coeffs[{i}]")
-            for i, c in enumerate(_list_at(doc, "series JSON"))
-        ))
 
     def pretty(self) -> str:
         parts = []
@@ -599,80 +587,3 @@ def gaussian_oracle(theory: Theory, order: int,
             if moment:
                 coeffs[n] += moment * Fraction(value, den**p * factorial(p))
     return LambdaSeries(tuple(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-def theory_to_json(theory: Theory) -> str:
-    doc = {
-        "colors": theory.n_colors,
-        "metric": [[rational.text(x) for x in row] for row in theory.metric],
-        "tensors": [
-            {"indices": list(idx), "value": rational.text(coeff)}
-            for _, entries in theory.tensors
-            for idx, coeff in entries
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def _json_document(text: str, what: str):
-    try:
-        return json.loads(text, parse_int=rational.decimal_int)
-    except json.JSONDecodeError as exc:
-        raise TheoryError(f"bad {what} JSON: {exc}") from None
-
-
-def _list_at(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise TheoryError(f"{where} is not a list")
-    return value
-
-
-def _int_at(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TheoryError(f"{where} is not an integer: {value!r}")
-    return value
-
-
-def _fraction_at(value, where: str) -> int | Fraction:
-    """An exact coefficient: a JSON integer or a string such as "-7/2"."""
-    try:
-        return rational.exact(value)
-    except (TypeError, ValueError):
-        raise TheoryError(f"{where} is not a fraction: {value!r}") from None
-
-
-def theory_from_json(text: str) -> Theory:
-    """Parse `theory_to_json` output; malformed input raises TheoryError
-    naming the position, e.g. "tensors[2] lacks 'value'"."""
-    doc = _json_document(text, "theory")
-    if not isinstance(doc, dict):
-        raise TheoryError("theory JSON is not an object")
-    for key in ("colors", "metric", "tensors"):
-        if key not in doc:
-            raise TheoryError(f"theory JSON lacks {key!r}")
-    metric = [
-        [_fraction_at(x, f"metric[{i}][{j}]")
-         for j, x in enumerate(_list_at(row, f"metric[{i}]"))]
-        for i, row in enumerate(_list_at(doc["metric"], "metric"))
-    ]
-    tensors: dict = {}
-    for t, entry in enumerate(_list_at(doc["tensors"], "tensors")):
-        where = f"tensors[{t}]"
-        if not isinstance(entry, dict):
-            raise TheoryError(f"{where} is not an object")
-        for key in ("indices", "value"):
-            if key not in entry:
-                raise TheoryError(f"{where} lacks {key!r}")
-        idx = tuple(
-            _int_at(i, f"{where}.indices[{k}]")
-            for k, i in enumerate(_list_at(entry["indices"], f"{where}.indices"))
-        )
-        same_valence = tensors.setdefault(len(idx), {})
-        if idx in same_valence:
-            raise TheoryError(f"{where} repeats indices {list(idx)}")
-        same_valence[idx] = _fraction_at(entry["value"], f"{where}.value")
-    return Theory.build(_int_at(doc["colors"], "colors"), metric, tensors)

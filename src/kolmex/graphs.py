@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
+from .rational import shown
+
 IN, OUT = "in", "out"
 
 
@@ -384,7 +386,7 @@ def label_data(label: str) -> MultigraphData:
     try:
         head, _, rest = label.partition(":")
         if head not in ("ug", "og"):
-            raise GraphError(f"unknown label head {head!r}")
+            raise GraphError(f"unknown label head {shown(head)}")
         oriented = head == "og"
         nstr, verts, edges = rest.split("|")
         n = _count(nstr)
@@ -395,7 +397,7 @@ def label_data(label: str) -> MultigraphData:
         for part in vert_parts:
             deco, *fields = part.split(".")
             if not deco or len(fields) != 3:
-                raise GraphError(f"vertex field {part!r} is not 'deco.loops.in.out'")
+                raise GraphError(f"vertex field {shown(part)} is not 'deco.loops.in.out'")
             decorations.append(None if deco == "-" else deco)
             counts.append(tuple(map(_count, fields)))
         loops, tails_in, tails_out = zip(*counts) if counts else ((), (), ())
@@ -406,20 +408,23 @@ def label_data(label: str) -> MultigraphData:
             ends, m = part.split("x")
             (u, v), m = map(_count, ends.split(">")), _count(m)
             if max(u, v) >= n or u == v or not m:
-                raise GraphError(f"bundle {part!r} is out of range, a loop or empty")
+                raise GraphError(f"bundle {shown(part)} is out of range, a loop or empty")
             key = (u, v) if oriented else (min(u, v), max(u, v))
             if key in mult:
-                raise GraphError(f"bundle {part!r} repeats an earlier one")
+                raise GraphError(f"bundle {shown(part)} repeats an earlier one")
             mult[key] = m
     except ValueError as exc:  # GraphError included
-        raise GraphError(f"malformed label {label!r}: {exc}") from None
+        raise GraphError(f"malformed label {shown(label)}: {exc}") from None
     return MultigraphData(n, oriented, loops, tails_in, tails_out, mult, tuple(decorations))
 
 
 def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
-        raise GraphError(f"{text!r} is not a count")
-    return int(text)
+        raise GraphError(f"{shown(text)} is not a count")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise GraphError(f"a count of {len(text)} digits is too long") from None
 
 
 def graph_from_label(label: str) -> Graph:

@@ -11,8 +11,8 @@ label parses straight to its multigraph data (`generator_data`), and the
 cuts and sides are read and labelled on that data, a severed edge left as
 a tail at each end: no flag graph is built for a generator, a cut or a
 piece (`generator_graph` lays one out for callers that want a `Graph`).
-Elements are built from labels only, and labels read from JSON must be
-generators (`check_generator`).
+Elements are built from labels only, and `check_generator` refuses a
+label that is not a generator.
 
 Grading is by total flag count, which both halves of a cut split exactly
 (severed halves stay with their side as tails).  Bare vertices have degree
@@ -25,7 +25,7 @@ Every coefficient the algebra itself produces is an integer count: cuts
 are counted, and products and the antipode recursion only add and
 multiply counts.  So coproducts are dicts `(left, right) -> int`, and a
 `HopfElement` stores an `int` for each integral coefficient and a
-`Fraction` only for a truly rational one (such as one read from JSON).
+`Fraction` only for a truly rational one.
 `coproduct_of_monomial` is a bounded cache, filled lazily, of read-only
 mappings.  Only the unit terms x (x) 1 and 1 (x) x have an empty side
 (a proper cut leaves a vertex on each side), each with coefficient 1, so
@@ -41,7 +41,6 @@ integer numerators over one denominator.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -152,10 +151,11 @@ def check_generator(label: str) -> None:
     except GraphError as exc:
         raise HopfError(str(exc)) from None
     if not data.oriented:
-        raise HopfError(f"{label!r} is not an oriented graph's label")
+        raise HopfError(f"{rational.shown(label)} is not an oriented graph's label")
     mono = _side_monomial(data, range(data.n_vertices))
     if mono != (label,):
-        raise HopfError(f"{label!r} is not a generator: its graph is the monomial {list(mono)}")
+        raise HopfError(f"{rational.shown(label)} is not a generator: its graph is the "
+                        f"monomial {rational.shown(list(mono))}")
 
 
 class HopfElement:
@@ -400,53 +400,3 @@ def _signatures(max_vertices: int, max_flags: int):
                 yield from rec(prefix + [s], i, flags + more, tilt, edges + s[2])
 
     yield from rec([], 0, 0, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-def element_to_json(elem: HopfElement) -> str:
-    doc = [
-        {"monomial": list(mono), "coeff": rational.text(coeff)}
-        for mono, coeff in sorted(elem.terms.items())
-    ]
-    return json.dumps(doc, indent=1)
-
-
-def element_from_json(text: str) -> HopfElement:
-    """Parse element JSON; malformed input, a label that is not a
-    generator included, raises HopfError naming the entry and key at
-    fault."""
-    try:
-        doc = json.loads(text, parse_int=rational.decimal_int)
-    except json.JSONDecodeError as exc:
-        raise HopfError(f"bad element JSON: {exc}") from None
-    if not isinstance(doc, list):
-        raise HopfError("element JSON must be a list of terms")
-    terms: dict = {}
-    for i, entry in enumerate(doc):
-        where = f"terms[{i}]"
-        if not isinstance(entry, dict):
-            raise HopfError(f"{where} must be an object")
-        for key in ("monomial", "coeff"):
-            if key not in entry:
-                raise HopfError(f"{where} lacks {key!r}")
-        labels, coeff = entry["monomial"], entry["coeff"]
-        if not isinstance(labels, list):
-            raise HopfError(f"{where}: monomial must be a list")
-        for j, label in enumerate(labels):
-            if not isinstance(label, str):
-                raise HopfError(f"{where}.monomial[{j}] is not a string: {label!r}")
-        try:
-            coeff = rational.exact(coeff)
-        except (TypeError, ValueError):
-            raise HopfError(f"{where}.coeff: bad coefficient {coeff!r}") from None
-        for j, label in enumerate(labels):
-            try:
-                check_generator(label)
-            except HopfError as exc:
-                raise HopfError(f"{where}.monomial[{j}]: {exc}") from None
-        mono = tuple(sorted(labels))
-        terms[mono] = terms.get(mono, 0) + coeff
-    return HopfElement(terms)

@@ -1,5 +1,6 @@
 """Exact rationals at the package boundary: `exact` reads every rational
 that comes from outside, and `text` writes every rational, at any size.
+`shown` quotes a refused outside value in a message of bounded length.
 
 `Fraction` reads a decimal exponent by building its power of ten, so the
 text "1e700000" costs a tenth of a second before a caller can look at it;
@@ -58,3 +59,20 @@ def text(c: int | Fraction) -> str:
     except ValueError:  # past the digit limit
         n, d = str(Decimal(c.numerator)), str(Decimal(c.denominator))
         return n if d == "1" else f"{n}/{d}"
+
+
+def shown(value) -> str:
+    """repr(value) for a refusal message, total and short: an integer past
+    40 digits as its sign, first 20 digits and digit count, and a repr
+    past 60 characters as its first 40 and the value's length.  A list or
+    dict whose repr refuses (it holds an integer past the digit limit, or
+    nests too deeply) is named by its type and length."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        digits = text(abs(value))
+        if len(digits) > 40:
+            return f"{'-' * (value < 0)}{digits[:20]}... ({len(digits)} digits)"
+    try:
+        quoted = repr(value)
+    except (ValueError, RecursionError):
+        return f"a {type(value).__name__} of length {len(value)}"
+    return quoted if len(quoted) <= 60 else f"{quoted[:40]}... (length {len(value)})"

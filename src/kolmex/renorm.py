@@ -366,7 +366,7 @@ class GMap:
         if value is None:
             if monomial_degree(mono) > self.degree_bound:
                 raise RenormError(
-                    f"{self.name}: monomial degree {monomial_degree(mono)} "
+                    f"{self.name}: monomial degree {rational.shown(monomial_degree(mono))} "
                     f"exceeds bound {self.degree_bound}"
                 )
             value = self._cache[mono] = self._fn(mono)
@@ -512,15 +512,15 @@ def character_from_json(text: str) -> Character:
     zeros up to that order."""
     try:
         doc = json.loads(text, parse_int=rational.decimal_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise RenormError(f"bad character JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise RenormError("character JSON must be an object")
     degree_bound = _count(doc, "degree_bound")
     trunc = _count(doc, "truncation") if "truncation" in doc else DEFAULT_TRUNC
     if trunc > MAX_TRUNC:
-        raise RenormError(
-            f"character JSON: truncation must be at most {MAX_TRUNC}, got {_shown(trunc)}")
+        raise RenormError(f"character JSON: truncation must be at most {MAX_TRUNC}, "
+                          f"got {rational.shown(trunc)}")
     entries = _field(doc, "values", list, "character JSON")
     values, first = {}, {}
     for i, entry in enumerate(entries):
@@ -529,7 +529,8 @@ def character_from_json(text: str) -> Character:
             raise RenormError(f"{where} must be an object")
         label = _field(entry, "graph", str, where)
         if label in first:
-            raise RenormError(f"{where}: graph {label!r} repeats values[{first[label]}]")
+            raise RenormError(
+                f"{where}: graph {rational.shown(label)} repeats values[{first[label]}]")
         first[label] = i
         val = _field(entry, "value", dict, where)
         polar = _coeffs(val, "polar", f"{where}.value")
@@ -538,8 +539,8 @@ def character_from_json(text: str) -> Character:
         if "valid" in val:
             valid, bound = val["valid"], "valid"
             if isinstance(valid, bool) or not isinstance(valid, int) or not 0 <= valid <= trunc:
-                raise RenormError(
-                    f"{where}.value.valid must be an integer in 0..{trunc}, got {_shown(valid)}")
+                raise RenormError(f"{where}.value.valid must be an integer in 0..{trunc}, "
+                                  f"got {rational.shown(valid)}")
         if len(regular) > valid + 1:
             raise RenormError(
                 f"{where}.value.regular has {len(regular)} coefficients, more than "
@@ -571,19 +572,9 @@ def _count(doc: dict, key: str) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise RenormError(
-            f"character JSON: {key} must be a non-negative integer, got {_shown(value)}"
+            f"character JSON: {key} must be a non-negative integer, got {rational.shown(value)}"
         )
     return value
-
-
-def _shown(value) -> str:
-    """repr(value) for a refusal; an integer past 40 digits, which repr may
-    refuse, as its sign, its first 20 digits and its digit count."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        digits = rational.text(abs(value))
-        if len(digits) > 40:
-            return f"{'-' * (value < 0)}{digits[:20]}... ({len(digits)} digits)"
-    return repr(value)
 
 
 def _coeffs(val: dict, key: str, where: str) -> list:
@@ -592,5 +583,5 @@ def _coeffs(val: dict, key: str, where: str) -> list:
         try:
             out.append(rational.exact(c))
         except (TypeError, ValueError):
-            raise RenormError(f"{where}.{key}[{j}]: bad coefficient {c!r}") from None
+            raise RenormError(f"{where}.{key}[{j}]: bad coefficient {rational.shown(c)}") from None
     return out

@@ -340,6 +340,19 @@ def test_negative_count_exits_2(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+@pytest.mark.parametrize("option", ["--order", "--budget"])
+def test_integer_options_past_the_digit_limit_are_refused_by_length(capsys, option, sign):
+    """An integer of more digits than int() reads is refused as too long,
+    quoted by a prefix and its digit count, not whole."""
+    argv = ["algebra", "feynman-check", "--c4", "1", "--order", "1", option, sign + "9" * 5000]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == (f"kolmex algebra feynman-check: error: argument {option}: "
+                   f"too many digits: {(sign + '9' * 20)[:20]}... (5000 digits)")
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("argv", [["--types", "0"], ["--tokens", "-5"]],
                          ids=["types", "tokens"])
 def test_zipf_checks_synthetic_options_with_a_corpus_too(tmp_path, capsys, argv):

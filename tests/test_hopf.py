@@ -35,8 +35,6 @@ from kolmex.hopf import (
     coproduct,
     coproduct_of_generator,
     coproduct_of_monomial,
-    element_from_json,
-    element_to_json,
     enumerate_connected_oriented,
     check_generator,
     generator_data,
@@ -277,10 +275,6 @@ def test_labels_read_from_json_must_be_generators(label):
     with pytest.raises(HopfError) as info:
         check_generator(label)
     assert message in str(info.value)
-    with pytest.raises(HopfError) as info:
-        element_from_json(json.dumps([{"monomial": [L_EDGE, label], "coeff": 1}]))
-    assert str(info.value).startswith("terms[0].monomial[1]: ")
-    assert message in str(info.value)
     doc = {"degree_bound": 4, "values": [
         {"graph": graph, "value": {"polar": [], "regular": ["1"]}}
         for graph in (L_VERTEX, label)]}
@@ -309,36 +303,9 @@ def test_product_adds_degrees():
             assert monomial_degree(prod) == generator_degree(a) + generator_degree(b)
 
 
-# -- serialization ----------------------------------------------------------------
-
-def test_element_json_round_trip():
-    x = HopfElement({(L_EDGE,): F(3, 7), (L_VERTEX, L_VERTEX): F(-2)})
-    assert element_from_json(element_to_json(x)) == x
-
-
 def test_unoriented_graphs_rejected():
     with pytest.raises(HopfError, match="not an oriented graph's label"):
         check_generator(canonical_label(Graph(1, (1, 0), (0, 0))))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("{}", "element JSON must be a list of terms"),
-    ('[{"coeff": "1"}]', "terms[0] lacks 'monomial'"),
-    ('[{"monomial": []}]', "terms[0] lacks 'coeff'"),
-    ('[{"monomial": [], "coeff": "1/0"}]', "terms[0].coeff: bad coefficient '1/0'"),
-    ('[{"monomial": [], "coeff": "x"}]', "terms[0].coeff: bad coefficient 'x'"),
-    ('[{"monomial": [], "coeff": true}]', "terms[0].coeff: bad coefficient True"),
-    ('[{"monomial": [], "coeff": 0.1}]', "terms[0].coeff: bad coefficient 0.1"),
-    ('[{"monomial": [], "coeff": "1e700000"}]', "terms[0].coeff: bad coefficient '1e700000'"),
-    ('[{"monomial": ["a", 3], "coeff": "1"}]', "terms[0].monomial[1] is not a string: 3"),
-    ('[{"monomial": "ab", "coeff": "1"}]', "terms[0]: monomial must be a list"),
-    ("[3]", "terms[0] must be an object"),
-    ("[", "bad element JSON"),
-])
-def test_malformed_element_json_is_positioned(text, message):
-    with pytest.raises(HopfError) as info:
-        element_from_json(text)
-    assert message in str(info.value)
 
 
 def test_zero_coefficients_are_pruned_after_conversion():
@@ -346,15 +313,6 @@ def test_zero_coefficients_are_pruned_after_conversion():
     assert x.terms == {(L_EDGE,): 2}
     assert type(x.terms[(L_EDGE,)]) is int
     assert not HopfElement({(L_EDGE,): "0/3"})
-
-
-def test_element_json_sums_repeated_monomials():
-    text = json.dumps([{"monomial": [L_EDGE, L_VERTEX], "coeff": "1/2"},
-                       {"monomial": [L_VERTEX, L_EDGE], "coeff": 1},
-                       {"monomial": [], "coeff": "2/3"}])
-    x = element_from_json(text)
-    assert x.terms == {tuple(sorted((L_EDGE, L_VERTEX))): F(3, 2), UNIT_MONOMIAL: F(2, 3)}
-    assert element_from_json("[]") == ZERO
 
 
 # -- integer counts against the Fraction references --------------------------------
