@@ -68,7 +68,7 @@ def _fraction(text: str) -> int | Fraction:
     except ValueError:
         raise argparse.ArgumentTypeError(
             "not a rational with a nonzero denominator and a decimal exponent "
-            f"of at most {rational.MAX_EXPONENT}: {text!r}") from None
+            f"of at most {rational.MAX_EXPONENT}: {rational.shown(text)}") from None
 
 
 def _float_sized(text: str) -> int | Fraction:
@@ -77,7 +77,8 @@ def _float_sized(text: str) -> int | Fraction:
     try:
         float(value)
     except OverflowError:
-        raise argparse.ArgumentTypeError(f"too large for a float: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"too large for a float: {rational.shown(text)}") from None
     return value
 
 
@@ -104,7 +105,7 @@ def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {rational.shown(text)}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, not {value}")
     return value

@@ -198,33 +198,54 @@ def object_key(x: Obj) -> str:
 # pinned LZW compressor
 # ---------------------------------------------------------------------------
 
+_ALL_BYTES = bytes(range(256))
+
+
 def lzw_compress(data: bytes) -> tuple[bytes, int]:
     """Pinned LZW: the zero-padded MSB-first payload and its code count.
-    The string table maps (prefix code, next byte), keyed code * 256 + byte,
-    to the extended string's code (Welch 1984), so no bytes are sliced."""
+    The string table (Welch 1984) is a trie over the input's k distinct
+    bytes, each read as its rank among them.  A node is a list: slot r
+    holds the child on rank r, slot k the node's code.  A child with no
+    children is stored as its bare code, and the walk makes it a list on
+    entering it, since the next byte, if any, becomes its first child.  So
+    a byte costs a list subscript, a None test and, on a match, a type
+    test.  Every 64 codes the width is updated, which suffices since it
+    grows at powers of two, and whole bytes of the output are banked, so
+    no shift copies more than 64 codes' bits."""
     if not data:
         return b"", 0
-    table: dict[int, int] = {}
+    symbols = _ALL_BYTES.translate(None, _ALL_BYTES.translate(None, data))
+    k = len(symbols)
+    ranks = data.translate(bytes.maketrans(symbols, _ALL_BYTES[:k]))
+    blank = [None] * k
+    roots = [blank + [b] for b in symbols]
     size = 256  # codes in use: one per byte value, then one per table entry
+    width = 8
     acc = n_bits = 0
-    code = data[0]
-    for byte in data[1:]:
-        key = code << 8 | byte
-        c = table.get(key)
-        if c is None:
-            width = (size - 1).bit_length()
-            acc = acc << width | code
+    out = bytearray()
+    node = roots[ranks[0]]
+    for r in ranks[1:]:
+        child = node[r]
+        if child is None:
+            acc = acc << width | node[k]
             n_bits += width
-            table[key] = size
+            node[r] = size
+            if not size & 63:  # powers of two from 256 on are multiples of 64
+                width = size.bit_length()
+                n_bits, n_bytes = n_bits & 7, n_bits >> 3
+                out += (acc >> n_bits).to_bytes(n_bytes, "big")
+                acc &= (1 << n_bits) - 1
             size += 1
-            code = byte
+            node = roots[r]
+        elif type(child) is int:
+            node[r] = node = blank + [child]
         else:
-            code = c
-    width = (size - 1).bit_length()
-    acc = acc << width | code
+            node = child
+    acc = acc << width | node[k]
     n_bits += width
     pad = -n_bits % 8
-    return (acc << pad).to_bytes((n_bits + pad) // 8, "big"), size - 255
+    out += (acc << pad).to_bytes((n_bits + pad) // 8, "big")
+    return bytes(out), size - 255
 
 
 def lzw_decompress(payload: bytes, n_codes: int) -> bytes:

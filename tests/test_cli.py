@@ -19,6 +19,7 @@ from kolmex.graphs import canonical_label
 from kolmex.hopf import enumerate_connected_oriented
 from kolmex.renorm import Character, MSElement, character_to_json
 from kolmex import __version__
+from kolmex.rational import shown
 
 F = Fraction
 
@@ -351,6 +352,27 @@ def test_integer_options_past_the_digit_limit_are_refused_by_length(capsys, opti
     assert err == (f"kolmex algebra feynman-check: error: argument {option}: "
                    f"too many digits: {(sign + '9' * 20)[:20]}... (5000 digits)")
     assert len(err.encode()) < 200
+
+
+LONG_C3, LONG_RATE, LONG_ETA = "1e" + "9" * 5000, str(2**1024), "9" * 4999 + "x"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["algebra", "feynman-check", "--order", "0", "--c3", LONG_C3],
+     "feynman-check: error: argument --c3: not a rational with a nonzero denominator "
+     "and a decimal exponent of at most 4300: " + shown(LONG_C3)),
+    (SWEEP + ["--delta", "1/6", "--rate", LONG_RATE],
+     "sweep: error: argument --rate: too large for a float: " + shown(LONG_RATE)),
+    (SWEEP + SWEEP_RATE + ["--eta", LONG_ETA],
+     "sweep: error: argument --eta: not a number: " + shown(LONG_ETA)),
+], ids=["c3", "rate", "eta"])
+def test_long_rational_and_float_options_are_refused_briefly(tmp_path, capsys, argv, message):
+    """A rational or float option is quoted by a prefix and its length, not whole."""
+    out = tmp_path / "out"
+    assert run(argv + (["--out", str(out)] if argv[0] != "algebra" else [])) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(message) and len(err.encode()) < 200
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--types", "0"], ["--tokens", "-5"]],

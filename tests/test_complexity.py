@@ -18,6 +18,7 @@ from complexity_oracles import (
     zipf_rank_ref,
 )
 from kolmex import complexity as cx
+from kolmex.codes import sample_codes
 from kolmex.rng import SplitMix64
 
 proxy = cx.DEFAULT_PROXY
@@ -121,6 +122,42 @@ def test_lzw_short_tail_is_truncated():
                  st.text(alphabet="0126", max_size=3000).map(str.encode)))
 def test_lzw_matches_reference(data):
     assert cx.lzw_compress(data) == lzw_compress_ref(data)
+
+
+def _joined_words(q, n, size, count, seed):
+    return ["".join(e.code.to_code_words().words).encode("ascii")
+            for e in sample_codes(q, n, size, count, seed).entries]
+
+
+def _lzw_edge_inputs():
+    # the benchmark's traffic: 64 sorted 12-bit binary words, 343 words of q = 7
+    yield from _joined_words(2, 12, 64, 4, 11)
+    yield from _joined_words(7, 7, 343, 2, 12)
+    # one byte repeated: phrase i is i + 1 copies, so every phrase extends the
+    # last, and 1,794 codes pass the 512, 1,024 and 2,048 widths
+    yield b"\x07" * (1793 * 1794 // 2 + 3)
+    # all 256 byte values, so rank 255 is used, in order and shuffled
+    yield bytes(range(256)) * 3
+    everything = list(range(256)) * 12
+    Random(5).shuffle(everything)
+    yield bytes(everything)
+    yield bytes(range(255, -1, -1)) + b"\xff\xfe\xff\xfe\x00\x01\x00"
+    # the last phrase ends on a leaf, which the walk enters at the final byte ...
+    yield from (b"abab", b"abababa", b"aaaaaa", b"abcabca", b"\xff\xff\xff")
+    # ... on a node that already has children, or on a one-byte root
+    yield from (b"ababab", b"aaaaa", b"aababab", b"\xfe\xff\xfe\xff\xfe\xff", b"aab", b"aba")
+    # one and two bytes
+    yield from (b"\x00", b"\xff", b"z", b"zz", b"zy", b"\x00\xff", b"\xff\x00")
+
+
+def test_lzw_matches_reference_at_the_edges():
+    for data in _lzw_edge_inputs():
+        got = cx.lzw_compress(data)
+        assert got == lzw_compress_ref(data), data[:40]
+        assert cx.lzw_decompress(*got) == data
+    # 7 at 8 bits, then 256, 257 and 258 at 9 bits, then 5 bits of padding
+    assert cx.lzw_compress(b"\x07" * 10) == (
+        bytes([0b00000111, 0b10000000, 0b01000000, 0b01100000, 0b01000000]), 4)
 
 
 # -- base 58 -------------------------------------------------------------------

@@ -263,5 +263,6 @@ def test_sweep_refuses_a_rate_or_delta_past_float_range(tmp_path, option, value)
          "--beta-max", "1", "--steps", "3", "--out", str(out)]
         + [f"{k}={v}" for k, v in rates.items()])
     assert code == 2
-    assert err.endswith(f"error: argument {option}: too large for a float: {value!r}\n")
+    assert err.endswith(
+        f"error: argument {option}: too large for a float: {rational.shown(value)}\n")
     assert list(tmp_path.iterdir()) == []

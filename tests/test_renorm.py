@@ -831,6 +831,6 @@ def test_coefficient_text_matches_fraction_parser(text):
             f"values[0].value.regular[0]: bad coefficient {shown(text)}",
             (2, "kolmex algebra feynman-check: error: argument --c3: not a rational "
                 "with a nonzero denominator and a decimal exponent of at most 4300: "
-                f"{text!r}")]
+                f"{shown(text)}")]
         return
     assert _read_everywhere(text) == [want] * 2
