@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kolmex.feynman import (
+    MAX_ORACLE_COLORS,
     Theory,
     TheoryError,
     gaussian_oracle,
@@ -59,8 +60,9 @@ def run(argv=None):
     ap.add_argument("--trials", type=int, default=5)
     ap.add_argument("--order", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--colors", type=int, default=1, choices=range(1, 5),
-                    help="number of colors, 1-4 (the oracle's budget)")
+    ap.add_argument("--colors", type=int, default=1,
+                    choices=range(1, MAX_ORACLE_COLORS + 1),
+                    help=f"number of colors, 1-{MAX_ORACLE_COLORS} (the oracle's budget)")
     args = ap.parse_args(argv)
 
     gen = SplitMix64(args.seed)

@@ -1,13 +1,15 @@
 """Desk-scale experiments on codes, description complexity and graph algebra.
 
-Subpackages by topic:
+Modules by topic:
 
 * ``codes`` -- code parameters, bound curves, Reed-Solomon codes, ensembles
   and the complexity-weighted partition sum.
 * ``complexity`` -- a pinned computable proxy for exponential description
   complexity, complexity orderings, Levin-style weights, Zipf fitting.
-* ``graphs`` -- combinatorial graphs with flags/involutions, orientations,
-  cuts, automorphisms and canonical labels.
+* ``graphs`` -- graphs worked on as multigraph data (per-vertex loops,
+  tails and decorations, edge multiplicities): canonical labels and
+  automorphism counts, the vacuum and oriented generator families, and
+  cuts.
 * ``feynman`` -- toy-action graph weights, the truncated graph expansion and
   an independent Gaussian/Wick oracle.
 * ``hopf`` -- the bialgebra of oriented graphs with the cut coproduct and
@@ -20,7 +22,7 @@ Subpackages by topic:
 
 __version__ = "0.1.0"
 
-# Bumped whenever the description grammar, the search procedure or the
-# pinned compressor change; complexity values are contract values tied
-# to this stamp.
+# Bumped whenever the description grammar, the search procedure, its budget
+# (complexity.SEARCH_BUDGET) or the pinned compressor change; complexity
+# values are contract values tied to this stamp.
 PROXY_VERSION = "proxy-v1"

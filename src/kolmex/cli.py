@@ -432,8 +432,22 @@ def cmd_zipf_fit(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "--" attached to an option (`--c3=--`)
+    as that option's text.  argparse strips such a "--" as if it ended the
+    options, which left the option an empty list that its type never saw.
+    Subparsers are built of the same class."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kolmex",
         description="desk-scale experiments on codes, complexity and graph algebra",
     )

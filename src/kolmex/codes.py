@@ -18,7 +18,6 @@ Conventions:
 * for unstructured codes d = 1 iff masking one symbol field makes two
   packed words collide, else d is the pairwise minimum of
   bit_count(fold(a ^ b)), each symbol field folded onto one bit.
-  `hamming_distance` is the plain reference.
 
 Everything here is exact except partition sums, which are evaluated in
 binary64 with compensated summation (the exponents are real numbers).
@@ -36,7 +35,6 @@ from . import fields
 from .complexity import (
     DEFAULT_PROXY,
     CodeWords,
-    ComplexityProxy,
     RsCode,
     WORD_SYMBOLS,
     pack_word,
@@ -70,13 +68,6 @@ class Alphabet:
     @property
     def field(self) -> fields.Field:
         return fields.field(self.q)
-
-
-def hamming_distance(a: Sequence, b: Sequence) -> int:
-    """Number of positions where two equal-length words differ."""
-    if len(a) != len(b):
-        raise CodeError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
 
 
 @dataclass(frozen=True, init=False)
@@ -294,20 +285,17 @@ def reed_solomon(q: int, n: int, k: int, points: Optional[Sequence[int]] = None)
     )
 
 
-def reed_solomon_min_distance(q: int, n: int, k: int,
-                              points: Optional[Sequence[int]] = None) -> int:
-    """Exhaustive minimum distance of the evaluation code, one projective
-    representative per codeword, never materializing the whole word set."""
+def reed_solomon_min_distance(q: int, n: int, k: int) -> int:
+    """Exhaustive minimum distance of the evaluation code on the first n
+    field elements, one projective representative per codeword, never
+    materializing the whole word set."""
     f = fields.field(q)
-    if points is None:
-        points = tuple(range(n))
-    rows = fields.rs_evaluation_rows(f, n, k, tuple(points))
+    rows = fields.rs_evaluation_rows(f, n, k, tuple(range(n)))
     return fields.min_weight_of_rowspace(f, rows, n)
 
 
 def enumerate_linear_codes(q: int, n: int, dims: Optional[Iterable[int]] = None,
-                           budget: int = 100_000,
-                           proxy: ComplexityProxy = DEFAULT_PROXY) -> "CodeEnsemble":
+                           budget: int = 100_000) -> "CodeEnsemble":
     """One code per linear subspace of F_q^n, via RREF generator matrices.
 
     `dims` restricts the dimensions (default 1..n).  Raises BudgetError if
@@ -325,7 +313,7 @@ def enumerate_linear_codes(q: int, n: int, dims: Optional[Iterable[int]] = None,
         for rows in _rref_matrices(f, n, k):
             codes.append(Code(Alphabet(q), n, None, generator=rows))
     provenance = {"kind": "enumerate_linear", "q": q, "n": n, "dims": dims}
-    return CodeEnsemble.build(codes, provenance, proxy)
+    return CodeEnsemble.build(codes, provenance)
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -357,8 +345,7 @@ def _rref_matrices(f: fields.Field, n: int, k: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def sample_codes(q: int, n: int, size: int, count: int, seed: int,
-                 proxy: ComplexityProxy = DEFAULT_PROXY) -> "CodeEnsemble":
+def sample_codes(q: int, n: int, size: int, count: int, seed: int) -> "CodeEnsemble":
     """`count` uniform random size-subsets of the full word space.
 
     Draws from the pinned deterministic generator, so a seed regenerates
@@ -384,7 +371,7 @@ def sample_codes(q: int, n: int, size: int, count: int, seed: int,
         "count": count,
         "seed": seed,
     }
-    return CodeEnsemble.build(codes, provenance, proxy)
+    return CodeEnsemble.build(codes, provenance)
 
 
 def _packed_indices(indices: list[int], q: int, n: int) -> list[int]:
@@ -438,11 +425,9 @@ class CodeEnsemble:
     q: int
     entries: tuple
     provenance: dict = dc_field(compare=False)
-    proxy_version: str = DEFAULT_PROXY.version
 
     @classmethod
-    def build(cls, codes: Iterable[Code], provenance: dict,
-              proxy: ComplexityProxy = DEFAULT_PROXY) -> "CodeEnsemble":
+    def build(cls, codes: Iterable[Code], provenance: dict) -> "CodeEnsemble":
         ranked = []  # ((K, canonical string), entry)
         q = None
         for code in codes:
@@ -450,11 +435,11 @@ class CodeEnsemble:
             if code.q != q:
                 raise CodeError("mixed alphabets in one ensemble")
             words = code.to_code_words()
-            k_hat = proxy.proxy_complexity(words, hints=code.description_hints())
+            k_hat = DEFAULT_PROXY.proxy_complexity(words, hints=code.description_hints())
             entry = EnsembleEntry(code, code_params(code), k_hat)
             ranked.append(((k_hat, words.canonical_string()), entry))
         ranked.sort(key=lambda pair: pair[0])
-        return cls(q or 0, tuple(e for _, e in ranked), provenance, proxy.version)
+        return cls(q or 0, tuple(e for _, e in ranked), provenance)
 
     def __len__(self):
         return len(self.entries)

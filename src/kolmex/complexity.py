@@ -36,11 +36,14 @@ The LZW compressor (initial dictionary = 256 byte values, output codes at
 the width of the current dictionary size, MSB first, zero-padded) is part
 of the contract and never changes without a PROXY_VERSION bump.
 
-The search spends one budget unit per candidate in a pinned order.  The
-integer search grants its exponent loop (2..bit_length) and tower loop (bases
-2..36) in one step each: roots come from x's maximal perfect-power exponent,
-found from prime exponents (float prefilter, exact check; squares by a
-mod-64 residue filter and isqrt), and towers from the same decomposition.
+The search spends one budget unit per candidate in a pinned order, from a
+budget of SEARCH_BUDGET = 4096 units.  The budget is part of the contract
+like the compressor: no caller can set it, and it changes only with a
+PROXY_VERSION bump.  The integer search grants its exponent loop
+(2..bit_length) and tower loop (bases 2..36) in one step each: roots come
+from x's maximal perfect-power exponent, found from prime exponents (float
+prefilter, exact check; squares by a mod-64 residue filter and isqrt), and
+towers from the same decomposition.
 Candidates are ranked as canonical text, never as nodes: an integer
 sub-search returns its text as a child (digits, or parenthesized), each
 candidate is formatted from its children's texts, and the least
@@ -95,7 +98,6 @@ from itertools import product
 from statistics import StatisticsError, correlation, linear_regression
 from typing import Iterable, Optional, Sequence, Union
 
-from . import PROXY_VERSION
 from . import fields
 from . import rational
 from .rng import SplitMix64
@@ -1040,12 +1042,15 @@ def _search_text(x: Obj, budget: _Budget) -> Union[str, _BlobText]:
     raise DescriptionError(f"not describable: {x!r}")
 
 
+# Candidates one search may generate: part of the PROXY_VERSION contract,
+# so no caller can set it.
+SEARCH_BUDGET = 4096
+
+
 @dataclass(frozen=True)
 class ComplexityProxy:
-    """The pinned bounded search; `budget` caps generated candidates."""
-
-    budget: int = 4096
-    version: str = PROXY_VERSION
+    """The pinned bounded search, which generates at most SEARCH_BUDGET
+    candidates."""
 
     def search(self, x: Obj, hints: tuple = ()) -> tuple[Description, bool]:
         """Minimum-bit description among all candidates the search generates,
@@ -1060,9 +1065,6 @@ class ComplexityProxy:
         if winner is None:
             winner = text.node if isinstance(text, _BlobText) else parse(text)
         return winner, cut
-
-    def shortest_description(self, x: Obj, hints: tuple = ()) -> Description:
-        return self.search(x, hints)[0]
 
     def complexity_bits(self, x: Obj, hints: tuple = (), cuts: Optional[list] = None) -> int:
         """Bits of the shortest description found; x is appended to `cuts`,
@@ -1084,9 +1086,7 @@ class ComplexityProxy:
     def _best(self, x: Obj, hints: tuple
               ) -> tuple[Union[str, _BlobText], Optional[Description], bool]:
         """(winning text, the winning hint or None, budget cut) of one search."""
-        if self.budget <= 0:
-            raise BudgetExhausted("search budget is 0")
-        budget = _Budget(self.budget)
+        budget = _Budget(SEARCH_BUDGET)
         text = _search_text(x, budget)
         winner = None
         for hint in hints:
@@ -1119,9 +1119,8 @@ class KolmogorovOrder:
     describes how the order was made and takes no part in equality.
     """
 
-    def __init__(self, objects: tuple, proxy_version: str, budget_cuts: int = 0):
+    def __init__(self, objects: tuple, budget_cuts: int = 0):
         self.objects = tuple(objects)  # position i holds the object of rank i+1
-        self.proxy_version = proxy_version
         self._budget_cuts = budget_cuts
         self._index = {object_key(x): i for i, x in enumerate(self.objects)}
 
@@ -1147,31 +1146,23 @@ class KolmogorovOrder:
         return object_key(x) in self._index
 
     def __eq__(self, other):
-        return (
-            isinstance(other, KolmogorovOrder)
-            and self.objects == other.objects
-            and self.proxy_version == other.proxy_version
-        )
+        return isinstance(other, KolmogorovOrder) and self.objects == other.objects
 
 
-def kolmogorov_order(universe: Iterable[Obj], proxy: ComplexityProxy = DEFAULT_PROXY,
-                     hints: Optional[dict] = None) -> KolmogorovOrder:
+def kolmogorov_order(universe: Iterable[Obj]) -> KolmogorovOrder:
     """Sort a finite universe by (proxy complexity, canonical object key)."""
     items = list(universe)
     keys = [object_key(x) for x in items]
     if len(set(keys)) != len(keys):
         raise DescriptionError("universe contains duplicate objects")
-    hints = hints or {}
     cuts: list = []
-    bits = [proxy.complexity_bits(x, hints=tuple(hints.get(k, ())), cuts=cuts)
-            for x, k in zip(items, keys)]
+    bits = [DEFAULT_PROXY.complexity_bits(x, cuts=cuts) for x in items]
     # keys are distinct, so no two entries compare their objects
     ranked = sorted(zip(bits, keys, items))
-    return KolmogorovOrder(tuple(x for _, _, x in ranked), proxy.version, len(cuts))
+    return KolmogorovOrder(tuple(x for _, _, x in ranked), len(cuts))
 
 
-def levin_weights(universe: Iterable[Obj], proxy: ComplexityProxy = DEFAULT_PROXY,
-                  kp=None) -> dict:
+def levin_weights(universe: Iterable[Obj], kp=None) -> dict:
     """Normalized weights proportional to 1/KP(x), as exact rationals.
 
     `kp` may inject a prefix-complexity function (mainly for tests); the
@@ -1181,7 +1172,7 @@ def levin_weights(universe: Iterable[Obj], proxy: ComplexityProxy = DEFAULT_PROX
     if not items:
         raise DescriptionError("empty universe has no weights")
     if kp is None:
-        kp = lambda x: proxy.proxy_complexity(x, prefix=True)
+        kp = lambda x: DEFAULT_PROXY.proxy_complexity(x, prefix=True)
     raw = [(x, Fraction(1, kp(x))) for x in items]
     total = sum(w for _, w in raw)
     return {x: w / total for x, w in raw}

@@ -484,6 +484,9 @@ def _full_class_sum(theory: Theory, order: int, max_vertices, budget: int) -> li
 # Gaussian oracle
 # ---------------------------------------------------------------------------
 
+MAX_ORACLE_COLORS = 4  # the oracle refuses theories with more colors
+
+
 def wick_pairing_sum(counts: tuple, g_inv: tuple, memo: dict) -> Fraction:
     """Sum over perfect pairings of a color multiset, with g^{ab} per pair.
 
@@ -516,8 +519,7 @@ def wick_pairing_sum(counts: tuple, g_inv: tuple, memo: dict) -> Fraction:
 
 
 def gaussian_oracle(theory: Theory, order: int,
-                    max_vertices: Optional[int] = None,
-                    max_colors: int = 4) -> LambdaSeries:
+                    max_vertices: Optional[int] = None) -> LambdaSeries:
     """exp(S_1/lambda) expanded term-wise against Gaussian moments.
 
     Independent of the graphs module: each multiset of p interaction
@@ -536,9 +538,9 @@ def gaussian_oracle(theory: Theory, order: int,
     M - 2p, so a state with M - 2p > 2N is dropped at once.  Orders outside
     [0, N] are dropped to match the expansion's truncation window.
     """
-    if theory.n_colors > max_colors:
+    if theory.n_colors > MAX_ORACLE_COLORS:
         raise TheoryError(
-            f"{theory.n_colors} colors exceed the oracle budget {max_colors}"
+            f"{theory.n_colors} colors exceed the oracle budget {MAX_ORACLE_COLORS}"
         )
     options = []
     for valence, entries in theory.tensors:

@@ -474,7 +474,10 @@ def _flag_choices(data: MultigraphData) -> int:
 # cuts
 # ---------------------------------------------------------------------------
 
-def enumerate_cuts(data: MultigraphData, max_vertices: int = 16) -> list[int]:
+CUT_MAX_VERTICES = 16  # enumerate_cuts tests all 2**n vertex subsets
+
+
+def enumerate_cuts(data: MultigraphData) -> list[int]:
     """Every cut of an oriented graph's multigraph data, as the bitmask of
     its upper side, ascending: a vertex bipartition with no edge from lower
     to upper.  The two improper cuts come first (all lower) and last (all
@@ -483,9 +486,9 @@ def enumerate_cuts(data: MultigraphData, max_vertices: int = 16) -> list[int]:
     if not data.oriented:
         raise GraphError("operation needs an oriented graph")
     n = data.n_vertices
-    if n > max_vertices:
+    if n > CUT_MAX_VERTICES:
         raise BudgetError(
-            f"{n} vertices exceed the cut-enumeration bound {max_vertices}"
+            f"{n} vertices exceed the cut-enumeration bound {CUT_MAX_VERTICES}"
         )
     edges = list(data.edge_mult)
     return [mask for mask in range(2**n)

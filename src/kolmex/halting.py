@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .complexity import DEFAULT_PROXY, ComplexityProxy, KolmogorovOrder, kolmogorov_order
+from . import PROXY_VERSION
+from .complexity import KolmogorovOrder, kolmogorov_order
 
 
 class HaltingError(ValueError):
@@ -112,12 +113,12 @@ class PartialFunction:
         return self.domain is not None
 
     @classmethod
-    def from_table(cls, mapping: dict, name: str = "table") -> "PartialFunction":
+    def from_table(cls, mapping: dict) -> "PartialFunction":
         table = dict(mapping)
         return cls(
             compute=lambda y, fuel: table.get(y),
             domain=lambda y: y in table,
-            name=name,
+            name="table",
         )
 
     @classmethod
@@ -272,7 +273,6 @@ class PhiSeries:
     n_terms: int
     constant: Fraction
     terms: tuple  # ((exponent K(n), coefficient), ...) for n = 1..N
-    proxy_version: str
 
     def __post_init__(self):
         exponents = [e for e, _ in self.terms]
@@ -307,13 +307,7 @@ def phi_partial(base_rank: int, sigma_k: ConjugatedPermutation, n_terms: int) ->
         current = sigma_k(current)
         exponent = order.rank_of(n)
         terms.append((exponent, Fraction(1, current * current)))
-    return PhiSeries(
-        base_rank,
-        n_terms,
-        Fraction(1, base_rank * base_rank),
-        tuple(terms),
-        order.proxy_version,
-    )
+    return PhiSeries(base_rank, n_terms, Fraction(1, base_rank * base_rank), tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,6 @@ class OrbitReport:
     verdict: str
     certificate: dict = field(default_factory=dict)
     budget_used: int = 0
-    proxy_version: str = DEFAULT_PROXY.version
 
     def to_json(self) -> str:
         return json.dumps(
@@ -368,7 +361,7 @@ class OrbitReport:
                 "verdict": self.verdict,
                 "certificate": self.certificate,
                 "budget_used": self.budget_used,
-                "proxy_version": self.proxy_version,
+                "proxy_version": PROXY_VERSION,
             },
             indent=1,
         )
@@ -431,6 +424,6 @@ def _classify_by_iteration(point, step, budget: int) -> OrbitReport:
     )
 
 
-def integer_window_order(size: int, proxy: ComplexityProxy = DEFAULT_PROXY) -> KolmogorovOrder:
+def integer_window_order(size: int) -> KolmogorovOrder:
     """Complexity order of the integers 1..size (the usual probe window)."""
-    return kolmogorov_order(range(1, size + 1), proxy)
+    return kolmogorov_order(range(1, size + 1))

@@ -101,7 +101,14 @@ def monomial_vertices(mono: Monomial) -> int:
     return sum(generator_vertices(l) for l in mono)
 
 
-_labels: dict = {}  # a component's multigraph data, as a tuple -> its label
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def _piece_label(verts: tuple, edges: tuple) -> str:
+    """The pinned label of a connected oriented piece: per vertex its
+    (decoration, loops, tails in, tails out), and its sorted
+    ((source, target), multiplicity) edges."""
+    decos, loops, ins, outs = zip(*verts)
+    data = MultigraphData(len(verts), True, loops, ins, outs, dict(edges), decos)
+    return _min_serialization(data)[0]
 
 
 def _side_monomial(data: MultigraphData, keep) -> Monomial:
@@ -111,7 +118,7 @@ def _side_monomial(data: MultigraphData, keep) -> Monomial:
     its target.
 
     A component's pinned label is the lexmin of `_min_serialization`; it
-    is memoized (up to LABEL_CACHE_SIZE entries) under the component's
+    is memoized (the LABEL_CACHE_SIZE most recent) under the component's
     own multigraph data, vertices ascending, which fixes it exactly."""
     labels = []
     for piece in components(data, keep):
@@ -129,15 +136,7 @@ def _side_monomial(data: MultigraphData, keep) -> Monomial:
                 tin[slot[t]] += m
         verts = tuple(zip((data.decorations[v] for v in slot),
                           (data.loops[v] for v in slot), tin, tout))
-        key = (verts, tuple(sorted(edges.items())))
-        label = _labels.get(key)
-        if label is None:
-            decos, loops, ins, outs = zip(*verts)
-            piece_data = MultigraphData(len(slot), True, loops, ins, outs, edges, decos)
-            label = _min_serialization(piece_data)[0]
-            if len(_labels) < LABEL_CACHE_SIZE:
-                _labels[key] = label
-        labels.append(label)
+        labels.append(_piece_label(verts, tuple(sorted(edges.items()))))
     return tuple(sorted(labels))
 
 

@@ -42,7 +42,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import rational
 from .hopf import (
@@ -402,11 +402,9 @@ class Character(GMap):
         super().__init__(fn, degree_bound, trunc, name)
 
 
-def convolution(phi: GMap, psi: GMap, degree_bound: Optional[int] = None) -> GMap:
+def convolution(phi: GMap, psi: GMap) -> GMap:
     """(phi * psi)(x) = m_A (phi x psi) Delta(x)."""
     bound = min(phi.degree_bound, psi.degree_bound)
-    if degree_bound is not None:
-        bound = min(bound, degree_bound)
     trunc = min(phi.trunc, psi.trunc)
 
     def fn(mono: Monomial) -> MSElement:

@@ -8,17 +8,25 @@ byte strings, and `b58_encode_ref`/`b58_decode_ref` are base 58 one digit at
 a time.  `partition_sum_ref` is the partition sum with its selection and its
 terms in one loop over the ensemble.  `splitmix64_ref` is the SplitMix64
 stream one 64-bit value at a time, the loop the lane-parallel batch
-replaces.
+replaces.  `hamming_distance` compares two words position by position, the
+plain reference for every packed distance.
 """
 
 import math
 from fractions import Fraction
 
-from kolmex.codes import CodeParams, floor_log, hamming_distance
+from kolmex.codes import CodeError, CodeParams, floor_log
 from kolmex.complexity import CodeWords, WORD_SYMBOLS
 from kolmex.rng import SplitMix64
 
 BASE58 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHJKMNPQRSTVWXYZ"
+
+
+def hamming_distance(a, b) -> int:
+    """Number of positions where two equal-length words differ."""
+    if len(a) != len(b):
+        raise CodeError(f"length mismatch: {len(a)} vs {len(b)}")
+    return sum(1 for x, y in zip(a, b) if x != y)
 
 
 MASK64 = (1 << 64) - 1

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from code_oracles import lzw_compress_ref, pack_words, partition_sum_ref, sampled_codes_ref
+from code_oracles import (
+    hamming_distance,
+    lzw_compress_ref,
+    pack_words,
+    partition_sum_ref,
+    sampled_codes_ref,
+)
 from kolmex import codes, complexity
 from kolmex.rng import SplitMix64
 from kolmex.codes import (
@@ -16,7 +22,6 @@ from kolmex.codes import (
     code_params,
     enumerate_linear_codes,
     floor_log,
-    hamming_distance,
     partition_sum,
     q_entropy,
     reed_solomon,

@@ -27,21 +27,21 @@ proxy = cx.DEFAULT_PROXY
 # -- grammar and serialization ------------------------------------------------
 
 def test_single_digit_is_minimal():
-    d = proxy.shortest_description(5)
+    d = proxy.search(5)[0]
     assert d.serialize() == "5"
     assert d.bits() == 8
     assert proxy.proxy_complexity(5) == 2**8
 
 
 def test_power_of_two_compresses():
-    d = proxy.shortest_description(4294967296)
+    d = proxy.search(4294967296)[0]
     assert d.bits() == 32  # a 4-character power form vs 80 bits for the literal
     assert d.value() == 4294967296
     assert cx.Lit("4294967296").bits() == 80
 
 
 def test_billion_compresses():
-    d = proxy.shortest_description(10**9)
+    d = proxy.search(10**9)[0]
     assert d.serialize() == "10^9"
     assert d.bits() == 32
 
@@ -59,7 +59,7 @@ def test_literal_upper_bound():
 
 @given(st.integers(0, 10**12))
 def test_search_value_round_trip(x):
-    d = proxy.shortest_description(x)
+    d = proxy.search(x)[0]
     assert d.value() == x
 
 
@@ -74,25 +74,20 @@ def test_parse_round_trip(text):
 
 def test_alphabet_covers_serializations():
     for x in [5, 2**32, 10**9 + 7, "010101", cx.CodeWords(2, 2, ("00", "11"))]:
-        for ch in proxy.shortest_description(x).serialize():
+        for ch in proxy.search(x)[0].serialize():
             assert ch in cx.ALPHABET
 
 
-def test_budget_zero_rejected():
-    with pytest.raises(cx.BudgetExhausted):
-        cx.ComplexityProxy(budget=0).shortest_description(5)
-
-
 def test_determinism():
-    a = proxy.shortest_description(2**20).serialize()
-    b = proxy.shortest_description(2**20).serialize()
+    a = proxy.search(2**20)[0].serialize()
+    b = proxy.search(2**20)[0].serialize()
     assert a == b
 
 
 # -- words and blobs ----------------------------------------------------------
 
 def test_periodic_word_uses_repetition():
-    d = proxy.shortest_description("01" * 40)
+    d = proxy.search("01" * 40)[0]
     assert d.serialize() == "r(01,40)"
     assert d.value() == "01" * 40
 
@@ -274,7 +269,7 @@ def test_code_blob_rejects_bad_words():
 
 @given(st.text(alphabet="0123456789abcdef", min_size=1, max_size=120))
 def test_word_descriptions_evaluate_back(word):
-    d = proxy.shortest_description(word)
+    d = proxy.search(word)[0]
     assert d.value() == word
 
 
@@ -298,7 +293,7 @@ def test_small_towers_evaluate():
 
 
 def test_tower_found_by_search():
-    d = proxy.shortest_description(65536)
+    d = proxy.search(65536)[0]
     assert d.bits() <= 32  # 2^^4 or an equally short power form
     assert d.value() == 65536
 
@@ -360,7 +355,7 @@ def test_order_counts_budget_cuts():
     with pytest.raises(AttributeError):
         window.budget_cuts = 0
     # the count describes how the order was made, not the order
-    assert window == cx.KolmogorovOrder(window.objects, window.proxy_version)
+    assert window == cx.KolmogorovOrder(window.objects)
 
 
 def test_order_rejects_duplicates():
@@ -501,12 +496,12 @@ def _searched(p, x, budget):
 
 
 def test_search_reports_budget_exhaustion():
-    assert proxy.search(1024) == (proxy.shortest_description(1024), False)
-    assert _searched(proxy, 1024, 4096) == ("4^5", 1686, False)
+    assert proxy.search(1024) == (cx.parse("4^5"), False)
+    assert _searched(proxy, 1024, cx.SEARCH_BUDGET) == ("4^5", 1686, False)
     for x, text in [(10**100, "100^50"), (999983, "999983")]:
         desc, exhausted = proxy.search(x)
         assert (desc.serialize(), exhausted) == (text, True)
-        assert _searched(proxy, x, 4096) == (text, 0, True)
+        assert _searched(proxy, x, cx.SEARCH_BUDGET) == (text, 0, True)
     assert proxy.complexity_bits(10**100) == proxy.search(10**100)[0].bits()
 
 
@@ -672,18 +667,20 @@ def test_perfect_power_matches_root_loop(x, top):
 # -- the text search against the node-building oracle ---------------------------
 
 oracle = NodeSearch()
-budgets = st.one_of(st.integers(1, 300), st.just(4096))
+budgets = st.one_of(st.integers(1, 300), st.just(cx.SEARCH_BUDGET))
 
 
 def _check_against_oracle(x, budget):
-    """Same (text, spends left, cut) as the node search; `search` returns the
-    parsed winner, which evaluates back to x."""
+    """Same (text, spends left, cut) as the node search; the winning text
+    parses to a description that evaluates back to x, and at SEARCH_BUDGET
+    `search` returns that description and cut."""
     got = _searched(proxy, x, budget)
     assert got == _searched(oracle, x, budget)
-    desc, cut = cx.ComplexityProxy(budget=budget).search(x)
-    assert desc == cx.parse(got[0]) and desc.serialize() == got[0]
-    assert cut == got[2]
+    desc = cx.parse(got[0])
+    assert desc.serialize() == got[0]
     assert desc.value() == x
+    if budget == cx.SEARCH_BUDGET:
+        assert proxy.search(x) == (desc, got[2])
 
 
 class _Spends(cx._Budget):
@@ -732,8 +729,8 @@ def test_window_search_matches_node_oracle_at_every_cut_edge():
 def test_window_search_matches_node_oracle():
     cuts = 0
     for x in range(1, 1025):
-        got = _searched(proxy, x, 4096)
-        assert got == _searched(oracle, x, 4096), x
+        got = _searched(proxy, x, cx.SEARCH_BUDGET)
+        assert got == _searched(oracle, x, cx.SEARCH_BUDGET), x
         cuts += got[2]
     assert cuts == 21
 
@@ -865,7 +862,7 @@ def test_text_search_matches_node_oracle_on_fixed_cases():
              "01" * 20, "0" * 16, "abc" * 13, "z", 10**100, 2**64 + 1,
              "01" * 1024, "xyz" * 729]  # counts 4^5 and 3^6 are compound
     for x in cases:
-        for budget in (1, 2, 3, 40, 4096):
+        for budget in (1, 2, 3, 40, cx.SEARCH_BUDGET):
             _check_against_oracle(x, budget)
 
 
@@ -886,7 +883,7 @@ def blob_codes(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(blob_words, blob_codes()))
 def test_complexity_bits_is_the_length_of_the_searched_text(x):
-    _check_against_oracle(x, proxy.budget)
+    _check_against_oracle(x, cx.SEARCH_BUDGET)
     desc, _ = proxy.search(x)
     assert proxy.complexity_bits(x) == cx.BITS_PER_CHAR * len(desc.serialize())
 
@@ -951,7 +948,7 @@ def test_blob_length_ties_break_on_the_first_character():
     text = proxy.search(code)[0].serialize()
     assert text == "c(2,3,000,001,010,101,110,111)" and len(text) == len(blob)
     for x in (word, code):
-        _check_against_oracle(x, proxy.budget)
+        _check_against_oracle(x, cx.SEARCH_BUDGET)
 
 
 class _TextHint(cx.Description):

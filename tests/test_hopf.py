@@ -243,7 +243,7 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     for cache in (generator_data, generator_degree, coproduct_of_generator,
                   feynman._class_plans, feynman._profile_table):
         cache.cache_clear()
-    hopf._labels.clear()
+    hopf._piece_label.cache_clear()
     labels = enumerate_connected_oriented(4, 8)
     for label in labels:
         generator_degree(label)
@@ -255,6 +255,24 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
     assert feynman._profile_table.cache_info().misses == 1
     assert feynman._class_plans.cache_info().currsize == 0
     assert built == []
+
+
+def test_piece_labels_stay_memoized_past_the_cache_size():
+    # more distinct pieces than the memo holds: it keeps the most recent,
+    # so a new piece is still stored and its repeat is a hit
+    n = hopf.LABEL_CACHE_SIZE + 10
+    isolated = MultigraphData(n, True, tuple(v // 64 for v in range(n)),
+                              tuple(v % 64 for v in range(n)), (0,) * n, {}, (None,) * n)
+    hopf._piece_label.cache_clear()
+    assert len(set(hopf._side_monomial(isolated, range(n)))) == n
+    info = hopf._piece_label.cache_info()
+    assert (info.misses, info.currsize) == (n, hopf.LABEL_CACHE_SIZE)
+    new = MultigraphData(1, True, (0,), (0,), (1,), {}, (None,))
+    for _ in range(2):
+        assert hopf._side_monomial(new, [0]) == ("og:1|-.0.0.1|",)
+    info = hopf._piece_label.cache_info()
+    assert (info.misses, info.hits) == (n + 1, 1)
+    hopf._piece_label.cache_clear()
 
 
 NOT_GENERATORS = {

@@ -817,6 +817,7 @@ def _long_fraction(text):
 @example("1_0e1_0")
 @example(" 7 ")
 @example("3/4")
+@example("--")
 def test_coefficient_text_matches_fraction_parser(text):
     """Every reader of outside rationals reads a text as Fraction(text)
     does: the same values, and the same texts refused (whitespace, signs,
