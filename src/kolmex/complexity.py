@@ -213,7 +213,12 @@ def lzw_compress(data: bytes) -> tuple[bytes, int]:
     a byte costs a list subscript, a None test and, on a match, a type
     test.  Every 64 codes the width is updated, which suffices since it
     grows at powers of two, and whole bytes of the output are banked, so
-    no shift copies more than 64 codes' bits."""
+    no shift copies more than 64 codes' bits.
+
+    Memory grows with k: every inner node holds k + 1 slots.  Over random
+    bytes (k = 256) the peak is 4.6-5.9x that of a dict keyed on (prefix
+    code, next byte).  Every caller in the package passes text over
+    WORD_SYMBOLS, so k <= 36."""
     if not data:
         return b"", 0
     symbols = _ALL_BYTES.translate(None, _ALL_BYTES.translate(None, data))

@@ -2,10 +2,10 @@
 independent Gaussian oracle.
 
 A theory is a finite color set, an invertible symmetric metric g_{ab} and
-symmetric interaction tensors C_{a1..ak}, all with exact rational entries.
-The expansion sums lambda^(E-V) * weight / |Aut| over isomorphism classes
-of tail-free graphs whose valences carry tensors; the weight of a class is
-the full contraction of its tensor network,
+symmetric interaction tensors C_{a1..ak} of valence k >= 3, all with exact
+rational entries.  The expansion sums lambda^(E-V) * weight / |Aut| over
+isomorphism classes of tail-free graphs whose valences carry tensors; the
+weight of a class is the full contraction of its tensor network,
 
     w = sum over flag colorings of  prod_edges g^{color pair}
                                   * prod_vertices C_{colors at the vertex},
@@ -33,17 +33,15 @@ family's classes per profile, and such a theory's series is the sum of
 each entry times its monomial at order E - V, where 2E = sum_k k * n_k.
 Theories of more colors contract each class.
 
-Where it is exact, only connected classes are generated and contracted.
-By the linked-cluster theorem the sum is exp(W), where W(lambda) =
+Only connected classes are generated and contracted.  By the
+linked-cluster theorem the sum is exp(W), where W(lambda) =
 sum_n w_n lambda^n sums weight / |Aut| over the connected non-empty
 classes: a disjoint union holding m_i copies of class i has weight
 prod w_i^m_i and |Aut| = prod |Aut_i|^m_i * m_i!.  The exponential is
 taken in exact truncated arithmetic, e_0 = 1 and
-e_m = (1/m) sum_{k=1..m} k w_k e_{m-k}.  It is exact when every valence
-is >= 3, since then each component has order >= 1 and at most 2 * order
-vertices.  The sum over every class stays where a vertex cap below
-2 * order bounds the total vertex count, which covers every theory with
-valence 1 or 2 tensors.
+e_m = (1/m) sum_{k=1..m} k w_k e_{m-k}.  It is exact because every valence
+is >= 3: each vertex raises E - V by at least 1/2, so each component has
+order >= 1 and at most 2 * order vertices.
 
 The oracle never touches graphs: it expands exp(S_1 / lambda) in the
 interaction tensors and evaluates every Gaussian moment as a sum over Wick
@@ -54,9 +52,7 @@ by (color counts, vertex count, slot count), and the pairing sum runs once
 per state.  Pairings are aggregated by the color multiset of the
 remaining slots (interchangeable slots collapse into counts), which is
 exact; the literal pairing enumeration cross-checks it in the tests.  Both
-routes drop orders outside [0, N]; theories with valence 1 or 2 tensors
-generate such orders and unbounded fixed-order families, so they
-additionally require an explicit vertex cap applied to both routes.
+routes drop orders above N.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -69,7 +65,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import add
-from typing import Optional
 
 from . import rational
 from .graphs import GraphError, MultigraphData, _vacuum_classes_with_aut
@@ -133,8 +128,8 @@ class Theory:
                     raise TheoryError("metric must be symmetric")
         canon = []
         for valence, entries in sorted(tensors.items()):
-            if valence < 1:
-                raise TheoryError("tensor valences must be >= 1")
+            if valence < 3:
+                raise TheoryError("tensor valences must be >= 3")
             merged: dict = {}
             for idx, coeff in entries.items():
                 idx = tuple(sorted(idx))
@@ -310,26 +305,24 @@ def _vertex_valences(data: MultigraphData) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _class_plans(max_order: int, valences: tuple, max_vertices, budget: int,
-                 connected: bool) -> tuple:
-    """((plan, |Aut|), ...) of the vacuum classes (only the connected ones
-    with `connected`), in enumeration order; theory-independent, so cached.
-    |Aut| comes from the search that labelled the class during enumeration."""
+def _class_plans(max_order: int, valences: tuple, budget: int) -> tuple:
+    """((plan, |Aut|), ...) of the connected non-empty vacuum classes, in
+    enumeration order; theory-independent, so cached.  |Aut| comes from the
+    search that labelled the class during enumeration."""
     return tuple(
         (_contraction_plan(data), aut) for _, data, aut in
-        _vacuum_classes_with_aut(max_order, valences, max_vertices, budget, connected))
+        _vacuum_classes_with_aut(max_order, valences, budget, connected=True))
 
 
 @lru_cache(maxsize=64)
-def _profile_table(max_order: int, valences: tuple, max_vertices, budget: int,
-                   connected: bool) -> tuple:
+def _profile_table(max_order: int, valences: tuple, budget: int) -> tuple:
     """((profile, E, order, sum of 1/|Aut|), ...) over the classes that
     `_class_plans` holds for the same key, one entry per valence profile: the
     sorted (valence, vertex count) pairs of a class.  2E is the sum of
     valence * count and order = E - V; theory-independent, so cached."""
     inverse_auts: dict = {}
-    for _, data, aut in _vacuum_classes_with_aut(max_order, valences, max_vertices, budget,
-                                                 connected):
+    for _, data, aut in _vacuum_classes_with_aut(max_order, valences, budget,
+                                                 connected=True):
         profile = tuple(sorted(Counter(_vertex_valences(data)).items()))
         inverse_auts[profile] = inverse_auts.get(profile, 0) + Fraction(1, aut)
     table = []
@@ -361,12 +354,11 @@ def _profile_sums(table: tuple, theory: Theory) -> dict:
     return sums
 
 
-def _class_sums(max_order: int, theory: Theory, max_vertices, budget: int,
-                connected: bool) -> dict:
-    """order -> the sum of weight / |Aut| over the vacuum classes of the
-    theory's valences: summed per valence profile for one colour, else
-    contracted class by class."""
-    key = (max_order, tuple(theory.valences()), max_vertices, budget, connected)
+def _class_sums(max_order: int, theory: Theory, budget: int) -> dict:
+    """order -> the sum of weight / |Aut| over the connected vacuum classes
+    of the theory's valences: summed per valence profile for one colour,
+    else contracted class by class."""
+    key = (max_order, tuple(theory.valences()), budget)
     if theory.n_colors == 1:
         return _profile_sums(_profile_table(*key), theory)
     return _plan_sums(_class_plans(*key), theory)
@@ -444,40 +436,20 @@ def graph_weight(data: MultigraphData, theory: Theory) -> Fraction:
     return sum(sums.values(), Fraction(0))
 
 
-def graph_expansion(theory: Theory, order: int,
-                    max_vertices: Optional[int] = None,
-                    budget: int = 200_000) -> LambdaSeries:
+def graph_expansion(theory: Theory, order: int, budget: int = 200_000) -> LambdaSeries:
     """Sum lambda^(E-V) * weight / |Aut| over tail-free classes.
 
-    With every valence >= 3 and no vertex cap below 2 * order, the sum is
-    exp(W) truncated at `order`, where W sums over the connected non-empty
-    classes alone (the linked-cluster theorem); only those are generated
-    and contracted.
+    The sum is exp(W) truncated at `order`, where W sums over the connected
+    non-empty classes alone (the linked-cluster theorem); only those are
+    generated and contracted.
     """
-    valences = tuple(theory.valences())
-    if valences and (min(valences) <= 2
-                     or max_vertices is not None and max_vertices < 2 * order):
-        return LambdaSeries(_full_class_sum(theory, order, max_vertices, budget))
-    w = _class_sums(order, theory, max_vertices, budget, True)
+    w = _class_sums(order, theory, budget)
     # Z = exp(W): e_0 = 1 and m e_m = sum_k k w_k e_{m-k}, exactly, because a
     # disjoint union with m_i copies of class i has |Aut| = prod |Aut_i|^m_i m_i!
     e = [Fraction(1)] if order >= 0 else []
     for m in range(1, order + 1):
         e.append(sum(k * w.get(k, 0) * e[m - k] for k in range(1, m + 1)) / m)
     return LambdaSeries(tuple(e))
-
-
-def _full_class_sum(theory: Theory, order: int, max_vertices, budget: int) -> list:
-    """The sum over every class, connected or not.
-
-    It stays where exp(W) is not exact: a vertex cap bounds the total vertex
-    count, not each component's, so under any cap below 2 * order the
-    family lacks unions that exp(W) would count.  Valence-1/2 theories need
-    a cap, and their components of order <= 0 also combine with the others
-    inside the window.
-    """
-    sums = _class_sums(order, theory, max_vertices, budget, False)
-    return [sums.get(n, Fraction(0)) for n in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +490,7 @@ def wick_pairing_sum(counts: tuple, g_inv: tuple, memo: dict) -> Fraction:
     return total
 
 
-def gaussian_oracle(theory: Theory, order: int,
-                    max_vertices: Optional[int] = None) -> LambdaSeries:
+def gaussian_oracle(theory: Theory, order: int) -> LambdaSeries:
     """exp(S_1/lambda) expanded term-wise against Gaussian moments.
 
     Independent of the graphs module: each multiset of p interaction
@@ -534,9 +505,10 @@ def gaussian_oracle(theory: Theory, order: int,
     its color counts, so the multisets are summed by a dynamic program over
     the options, keyed by (color counts, p, M): each option extends every
     state by m copies with factor c^m / m!, and the pairing sum runs once
-    per final state.  With every valence >= 3 each further vertex raises
-    M - 2p, so a state with M - 2p > 2N is dropped at once.  Orders outside
-    [0, N] are dropped to match the expansion's truncation window.
+    per final state.  Every valence is >= 3, so each further vertex raises
+    M - 2p by at least 1 and a state with M - 2p > 2N is dropped at once;
+    that also bounds p <= M - 2p <= 2N.  Orders above N are dropped to
+    match the expansion's truncation window.
     """
     if theory.n_colors > MAX_ORACLE_COLORS:
         raise TheoryError(
@@ -549,14 +521,6 @@ def gaussian_oracle(theory: Theory, order: int,
             for c in set(idx):
                 sym *= factorial(idx.count(c))
             options.append((valence, idx, coeff / sym))
-    low_valence = bool(options) and min(k for k, _, _ in options) <= 2
-    if max_vertices is None:
-        if low_valence:
-            raise TheoryError(
-                "valences <= 2 make vertex counts unbounded; pass max_vertices"
-            )
-        max_vertices = 2 * order
-    max_excess = None if low_valence else 2 * order  # bound on M - 2p
     # a state's value is an integer N standing for N / (den^p * p!), den the
     # common denominator of the options: m more copies of option a / den
     # multiply N by a^m * C(p + m, m), which is c^m / m! on the value
@@ -573,8 +537,7 @@ def gaussian_oracle(theory: Theory, order: int,
                 extended[key] = extended.get(key, 0) + value
                 m += 1
                 slots += valence
-                if p + m > max_vertices or (
-                        max_excess is not None and slots - 2 * (p + m) > max_excess):
+                if slots - 2 * (p + m) > 2 * order:
                     break
                 counts = tuple(map(add, counts, step))
                 value = value * a * (p + m) // m
@@ -584,7 +547,7 @@ def gaussian_oracle(theory: Theory, order: int,
     memo: dict = {}
     for (counts, p, slots), value in states.items():
         n = slots // 2 - p
-        if slots % 2 == 0 and 0 <= n <= order:
+        if slots % 2 == 0 and n <= order:
             moment = wick_pairing_sum(counts, g_inv, memo)
             if moment:
                 coeffs[n] += moment * Fraction(value, den**p * factorial(p))

@@ -360,7 +360,10 @@ def _min_serialization(data: MultigraphData) -> tuple[str, int]:
     return head + best, aut
 
 
-def canonical_label(g: Graph, max_vertices: int = 10) -> str:
+LABEL_MAX_VERTICES = 10  # canonical_label refuses larger graphs
+
+
+def canonical_label(g: Graph) -> str:
     """Lexicographically minimal serialization over vertex relabelings.
 
     Equal labels  <=>  isomorphic (as flag graphs with orientation and
@@ -368,9 +371,9 @@ def canonical_label(g: Graph, max_vertices: int = 10) -> str:
     pinned label; vacuum enumeration keys its final states on it, so label
     bytes do not depend on which route found the class.
     """
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > LABEL_MAX_VERTICES:
         raise BudgetError(
-            f"{g.n_vertices} vertices exceed the canonical-form bound {max_vertices}"
+            f"{g.n_vertices} vertices exceed the canonical-form bound {LABEL_MAX_VERTICES}"
         )
     return _min_serialization(multigraph_data(g))[0]
 
@@ -500,26 +503,24 @@ def enumerate_cuts(data: MultigraphData) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def enumerate_vacuum_graphs(max_order: int, valences: Iterable[int],
-                            max_vertices: Optional[int] = None,
                             budget: int = 200_000) -> list[Graph]:
     """One representative per isomorphism class of tail-free graphs with all
     vertex valences in `valences` and E - V <= max_order, sorted by (flag
     count, label).
 
-    Includes the empty graph.  With every valence >= 3 the family is finite
-    (V <= 2 * max_order); otherwise `max_vertices` must cap it.  Each degree
-    sequence is built one closed vertex at a time, keeping one state per
-    isomorphism class after every step (`_classes_with_degrees`); the last
-    step keys each class on its pinned label.  `budget` bounds the number of
-    states built over all degree sequences; BudgetError is raised as soon as
-    one more is needed.
+    Includes the empty graph.  Every valence must be >= 3 (GraphError
+    otherwise), so each vertex raises E - V by at least 1/2 and the family
+    is finite, V <= 2 * max_order.  Each degree sequence is built one
+    closed vertex at a time, keeping one state per isomorphism class after
+    every step (`_classes_with_degrees`); the last step keys each class on
+    its pinned label.  `budget` bounds the number of states built over all
+    degree sequences; BudgetError is raised as soon as one more is needed.
     """
     return [graph_from_label(label) for label, _, _ in
-            _vacuum_classes_with_aut(max_order, valences, max_vertices, budget)]
+            _vacuum_classes_with_aut(max_order, valences, budget)]
 
 
-def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
-                             max_vertices: Optional[int], budget: int,
+def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int], budget: int,
                              connected: bool = False) -> list[tuple[str, MultigraphData, int]]:
     """(label, multigraph data, |Aut|) per class of `enumerate_vacuum_graphs`,
     in its order; |Aut| is taken from the search that labelled the class.
@@ -527,16 +528,12 @@ def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
     only the connected non-empty classes are built and `budget` counts the
     closings of the states that remain."""
     valences = sorted(set(valences))
-    if any(v < 1 for v in valences):
-        raise GraphError("valences must be >= 1")
+    if any(v < 3 for v in valences):
+        raise GraphError("valences must be >= 3")
     found = [] if connected else [_min_serialization(MultigraphData(0, False, (), (), (), {}, ()))]
     if valences and max_order >= 0:
-        if max_vertices is None:
-            if min(valences) <= 2:
-                raise GraphError("valences <= 2 make orders unbounded; pass max_vertices")
-            max_vertices = 2 * max_order
         spent = [0]
-        for degree_seq in _degree_sequences(valences, max_order, max_vertices):
+        for degree_seq in _degree_sequences(valences, max_order):
             zeros = (0,) * len(degree_seq)
             found += _classes_with_degrees(_closings, zeros, zeros, degree_seq,
                                            spent, budget, connected).items()
@@ -545,7 +542,7 @@ def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int],
     return classes
 
 
-def _degree_sequences(valences, max_order, max_vertices):
+def _degree_sequences(valences, max_order):
     """Nonincreasing valence multisets with even flag total and
     E - V = sum(d)/2 - len <= max_order."""
     out = []
@@ -557,13 +554,11 @@ def _degree_sequences(valences, max_order, max_vertices):
                 order = total // 2 - len(prefix)
                 if order <= max_order:
                     out.append(tuple(prefix))
-        if len(prefix) >= max_vertices:
-            return
         for i in range(start_idx, len(valences)):
             d = valences[i]
-            # pruning: with every valence >= 2 no further vertex lowers E - V
+            # pruning: with every valence >= 3 each further vertex raises E - V
             lower = sum(prefix + [d]) / 2 - (len(prefix) + 1)
-            if lower > max_order and valences[-1] >= 2:
+            if lower > max_order:
                 continue
             rec(prefix + [d], i)
 

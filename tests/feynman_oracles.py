@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement, product
 from math import factorial, prod
 from operator import add
 
-from kolmex.feynman import LambdaSeries, TheoryError, graph_weight, wick_pairing_sum
+from kolmex.feynman import LambdaSeries, graph_weight, wick_pairing_sum
 from kolmex.graphs import _vacuum_classes_with_aut
 
 
@@ -39,14 +39,12 @@ def oracle_options(theory) -> list:
     return options
 
 
-def class_by_class_sums(theory, valences, order, max_vertices=None, budget=200_000,
-                        connected=False):
+def class_by_class_sums(theory, valences, order, budget=200_000, connected=False):
     """The sum of weight / |Aut| at each order 0..order, one `graph_weight`
     per class of the vacuum family of `valences` (only its connected
     non-empty classes with `connected`)."""
     coeffs = [Fraction(0)] * (order + 1)
-    for _, data, aut in _vacuum_classes_with_aut(order, valences, max_vertices, budget,
-                                                 connected):
+    for _, data, aut in _vacuum_classes_with_aut(order, valences, budget, connected):
         n = data.n_flags // 2 - data.n_vertices  # E - V of a tail-free class
         if 0 <= n <= order:
             w = graph_weight(data, theory)
@@ -55,26 +53,21 @@ def class_by_class_sums(theory, valences, order, max_vertices=None, budget=200_0
     return coeffs
 
 
-def full_class_expansion(theory, order, max_vertices=None, budget=200_000):
+def full_class_expansion(theory, order, budget=200_000):
     """Sum lambda^(E-V) * weight / |Aut| over every tail-free class,
     connected or not."""
-    return LambdaSeries(tuple(
-        class_by_class_sums(theory, theory.valences(), order, max_vertices, budget)))
+    return LambdaSeries(tuple(class_by_class_sums(theory, theory.valences(), order, budget)))
 
 
-def multiset_oracle(theory, order, max_vertices=None):
-    """The Gaussian oracle over every multiset of at most `max_vertices`
-    vertices (2 * order by default), each weighted 1 / prod_i m_i!."""
+def multiset_oracle(theory, order):
+    """The Gaussian oracle over every multiset of at most 2 * order
+    vertices, each weighted 1 / prod_i m_i!."""
     options = oracle_options(theory)
-    if max_vertices is None:
-        if options and min(k for k, _, _ in options) <= 2:
-            raise TheoryError("valences <= 2 need max_vertices")
-        max_vertices = 2 * order
     g_inv = theory.metric_inverse
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[0] = Fraction(1)  # the empty product
     memo: dict = {}
-    for p in range(1, max_vertices + 1):
+    for p in range(1, 2 * order + 1):
         for combo in combinations_with_replacement(options, p):
             slots = sum(k for k, _, _ in combo)
             n = slots // 2 - p

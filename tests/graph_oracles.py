@@ -316,16 +316,14 @@ def multigraphs_with_degrees(degrees, spent, budget):
     yield from rec(0, list(degrees), [0] * n, {})
 
 
-def raw_vacuum_classes(max_order, valences, max_vertices=None):
+def raw_vacuum_classes(max_order, valences):
     """(label, |Aut|) per class, sorted like `enumerate_vacuum_graphs`, empty
     graph included; |Aut| counted by `refinement_search`."""
     valences = sorted(set(valences))
-    if max_vertices is None:
-        max_vertices = 2 * max_order
     labels = [brute_min_serialization(MultigraphData(0, False, (), (), (), {}, ()))]
     certificates = set()
     spent = [0]
-    for degrees in _degree_sequences(valences, max_order, max_vertices):
+    for degrees in _degree_sequences(valences, max_order):
         for data in multigraphs_with_degrees(degrees, spent, 10**9):
             certificate = refinement_search(data)[0]
             if certificate not in certificates:

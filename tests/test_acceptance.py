@@ -113,7 +113,7 @@ def test_criterion_1_order_4_at_the_default_budget():
                          "--order", "4"])
     assert code == 0, out.getvalue()
     assert "match through L^4" in out.getvalue()
-    classes = _vacuum_classes_with_aut(4, (3, 4), None, 200_000)
+    classes = _vacuum_classes_with_aut(4, (3, 4), 200_000)
     assert len(classes) == 1115
     elapsed = time.time() - start
     assert elapsed < 60, f"took {elapsed:.1f}s, limit 60s"

@@ -540,7 +540,7 @@ def test_raw_vacuum_certificates_match_labels():
     by_certificate: dict = {}
     by_label: dict = {}
     spent = [0]
-    for degrees in G._degree_sequences([4, 3], 2, 4):
+    for degrees in G._degree_sequences([4, 3], 2):
         for i, data in enumerate(multigraphs_with_degrees(degrees, spent, 10**6)):
             key = (degrees, i)
             by_certificate.setdefault(refinement_search(data)[0], set()).add(key)
@@ -563,13 +563,6 @@ def test_vacuum_generator_matches_raw_route(valences, order):
     # deduplicated afterwards: the same labels, order and |Aut|
     new = _classes_with_aut(enumerate_vacuum_graphs(order, valences))
     assert new == raw_vacuum_classes(order, valences)
-
-
-@pytest.mark.parametrize("valences, order, max_vertices",
-                         [({2}, 2, 5), ({1, 2, 3}, 2, 4), ({1, 2, 3}, 1, 5)])
-def test_vacuum_generator_matches_raw_route_with_vertex_cap(valences, order, max_vertices):
-    new = _classes_with_aut(enumerate_vacuum_graphs(order, valences, max_vertices=max_vertices))
-    assert new == raw_vacuum_classes(order, valences, max_vertices)
 
 
 @st.composite
@@ -626,10 +619,10 @@ def test_pruned_lexmin_matches_brute_force(data):
 
 
 def test_vacuum_classes_and_symmetry_factors_pinned():
-    classes = G._vacuum_classes_with_aut(3, (3, 4), None, 200_000)
+    classes = G._vacuum_classes_with_aut(3, (3, 4), 200_000)
     text = "\n".join(f"{label} {aut}" for label, _, aut, *_ in classes)
     assert len(classes) == 141
-    assert len(G._vacuum_classes_with_aut(3, (3, 4), None, 200_000, connected=True)) == 88
+    assert len(G._vacuum_classes_with_aut(3, (3, 4), 200_000, connected=True)) == 88
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "638f2e115b389a8d8bc570d606664c068994333a12092366e3ff8740e3b9cfc3"
     )
@@ -640,8 +633,8 @@ def test_connected_generation_is_the_connected_subset(valences):
     # dropping a state once it seals off a component loses no connected
     # class and keeps no other: the same labels, |Aut| and order
     for order in range(5):
-        full = G._vacuum_classes_with_aut(order, valences, None, 200_000)
-        linked = G._vacuum_classes_with_aut(order, valences, None, 200_000, connected=True)
+        full = G._vacuum_classes_with_aut(order, valences, 200_000)
+        linked = G._vacuum_classes_with_aut(order, valences, 200_000, connected=True)
         assert [(label, aut) for label, _, aut in linked] == [
             (label, aut) for label, data, aut in full
             if _connected(data.n_vertices, data.edge_mult)]
@@ -657,14 +650,6 @@ def test_hopf_generator_labels_pinned():
     )
 
 
-def test_vacuum_requires_cap_for_low_valence():
-    with pytest.raises(GraphError):
-        enumerate_vacuum_graphs(1, {2})
-    cycles = enumerate_vacuum_graphs(1, {2}, max_vertices=4)
-    # cycles of length 1..4 plus disjoint unions fitting in 4 vertices + empty
-    assert any(g.n_vertices == 4 for g in cycles)
-
-
 def test_vacuum_enumeration_budget():
     with pytest.raises(G.BudgetError):
         enumerate_vacuum_graphs(3, {3, 4}, budget=5)
@@ -678,11 +663,11 @@ def test_vacuum_budget_counts_the_last_candidate():
 
 
 def test_canonical_label_bound():
-    deco = tuple(f"op{i}" for i in range(11))  # distinct: one relabeling each
-    wide = Graph(11, (), (), decorations=deco)
-    with pytest.raises(G.BudgetError):
-        canonical_label(wide)
-    assert canonical_label(wide, max_vertices=11)
+    # distinct decorations: one relabeling each
+    deco = tuple(f"op{i}" for i in range(11))
+    with pytest.raises(G.BudgetError, match="canonical-form bound 10"):
+        canonical_label(Graph(11, (), (), decorations=deco))
+    assert canonical_label(Graph(10, (), (), decorations=deco[:10]))
 
 
 def test_cut_enumeration_bound():

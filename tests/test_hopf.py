@@ -249,7 +249,7 @@ def test_generator_coproduct_builds_no_flag_graph(monkeypatch):
         generator_degree(label)
         coproduct_of_generator(label)
     assert coproduct_of_generator.cache_info().misses == len(labels) == 1922
-    assert len(_vacuum_classes_with_aut(4, (3, 4), None, 200_000)) == 1115
+    assert len(_vacuum_classes_with_aut(4, (3, 4), 200_000)) == 1115
     assert feynman.graph_expansion(feynman.Theory.single_color(c3=1, c4=1), 4)[4] == F(
         715715, 15552)
     assert feynman._profile_table.cache_info().misses == 1
