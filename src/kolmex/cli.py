@@ -82,8 +82,9 @@ def _float_sized(text: str) -> int | Fraction:
     return value
 
 
-def _at_least(least: int):
-    """argparse type of an integer no smaller than `least`."""
+def _at_least(least: int, most: int | None = None):
+    """argparse type of an integer no smaller than `least` and, when `most`
+    is given, no larger than it."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -96,6 +97,8 @@ def _at_least(least: int):
             raise argparse.ArgumentTypeError(f"not an integer: {rational.shown(text)}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, not {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, not {value}")
         return value
     return parse
 
@@ -528,10 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit = zipf_sub.add_parser("fit", help="rank tokens and fit the power law")
     fit.add_argument("--corpus", help="plain-text corpus; whitespace tokens")
     fit.add_argument("--lowercase", action="store_true")
-    fit.add_argument("--types", type=_at_least(1), default=1000,
-                     help="synthetic corpus: number of types")
-    fit.add_argument("--tokens", type=_at_least(0), default=100_000,
-                     help="synthetic corpus: number of tokens")
+    # the corpus holds three lists per type and one entry per token: the
+    # bounds keep a run near 150 MiB instead of exhausting memory
+    fit.add_argument("--types", type=_at_least(1, 100_000), default=1000,
+                     help="synthetic corpus: number of types (at most 100000)")
+    fit.add_argument("--tokens", type=_at_least(0, 10_000_000), default=100_000,
+                     help="synthetic corpus: number of tokens (at most 10000000)")
     fit.add_argument("--seed", type=int, default=20260809)
     fit.add_argument("--out", required=True)
     fit.set_defaults(handler=cmd_zipf_fit)

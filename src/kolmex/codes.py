@@ -47,10 +47,6 @@ class CodeError(ValueError):
     pass
 
 
-class BudgetError(CodeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # basic objects
 # ---------------------------------------------------------------------------
@@ -265,16 +261,13 @@ def bound_curve(kind: str, q: int, delta: float) -> float:
 # constructions
 # ---------------------------------------------------------------------------
 
-def reed_solomon(q: int, n: int, k: int, points: Optional[Sequence[int]] = None) -> Code:
-    """Evaluation code of polynomials of degree < k at n distinct points.
-
-    Defaults to the first n field elements.  d = n + 1 - k (verified
-    brute-force in the tests, not assumed here).
+def reed_solomon(q: int, n: int, k: int) -> Code:
+    """Evaluation code of polynomials of degree < k at the first n field
+    elements.  d = n + 1 - k (verified brute-force in the tests, not
+    assumed here).
     """
     f = fields.field(q)
-    if points is None:
-        points = tuple(range(n))
-    points = tuple(points)
+    points = tuple(range(n))
     rows = fields.rs_evaluation_rows(f, n, k, points)
     return Code(
         alphabet=Alphabet(q),
@@ -294,34 +287,17 @@ def reed_solomon_min_distance(q: int, n: int, k: int) -> int:
     return fields.min_weight_of_rowspace(f, rows, n)
 
 
-def enumerate_linear_codes(q: int, n: int, dims: Optional[Iterable[int]] = None,
-                           budget: int = 100_000) -> "CodeEnsemble":
-    """One code per linear subspace of F_q^n, via RREF generator matrices.
-
-    `dims` restricts the dimensions (default 1..n).  Raises BudgetError if
-    the subspace count would exceed `budget`.
-    """
+def enumerate_linear_codes(q: int, n: int) -> "CodeEnsemble":
+    """One code per linear subspace of F_q^n of dimension 1..n, via RREF
+    generator matrices."""
     f = fields.field(q)
-    dims = sorted(set(dims)) if dims is not None else list(range(1, n + 1))
-    if any(not 1 <= k <= n for k in dims):
-        raise CodeError(f"dimensions must lie in 1..{n}")
-    total = sum(_gaussian_binomial(n, k, q) for k in dims)
-    if total > budget:
-        raise BudgetError(f"{total} subspaces exceed budget {budget}")
+    dims = list(range(1, n + 1))
     codes = []
     for k in dims:
         for rows in _rref_matrices(f, n, k):
             codes.append(Code(Alphabet(q), n, None, generator=rows))
     provenance = {"kind": "enumerate_linear", "q": q, "n": n, "dims": dims}
     return CodeEnsemble.build(codes, provenance)
-
-
-def _gaussian_binomial(n: int, k: int, q: int) -> int:
-    num = den = 1
-    for i in range(k):
-        num *= q**n - q**i
-        den *= q**k - q**i
-    return num // den
 
 
 def _rref_matrices(f: fields.Field, n: int, k: int):

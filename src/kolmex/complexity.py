@@ -1167,18 +1167,14 @@ def kolmogorov_order(universe: Iterable[Obj]) -> KolmogorovOrder:
     return KolmogorovOrder(tuple(x for _, _, x in ranked), len(cuts))
 
 
-def levin_weights(universe: Iterable[Obj], kp=None) -> dict:
-    """Normalized weights proportional to 1/KP(x), as exact rationals.
-
-    `kp` may inject a prefix-complexity function (mainly for tests); the
-    default is the proxy's prefix complexity.
-    """
+def levin_weights(universe: Iterable[Obj]) -> dict:
+    """Normalized weights proportional to 1/KP(x), the proxy's prefix
+    complexity, as exact rationals."""
     items = list(universe)
     if not items:
         raise DescriptionError("empty universe has no weights")
-    if kp is None:
-        kp = lambda x: DEFAULT_PROXY.proxy_complexity(x, prefix=True)
-    raw = [(x, Fraction(1, kp(x))) for x in items]
+    kp = DEFAULT_PROXY.proxy_complexity
+    raw = [(x, Fraction(1, kp(x, prefix=True))) for x in items]
     total = sum(w for _, w in raw)
     return {x: w / total for x, w in raw}
 
@@ -1235,9 +1231,9 @@ _GUIDE_SHIFT = 52  # a draw's guide bucket is its top 12 bits
 
 def _u64_ranker(cumulative: Sequence[float], labels: Sequence):
     """The function that maps a list of raw 64-bit draws v to the labels[j]
-    of the first j with cumulative[j] >= (v >> 11) * 2**-53, the float that
-    `SplitMix64.uniform` makes of v; cumulative must be ascending and end
-    at 1.0 or above.
+    of the first j with cumulative[j] >= (v >> 11) * 2**-53, the uniform
+    float in [0, 1) that the top 53 bits of v make; cumulative must be
+    ascending and end at 1.0 or above.
 
     The test runs on integers: with F = floor(c * 2**53), c >= (v >> 11) /
     2**53 holds iff (v >> 11) <= F, iff v <= ((F + 1) << 11) - 1, the end of
@@ -1265,19 +1261,12 @@ def _u64_ranker(cumulative: Sequence[float], labels: Sequence):
     return rank
 
 
-def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int,
-                          exponent: float = 1.0) -> list[str]:
-    """Tokens drawn i.i.d. from p_k proportional to 1/k**exponent."""
+def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int) -> list[str]:
+    """Tokens drawn i.i.d. from p_k proportional to 1/k."""
     if n_types < 1:
         raise ValueError("need at least one type")
-    if not math.isfinite(exponent):
-        raise ValueError(f"the Zipf exponent must be finite, not {exponent}")
-    try:
-        weights = [1.0 / (k**exponent) for k in range(1, n_types + 1)]
-        total = math.fsum(weights)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"the Zipf exponent {exponent} overflows a float weight "
-                         f"over {n_types} types") from None
+    weights = [1.0 / k for k in range(1, n_types + 1)]
+    total = math.fsum(weights)
     cumulative = []
     acc = 0.0
     for w in weights:
@@ -1291,7 +1280,7 @@ def synthetic_zipf_corpus(n_types: int, n_tokens: int, seed: int,
     out: list[str] = []
     # draws come in batches of 4096, so no list of all the draws is held;
     # each token is the first type whose cumulative weight reaches the
-    # draw's uniform(), as with one float bisect per draw
+    # draw's uniform float, as with one float bisect per draw
     for start in range(0, n_tokens, 4096):
         out += rank(gen.next_u64s(min(4096, n_tokens - start)))
     return out

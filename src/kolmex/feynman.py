@@ -191,18 +191,12 @@ class Theory:
                 sums[new] = sums.get(new, 0) + c
         return tuple((new, c) for new, c in sums.items() if c)
 
-    def tensor(self, valence: int) -> dict:
-        for k, entries in self.tensors:
-            if k == valence:
-                return dict(entries)
-        return {}
-
     def valences(self) -> list[int]:
         return [k for k, _ in self.tensors]
 
     @classmethod
-    def single_color(cls, metric: Fraction = Fraction(1), **couplings) -> "Theory":
-        """One-color shorthand: single_color(c3=Fraction(1,2), c4=2)."""
+    def single_color(cls, **couplings) -> "Theory":
+        """One-color shorthand with metric 1: single_color(c3=Fraction(1,2), c4=2)."""
         tensors = {}
         for name, value in couplings.items():
             digits = name[1:]
@@ -210,7 +204,7 @@ class Theory:
                 raise TheoryError(f"unknown coupling {name!r}")
             k = int(digits)
             tensors[k] = {tuple([0] * k): Fraction(value)}
-        return cls.build(1, ((Fraction(metric),),), tensors)
+        return cls.build(1, ((1,),), tensors)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ class Field:
         self.q = q
         self._add = add
         self._mul = mul
-        self._inv = self._invert_table()
         self._verify_axioms()
 
     def add(self, a: int, b: int) -> int:
@@ -57,22 +56,11 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
-
     def pow(self, a: int, e: int) -> int:
         result = 1
         for _ in range(e):
             result = self._mul[result][a]
         return result
-
-    def _invert_table(self):
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            inv[a] = self._mul[a].index(1)
-        return inv
 
     def _verify_axioms(self):
         q, add, mul = self.q, self._add, self._mul

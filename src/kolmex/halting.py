@@ -10,8 +10,11 @@ structure: the zig-zag bijection with the integers sending * to 0 and
 1, 2, 3, 4, ... to 1, -1, 2, -2, ...  Fixed points of tau_f are exactly
 the pairs whose second coordinate lies outside D(f), and every non-fixed
 orbit is an arithmetic progression, hence infinite.  Restricting to pairs
-with y in D(f) gives the partial permutation sigma_f; pairs encode into
-Z_+ by the Cantor pairing of their natural labels (* -> 0), shifted by 1.
+with y in D(f) gives the partial permutation sigma_f, which equals tau_f on
+its domain; since tau_f keeps y, an orbit that starts in D(sigma_f) never
+leaves it, so the package conjugates tau_f itself (`tau_zplus`).  Pairs
+encode into Z_+ by the Cantor pairing of their natural labels (* -> 0),
+shifted by 1.
 
 Semi-computability is modelled by fuel: a transparent function carries an
 exact domain predicate (ground truth for tests), an opaque one only ever
@@ -113,15 +116,6 @@ class PartialFunction:
         return self.domain is not None
 
     @classmethod
-    def from_table(cls, mapping: dict) -> "PartialFunction":
-        table = dict(mapping)
-        return cls(
-            compute=lambda y, fuel: table.get(y),
-            domain=lambda y: y in table,
-            name="table",
-        )
-
-    @classmethod
     def empty(cls) -> "PartialFunction":
         return cls(compute=lambda y, fuel: None, domain=lambda y: False, name="empty")
 
@@ -148,7 +142,7 @@ class PartialFunction:
 
 @dataclass(frozen=True)
 class LiftedPermutation:
-    """tau_f on integer coordinates, sigma_f on the encoded Z_+ domain."""
+    """tau_f on integer coordinates and on the encoded Z_+ domain."""
 
     f: PartialFunction
     fuel: int = 10_000
@@ -185,11 +179,6 @@ class LiftedPermutation:
         s = self.shift(pair[1])
         return None if s is UNKNOWN else s == 0
 
-    def in_sigma_domain(self, pair: tuple[int, int]) -> Optional[bool]:
-        """Membership of (x, y) in D(sigma_f) = (X + {*}) x D(f)."""
-        fixed = self.is_fixed(pair)
-        return None if fixed is None else not fixed
-
     # -- encodings into Z_+ ---------------------------------------------------
 
     @staticmethod
@@ -205,14 +194,6 @@ class LiftedPermutation:
     def tau_zplus(self, value: int) -> Optional[int]:
         nxt = self.tau(self.decode(value))
         return None if nxt is UNKNOWN else self.encode(nxt)
-
-    def sigma_zplus(self, value: int) -> Optional[int]:
-        """sigma_f as a partial map on Z_+; None outside D(sigma_f) or when
-        the membership itself is unknowable within fuel."""
-        pair = self.decode(value)
-        if self.in_sigma_domain(pair) is not True:
-            return None
-        return self.encode(self.tau(pair))
 
 
 def lift_to_permutation(f: PartialFunction, fuel: int = 10_000) -> LiftedPermutation:
@@ -250,12 +231,6 @@ class ConjugatedPermutation:
             raise WindowExhausted(f"sigma image {image} left the ordered window")
         return self.order.rank_of(image)
 
-    def iterate(self, rank: int, steps: int) -> list[int]:
-        out = [rank]
-        for _ in range(steps):
-            out.append(self(out[-1]))
-        return out
-
 
 def conjugate(sigma: StepFn, order: KolmogorovOrder) -> ConjugatedPermutation:
     return ConjugatedPermutation(sigma, order)
@@ -280,12 +255,6 @@ class PhiSeries:
             raise HaltingError("exponents must be distinct (K is a bijection)")
         if self.constant <= 0 or any(c <= 0 for _, c in self.terms):
             raise HaltingError("all coefficients are positive by construction")
-
-    def coefficients(self) -> dict:
-        return dict(self.terms)
-
-    def partial_sum_at_one(self) -> Fraction:
-        return self.constant + sum((c for _, c in self.terms), Fraction(0))
 
 
 def phi_partial(base_rank: int, sigma_k: ConjugatedPermutation, n_terms: int) -> PhiSeries:
@@ -320,11 +289,6 @@ class RationalFunction:
     def __post_init__(self):
         object.__setattr__(self, "num", tuple(Fraction(c) for c in self.num))
         object.__setattr__(self, "den", tuple(Fraction(c) for c in self.den))
-
-    def eval(self, z: Fraction) -> Fraction:
-        num = sum(c * z**i for i, c in enumerate(self.num))
-        den = sum(c * z**i for i, c in enumerate(self.den))
-        return num / den
 
 
 def fixed_point_closed_form(base_rank: int, sigma_k: ConjugatedPermutation) -> RationalFunction:

@@ -97,10 +97,6 @@ def monomial_degree(mono: Monomial) -> int:
     return sum(generator_degree(l) for l in mono)
 
 
-def monomial_vertices(mono: Monomial) -> int:
-    return sum(generator_vertices(l) for l in mono)
-
-
 @lru_cache(maxsize=LABEL_CACHE_SIZE)
 def _piece_label(verts: tuple, edges: tuple) -> str:
     """The pinned label of a connected oriented piece: per vertex its

@@ -129,10 +129,6 @@ class MSElement:
         return tuple(Fraction(n, den) for n in self._nums[self._depth:])
 
     @property
-    def polar_depth(self) -> int:
-        return self._depth
-
-    @property
     def valid_order(self) -> int:
         return len(self._nums) - self._depth - 1
 
@@ -144,9 +140,6 @@ class MSElement:
         if power < -self._depth:
             return Fraction(0)
         return Fraction(self._nums[self._depth + power], self._den)
-
-    def augmentation(self) -> Fraction:
-        return self.coeff(0)
 
     def is_polar_only(self) -> bool:
         return not any(self._nums[self._depth:])
@@ -335,11 +328,6 @@ def _new(nums: tuple, den: int, depth: int, rzero: bool) -> MSElement:
     return x
 
 
-def polar_split(x: MSElement) -> tuple[MSElement, MSElement]:
-    """(pi(x), (id - pi)(x)); the two parts sum back to x."""
-    return x.polar_part(), x.regular_part()
-
-
 # ---------------------------------------------------------------------------
 # maps from the bialgebra into A
 # ---------------------------------------------------------------------------
@@ -371,15 +359,6 @@ class GMap:
                 )
             value = self._cache[mono] = self._fn(mono)
         return value
-
-
-def identity_map(degree_bound: int, trunc: int = DEFAULT_TRUNC) -> GMap:
-    """e = unit . counit: 1 on the unit monomial, 0 elsewhere."""
-    return GMap(
-        lambda mono: MSElement.one(trunc) if mono == UNIT_MONOMIAL
-        else MSElement.zero(trunc),
-        degree_bound, trunc, "e",
-    )
 
 
 class Character(GMap):

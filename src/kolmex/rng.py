@@ -15,7 +15,6 @@ from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64  # the largest population a 64-bit draw can index
-_UNIT = 2.0**-53  # a 53-bit integer times this is a float in [0, 1)
 _GAMMA = 0x9E3779B97F4A7C15  # the state's step
 _CHUNK = 1024  # the most lanes mixed in one int; bounds the cached constants
 
@@ -79,14 +78,6 @@ class SplitMix64:
             r = self.next_u64() >> (64 - bits)
             if r < n:
                 return r
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _UNIT
-
-    def uniforms(self, count: int) -> list[float]:
-        """The next `count` values of uniform(), drawn in one batch."""
-        return [(v >> 11) * _UNIT for v in self.next_u64s(count)]
 
     def sample_sorted(self, n: int, k: int) -> list[int]:
         """k distinct integers from [0, n), ascending.

