@@ -30,8 +30,9 @@ class with n_k vertices of valence k and E edges weighs
 prod_k C_k^(n_k) * (g^{-1})^E, which depends on its valence profile
 alone.  A second cached, theory-independent table sums 1/|Aut| over the
 family's classes per profile, and such a theory's series is the sum of
-each entry times its monomial at order E - V, where 2E = sum_k k * n_k.
-Theories of more colors contract each class.
+each entry times its monomial at order E - V, where 2E = sum_k k * n_k,
+taken on the same integer tables with one Fraction per order.  Theories
+of more colors contract each class.
 
 Only connected classes are generated and contracted.  By the
 linked-cluster theorem the sum is exp(W), where W(lambda) =
@@ -39,7 +40,8 @@ sum_n w_n lambda^n sums weight / |Aut| over the connected non-empty
 classes: a disjoint union holding m_i copies of class i has weight
 prod w_i^m_i and |Aut| = prod |Aut_i|^m_i * m_i!.  The exponential is
 taken in exact truncated arithmetic, e_0 = 1 and
-e_m = (1/m) sum_{k=1..m} k w_k e_{m-k}.  It is exact because every valence
+e_m = (1/m) sum_{k=1..m} k w_k e_{m-k}, on integers over one denominator
+until one Fraction ends each order.  It is exact because every valence
 is >= 3: each vertex raises E - V by at least 1/2, so each component has
 order >= 1 and at most 2 * order vertices.
 
@@ -49,10 +51,11 @@ pairings with propagator lambda * g^{ab}.  A moment depends on a product
 of vertices only through the combined color counts of its slots, so the
 products are summed by a dynamic program over the tensor entries, keyed
 by (color counts, vertex count, slot count), and the pairing sum runs once
-per state.  Pairings are aggregated by the color multiset of the
-remaining slots (interchangeable slots collapse into counts), which is
-exact; the literal pairing enumeration cross-checks it in the tests.  Both
-routes drop orders above N.
+per state, on the integer G = dg * g^{-1}; each order's terms stay integers
+until one Fraction ends it.  Pairings are aggregated by the color multiset
+of the remaining slots (interchangeable slots collapse into counts), which
+is exact; the literal pairing enumeration cross-checks it in the tests.
+Both routes drop orders above N.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -334,18 +337,21 @@ def _profile_sums(table: tuple, theory: Theory) -> dict:
     prod_k C_k^(n_k) * (g^{-1})^E for n_k vertices of valence k: each
     profile adds its sum of 1/|Aut| times that monomial, and a profile with
     a valence the theory lacks adds nothing, as `_plan_sums` stops its
-    plans.
+    plans.  The monomial is taken on the integers of `_integer_tables`,
+    over dg^E * prod_k d_k^(n_k), and summed as in `_plan_sums`.
     """
-    ((g_inv,),) = theory.metric_inverse
-    couplings = {k: c for k, ((_, c),) in theory.tensors}
-    sums: dict = {}
+    dg, ((G,),), tensors = theory._integer_tables
+    numerators: defaultdict = defaultdict(dict)  # order -> {denominator: integer sum}
     for profile, edges, order, inverse_aut in table:
-        if all(k in couplings for k, _ in profile):
-            term = inverse_aut * g_inv**edges
+        if all(k in tensors for k, _ in profile):
+            num, den = inverse_aut.numerator * G**edges, inverse_aut.denominator * dg**edges
             for k, count in profile:
-                term *= couplings[k] ** count
-            sums[order] = sums.get(order, 0) + term
-    return sums
+                d, ((_, t),) = tensors[k]
+                num *= t**count
+                den *= d**count
+            by_den = numerators[order]
+            by_den[den] = by_den.get(den, 0) + num
+    return {order: _over_lcm(by_den) for order, by_den in numerators.items()}
 
 
 def _class_sums(max_order: int, theory: Theory, budget: int) -> dict:
@@ -407,11 +413,14 @@ def _plan_sums(plans, theory: Theory) -> dict:
         else:
             by_den = numerators[order]
             by_den[den] = by_den.get(den, 0) + sum(frontier.values())
-    sums = {}
-    for order, by_den in numerators.items():
-        common = lcm(*by_den)
-        sums[order] = Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
-    return sums
+    return {order: _over_lcm(by_den) for order, by_den in numerators.items()}
+
+
+def _over_lcm(by_den: dict) -> Fraction:
+    """The sum of {denominator: integer numerator} as one Fraction over the
+    lcm of the denominators."""
+    common = lcm(*by_den)
+    return Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
 
 
 def graph_weight(data: MultigraphData, theory: Theory) -> Fraction:
@@ -439,11 +448,17 @@ def graph_expansion(theory: Theory, order: int, budget: int = 200_000) -> Lambda
     """
     w = _class_sums(order, theory, budget)
     # Z = exp(W): e_0 = 1 and m e_m = sum_k k w_k e_{m-k}, exactly, because a
-    # disjoint union with m_i copies of class i has |Aut| = prod |Aut_i|^m_i m_i!
-    e = [Fraction(1)] if order >= 0 else []
+    # disjoint union with m_i copies of class i has |Aut| = prod |Aut_i|^m_i m_i!.
+    # On integers, w_k = W_k / D and e_m = E_m / (m! D^m), so
+    # E_m = sum_k k W_k E_{m-k} (m-1)!/(m-k)! D^(k-1).
+    D = lcm(*(c.denominator for c in w.values()))
+    W = {k: c.numerator * (D // c.denominator) for k, c in w.items()}
+    E = [1]
     for m in range(1, order + 1):
-        e.append(sum(k * w.get(k, 0) * e[m - k] for k in range(1, m + 1)) / m)
-    return LambdaSeries(tuple(e))
+        E.append(sum(k * W[k] * E[m - k] * (factorial(m - 1) // factorial(m - k)) * D**(k - 1)
+                     for k in range(1, m + 1) if k in W))
+    return LambdaSeries(tuple(Fraction(c, factorial(m) * D**m)
+                              for m, c in enumerate(E[:order + 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +468,23 @@ def graph_expansion(theory: Theory, order: int, budget: int = 200_000) -> Lambda
 MAX_ORACLE_COLORS = 4  # the oracle refuses theories with more colors
 
 
-def wick_pairing_sum(counts: tuple, g_inv: tuple, memo: dict) -> Fraction:
+def wick_pairing_sum(counts: tuple, g_inv: tuple, memo: dict):
     """Sum over perfect pairings of a color multiset, with g^{ab} per pair.
 
     counts[c] = number of slots of color c.  Slots of one color are
     interchangeable, so the recursion runs on counts: pair the first open
-    slot with every partner class and recurse.
+    slot with every partner class and recurse.  On M slots the integer
+    G = dg * g^{-1} gives an int, dg^(M/2) times the sum on g^{-1}.
     """
     if counts in memo:
         return memo[counts]
     total_slots = sum(counts)
     if total_slots == 0:
-        return Fraction(1)
+        return 1
     if total_slots % 2:
-        return Fraction(0)
+        return 0
     a = next(c for c, e in enumerate(counts) if e)
-    total = Fraction(0)
+    total = 0
     for b, e in enumerate(counts):
         if b == a:
             if e >= 2:
@@ -511,17 +527,17 @@ def gaussian_oracle(theory: Theory, order: int) -> LambdaSeries:
     options = []
     for valence, entries in theory.tensors:
         for idx, coeff in entries:
-            sym = Fraction(1)
+            sym = 1
             for c in set(idx):
                 sym *= factorial(idx.count(c))
-            options.append((valence, idx, coeff / sym))
+            options.append((valence, idx, coeff.numerator, coeff.denominator * sym))
     # a state's value is an integer N standing for N / (den^p * p!), den the
     # common denominator of the options: m more copies of option a / den
     # multiply N by a^m * C(p + m, m), which is c^m / m! on the value
-    den = lcm(*(c.denominator for _, _, c in options))
+    den = lcm(*(d for _, _, _, d in options))
     states = {((0,) * theory.n_colors, 0, 0): 1}
-    for valence, idx, coeff in options:
-        a = coeff.numerator * (den // coeff.denominator)
+    for valence, idx, num, d in options:
+        a = num * (den // d)
         step = tuple(idx.count(c) for c in range(theory.n_colors))
         extended: dict = {}
         for (counts, p, slots), value in states.items():
@@ -536,13 +552,16 @@ def gaussian_oracle(theory: Theory, order: int) -> LambdaSeries:
                 counts = tuple(map(add, counts, step))
                 value = value * a * (p + m) // m
         states = extended
-    g_inv = theory.metric_inverse
-    coeffs = [Fraction(0)] * (order + 1)
+    # the moment on G is over dg^(M/2)
+    dg, G, _ = theory._integer_tables
+    numerators: list = [{} for _ in range(order + 1)]  # {denominator: integer sum}
     memo: dict = {}
     for (counts, p, slots), value in states.items():
         n = slots // 2 - p
         if slots % 2 == 0 and n <= order:
-            moment = wick_pairing_sum(counts, g_inv, memo)
+            moment = wick_pairing_sum(counts, G, memo)
             if moment:
-                coeffs[n] += moment * Fraction(value, den**p * factorial(p))
-    return LambdaSeries(tuple(coeffs))
+                by_den = numerators[n]
+                key = den**p * factorial(p) * dg**(slots // 2)
+                by_den[key] = by_den.get(key, 0) + moment * value
+    return LambdaSeries(tuple(map(_over_lcm, numerators)))

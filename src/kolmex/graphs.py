@@ -45,6 +45,7 @@ of its upper side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -544,28 +545,17 @@ def _vacuum_classes_with_aut(max_order: int, valences: Iterable[int], budget: in
 
 def _degree_sequences(valences, max_order):
     """Nonincreasing valence multisets with even flag total and
-    E - V = sum(d)/2 - len <= max_order."""
-    out = []
-
-    def rec(prefix, start_idx):
-        if prefix:
-            total = sum(prefix)
-            if total % 2 == 0:
-                order = total // 2 - len(prefix)
-                if order <= max_order:
-                    out.append(tuple(prefix))
-        for i in range(start_idx, len(valences)):
-            d = valences[i]
-            # pruning: with every valence >= 3 each further vertex raises E - V
-            lower = sum(prefix + [d]) / 2 - (len(prefix) + 1)
-            if lower > max_order:
-                continue
-            rec(prefix + [d], i)
-
-    # descending valences so the multiset is canonical
-    valences = sorted(valences, reverse=True)
-    rec([], 0)
-    return out
+    E - V = sum(d)/2 - len <= max_order, yielded lazily by increasing
+    length.  Every valence is >= 3, so each vertex raises E - V by at least
+    1/2 and the lengths stop at 2 * max_order / (min(valences) - 2)."""
+    valences = sorted(valences, reverse=True)  # so each multiset is nonincreasing
+    n = 1
+    while valences and n * (valences[-1] - 2) <= 2 * max_order:
+        for degrees in combinations_with_replacement(valences, n):
+            excess = sum(degrees) - 2 * n  # 2 * (E - V)
+            if excess % 2 == 0 and excess <= 2 * max_order:
+                yield degrees
+        n += 1
 
 
 def _classes_with_degrees(closings, tails_in, tails_out, residual,

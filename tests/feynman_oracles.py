@@ -1,6 +1,6 @@
 """Literal references for `kolmex.feynman`: the Wick pairing enumeration,
-the expansion summed over every vacuum class, and the Gaussian oracle
-summed over vertex multisets."""
+the expansion summed over every vacuum class, the one-colour profile sums
+on Fractions, and the Gaussian oracle summed over vertex multisets."""
 
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +51,22 @@ def class_by_class_sums(theory, valences, order, budget=200_000, connected=False
             if w:
                 coeffs[n] += w / aut
     return coeffs
+
+
+def fraction_profile_sums(table, theory) -> dict:
+    """order -> the sum over the rows of a `_profile_table` of 1/|Aut| *
+    prod_k C_k^(n_k) * (g^{-1})^E, in Fractions, for a one-colour theory;
+    a profile with a valence the theory lacks adds nothing."""
+    ((g_inv,),) = theory.metric_inverse
+    couplings = {k: c for k, ((_, c),) in theory.tensors}
+    sums: dict = {}
+    for profile, edges, order, inverse_aut in table:
+        if all(k in couplings for k, _ in profile):
+            term = inverse_aut * g_inv**edges
+            for k, count in profile:
+                term *= couplings[k] ** count
+            sums[order] = sums.get(order, 0) + term
+    return sums
 
 
 def full_class_expansion(theory, order, budget=200_000):

@@ -17,6 +17,8 @@ from its own cuts, with no multiplicative extension: the cuts come from
 `scc_cut_masks`, the two-condition cut rule (no oriented wheel split, by
 Tarjan SCCs, and no edge from lower to upper), and each half is a
 flag-level `Cut` side split and labelled at flag level.
+`recursive_degree_sequences` lists the vacuum family's degree sequences
+depth first, one recursion level per vertex.
 `flag_graph_from_label` is the label parser that builds flags straight
 from the text, and `is_generator` decides from it whether a label is the
 pinned label of a connected oriented graph.
@@ -314,6 +316,27 @@ def multigraphs_with_degrees(degrees, spent, budget):
                 yield from rec(v_idx + 1, new_remaining, new_loops, new_mult)
 
     yield from rec(0, list(degrees), [0] * n, {})
+
+
+def recursive_degree_sequences(valences, max_order) -> list:
+    """Nonincreasing valence multisets with even flag total and
+    E - V = sum(d)/2 - len <= max_order, listed depth first."""
+    out = []
+
+    def rec(prefix, start_idx):
+        if prefix:
+            total = sum(prefix)
+            if total % 2 == 0 and total // 2 - len(prefix) <= max_order:
+                out.append(tuple(prefix))
+        for i in range(start_idx, len(valences)):
+            d = valences[i]
+            # with every valence >= 3 each further vertex raises E - V
+            if sum(prefix + [d]) / 2 - (len(prefix) + 1) <= max_order:
+                rec(prefix + [d], i)
+
+    valences = sorted(valences, reverse=True)
+    rec([], 0)
+    return out
 
 
 def raw_vacuum_classes(max_order, valences):

@@ -153,6 +153,15 @@ def test_feynman_check_budget_counts_connected_states_only(capsys):
     assert "match through L^3" in capsys.readouterr().out
 
 
+def test_feynman_check_budget_answers_at_a_deep_order(capsys):
+    # the degree sequences of order 2000 run 4,000 vertices deep; they are
+    # generated lazily, so the budget is spent before any long one is built
+    assert run(["algebra", "feynman-check", "--c3", "1", "--c4", "1", "--order", "2000",
+                "--budget", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "exceeded budget 1000" in err and "Traceback" not in err
+
+
 def test_hopf_verify_small(capsys):
     assert run(["algebra", "hopf-verify", "--max-vertices", "2",
                 "--max-flags", "4"]) == 0

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from graph_oracles import _connected
 from feynman_oracles import (
     class_by_class_sums,
+    fraction_profile_sums,
     full_class_expansion,
     multiset_oracle,
     oracle_options,
@@ -339,6 +340,21 @@ def test_single_color_moments_are_double_factorials():
         assert wick_pairing_sum((m,), g_inv, {}) == val
 
 
+@settings(max_examples=40, deadline=None)
+@given(theories(colors=(1, 2), max_entries=3),
+       st.lists(st.integers(0, 6), min_size=2, max_size=2))
+@example(Theory.build(1, ((F(-5, 3),),), {}), [5, 0])
+@example(Theory.build(2, ((F(2), F(1, 2)), (F(1, 2), F(3))), {}), [4, 2])
+def test_pairing_sum_on_integer_metric_scales_the_fraction_sum(theory, counts):
+    # on G = dg * g^{-1} every pair carries one more dg: dg^(M/2) for M slots
+    counts = tuple(counts[:theory.n_colors])
+    dg, G, _ = theory._integer_tables
+    on_ints = wick_pairing_sum(counts, G, {})
+    assert type(on_ints) is int
+    on_fractions = wick_pairing_sum(counts, theory.metric_inverse, {})
+    assert on_ints == dg ** (sum(counts) // 2) * on_fractions
+
+
 def ordered_tuple_oracle(theory, order):
     """Reference: gaussian_oracle over ordered p-tuples of at most 2 * order
     vertices, each weighted 1/p!, instead of over multisets."""
@@ -471,6 +487,33 @@ def test_plan_sums_match_class_by_class_sums(case):
         table = feynman._profile_table(order, family, 200_000)
         by_profile = feynman._profile_sums(table, theory)
         assert [by_profile.get(n, 0) for n in range(order + 1)] == expected
+
+
+@st.composite
+def one_colour_profile_cases(draw):
+    """A one-colour theory built with `Theory.build` on a metric other than
+    1, couplings of either sign (a zero one drops its valence), the
+    valence family it is summed over and an order 0-4."""
+    family = draw(st.sampled_from([(3,), (4,), (5,), (6,), (3, 4), (4, 6), (3, 5, 6),
+                                   (3, 4, 5, 6)]))
+    metric = draw(SMALL_FRACTIONS.filter(lambda g: g not in (0, 1)))
+    valences = draw(st.lists(st.sampled_from(family), unique=True, min_size=1))
+    tensors = {k: {(0,) * k: draw(SMALL_FRACTIONS)} for k in valences}
+    return Theory.build(1, ((metric,),), tensors), family, draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_colour_profile_cases())
+@example((Theory.build(1, ((F(-5, 3),),), {3: {(0, 0, 0): F(2, 7)}, 4: {(0,) * 4: F(-3, 4)}}),
+          (3, 4), 4))
+@example((Theory.build(1, ((F(3, 2),),), {5: {(0,) * 5: F(-1, 3)}, 6: {(0,) * 6: F(2, 5)}}),
+          (3, 5, 6), 4))
+def test_integer_profile_sums_match_fraction_sums(case):
+    # the integer numerators per order against the Fraction formula: the
+    # same orders and the same values
+    theory, family, order = case
+    table = feynman._profile_table(order, family, 200_000)
+    assert feynman._profile_sums(table, theory) == fraction_profile_sums(table, theory)
 
 
 # -- the equivalence theorem at desk scale ---------------------------------------

@@ -15,6 +15,7 @@ from graph_oracles import (
     flag_graph_from_label,
     multigraphs_with_degrees,
     raw_vacuum_classes,
+    recursive_degree_sequences,
     refinement_search,
     scc_cut_masks,
     strongly_connected_components,
@@ -550,6 +551,17 @@ def test_raw_vacuum_certificates_match_labels():
         map(sorted, by_label.values())
     )
     assert len(by_label) == 21
+
+
+@pytest.mark.parametrize("valences", [(3,), (4,), (3, 4), (3, 5, 6)])
+def test_degree_sequences_match_the_recursive_listing(valences):
+    # the same nonincreasing sequences, each once, yielded by increasing length
+    for order in range(7):
+        lazy = list(G._degree_sequences(valences, order))
+        assert set(lazy) == set(recursive_degree_sequences(valences, order)), order
+        assert len(set(lazy)) == len(lazy)
+        assert [len(d) for d in lazy] == sorted(len(d) for d in lazy)
+        assert all(list(d) == sorted(d, reverse=True) for d in lazy)
 
 
 def _classes_with_aut(classes):
