@@ -3,11 +3,13 @@ complexity-weighted partition sum.
 
 Conventions:
 
-* a code stores its words once, as a sorted tuple of ints packed with
-  w = (q-1).bit_length() bits per symbol, first symbol most significant;
-  packed order is tuple order and word-string order, and for q a power of
-  two a packed word is its index in the word space.  Tuples of integer
-  symbols in range(q) and symbol strings are views built on demand;
+* a code is built one way, `Code(q, n, packed)`: its words are given once,
+  as strictly increasing ints packed with w = (q-1).bit_length() bits per
+  symbol, first symbol most significant; packed order is tuple order and
+  word-string order, and for q a power of two a packed word is its index
+  in the word space.  Tuples of integer symbols in range(q) and symbol
+  strings are views built on demand.  A linear code packs the row space of
+  its generator once and keeps the rows for the minimum distance;
 * k is floor(log_q card) -- ensembles contain codes of non-power sizes, so
   the bracket convention matters and is pinned here;
 * codes of cardinality 1 are rejected outright (the minimum distance is a
@@ -52,83 +54,38 @@ class CodeError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Alphabet:
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise CodeError(f"alphabet needs q >= 2, got {self.q}")
-        if self.q > len(WORD_SYMBOLS):
-            raise CodeError(f"q={self.q} exceeds the pinned symbol table")
-
-    @property
-    def field(self) -> fields.Field:
-        return fields.field(self.q)
-
-
-@dataclass(frozen=True, init=False)
 class Code:
-    """A finite set of equal-length words over a q-ary alphabet, stored once
-    as `packed`.  Words come as symbol tuples (`words`), as packed ints
-    (`packed=`: strictly increasing, every field below q) or from a
-    generator, where `words=None` means its row space.  `words`,
+    """A finite set of equal-length words over a q-ary alphabet, 2 <= q <= 36,
+    stored once as `packed`: strictly increasing ints, n fields of
+    (q-1).bit_length() bits each, every field below q.  A linear code also
+    keeps its generator rows, and a Reed-Solomon code its (q, n, k, points).
     `sorted_words()` and `to_code_words()` are built on each call."""
 
-    alphabet: Alphabet
+    q: int
     n: int
     packed: tuple
     generator: Optional[tuple] = None  # rows over the field, for linear codes
     rs_params: Optional[tuple] = None  # (q, n, k, points) when built as RS
 
-    def __init__(self, alphabet: Alphabet, n: int, words: Optional[Iterable] = None,
-                 generator: Optional[tuple] = None, rs_params: Optional[tuple] = None,
-                 *, packed: Optional[Sequence[int]] = None):
-        for name, value in (("alphabet", alphabet), ("n", n), ("generator", generator),
-                            ("rs_params", rs_params)):
-            object.__setattr__(self, name, value)
-        self.__post_init__(words, packed)
-
-    def __post_init__(self, words, packed):
-        n, q = self.n, self.alphabet.q
+    def __post_init__(self):
+        q, n, packed = self.q, self.n, self.packed
+        if q < 2:
+            raise CodeError(f"alphabet needs 2 <= q <= {len(WORD_SYMBOLS)}, got q={q}")
+        if q > len(WORD_SYMBOLS):
+            raise CodeError(f"q={q} exceeds the pinned symbol table (2 <= q <= "
+                            f"{len(WORD_SYMBOLS)})")
         if n < 1:
             raise CodeError("block length must be >= 1")
-        if self.generator is not None:
-            span = fields.row_space(self.alphabet.field, self.generator, n)
-            if words is None:
-                words = span
-            elif span != words:
-                raise CodeError("words are not the row space of the generator")
         w = (q - 1).bit_length()
-        if (words is None) == (packed is None):
-            raise CodeError("give either words or packed words")
-        if packed is None:
-            symbols = frozenset(range(q))
-            packed = set()
-            for word in words:
-                if len(word) != n:
-                    raise CodeError(f"word {word} has length {len(word)}, expected {n}")
-                if not symbols.issuperset(word):
-                    raise CodeError(f"word {word} has symbols outside range({q})")
-                packed.add(pack_word(word, w))
-            packed = sorted(packed)
-        else:
-            mask = (1 << w) - 1
-            if any(a >= b for a, b in zip(packed, packed[1:])):
-                raise CodeError("packed words must be strictly increasing")
-            if packed and (packed[0] < 0 or packed[-1] >> n * w) or q != mask + 1 and any(
-                    v >> s & mask >= q for v in packed for s in range(0, n * w, w)):
-                raise CodeError(f"packed words need {n} symbols from range({q})")
+        mask = (1 << w) - 1
+        if any(a >= b for a, b in zip(packed, packed[1:])):
+            raise CodeError("packed words must be strictly increasing")
+        if packed and (packed[0] < 0 or packed[-1] >> n * w) or q != mask + 1 and any(
+                v >> s & mask >= q for v in packed for s in range(0, n * w, w)):
+            raise CodeError(f"packed words need {n} symbols from range({q})")
         if len(packed) < 2:
             raise CodeError("codes need at least 2 words (d is a pairwise minimum)")
         object.__setattr__(self, "packed", tuple(packed))
-
-    @property
-    def q(self) -> int:
-        return self.alphabet.q
-
-    @property
-    def words(self) -> frozenset:
-        return frozenset(self.sorted_words())
 
     def card(self) -> int:
         return len(self.packed)
@@ -182,7 +139,7 @@ def code_params(code: Code) -> CodeParams:
     n, q = code.n, code.q
     k = floor_log(q, code.card())
     if code.generator is not None:
-        d = fields.min_weight_of_rowspace(code.alphabet.field, code.generator, n)
+        d = fields.min_weight_of_rowspace(fields.field(q), code.generator, n)
     else:
         d = _min_distance(code.packed, q, n)
     params = CodeParams(n, k, d, Fraction(k, n), Fraction(d, n))
@@ -266,16 +223,17 @@ def reed_solomon(q: int, n: int, k: int) -> Code:
     elements.  d = n + 1 - k (verified brute-force in the tests, not
     assumed here).
     """
-    f = fields.field(q)
     points = tuple(range(n))
-    rows = fields.rs_evaluation_rows(f, n, k, points)
-    return Code(
-        alphabet=Alphabet(q),
-        n=n,
-        words=None,
-        generator=tuple(rows),
-        rs_params=(q, n, k, points),
-    )
+    rows = tuple(fields.rs_evaluation_rows(fields.field(q), n, k, points))
+    return _linear_code(q, n, rows, (q, n, k, points))
+
+
+def _linear_code(q: int, n: int, rows: tuple, rs_params: Optional[tuple] = None) -> Code:
+    """The code spanned by the generator rows, its row space enumerated
+    once and packed."""
+    w = (q - 1).bit_length()
+    packed = sorted(pack_word(word, w) for word in fields.row_space(fields.field(q), rows, n))
+    return Code(q, n, packed, rows, rs_params)
 
 
 def reed_solomon_min_distance(q: int, n: int, k: int) -> int:
@@ -295,7 +253,7 @@ def enumerate_linear_codes(q: int, n: int) -> "CodeEnsemble":
     codes = []
     for k in dims:
         for rows in _rref_matrices(f, n, k):
-            codes.append(Code(Alphabet(q), n, None, generator=rows))
+            codes.append(_linear_code(q, n, rows))
     provenance = {"kind": "enumerate_linear", "q": q, "n": n, "dims": dims}
     return CodeEnsemble.build(codes, provenance)
 
@@ -338,7 +296,7 @@ def sample_codes(q: int, n: int, size: int, count: int, seed: int) -> "CodeEnsem
     codes = []
     for _ in range(count):
         packed = _packed_indices(gen.sample_sorted(space, size), q, n)
-        codes.append(Code(Alphabet(q), n, packed=packed))
+        codes.append(Code(q, n, packed))
     provenance = {
         "kind": "sample",
         "q": q,

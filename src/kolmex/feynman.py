@@ -212,14 +212,10 @@ class Theory:
 
 @dataclass(frozen=True)
 class LambdaSeries:
-    """Exact coefficients of lambda^0 .. lambda^N."""
+    """Exact coefficients of lambda^0 .. lambda^N, kept as given: both
+    producers, `graph_expansion` and `gaussian_oracle`, build Fractions."""
 
     coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
 
     @property
     def order(self) -> int:

@@ -124,28 +124,6 @@ class Graph:
     def tails(self) -> list[int]:
         return [f for f, g in enumerate(self.involution) if f == g]
 
-    def flags_at(self, v: int) -> list[int]:
-        return [f for f, w in enumerate(self.incidence) if w == v]
-
-    def valence(self, v: int) -> int:
-        return sum(1 for w in self.incidence if w == v)
-
-    def directed_edges(self) -> list[tuple[int, int]]:
-        """(source vertex, target vertex) per edge; needs an orientation.
-
-        The edge runs from the vertex holding its 'out' flag to the vertex
-        holding its 'in' flag.
-        """
-        if self.orientation is None:
-            raise GraphError("graph has no orientation")
-        out = []
-        for f, g in self.edges():
-            if self.orientation[f] == OUT:
-                out.append((self.incidence[f], self.incidence[g]))
-            else:
-                out.append((self.incidence[g], self.incidence[f]))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # multigraph data: the complete isomorphism invariant used throughout

@@ -19,9 +19,10 @@ Tarjan SCCs, and no edge from lower to upper), and each half is a
 flag-level `Cut` side split and labelled at flag level.
 `recursive_degree_sequences` lists the vacuum family's degree sequences
 depth first, one recursion level per vertex.
-`flag_graph_from_label` is the label parser that builds flags straight
-from the text, and `is_generator` decides from it whether a label is the
-pinned label of a connected oriented graph.
+`flags_at` and `directed_edges` read a flag graph's incidence and
+orientation.  `flag_graph_from_label` is the label parser that builds
+flags straight from the text, and `is_generator` decides from it whether
+a label is the pinned label of a connected oriented graph.
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,18 @@ from kolmex.graphs import (
     multigraph_data,
 )
 from kolmex.hopf import generator_degree
+
+
+def flags_at(g: Graph, v: int) -> list[int]:
+    """The flags at vertex v, ascending."""
+    return [f for f, w in enumerate(g.incidence) if w == v]
+
+
+def directed_edges(g: Graph) -> list[tuple[int, int]]:
+    """(source vertex, target vertex) per edge of an oriented graph: from
+    the vertex holding its 'out' flag to the vertex holding its 'in' flag."""
+    return [(g.incidence[f], g.incidence[j]) if g.orientation[f] == OUT
+            else (g.incidence[j], g.incidence[f]) for f, j in g.edges()]
 
 
 def flag_graph_from_label(label: str) -> Graph:
@@ -226,7 +239,7 @@ def automorphism_order_flag_search(g: Graph) -> int:
     """Literal brute force over flag bijections, for tiny graphs."""
     n = g.n_vertices
     count = 0
-    flags_by_vertex = [g.flags_at(v) for v in range(n)]
+    flags_by_vertex = [flags_at(g, v) for v in range(n)]
     for vperm in permutations(range(n)):
         if g.decorations is not None and any(
             g.decorations[v] != g.decorations[vperm[v]] for v in range(n)
@@ -535,7 +548,7 @@ def cut_coproduct(g: Graph) -> dict:
 def strongly_connected_components(g: Graph) -> list[frozenset[int]]:
     """Tarjan SCCs of the edge-direction relation of an oriented graph."""
     adjacency: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
-    for s, t in g.directed_edges():
+    for s, t in directed_edges(g):
         adjacency[s].append(t)
     index: dict = {}
     low: dict = {}
@@ -579,6 +592,6 @@ def scc_cut_masks(g: Graph) -> list[int]:
     for mask in range(2**n):
         upper = {v for v in range(n) if mask >> v & 1}
         if all(scc_of[v] <= upper for v in upper) and not any(
-                s not in upper and t in upper for s, t in g.directed_edges()):
+                s not in upper and t in upper for s, t in directed_edges(g)):
             masks.append(mask)
     return masks

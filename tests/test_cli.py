@@ -448,6 +448,14 @@ def test_cloud_rejects_n_past_the_sampler_span(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cloud_rejects_q_past_the_symbol_table(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["codes", "cloud", "--q", "37", "--n", "2", "--size", "4",
+                "--count", "2", "--out", str(out)]) == 2
+    assert "exceeds the pinned symbol table" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["codes", "cloud", "--q", "2", "--n", "3", "--size", "9", "--count", "1"],
     ["codes", "sweep", "--q", "3", "--n", "2", "--size", "10", "--count", "1",

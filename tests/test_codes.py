@@ -15,7 +15,6 @@ from code_oracles import (
 from kolmex import codes, complexity
 from kolmex.rng import SplitMix64
 from kolmex.codes import (
-    Alphabet,
     Code,
     CodeError,
     bound_curve,
@@ -60,14 +59,14 @@ def test_distance_is_a_metric(a, b, c):
 # -- parameters ---------------------------------------------------------------
 
 def test_params_repetition_code():
-    c = Code(Alphabet(2), 3, frozenset({(0, 0, 0), (1, 1, 1)}))
+    c = Code(2, 3, pack_words([(0, 0, 0), (1, 1, 1)], 2))
     p = code_params(c)
     assert (p.n, p.k, p.d) == (3, 1, 3)
     assert (p.rate, p.delta) == (F(1, 3), F(1))
 
 
 def test_params_full_binary_line():
-    p = code_params(Code(Alphabet(2), 1, frozenset({(0,), (1,)})))
+    p = code_params(Code(2, 1, pack_words([(0,), (1,)], 2)))
     assert (p.n, p.k, p.d, p.rate, p.delta) == (1, 1, 1, F(1), F(1))
 
 
@@ -116,7 +115,7 @@ def test_packed_distance_matches_pairwise_scan(case):
     q, n, words = case
     want = pairwise_ref(words)
     assert codes._min_distance(pack_words(words, q), q, n) == want
-    assert code_params(Code(Alphabet(q), n, words)).d == want
+    assert code_params(Code(q, n, sorted(pack_words(words, q)))).d == want
 
 
 def test_packed_distance_beyond_one_and_two():
@@ -147,20 +146,17 @@ def test_linear_codes_enumerate_their_span_once(monkeypatch):
     gens = [e.code.generator for e in ensemble.entries]
     spans = [rows for _, rows, _ in calls if any(rows is g for g in gens)]
     assert len(spans) == len(ensemble) == 15
-    # words given next to a generator are still checked against its span
-    with pytest.raises(CodeError):
-        Code(Alphabet(2), 2, frozenset({(0, 0), (1, 0)}), generator=((1, 1),))
 
 
 def test_singleton_code_rejected():
     with pytest.raises(CodeError):
-        Code(Alphabet(2), 2, frozenset({(0, 0)}))
+        Code(2, 2, pack_words([(0, 0)], 2))
 
 
 def test_floor_log_convention():
     # non-power sizes: k = floor(log_q card)
     words = {(0, 0), (0, 1), (1, 0)}
-    p = code_params(Code(Alphabet(2), 2, frozenset(words)))
+    p = code_params(Code(2, 2, sorted(pack_words(words, 2))))
     assert p.k == 1  # card 3, floor(log2 3) = 1
 
 
@@ -351,9 +347,9 @@ def test_sampled_codes_match_the_tuple_path(config):
     by_string = {e.code.canonical_string(): e.code for e in ensemble.entries}
     for words, code_words, _ in ref:
         sampled = by_string[code_words.canonical_string()]
-        built = Code(Alphabet(q), n, frozenset(words))
+        built = Code(q, n, pack_words(words, q))
         assert built == sampled and hash(built) == hash(sampled)
-        assert sampled.sorted_words() == words and sampled.words == frozenset(words)
+        assert sampled.sorted_words() == words
     # LZW on random bytes whose table passes the 512, 1024 and 2048 widths
     gen = SplitMix64(seed)
     data = bytes(gen.below(256) for _ in range(3000 + size))
@@ -367,14 +363,18 @@ def test_packed_words_are_checked():
                          (2, 3, [-1, 2]), (3, 2, [0, 3]), (3, 2, [0, 12]),
                          (7, 3, [0, 7 << 3]), (2, 3, [1])]:
         with pytest.raises(CodeError):
-            Code(Alphabet(q), n, packed=packed)
-    with pytest.raises(CodeError):
-        Code(Alphabet(2), 1, frozenset({(0,), (1,)}), packed=[0, 1])
-    code = Code(Alphabet(3), 2, packed=[0b0010, 0b1000])
+            Code(q, n, packed)
+    code = Code(3, 2, [0b0010, 0b1000])
     assert code.sorted_words() == [(0, 2), (2, 0)]
     assert code.to_code_words().words == ("02", "20")
-    code = Code(Alphabet(36), 3, frozenset({(0, 1, 35), (35, 0, 2), (9, 10, 0)}))
+    code = Code(36, 3, sorted(pack_words([(0, 1, 35), (35, 0, 2), (9, 10, 0)], 36)))
     assert code.to_code_words().words == ("01z", "9a0", "z02")
+
+
+@pytest.mark.parametrize("q", [1, 37])
+def test_q_outside_the_symbol_table_is_refused(q):
+    with pytest.raises(CodeError, match=r"2 <= q <= 36"):
+        Code(q, 2, [0, 1])
 
 
 def test_ensemble_sorted_by_complexity():
@@ -390,7 +390,7 @@ def test_ensemble_sorted_by_complexity():
 def _one_code_ensemble(delta_num, n=4):
     # distance delta_num on block length n with exactly two words
     word = tuple([1] * delta_num + [0] * (n - delta_num))
-    c = Code(Alphabet(2), n, frozenset({(0,) * n, word}))
+    c = Code(2, n, pack_words([(0,) * n, word], 2))
     return codes.CodeEnsemble.build([c], {"kind": "fixture"})
 
 
@@ -478,7 +478,7 @@ FIXTURE_WORDS = [  # (R, delta) of each code at n = 4
 ])
 def test_sweep_rows_on_fixed_selections(rate, delta_min, eta, terms):
     ensemble = codes.CodeEnsemble.build(
-        [Code(Alphabet(2), 4, frozenset(tuple(map(int, w)) for w in ws))
+        [Code(2, 4, sorted(pack_words([tuple(map(int, w)) for w in ws], 2)))
          for ws in FIXTURE_WORDS], {"kind": "fixture"})
     betas = [0.0, 0.5, 1.0, 2.5]
     rows = codes.sweep_rows(ensemble, rate, delta_min, betas, eta)

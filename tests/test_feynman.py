@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from graph_oracles import _connected
+from graph_oracles import _connected, flags_at
 from feynman_oracles import (
     class_by_class_sums,
     fraction_profile_sums,
@@ -161,7 +161,7 @@ def brute_force_weight(g: Graph, theory: Theory) -> Fraction:
     g_inv = theory.metric_inverse
     tensors = {k: dict(entries) for k, entries in theory.tensors}
     edges = g.edges()
-    vertex_flags = [g.flags_at(v) for v in range(g.n_vertices)]
+    vertex_flags = [flags_at(g, v) for v in range(g.n_vertices)]
     total = Fraction(0)
     for coloring in product(range(theory.n_colors), repeat=g.n_flags):
         term = Fraction(1)

@@ -758,9 +758,17 @@ def test_checked_fraction_refuses_exponents_past_the_digit_limit(text):
         exact(text)
 
 
+def _value_or_refusal(read, value):
+    try:
+        return read(value)
+    except ValueError:
+        return ValueError
+
+
 def test_checked_fraction_is_fraction_within_the_limit():
+    # Fraction reads "1_0e1_0" from Python 3.11 on; before, both refuse it
     for value in ["1e4300", "-2.5E-4300", "3/4", " 7 ", "1_0e1_0", 3, Fraction(1, 3)]:
-        assert exact(value) == Fraction(value)
+        assert _value_or_refusal(exact, value) == _value_or_refusal(Fraction, value)
 
 
 COEFFICIENT_TEXT = st.one_of(
