@@ -318,19 +318,10 @@ def cmd_birkhoff(args) -> int:
 
 
 def _gmap_values(gmap, phi) -> list:
-    out = []
-    for label in sorted(phi.generator_values):
-        val = gmap((label,))
-        out.append(
-            {
-                "graph": label,
-                "value": {
-                    "polar": [rational.text(c) for c in val.polar],
-                    "regular": [rational.text(c) for c in val.regular],
-                },
-            }
-        )
-    return out
+    from .renorm import value_json
+
+    return [{"graph": label, "value": value_json(gmap((label,)))}
+            for label in sorted(phi.generator_values)]
 
 
 # ---------------------------------------------------------------------------

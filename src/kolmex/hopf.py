@@ -31,10 +31,12 @@ mappings.  Only the unit terms x (x) 1 and 1 (x) x have an empty side
 (a proper cut leaves a vertex on each side), each with coefficient 1, so
 the reduced coproduct is those mappings without their empty-sided terms.
 `_cut_sum` is the one recursion step "first + sum' c rec(x') psi(x'')"
-over it: the antipode (psi = -x'', memoized across calls),
-`renorm.conv_inverse` and Birkhoff's bracket all go through it.  It hands
-its (c, rec(x'), psi(x'')) terms to `first.accumulate`, which sums them in
-one pass with no intermediate products or partial sums:
+over it, reading the cached mapping and skipping its two empty-sided
+terms, so no reduced coproduct is built: the antipode (psi = -x'',
+memoized across calls), `renorm.conv_inverse` and Birkhoff's bracket all
+go through it.  It hands its (c, rec(x'), psi(x'')) terms to
+`first.accumulate`, which sums them in one pass with no intermediate
+products or partial sums:
 `HopfElement.accumulate` in one dict, `renorm.MSElement.accumulate` on
 integer numerators over one denominator.
 """
@@ -292,7 +294,7 @@ def _cut_sum(mono: Monomial, first, rec, psi):
     recursion terminates."""
     return first.accumulate(
         (c, rec(left), psi(right))
-        for (left, right), c in reduced_coproduct_of_monomial(mono).items())
+        for (left, right), c in coproduct_of_monomial(mono).items() if left and right)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ that comes from outside, and `text` writes every rational, at any size.
 
 `Fraction` reads a decimal exponent by building its power of ten, so the
 text "1e700000" costs a tenth of a second before a caller can look at it;
-`exact` refuses such a text first.  `int()` and `str()` refuse more digits
+`exact` refuses such a text first.  `Fraction` reads underscores between
+digits ("1_0") from Python 3.11 on but not on 3.10, so `exact` refuses
+any text holding "_" on every Python.  `int()` and `str()` refuse more digits
 than the interpreter's limit (4300 by default, never below 640), so longer
 integers go through `Decimal`.  Standard library only, so the CLI's option
 types can use it without loading any layer of the package.
@@ -17,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 # Fraction's decimal exponent, at the end of the text
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 # the default digit limit: 10**4300 is built in microseconds
 MAX_EXPONENT = 4300
 
@@ -25,10 +27,12 @@ MAX_EXPONENT = 4300
 def exact(value) -> int | Fraction:
     """An int (not a bool), a Fraction or a text that Fraction reads, as an
     int when it is integral, else as a Fraction.  ASCII `-?digits(/digits)`
-    is read at any length.  A text Fraction refuses, a zero denominator or
-    an exponent past MAX_EXPONENT raises ValueError, any other type
-    TypeError."""
+    is read at any length.  A text Fraction refuses, a text holding "_", a
+    zero denominator or an exponent past MAX_EXPONENT raises ValueError,
+    any other type TypeError."""
     if isinstance(value, str):
+        if "_" in value:
+            raise ValueError(f"underscore in a rational: {value!r}")
         num, slash, den = value.removeprefix("-").partition("/")
         try:
             if value.isascii() and num.isdigit() and (not slash or den.isdigit()):

@@ -9,8 +9,14 @@ disc-algebra coordinates (t = 1 - z); only documentation differs.
 
 An element stores its coefficients as integer numerators over one shared
 positive denominator, lowest power first, reduced by a single gcd per
-element, so sums and products run on plain ints; `Fraction` values are
-built only at the boundary (`polar`, `regular`, `coeff`, JSON, repr).
+element, so sums and products run on plain ints.  Most numerators are
+zero (polar-only parts, short regular sides), so an element also keeps,
+filled on its first product, the tuple of the indices of its nonzero
+numerators: one int per nonzero, and no (index, numerator) pairs, which
+would cost memory for every cached value.  A product walks the two index
+tuples and stops at the result window's edge.  `Fraction` values are
+built only at the boundary (`polar`, `regular`, `coeff`, repr); JSON text
+is written straight from the numerators (`value_json`).
 
 Truncation is a hard contract: every element tracks the regular order up
 to which its coefficients are exact, operations propagate that window
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable
@@ -77,10 +84,12 @@ class MSElement:
     through t^valid_order.  `_den` is positive with gcd(_den, *_nums) == 1,
     and the deepest polar numerator is nonzero.  `_rzero`
     declares the regular side exactly zero at every order, beyond the
-    window too.  Elements are immutable.
+    window too.  `_nz` is None until the first product fills it with the
+    indices of all nonzero `_nums`, whatever that product's window.
+    Elements are immutable.
     """
 
-    __slots__ = ("_nums", "_den", "_depth", "_rzero")
+    __slots__ = ("_nums", "_den", "_depth", "_rzero", "_nz")
 
     def __init__(self, polar: Iterable = (), regular: Iterable = ()):
         polar = list(polar)  # ints and Fractions, index i -> t^-(i+1)
@@ -92,6 +101,7 @@ class MSElement:
         self._nums, self._den, self._depth = _reduced(
             [c.numerator * (den // c.denominator) for c in coeffs], den, len(polar))
         self._rzero = False
+        self._nz = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -205,7 +215,7 @@ class MSElement:
         if window < 0:
             raise TruncationError("truncated windows too short for this product")
         out = [0] * (px + py + window + 1)
-        _convolve_into(out, 0, xs, ys, 1)
+        _convolve_into(out, 0, self, other, 1)
         return _new(*_reduced(out, self._den * other._den, px + py), False)
 
     def accumulate(self, terms: Iterable) -> "MSElement":
@@ -218,16 +228,15 @@ class MSElement:
         summed over one common denominator with a single gcd at the end.
         Terms are read in order, and a product whose windows are too short
         raises as soon as it is read."""
-        regular = len(self._nums) - self._depth  # regular orders kept
-        depth, den, rzero = self._depth, self._den, self._rzero
+        nums, depth, den, rzero = self._nums, self._depth, self._den, self._rzero
+        regular = len(nums) - depth  # regular orders kept
         live = []
         for c, x, y in terms:
-            xs, ys = x._nums, y._nums
             px, py = x._depth, y._depth
-            if x._is_exact_zero() or y._is_exact_zero():
-                regular = min(regular, max(len(xs) - px, len(ys) - py))
+            if (x._rzero and not px) or (y._rzero and not py):  # a declared zero
+                regular = min(regular, max(len(x._nums) - px, len(y._nums) - py))
                 continue
-            kept = min(len(xs), len(ys)) - px - py
+            kept = min(len(x._nums), len(y._nums)) - px - py
             if kept <= 0:
                 raise TruncationError("truncated windows too short for this product")
             regular = min(regular, kept)
@@ -239,10 +248,10 @@ class MSElement:
         size = depth + regular
         out = [0] * size
         offset, scale = depth - self._depth, den // self._den
-        for k, n in enumerate(self._nums[:size - offset]):
-            out[offset + k] = n * scale
+        head = nums[:size - offset]
+        out[offset:size] = head if scale == 1 else [n * scale for n in head]
         for c, x, y in live:
-            _convolve_into(out, depth - x._depth - y._depth, x._nums, y._nums,
+            _convolve_into(out, depth - x._depth - y._depth, x, y,
                            c * (den // (x._den * y._den)))
         return _new(*_reduced(out, den, depth), rzero)
 
@@ -285,21 +294,29 @@ class MSElement:
         return "MS(" + (" + ".join(bits) if bits else "0") + f" |{self.valid_order})"
 
 
-def _convolve_into(out: list, offset: int, xs, ys, scale: int):
-    """out[offset + k] += scale * (xs convolved with ys)[k], for every k
-    that fits in out."""
+def _convolve_into(out: list, offset: int, x: MSElement, y: MSElement, scale: int):
+    """out[offset + k] += scale * (x._nums convolved with y._nums)[k], for
+    every k that fits in out."""
     size = len(out) - offset
-    # most numerators are zero (polar-only factors, short regular parts),
-    # so pair only the nonzero ones
-    ys = [(j, b) for j, b in enumerate(ys[:size]) if b]
-    for i, a in enumerate(xs[:size]):
-        if a:
-            a *= scale
-            room, base = size - i, offset + i
-            for j, b in ys:
-                if j >= room:
-                    break
-                out[base + j] += a * b
+    xs, ys, xi, yi = x._nums, y._nums, x._nz, y._nz
+    if xi is None:
+        xi = _nonzero(x)
+    if yi is None:
+        yi = _nonzero(y)
+    for i in xi:
+        if i >= size:
+            break
+        a, room, base = xs[i] * scale, size - i, offset + i
+        for j in yi:
+            if j >= room:
+                break
+            out[base + j] += a * ys[j]
+
+
+def _nonzero(x: MSElement) -> tuple:
+    """The indices of all of x's nonzero numerators, in order, cached on x."""
+    x._nz = nz = tuple(compress(range(len(x._nums)), x._nums))
+    return nz
 
 
 def _reduced(nums, den: int, depth: int) -> tuple[tuple, int, int]:
@@ -325,6 +342,7 @@ def _new(nums: tuple, den: int, depth: int, rzero: bool) -> MSElement:
     x._den = den
     x._depth = depth
     x._rzero = rzero
+    x._nz = None
     return x
 
 
@@ -449,7 +467,10 @@ def birkhoff(phi: Character) -> tuple[GMap, GMap]:
     def minus_value(mono: Monomial) -> MSElement:
         if mono == UNIT_MONOMIAL:
             return MSElement.one(trunc)
-        return -(bracket(mono).polar_part())
+        b = bracket(mono)  # -b.polar_part(), built as one element
+        nums, depth = b._nums, b._depth
+        return _new(*_reduced([-n for n in nums[:depth]] + [0] * (len(nums) - depth),
+                              b._den, depth), True)
 
     phi_minus = GMap(minus_value, phi.degree_bound, trunc, f"{phi.name}-")
     phi_plus = GMap(
@@ -465,15 +486,31 @@ def birkhoff(phi: Character) -> tuple[GMap, GMap]:
 # JSON interface
 # ---------------------------------------------------------------------------
 
+def value_json(val: MSElement, order: int | None = None) -> dict:
+    """{"polar": [...], "regular": [...]}: the texts `rational.text` writes
+    for val's `polar` and `regular` coefficients, the latter through
+    t^order (default: its whole window).  Each is written from its
+    numerator over the shared denominator, with no Fraction built."""
+    nums, den, depth = val._nums, val._den, val._depth
+    stop = len(nums) if order is None else depth + order + 1
+    return {"polar": [_ratio_text(n, den) for n in reversed(nums[:depth])],
+            "regular": [_ratio_text(n, den) for n in nums[depth:stop]]}
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """rational.text(Fraction(n, den)) for den > 0."""
+    g = gcd(n, den)
+    if g == den:
+        return rational.text(n // g)
+    return f"{rational.text(n // g)}/{rational.text(den // g)}"
+
+
 def character_to_json(chi: Character) -> str:
     """Character JSON; a value known through fewer orders than the
     truncation carries its window as "valid"."""
     values = []
     for label, val in sorted(chi.generator_values.items()):
-        value = {
-            "polar": [rational.text(c) for c in val.polar],
-            "regular": [rational.text(c) for c in val.regular[: chi.trunc + 1]],
-        }
+        value = value_json(val, chi.trunc)
         if val.valid_order < chi.trunc:
             value["valid"] = val.valid_order
         values.append({"graph": label, "value": value})

@@ -69,7 +69,8 @@ def test_exact_refuses_what_is_not_an_int_a_fraction_or_text(value):
         rational.exact(value)
 
 
-@pytest.mark.parametrize("value", ["1/0", "0/0", "-7/00", "1/0.5", "", "-", "x", "1e4301"])
+@pytest.mark.parametrize("value", ["1/0", "0/0", "-7/00", "1/0.5", "", "-", "x", "1e4301",
+                                   "1_000", "1_0/3", "1_0e1_0"])
 def test_exact_refuses_bad_text_with_value_error(value):
     with pytest.raises(ValueError):
         rational.exact(value)

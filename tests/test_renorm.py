@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from kolmex import cli
+from kolmex import cli, rational
 from kolmex.hopf import (
     UNIT_MONOMIAL,
     HopfElement,
@@ -32,6 +32,9 @@ from kolmex.renorm import (
     character_to_json,
     conv_inverse,
     convolution,
+    value_json,
+    _new,
+    _ratio_text,
 )
 from kolmex.rational import exact, shown
 from kolmex.rng import SplitMix64
@@ -443,6 +446,12 @@ class RefMS:
         return RefMS([scalar * c for c in self.polar],
                      [scalar * c for c in self.regular], rzero=self.rzero)
 
+    def accumulate(self, terms):
+        acc = self
+        for c, x, y in terms:
+            acc = acc + c * (x * y)
+        return acc
+
     def _items(self):
         for i, c in enumerate(self.polar):
             yield -(i + 1), c
@@ -467,14 +476,17 @@ coeff = st.one_of(st.just(F(0)), st.fractions(-6, 6, max_denominator=12))
 
 @st.composite
 def element_pairs(draw):
-    """(MSElement, RefMS) over the same coefficients; or a declared zero."""
-    if draw(st.integers(0, 9)) == 0:
+    """(MSElement, RefMS) over the same coefficients; or a declared zero;
+    or a regular side that reads zero only within its window."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
         trunc = draw(st.integers(0, 8))
         return MSElement.zero(trunc), RefMS.zero(trunc)
     depth = draw(st.integers(0, 4))
     trunc = draw(st.integers(0, 8))
     polar = draw(st.lists(coeff, min_size=depth, max_size=depth))
-    regular = draw(st.lists(coeff, min_size=trunc + 1, max_size=trunc + 1))
+    regular = ([F(0)] * (trunc + 1) if kind == 1
+               else draw(st.lists(coeff, min_size=trunc + 1, max_size=trunc + 1)))
     return MSElement(polar, regular), RefMS(polar, regular)
 
 
@@ -491,10 +503,12 @@ def _apply(op, x, y, scalar):
         return -x
     if op == "polar":
         return x.polar_part()
+    if op == "acc":  # x and y each in two products, x also the first term
+        return x.accumulate([(2, x, y), (1, y, x), (3, y, y)])
     return x.regular_part()
 
 
-OPS = ["+", "-", "*", "scale", "neg", "polar", "regular"]
+OPS = ["+", "-", "*", "scale", "neg", "polar", "regular", "acc"]
 
 
 @settings(max_examples=200)
@@ -505,7 +519,8 @@ OPS = ["+", "-", "*", "scale", "neg", "polar", "regular"]
 def test_integer_kernel_matches_fraction_reference(pool, program):
     """Random programs over elements with mixed windows and polar depths:
     every intermediate has the reference's coefficients and window, and
-    the two raise TruncationError on the same steps."""
+    the two raise TruncationError on the same steps.  Each element object
+    is reused by later steps, in products and sums of other windows."""
     for x, ref in pool:
         assert same(x, ref)
     for op, i, j, scalar in program:
@@ -576,6 +591,56 @@ def test_declared_exact_zeros():
     assert (pole.regular_part() * pole).valid_order == 2
 
 
+# -- JSON text written from the numerators ----------------------------------------
+
+HUGE = st.integers(10**4300, 10**4400)  # past the 4,300-digit str limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers() | HUGE | HUGE.map(lambda n: -n),
+       st.just(1) | st.integers(1, 10**6) | HUGE)
+@example(0, 7)
+@example(0, 1)
+@example(-6, 4)
+@example(-5, 1)
+@example(3 * 10**4300, 3)
+@example(-1, 10**4300 + 1)
+def test_numerator_text_is_the_fraction_text(n, d):
+    assert _ratio_text(n, d) == rational.text(F(n, d))
+
+
+def element_text(x, order=None):
+    """The Fraction route: value_json's layout from x.polar and x.regular."""
+    regular = x.regular if order is None else x.regular[:order + 1]
+    return {"polar": [rational.text(c) for c in x.polar],
+            "regular": [rational.text(c) for c in regular]}
+
+
+@settings(max_examples=100)
+@given(element_pairs().map(lambda pair: pair[0]), st.none() | st.integers(0, 10))
+def test_value_json_is_the_fraction_text(x, order):
+    assert value_json(x, order) == element_text(x, order)
+
+
+def test_character_json_bytes_are_the_fraction_text():
+    """Fractional, zero and huge coefficients, and a short window."""
+    values = {
+        VERTEX: MSElement([F(-3, 4), 0, F(5, 6)], [0, F(10**4400, 7), 2, 0]),
+        FAMILY[1]: MSElement([], [F(1, 3), 0, F(-7, 2)]),
+        FAMILY[2]: MSElement([], [0] * 5),
+    }
+    chi = Character(values, 4, trunc=4)
+    text = character_to_json(chi)
+    doc = json.loads(text)
+    for entry in doc["values"]:
+        value = values[entry["graph"]]
+        want = element_text(value, chi.trunc)
+        if value.valid_order < chi.trunc:
+            want["valid"] = value.valid_order
+        assert entry["value"] == want
+    assert character_to_json(character_from_json(text)) == text
+
+
 # -- the fused cut-sum kernel against the pairwise fold ---------------------------
 
 FACTOR_KINDS = ["general", "regular_only", "reads_zero", "polar_only",
@@ -604,21 +669,56 @@ def stored(x: MSElement) -> tuple:
     return x._nums, x._den, x._depth, x._rzero, x.valid_order
 
 
+def fresh(x: MSElement) -> MSElement:
+    """x as a new object, with no nonzero indices cached."""
+    return _new(x._nums, x._den, x._depth, x._rzero)
+
+
 @settings(max_examples=150)
-@given(factors(), st.lists(st.tuples(st.integers(1, 4), factors(), factors()), max_size=5))
-def test_accumulate_matches_pairwise_fold(first, terms):
+@given(st.lists(factors(), min_size=1, max_size=3), st.lists(factors(), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3)), max_size=5))
+def test_accumulate_matches_pairwise_fold(firsts, pool, picks):
     """first.accumulate(terms) is first + c*(x*y) + ... exactly: numerators,
     denominator, depth, declared zero and window; both raise TruncationError
-    when a product's windows are too short."""
-    try:
-        want = first
-        for c, x, y in terms:
-            want = want + c * (x * y)
-    except TruncationError:
-        with pytest.raises(TruncationError):
-            first.accumulate(terms)
-        return
-    assert stored(first.accumulate(terms)) == stored(want)
+    when a product's windows are too short.  The same factor objects serve
+    every first term, so the sums have different result windows, and then
+    every pairwise product; the reference takes each factor as a fresh
+    object, so it reads no index cached by an earlier sum."""
+    terms = [(c, pool[i % len(pool)], pool[j % len(pool)]) for c, i, j in picks]
+    for first in firsts:
+        try:
+            want = fresh(first)
+            for c, x, y in terms:
+                want = want + c * (fresh(x) * fresh(y))
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                first.accumulate(terms)
+            continue
+        assert stored(first.accumulate(terms)) == stored(want)
+    for x in pool:
+        for y in pool:
+            try:
+                want = fresh(x) * fresh(y)
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    x * y
+                continue
+            assert stored(x * y) == stored(want)
+
+
+def test_cached_nonzero_indices_are_one_int_per_nonzero():
+    """The cache holds the indices of all nonzero numerators, one int
+    each, whatever window an element is first used in: no (index,
+    numerator) pairs, which would cost memory for every cached value."""
+    x = MSElement.from_coeffs({-2: F(1, 3), 0: F(2), 3: F(-5, 6), 8: F(7)}, trunc=8)
+    y = MSElement.from_coeffs({-1: F(1), 1: F(1, 2)}, trunc=8)
+    assert x._nz is None and y._nz is None
+    assert (x * y).valid_order == 6  # x's t^8 lies past this product's window
+    MSElement.zero().accumulate([(1, y, x)])
+    for z in (x, y):
+        assert z._nz == tuple(i for i, n in enumerate(z._nums) if n)
+        assert type(z._nz) is tuple and all(type(i) is int for i in z._nz)
+        assert not hasattr(z, "__dict__")
 
 
 def test_accumulate_stops_reading_at_a_short_product():
@@ -765,10 +865,18 @@ def _value_or_refusal(read, value):
         return ValueError
 
 
+def _fraction_reading(value):
+    """What Fraction reads of value, or ValueError; a text holding "_" is
+    refused, as Fraction refuses it before Python 3.11."""
+    if isinstance(value, str) and "_" in value:
+        return ValueError
+    return _value_or_refusal(Fraction, value)
+
+
 def test_checked_fraction_is_fraction_within_the_limit():
-    # Fraction reads "1_0e1_0" from Python 3.11 on; before, both refuse it
-    for value in ["1e4300", "-2.5E-4300", "3/4", " 7 ", "1_0e1_0", 3, Fraction(1, 3)]:
-        assert _value_or_refusal(exact, value) == _value_or_refusal(Fraction, value)
+    for value in ["1e4300", "-2.5E-4300", "3/4", " 7 ", "1_0e1_0", "1_000", "1_0/3",
+                  "-2.5_0", 3, Fraction(1, 3)]:
+        assert _value_or_refusal(exact, value) == _fraction_reading(value)
 
 
 COEFFICIENT_TEXT = st.one_of(
@@ -826,16 +934,18 @@ def _long_fraction(text):
 @example("1e4300")
 @example("-2.5E-4300")
 @example("1_0e1_0")
+@example("1_000")
 @example(" 7 ")
 @example("3/4")
 @example("--")
 def test_coefficient_text_matches_fraction_parser(text):
     """Every reader of outside rationals reads a text as Fraction(text)
     does: the same values, and the same texts refused (whitespace, signs,
-    decimals, exponents, underscores and zero denominators included),
-    and each also refuses an exponent past 4300 in magnitude."""
+    decimals, exponents and zero denominators included), and each also
+    refuses an exponent past 4300 in magnitude and, on every Python, any
+    text holding "_"."""
     try:
-        if _huge_exponent(text):
+        if _huge_exponent(text) or "_" in text:
             raise ValueError(text)
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
