@@ -198,16 +198,10 @@ class Theory:
         return [k for k, _ in self.tensors]
 
     @classmethod
-    def single_color(cls, **couplings) -> "Theory":
+    def single_color(cls, c3=0, c4=0) -> "Theory":
         """One-color shorthand with metric 1: single_color(c3=Fraction(1,2), c4=2)."""
-        tensors = {}
-        for name, value in couplings.items():
-            digits = name[1:]
-            if not (name.startswith("c") and digits.isascii() and digits.isdigit()):
-                raise TheoryError(f"unknown coupling {name!r}")
-            k = int(digits)
-            tensors[k] = {tuple([0] * k): Fraction(value)}
-        return cls.build(1, ((1,),), tensors)
+        return cls.build(1, ((1,),), {3: {(0, 0, 0): Fraction(c3)},
+                                      4: {(0, 0, 0, 0): Fraction(c4)}})
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,15 @@ permutations that respect the per-vertex invariant, found by a branch and
 bound on the serialization's edge prefix that keeps every tie; the same
 search counts the permutations reaching the minimum, which are the vertex
 automorphisms.  A class's |Aut| is that count times its per-bundle flag
-choices (`_flag_choices`).  The tests keep the full permutation scan, an
-individualization-refinement search and an explicit flag-level search as
-independent oracles.
+choices (`_flag_choices`).  That search alone writes label text; the
+tests keep a permutation scan, an individualization-refinement search and
+a flag-level search as independent oracles, with a writer of their own.
 
 A label spells out its multigraph data, so `label_data` is the one label
 parser and the algebra runs on that data: `hopf` cuts and labels it and
 `feynman` contracts it, with no flag graph in between.  `graph_from_label`
 lays out flags from the data for callers that want a `Graph`, and
-`components` is the one connected-component split.
+`components`, on edge end pairs, is the one connected-component split.
 
 One generator builds both graph families: the vacuum classes of each
 degree sequence, and the connected oriented generators of the flowchart
@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .rational import shown
 
@@ -145,11 +145,12 @@ class MultigraphData:
                 + sum(self.tails_in) + sum(self.tails_out))
 
 
-def components(data: MultigraphData, keep: Iterable[int]) -> list[frozenset[int]]:
+def components(edges: Iterable[tuple[int, int]], keep: Iterable[int]) -> list[frozenset[int]]:
     """The vertex sets of the connected components of the subgraph on the
-    vertices `keep`, in the order of their first vertex in `keep`."""
+    vertices `keep` of the graph with these edge end pairs, in the order
+    of their first vertex in `keep`."""
     comp = {v: frozenset((v,)) for v in keep}
-    for s, t in data.edge_mult:
+    for s, t in edges:
         if s in comp and t in comp and comp[s] is not comp[t]:
             merged = comp[s] | comp[t]
             for v in merged:
@@ -185,53 +186,32 @@ def multigraph_data(g: Graph) -> MultigraphData:
     )
 
 
-def _serialize_under(data: MultigraphData, perm: Sequence[int]) -> str:
-    """Pinned serialization after renaming vertex v to perm[v]."""
-    n = data.n_vertices
-    inv = [0] * n
-    for v, img in enumerate(perm):
-        inv[img] = v
-    vert_parts = []
-    for new in range(n):
-        old = inv[new]
-        deco = data.decorations[old] or "-"
-        vert_parts.append(
-            f"{deco}.{data.loops[old]}.{data.tails_in[old]}.{data.tails_out[old]}"
-        )
-    edge_parts = []
-    for (u, v), m in data.edge_mult.items():
-        a, b = perm[u], perm[v]
-        if not data.oriented and a > b:
-            a, b = b, a
-        edge_parts.append((a, b, m))
-    edge_parts.sort()
-    head = "og" if data.oriented else "ug"
-    edges = ",".join(f"{a}>{b}x{m}" for a, b, m in edge_parts)
-    return f"{head}:{n}|{';'.join(vert_parts)}|{edges}"
-
-
 def _min_serialization(data: MultigraphData) -> tuple[str, int]:
     """(pinned label, number of vertex automorphisms).
 
-    The label is the least `_serialize_under` string over the vertex
-    permutations that fill the slots block by block, one block per value of
-    the per-vertex key (decoration, loops, tails) in key order.  The block
-    layout is isomorphism-invariant, so the minimum is a complete canonical
-    form, and the permutations reaching it are one automorphism orbit: their
-    number is the count of structure-preserving vertex permutations.
+    A vertex permutation into slots serializes as 'og:' or 'ug:', n, '|',
+    each slot's 'deco.loops.in.out' ('-' for no decoration) joined by ';',
+    '|', then its edge section: 'a>bxm' per bundle of m edges from slot a
+    to slot b (unoriented ends ascending), sorted by (a, b, m), joined by
+    ','.  The label is the least such string over the permutations that
+    fill the slots block by block, one block per value of the per-vertex
+    key (decoration, loops, tails) in key order.  The block layout is
+    isomorphism-invariant, so the minimum is a complete canonical form, and
+    the permutations reaching it are one automorphism orbit: their number
+    is the count of structure-preserving vertex permutations.  Label text
+    is written here alone; with all keys distinct there is one permutation,
+    written at once.
 
     Branch and bound.  Slots are filled in order, each from its block.  The
     vertex section is the same under every such permutation, so only the
-    edge section is compared.  It lists the edges sorted by (source slot,
-    target slot, multiplicity), the source of an unoriented edge being its
-    lower slot; an edge's place in that list is fixed once every slot up to
-    its source has no edge left to an unplaced vertex.  A branch is cut as
-    soon as its fixed prefix, followed by the least first digit that the
-    next slot field can have, compares greater than the best string, so a
-    branch that can still tie the best is never cut.  Once every edge is
-    fixed the string is complete, whatever the remaining slots hold: the
-    leaf stands for every filling of those slots from their blocks, the
-    product of (slots left in each block)!.
+    edge section is compared.  An edge's place in it is fixed once every
+    slot up to its source has no edge left to an unplaced vertex.  A branch
+    is cut as soon as its fixed prefix, followed by the least first digit
+    that the next slot field can have, compares greater than the best
+    string, so a branch that can still tie the best is never cut.  Once
+    every edge is fixed the string is complete, whatever the remaining
+    slots hold: the leaf stands for every filling of those slots from their
+    blocks, the product of (slots left in each block)!.
     """
     n = data.n_vertices
     deco, loops, tin, tout = data.decorations, data.loops, data.tails_in, data.tails_out
@@ -240,10 +220,13 @@ def _min_serialization(data: MultigraphData) -> tuple[str, int]:
     members: dict = {}
     for v in order:
         members.setdefault(keys[v], []).append(v)
-    if len(members) == n:  # one candidate permutation: nothing to bound
-        return _serialize_under(data, sorted(range(n), key=order.__getitem__)), 1
     verts = ";".join(f"{deco[v] or '-'}.{loops[v]}.{tin[v]}.{tout[v]}" for v in order)
     head = f"{'og' if data.oriented else 'ug'}:{n}|{verts}|"
+    if len(members) == n:  # one candidate permutation: nothing to bound
+        perm = sorted(range(n), key=order.__getitem__)
+        ends = ((perm[u], perm[w], m) for (u, w), m in data.edge_mult.items())
+        edges = sorted((a, b, m) if data.oriented or a < b else (b, a, m) for a, b, m in ends)
+        return head + ",".join(f"{a}>{b}x{m}" for a, b, m in edges), 1
     # fillings[s]: the ways to fill the slots after s, each from its block
     fillings = [1] * n
     later, slot = 1, n
@@ -339,7 +322,7 @@ def _min_serialization(data: MultigraphData) -> tuple[str, int]:
     return head + best, aut
 
 
-LABEL_MAX_VERTICES = 10  # canonical_label refuses larger graphs
+LABEL_MAX_VERTICES = 10  # canonical_label and hopf.check_generator refuse larger graphs
 
 
 def canonical_label(g: Graph) -> str:
@@ -601,11 +584,8 @@ def _classes_with_degrees(closings, tails_in, tails_out, residual,
 
 def _sealed_off(v, mult, colours) -> bool:
     """Whether v's component has no residual left but misses a vertex."""
-    comp, size = {v}, 0
-    while size < len(comp):
-        size = len(comp)
-        comp.update(w for edge in mult if not comp.isdisjoint(edge) for w in edge)
-    return size < len(colours) and all(colours[w] is None for w in comp)
+    comp = next(c for c in components(mult, range(len(colours))) if v in c)
+    return len(comp) < len(colours) and all(colours[w] is None for w in comp)
 
 
 def _spread(caps, j, stop, rest):

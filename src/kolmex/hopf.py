@@ -11,8 +11,11 @@ label parses straight to its multigraph data (`generator_data`), and the
 cuts and sides are read and labelled on that data, a severed edge left as
 a tail at each end: no flag graph is built for a generator, a cut or a
 piece (`generator_graph` lays one out for callers that want a `Graph`).
+A piece's split is `graphs.components` on the edge pairs, and its label
+text is written by `graphs._min_serialization`, as every label is.
 Elements are built from labels only, and `check_generator` refuses a
-label that is not a generator.
+label that is not a generator, and one of more than LABEL_MAX_VERTICES
+vertices before any label search.
 
 Grading is by total flag count, which both halves of a cut split exactly
 (severed halves stay with their side as tails).  Bare vertices have degree
@@ -51,6 +54,7 @@ from typing import Mapping
 
 from . import rational
 from .graphs import (
+    LABEL_MAX_VERTICES,
     Graph,
     GraphError,
     MultigraphData,
@@ -119,7 +123,7 @@ def _side_monomial(data: MultigraphData, keep) -> Monomial:
     is memoized (the LABEL_CACHE_SIZE most recent) under the component's
     own multigraph data, vertices ascending, which fixes it exactly."""
     labels = []
-    for piece in components(data, keep):
+    for piece in components(data.edge_mult, keep):
         slot = {v: i for i, v in enumerate(sorted(piece))}
         tin = [data.tails_in[v] for v in slot]
         tout = [data.tails_out[v] for v in slot]
@@ -141,14 +145,19 @@ def _side_monomial(data: MultigraphData, keep) -> Monomial:
 @lru_cache(maxsize=LABEL_CACHE_SIZE)
 def check_generator(label: str) -> None:
     """Raise HopfError unless `label` is a generator: the pinned label of
-    a connected oriented graph, checked on its parsed data.  Accepted
-    labels are memoized; a raise is not."""
+    a connected oriented graph, checked on its parsed data.  A label of
+    more than LABEL_MAX_VERTICES vertices is refused before any search,
+    whose cost grows factorially with them.  Accepted labels are
+    memoized; a raise is not."""
     try:
         data = generator_data(label)
     except GraphError as exc:
         raise HopfError(str(exc)) from None
     if not data.oriented:
         raise HopfError(f"{rational.shown(label)} is not an oriented graph's label")
+    if data.n_vertices > LABEL_MAX_VERTICES:
+        raise HopfError(f"{rational.shown(label)} has {data.n_vertices} vertices, past the "
+                        f"canonical-form bound {LABEL_MAX_VERTICES}")
     mono = _side_monomial(data, range(data.n_vertices))
     if mono != (label,):
         raise HopfError(f"{rational.shown(label)} is not a generator: its graph is the "

@@ -17,6 +17,9 @@ from its own cuts, with no multiplicative extension: the cuts come from
 `scc_cut_masks`, the two-condition cut rule (no oriented wheel split, by
 Tarjan SCCs, and no edge from lower to upper), and each half is a
 flag-level `Cut` side split and labelled at flag level.
+`serialize_under` writes the serialization under a given vertex
+permutation; it is the oracles' own writer, so the brute-force and
+refinement searches share no label code with the package.
 `recursive_degree_sequences` lists the vacuum family's degree sequences
 depth first, one recursion level per vertex.
 `flags_at` and `directed_edges` read a flag graph's incidence and
@@ -40,7 +43,6 @@ from kolmex.graphs import (
     _degree_sequences,
     _flag_choices,
     _min_serialization,
-    _serialize_under,
     canonical_label,
     multigraph_data,
 )
@@ -159,13 +161,40 @@ def candidate_permutations(data: MultigraphData):
         yield perm
 
 
+def serialize_under(data: MultigraphData, perm) -> str:
+    """The pinned serialization after renaming vertex v to perm[v], written
+    field by field: the oracles' own writer, sharing no code with the
+    package's label search."""
+    n = data.n_vertices
+    inv = [0] * n
+    for v, img in enumerate(perm):
+        inv[img] = v
+    vert_parts = []
+    for new in range(n):
+        old = inv[new]
+        deco = data.decorations[old] or "-"
+        vert_parts.append(
+            f"{deco}.{data.loops[old]}.{data.tails_in[old]}.{data.tails_out[old]}"
+        )
+    edge_parts = []
+    for (u, v), m in data.edge_mult.items():
+        a, b = perm[u], perm[v]
+        if not data.oriented and a > b:
+            a, b = b, a
+        edge_parts.append((a, b, m))
+    edge_parts.sort()
+    head = "og" if data.oriented else "ug"
+    edges = ",".join(f"{a}>{b}x{m}" for a, b, m in edge_parts)
+    return f"{head}:{n}|{';'.join(vert_parts)}|{edges}"
+
+
 def brute_min_serialization(data: MultigraphData) -> str:
     best = None
     for perm in candidate_permutations(data):
-        s = _serialize_under(data, perm)
+        s = serialize_under(data, perm)
         if best is None or s < best:
             best = s
-    return best if best is not None else _serialize_under(data, ())
+    return best if best is not None else serialize_under(data, ())
 
 
 def refinement_search(data: MultigraphData) -> tuple[str, int]:
@@ -225,7 +254,7 @@ def refinement_search(data: MultigraphData) -> tuple[str, int]:
         perm = [0] * n
         for position, (v,) in enumerate(cells):
             perm[v] = position
-        s = _serialize_under(data, perm)
+        s = serialize_under(data, perm)
         if best is None or s < best:
             best, count = s, 1
         elif s == best:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -545,6 +546,25 @@ def test_birkhoff_rejects_a_graph_that_is_not_a_generator(tmp_path, capsys, labe
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: values[0].graph: ") and repr(label) in err
+
+
+def test_birkhoff_refuses_a_label_past_the_vertex_bound_at_once(tmp_path, capsys):
+    # an edge each way between every two of 12 vertices: all vertices
+    # alike, so its label search would run for hours
+    edges = ",".join(f"{a}>{b}x1" for a in range(12) for b in range(12) if a != b)
+    label = f"og:12|{';'.join(['-.0.0.0'] * 12)}|{edges}"
+    src = tmp_path / "char.json"
+    src.write_text(json.dumps({"degree_bound": 4, "values": [
+        {"graph": graph, "value": {"polar": [], "regular": ["1"]}}
+        for graph in ("og:1|-.0.0.0|", label)]}))
+    out = tmp_path / "factors.json"
+    start = time.perf_counter()
+    assert run(["algebra", "birkhoff", "--in", str(src), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: values[1].graph: ")
+    assert "has 12 vertices, past the canonical-form bound 10" in err
 
 
 SMALL_GENERATORS = enumerate_connected_oriented(2, 3)

@@ -72,16 +72,10 @@ def test_build_refuses_malformed_theories(n_colors, metric, tensors, message):
         Theory.build(n_colors, metric, tensors)
 
 
-@pytest.mark.parametrize("name", ["cx", "c", "g3", "c3x", "c\u0663", "c 3"])
-def test_single_color_refuses_unknown_couplings(name):
-    with pytest.raises(TheoryError, match=f"unknown coupling {name!r}"):
-        Theory.single_color(**{name: 1})
-
-
 def test_valences_below_three_are_refused():
-    for coupling in ("c1", "c2"):
+    for valence in (1, 2):
         with pytest.raises(TheoryError, match="tensor valences must be >= 3"):
-            Theory.single_color(**{coupling: 1})
+            Theory.build(1, ((1,),), {valence: {(0,) * valence: 1}})
     with pytest.raises(TheoryError, match="tensor valences must be >= 3"):
         Theory.build(2, ((1, 0), (0, 1)), {2: {(0, 1): 1}, 3: {(0, 0, 1): 1}})
     with pytest.raises(GraphError, match="valences must be >= 3"):

@@ -20,6 +20,7 @@ from graph_oracles import (
     recursive_degree_sequences,
     refinement_search,
     scc_cut_masks,
+    serialize_under,
     strongly_connected_components,
 )
 from kolmex import graphs as G
@@ -199,9 +200,9 @@ def test_label_parser_matches_the_flag_level_parser(data, rnd):
     n = data.n_vertices
     perm = list(range(n))
     rnd.shuffle(perm)
-    for label in (G._min_serialization(data)[0], G._serialize_under(data, perm)):
+    for label in (G._min_serialization(data)[0], serialize_under(data, perm)):
         parsed = G.label_data(label)
-        assert G._serialize_under(parsed, range(n)) == label
+        assert serialize_under(parsed, range(n)) == label
         g = graph_from_label(label)
         assert g == flag_graph_from_label(label)
         assert parsed.n_flags == g.n_flags
@@ -313,7 +314,7 @@ def test_refinement_count_matches_permutation_oracle(g):
     best = brute_min_serialization(data)
     oracle = sum(
         1 for perm in candidate_permutations(data)
-        if G._serialize_under(data, perm) == best
+        if serialize_under(data, perm) == best
     )
     assert refinement_search(data)[1] == oracle
     assert G._min_serialization(data) == (best, oracle)
@@ -632,6 +633,35 @@ def test_pruned_lexmin_matches_brute_force(data):
     )
 
 
+@st.composite
+def distinct_key_records(draw):
+    """MultigraphData on 0-10 vertices whose per-vertex keys (decoration,
+    loops, tails) all differ, so one permutation fills the slots: plain or
+    oriented, with loops, parallel edges and decorations."""
+    oriented = draw(st.booleans())
+    key = st.tuples(st.sampled_from([None, "x", "y"]), st.integers(0, 12),
+                    st.integers(0, 2), st.integers(0, 2) if oriented else st.just(0))
+    keys = draw(st.lists(key, max_size=10, unique=True))
+    n = len(keys)
+    deco, loops, tails_in, tails_out = zip(*keys) if keys else ((),) * 4
+    pairs = [(u, w) for u in range(n) for w in range(n)
+             if u != w and (oriented or u < w)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    mult = {pair: draw(st.integers(1, 11)) for pair in chosen}
+    return G.MultigraphData(n, oriented, loops, tails_in, tails_out, mult, deco)
+
+
+@settings(deadline=None, max_examples=200)
+@given(distinct_key_records())
+@example(G.MultigraphData(  # the unoriented edge's ends trade places
+    2, False, (1, 0), (0, 0), (0, 0), {(0, 1): 1}, (None, None)))
+@example(G.MultigraphData(  # the edges come out of the slots in reverse
+    3, True, (2, 1, 0), (0, 0, 0), (0, 0, 0), {(0, 1): 1, (1, 2): 3}, (None,) * 3))
+def test_one_permutation_label_matches_the_oracle_writer(data):
+    (perm,) = candidate_permutations(data)
+    assert G._min_serialization(data) == (serialize_under(data, perm), 1)
+
+
 def test_vacuum_classes_and_symmetry_factors_pinned():
     classes = G._vacuum_classes_with_aut(3, (3, 4), 200_000)
     text = "\n".join(f"{label} {aut}" for label, _, aut, *_ in classes)
@@ -674,6 +704,14 @@ def test_vacuum_budget_counts_the_last_candidate():
     assert len(enumerate_vacuum_graphs(2, {3, 4}, budget=78)) == 22
     with pytest.raises(G.BudgetError):
         enumerate_vacuum_graphs(2, {3, 4}, budget=77)
+
+
+def test_connected_budget_counts_every_state_at_order_four():
+    # the order-4 companion of the CLI's order-3 `--budget 561` pin: the
+    # connected classes with valences 3 and 4 take exactly 4,647 closings
+    assert len(G._vacuum_classes_with_aut(4, (3, 4), 4647, connected=True)) == 678
+    with pytest.raises(G.BudgetError, match="exceeded budget 4646"):
+        G._vacuum_classes_with_aut(4, (3, 4), 4646, connected=True)
 
 
 def test_canonical_label_bound():

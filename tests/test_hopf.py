@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,23 @@ def test_labels_read_from_json_must_be_generators(label):
         character_from_json(json.dumps(doc))
     assert str(info.value).startswith("values[1].graph: ")
     assert message in str(info.value)
+
+
+def _complete_bidirected(n):
+    """The label of n vertices with an edge each way between every two:
+    all vertices alike, so every branch of its label search ties."""
+    edges = ",".join(f"{a}>{b}x1" for a in range(n) for b in range(n) if a != b)
+    return f"og:{n}|{';'.join(['-.0.0.0'] * n)}|{edges}"
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_labels_past_the_vertex_bound_are_refused_before_any_search(n):
+    start = time.perf_counter()
+    with pytest.raises(HopfError, match=f"has {n} vertices, past the canonical-form bound 10"):
+        check_generator(_complete_bidirected(n))
+    assert time.perf_counter() - start < 1
+    path = ",".join(f"{v}>{v + 1}x1" for v in range(9))  # at the bound: searched
+    check_generator(f"og:10|{';'.join(['-.0.0.0'] * 10)}|{path}")
 
 
 def test_every_generator_passes_the_check():
