@@ -11,14 +11,15 @@ Subcommand groups mirror the experiment families:
     kolmex zipf fit         rank-frequency CSV + power-law fit summary
 
 Exit codes: 0 success / property holds, 1 checked property fails,
-2 usage or I/O errors (no partial output files are left behind).
-A rule on one option is that option's argparse type, so argparse names
-the option in its message; handlers check only rules that span options
-or read files.  `main` returns argparse's exit code too, so it returns
-0, 1 or 2 for every argv (0 for --help) and never raises SystemExit.
-All randomness flows through one --seed per command; every output file
-carries a version-stamped header, and identical (config, version) pairs
-give byte-identical outputs.
+2 usage or I/O errors.  A rule on one option is that option's argparse
+type, so argparse names the option in its message; handlers check only
+rules that span options, read files or overflow a float.  `main` returns
+argparse's exit code too, so it returns 0, 1 or 2 for every argv (0 for
+--help) and never raises SystemExit.
+A run's config, echoed by --verbose and stamped on its files, is every
+parsed option but the output paths; identical (config, version) pairs give
+byte-identical outputs, and all randomness flows through one --seed.  A run
+writes all its files or none, and a failed run changes no earlier file.
 
 Each handler imports the modules it runs, so a command loads only its own
 layers (hopf-verify never loads codes or complexity, a halting probe never
@@ -48,30 +49,57 @@ def _stamp(config: dict) -> str:
     return f"kolmex {__version__} {PROXY_VERSION} {blob}"
 
 
-def _write_atomic(path: str, text: str):
-    tmp = path + ".tmp"
+def _config(args) -> dict:
+    """The run's config: every parsed option but the output paths, with
+    --in and --corpus by their base name and every rational as its text.
+    Echoed to stderr under --verbose."""
+    config = {"cmd": f"{args.group} {args.cmd}"}
+    for key, value in vars(args).items():
+        if key in ("group", "cmd", "handler", "verbose", "out", "svg"):
+            continue
+        if key in ("input", "corpus"):
+            value = os.path.basename(value) if value else None
+        elif isinstance(value, Fraction):
+            value = rational.text(value)
+        config["in" if key == "input" else key] = value
+    if args.verbose:
+        print(json.dumps(config, sort_keys=True), file=sys.stderr)
+    return config
+
+
+def _write_outputs(*files: tuple[str, str]):
+    """Write each (path, text): all to tmp names first, one per file even
+    when two paths are equal (the later file wins), then all into place.
+    A failure removes every tmp, so no file is left new or changed."""
+    tmps = [f"{path}.{i}.tmp" for i, (path, _) in enumerate(files)]
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for tmp, (path, text) in zip(tmps, files):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            if os.path.isdir(path):  # refused before any file moves
+                raise IsADirectoryError(f"is a directory: {path}")
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
-def _fraction(text: str) -> int | Fraction:
+def _fraction(text: str) -> Fraction:
     """argparse type of an exact rational such as 1/3; argparse names the
-    option in its exit-2 message."""
+    option in its exit-2 message.  A Fraction even when integral, so that
+    `_config` writes it as text."""
     try:
-        return rational.exact(text)
+        return Fraction(rational.exact(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             "not a rational with a nonzero denominator and a decimal exponent "
             f"of at most {rational.MAX_EXPONENT}: {rational.shown(text)}") from None
 
 
-def _float_sized(text: str) -> int | Fraction:
+def _float_sized(text: str) -> Fraction:
     """argparse type of an exact rational that the sweep also writes as a float."""
     value = _fraction(text)
     try:
@@ -114,9 +142,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def _echo_config(args, config: dict):
-    if args.verbose:
-        print(json.dumps(config, sort_keys=True), file=sys.stderr)
+def _finite_non_negative(text: str) -> float:
+    """argparse type of a finite float no smaller than 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +167,12 @@ def _build_ensemble(args):
 
 
 def cmd_codes_cloud(args) -> int:
-    config = {
-        "cmd": "codes cloud", "q": args.q, "n": args.n, "size": args.size,
-        "count": args.count, "seed": args.seed,
-    }
-    _echo_config(args, config)
+    config = _config(args)
     ensemble = _build_ensemble(args)
     from .codes import BOUND_KINDS, bound_curve, cloud_rows
 
     rows = cloud_rows(ensemble)
-    _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
+    outputs = [(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")]
     if args.svg:
         points = [
             (float(e.params.delta), float(e.params.rate)) for e in ensemble.entries
@@ -157,12 +184,8 @@ def cmd_codes_cloud(args) -> int:
         ]
         from .svgplot import cloud_svg
 
-        try:
-            _write_atomic(args.svg, cloud_svg(points, curves, _stamp(config)))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(args.out)  # a failed run leaves no output
-            raise
+        outputs.append((args.svg, cloud_svg(points, curves, _stamp(config))))
+    _write_outputs(*outputs)
     print(f"wrote {len(rows) - 1} code points to {args.out}")
     if args.svg:
         print(f"wrote plot to {args.svg}")
@@ -170,13 +193,7 @@ def cmd_codes_cloud(args) -> int:
 
 
 def cmd_codes_sweep(args) -> int:
-    config = {
-        "cmd": "codes sweep", "q": args.q, "n": args.n, "size": args.size,
-        "count": args.count, "seed": args.seed, "rate": rational.text(args.rate),
-        "delta": rational.text(args.delta), "eta": args.eta,
-        "beta_min": args.beta_min, "beta_max": args.beta_max, "steps": args.steps,
-    }
-    _echo_config(args, config)
+    config = _config(args)
     if args.beta_min > args.beta_max:
         raise UsageError("--beta-min must be <= --beta-max")
     ensemble = _build_ensemble(args)
@@ -188,7 +205,7 @@ def cmd_codes_sweep(args) -> int:
     from .codes import sweep_rows
 
     rows = sweep_rows(ensemble, args.rate, args.delta, betas, args.eta)
-    _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
+    _write_outputs((args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n"))
     print(f"wrote {len(betas)} sweep rows to {args.out}")
     return 0
 
@@ -198,11 +215,7 @@ def cmd_codes_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_feynman_check(args) -> int:
-    config = {
-        "cmd": "algebra feynman-check", "c3": rational.text(args.c3),
-        "c4": rational.text(args.c4), "order": args.order, "budget": args.budget,
-    }
-    _echo_config(args, config)
+    _config(args)
     from .feynman import Theory, gaussian_oracle, graph_expansion
 
     theory = Theory.single_color(c3=args.c3, c4=args.c4)
@@ -222,11 +235,7 @@ def cmd_feynman_check(args) -> int:
 
 
 def cmd_hopf_verify(args) -> int:
-    config = {
-        "cmd": "algebra hopf-verify",
-        "max_vertices": args.max_vertices, "max_flags": args.max_flags,
-    }
-    _echo_config(args, config)
+    _config(args)
     from .hopf import (
         HopfElement,
         ZERO,
@@ -289,11 +298,7 @@ def cmd_hopf_verify(args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
-    config = {
-        "cmd": "algebra birkhoff", "in": os.path.basename(args.input),
-        "degree": args.degree,
-    }
-    _echo_config(args, config)
+    _config(args)
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
@@ -312,7 +317,7 @@ def cmd_birkhoff(args) -> int:
         "minus": _gmap_values(minus, phi),
         "plus": _gmap_values(plus, phi),
     }
-    _write_atomic(args.out, json.dumps(doc, indent=1) + "\n")
+    _write_outputs((args.out, json.dumps(doc, indent=1) + "\n"))
     print(f"wrote Birkhoff factors for {len(phi.generator_values)} generators to {args.out}")
     return 0
 
@@ -352,11 +357,7 @@ def _probe_function(name: str):
 
 
 def cmd_halting_probe(args) -> int:
-    config = {
-        "cmd": "halting probe", "function": args.function, "mode": args.mode,
-        "x": args.x, "y": args.y, "budget": args.budget, "fuel": args.fuel,
-    }
-    _echo_config(args, config)
+    config = _config(args)
     from .halting import classify_orbit, lift_to_permutation, zigzag
 
     f = _probe_function(args.function)
@@ -370,7 +371,7 @@ def cmd_halting_probe(args) -> int:
     doc = json.loads(report.to_json())
     doc["config"] = config
     doc["version"] = f"kolmex {__version__}"
-    _write_atomic(args.out, json.dumps(doc, indent=1) + "\n")
+    _write_outputs((args.out, json.dumps(doc, indent=1) + "\n"))
     print(f"verdict: {report.verdict} ({report.certificate})")
     print(f"wrote report to {args.out}")
     return 0
@@ -385,12 +386,7 @@ def _csv_field(text: str) -> str:
 
 
 def cmd_zipf_fit(args) -> int:
-    config = {
-        "cmd": "zipf fit", "lowercase": args.lowercase, "seed": args.seed,
-        "types": args.types, "tokens": args.tokens,
-        "corpus": os.path.basename(args.corpus) if args.corpus else None,
-    }
-    _echo_config(args, config)
+    config = _config(args)
     from .codes import fmt17
     from .complexity import synthetic_zipf_corpus, zipf_analyze
 
@@ -409,7 +405,7 @@ def cmd_zipf_fit(args) -> int:
         rows.append(
             f"{row.rank},{_csv_field(row.token)},{row.count},{fmt17(row.frequency)}"
         )
-    _write_atomic(args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n")
+    _write_outputs((args.out, f"# {_stamp(config)}\n" + "\n".join(rows) + "\n"))
     if fit.fit_defined:
         r2 = "n/a" if fit.r_squared is None else format(fit.r_squared, ".6f")
         print(
@@ -453,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     codes_sub = codes_p.add_subparsers(dest="cmd", required=True)
 
     cloud = codes_sub.add_parser("cloud", help="sample codes and plot their points")
-    cloud.add_argument("--q", type=_at_least(2), default=2)
+    # a word's symbols come from the pinned 36-symbol table (codes.Code)
+    cloud.add_argument("--q", type=_at_least(2, 36), default=2)
     cloud.add_argument("--n", type=_at_least(1), required=True)
     cloud.add_argument("--size", type=_at_least(2), default=64)
     cloud.add_argument("--count", type=_at_least(0), required=True)
@@ -463,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     cloud.set_defaults(handler=cmd_codes_cloud)
 
     sweep = codes_sub.add_parser("sweep", help="partition-sum sweep over beta")
-    sweep.add_argument("--q", type=_at_least(2), default=2)
+    sweep.add_argument("--q", type=_at_least(2, 36), default=2)
     sweep.add_argument("--n", type=_at_least(1), required=True)
     sweep.add_argument("--size", type=_at_least(2), required=True)
     sweep.add_argument("--count", type=_at_least(0), required=True)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--rate", type=_float_sized, required=True)
     sweep.add_argument("--delta", type=_float_sized, required=True)
-    sweep.add_argument("--eta", type=_finite, default=0.01)
+    sweep.add_argument("--eta", type=_finite_non_negative, default=0.01)
     sweep.add_argument("--beta-min", type=_finite, required=True)
     sweep.add_argument("--beta-max", type=_finite, required=True)
     sweep.add_argument("--steps", type=_at_least(1), required=True)
@@ -482,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fey = algebra_sub.add_parser("feynman-check",
                                  help="graph expansion against the Gaussian oracle")
-    fey.add_argument("--c3", type=_fraction, default=0)
-    fey.add_argument("--c4", type=_fraction, default=0)
+    fey.add_argument("--c3", type=_fraction, default="0")
+    fey.add_argument("--c4", type=_fraction, default="0")
     fey.add_argument("--order", type=_at_least(0), required=True)
     fey.add_argument("--budget", type=_at_least(0), default=200_000,
                      help="cap on generator states built while enumerating the "

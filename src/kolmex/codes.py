@@ -404,9 +404,16 @@ def _selection(ensemble: CodeEnsemble, rate: Fraction, delta_min: Fraction,
 
 
 def _z(selected: list[tuple[int, float]], beta: float) -> float:
+    """Z at beta; CodeError when a term or the sum overflows binary64."""
     ln2 = math.log(2.0)
-    return math.fsum([math.exp(bits * (-beta + delta - 1.0) * ln2)
-                      for bits, delta in selected])
+    try:
+        z = math.fsum([math.exp(bits * (-beta + delta - 1.0) * ln2)
+                       for bits, delta in selected])
+    except OverflowError:
+        z = math.inf
+    if z == math.inf:  # an exponent past binary64 reaches exp as inf, not as an error
+        raise CodeError(f"Z overflows binary64 at beta={fmt17(beta)}")
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -61,6 +62,30 @@ def test_cloud_failed_svg_leaves_no_csv(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # neither the CSV nor a .tmp file
 
 
+@pytest.mark.parametrize("svg", ["missing/x.svg", "taken"], ids=["missing_dir", "directory"])
+def test_cloud_failed_svg_keeps_an_earlier_csv_byte_for_byte(tmp_path, capsys, svg):
+    out = tmp_path / "cloud.csv"
+    out.write_bytes(b"# an earlier run\r\nq,n\n")
+    (tmp_path / "taken").mkdir()
+    assert run(["codes", "cloud", "--n", "6", "--size", "4", "--count", "5",
+                "--out", str(out), "--svg", str(tmp_path / svg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+    assert out.read_bytes() == b"# an earlier run\r\nq,n\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
+def test_cloud_svg_equal_to_out_writes_the_svg(tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert run(["codes", "cloud", "--n", "6", "--size", "4", "--count", "5",
+                "--out", str(out), "--svg", str(out)]) == 0
+    assert capsys.readouterr().out == (f"wrote 5 code points to {out}\n"
+                                       f"wrote plot to {out}\n")
+    assert list(tmp_path.iterdir()) == [out]
+    assert "<svg" in out.read_text()  # the later file wins
+
+
 def test_cloud_stdout_names_both_outputs(tmp_path, capsys):
     out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
     assert run(["codes", "cloud", "--n", "6", "--count", "5", "--out", str(out),
@@ -93,6 +118,31 @@ def test_sweep_rows_and_monotonicity(tmp_path):
     zs = [float(line.split(",")[3]) for line in lines[2:]]
     assert len(zs) == 7
     assert all(b <= a * (1 + 1e-12) for a, b in zip(zs, zs[1:]))
+
+
+@pytest.mark.parametrize("beta_min", ["-5", "-1e307"])
+def test_sweep_z_overflow_exits_2_naming_beta(tmp_path, capsys, beta_min):
+    out = tmp_path / "sweep.csv"
+    assert run(["codes", "sweep", "--q", "2", "--n", "6", "--size", "4",
+                "--count", "200", "--seed", "3", "--rate", "1/3", "--delta", "1/6",
+                f"--beta-min={beta_min}", "--beta-max", "1", "--steps", "11",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: Z overflows binary64 at beta={float(beta_min):.17g}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_refuses_negative_eta_before_sampling(tmp_path, capsys, monkeypatch):
+    from kolmex import codes
+
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(codes, "sample_codes", refuse)
+    out = tmp_path / "sweep.csv"
+    assert run(SWEEP + SWEEP_RATE + ["--eta", "-1", "--out", str(out)]) == 2
+    assert "error: argument --eta: must be >= 0, not -1.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_empty_selection_gives_zeros(tmp_path):
@@ -453,7 +503,18 @@ def test_cloud_rejects_q_past_the_symbol_table(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["codes", "cloud", "--q", "37", "--n", "2", "--size", "4",
                 "--count", "2", "--out", str(out)]) == 2
-    assert "exceeds the pinned symbol table" in capsys.readouterr().err
+    assert "error: argument --q: must be <= 36, not 37" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["codes", "cloud", "--n", "2", "--count", "0"],
+    SWEEP[:-6] + ["--count", "0", "--beta-min", "0", "--beta-max", "1", "--steps", "1"]
+    + SWEEP_RATE,
+], ids=["cloud", "sweep"])
+def test_q_past_the_symbol_table_is_refused_with_no_codes_to_sample(tmp_path, capsys, argv):
+    assert run(argv + ["--q", "37", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error: argument --q: must be <= 36, not 37" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -479,7 +540,7 @@ def test_hopf_verify_negative_bound_exits_2(capsys, option):
 
 def test_failed_write_leaves_no_tmp_file(tmp_path):
     taken = tmp_path / "taken"
-    taken.mkdir()  # the final rename onto a directory fails
+    taken.mkdir()  # an output path that is a directory is refused
     assert run(["zipf", "fit", "--types", "10", "--tokens", "100",
                 "--out", str(taken)]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
@@ -492,6 +553,63 @@ def test_verbose_echoes_config(tmp_path, capsys):
     err = capsys.readouterr().err
     config = json.loads(err.strip().splitlines()[0])
     assert config["cmd"] == "codes cloud" and config["seed"] == 1
+
+
+# each option of every subcommand: (its text, its value in the config)
+OPTION_TEXTS = {
+    "--q": ("3", 3), "--n": ("3", 3), "--size": ("4", 4), "--count": ("2", 2),
+    "--seed": ("-5", -5), "--rate": ("1", "1"), "--delta": ("1/3", "1/3"),
+    "--eta": ("0.5", 0.5), "--beta-min": ("-1", -1.0), "--beta-max": ("2.5", 2.5),
+    "--steps": ("2", 2), "--c3": ("1", "1"), "--c4": ("-2/3", "-2/3"), "--order": ("1", 1),
+    "--budget": ("500", 500), "--max-vertices": ("1", 1), "--max-flags": ("2", 2),
+    "--in": ("DIR/in/character.json", "character.json"), "--degree": ("2", 2),
+    "--function": ("evens", "evens"), "--mode": ("opaque", "opaque"), "--x": ("1", 1),
+    "--y": ("3", 3), "--fuel": ("50", 50), "--corpus": ("DIR/in/some.txt", "some.txt"),
+    "--lowercase": (None, True), "--types": ("5", 5), "--tokens": ("20", 20),
+}
+
+
+def subcommands():
+    """(group, cmd, subparser) for every subcommand of the parser."""
+    def choices(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    return [(group, cmd, sub) for group, parser in choices(build_parser()).items()
+            for cmd, sub in choices(parser).items()]
+
+
+@pytest.mark.parametrize("group, cmd, parser", subcommands(),
+                         ids=[cmd for _, cmd, _ in subcommands()])
+def test_config_holds_every_option_but_the_output_paths(tmp_path, capsys, group, cmd, parser):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "character.json").write_text(json.dumps({
+        "degree_bound": 3, "values": [{"graph": "og:1|-.0.0.1|",
+                                       "value": {"polar": [1], "regular": ["1/3"]}}]}))
+    (tmp_path / "in" / "some.txt").write_text("the cat the dog\n")
+    argv, expected = ["--verbose", group, cmd], {"cmd": f"{group} {cmd}"}
+    for action in parser._actions:
+        option = action.option_strings[-1]
+        if option in ("--out", "--svg"):
+            argv.append(f"{option}={tmp_path / option[2:]}")
+        elif option != "--help":
+            text, expected[option[2:].replace("-", "_")] = OPTION_TEXTS[option]
+            argv.append(option if text is None else f"{option}={text}")
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+    assert run(argv) == 0
+    config = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert config == expected
+    if cmd in ("cloud", "sweep", "fit"):  # "# kolmex <version> <proxy version> <config>"
+        header = (tmp_path / "out").read_text().splitlines()[0]
+        assert json.loads(header.split(" ", 4)[4]) == expected
+    elif cmd == "probe":
+        assert json.loads((tmp_path / "out").read_text())["config"] == expected
+
+
+def test_config_writes_a_default_rational_as_text(capsys):
+    assert run(["--verbose", "algebra", "feynman-check", "--order", "1"]) == 0
+    config = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert (config["c3"], config["c4"]) == ("0", "0")
 
 
 MALFORMED_CHARACTERS = {
@@ -643,7 +761,7 @@ FRACTION_TEXTS = mostly(["0", "1", "-1", "1/3", "-5/2", "2.5", "1e-3", "1e40",
                          "-99999999999999999999/7", "1e400", "1e4300", "-1e-4300"],
                         ["1/0", "0/0", "nan", "inf", "-inf", "", "x", "10**40", "1e700000",
                          "-1e4300/7"])
-FLOAT_TEXTS = mostly(["0", "0.25", "1", "-1", "2.5"],
+FLOAT_TEXTS = mostly(["0", "0.25", "1", "-1", "2.5", "-50"],
                      ["nan", "inf", "-inf", "1e400", "-1e400", "", "x"])
 BAD_INTEGERS = ["0", "-1", "-7", str(-2**70), "", "x", "1.5", "1/2", "nan", "inf", "1e400"]
 OUTS = mostly(["DIR/out"], ["DIR/missing/out", "DIR/taken"])

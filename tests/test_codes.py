@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -422,6 +423,17 @@ def test_partition_monotone_in_beta_and_delta():
     zs = [partition_sum(ensemble, rate, d, 0.3, eta=0.02)[0] for d in deltas]
     for lo, hi in zip(zs, zs[1:]):
         assert hi <= lo * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("beta", [-5.0, -1e307], ids=["exp_raises", "exponent_inf"])
+def test_partition_overflow_is_a_code_error_naming_beta(beta):
+    ensemble = sample_codes(2, 6, 4, 200, seed=3)
+    message = re.escape(f"Z overflows binary64 at beta={beta:.17g}")
+    with pytest.raises(CodeError, match=message + "$"):
+        partition_sum(ensemble, F(1, 3), F(1, 6), beta, eta=0.01)
+    with pytest.raises(CodeError, match="Z overflows binary64"):
+        codes.sweep_rows(ensemble, F(1, 3), F(1, 6), [1.0, beta])
+    assert partition_sum(ensemble, F(1, 3), F(1, 6), -4.0, eta=0.01)[0] > 0
 
 
 def test_partition_rejects_negative_eta():
